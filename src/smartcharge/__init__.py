@@ -44,6 +44,7 @@ from .optimizer import (
     LearnedPolicy,
     RewardParams,
     SearchConfig,
+    learn_policies,
     learn_policy,
     per_cp_seed,
     reward,

@@ -5,7 +5,8 @@ slow-rate coefficient (slow power = coefficient * charger max power).
 Simulating a session yields how much energy each phase delivered, the
 session's effective charging rate and the energy shortfall; evaluating a
 whole history yields the total shortfall and the energy-weighted aggregate
-charging rate the reward is built on.
+charging rate the reward is built on.  History evaluation runs on equal-length
+histories of many chargers at once, one row per charger.
 """
 
 from __future__ import annotations
@@ -114,37 +115,78 @@ def simulate_session(
     )
 
 
-def history_arrays(history: Sequence[Session]) -> tuple[np.ndarray, np.ndarray]:
-    """(energy targets, plugin durations) as arrays, for repeated evaluation."""
-    e_target = np.array([s.energy_kwh for s in history], dtype=np.float64)
-    plugin = np.array([s.plugin_hours for s in history], dtype=np.float64)
-    return e_target, plugin
+class HistoryArrays:
+    """Session histories of k chargers, all of one length L, prepared for
+    repeated evaluation: (k, L) energy targets and plugin durations, each
+    charger's max power (given as a (k, 1) column), the per-session terms no
+    policy changes, and scratch space the evaluations reuse."""
+
+    def __init__(
+        self, e_target: np.ndarray, plugin: np.ndarray, p_max_kw: np.ndarray
+    ):
+        self.e_target = e_target
+        self.plugin = plugin
+        # stored full width: an operand broadcast from a column costs more
+        # per call than a full-width one
+        self.p_max_kw = np.broadcast_to(p_max_kw, e_target.shape).copy()
+        # min(e_target / p_max, plugin), the part of the boost cap no policy
+        # changes; min returns one of its operands, so applying the policy's
+        # cap last gives the same value
+        self.boost_cap = np.minimum(e_target / self.p_max_kw, plugin)
+        self.charged = e_target > 0
+        self._t_boost = np.empty_like(e_target)
+        self._e_boost = np.empty_like(e_target)
+        # rows reduced together: shortfall, delivered energy, p_eff * delivered
+        self._terms = np.empty((3,) + e_target.shape)
+        self._p_eff = np.zeros_like(e_target)
+
+
+def history_arrays(
+    histories: Sequence[Sequence[Session]], p_max_kw: Sequence[float]
+) -> HistoryArrays:
+    """Equal-length histories, one per charger, as arrays for evaluation."""
+    return HistoryArrays(
+        np.array([[s.energy_kwh for s in h] for h in histories], dtype=np.float64),
+        np.array([[s.plugin_hours for s in h] for h in histories], dtype=np.float64),
+        np.array(p_max_kw, dtype=np.float64)[:, None],
+    )
 
 
 def evaluate_policy_arrays(
-    e_target: np.ndarray,
-    plugin: np.ndarray,
-    t_boost_max_hours: float,
-    p_rate: float,
-    p_max_kw: float,
-) -> PolicyEvaluation:
-    """Vectorized history evaluation over prebuilt session arrays."""
-    t_boost = np.minimum(np.minimum(e_target / p_max_kw, t_boost_max_hours), plugin)
-    e_boost = np.minimum(t_boost * p_max_kw, e_target)
-    e_total = np.minimum(e_target, p_max_kw * (t_boost + (plugin - t_boost) * p_rate))
-    e_loss = float(np.sum(e_target - e_total))
-    weighted = e_boost + p_rate * (e_total - e_boost)
-    p_eff = np.divide(
-        weighted * p_max_kw,
-        e_target,
-        out=np.zeros_like(e_target),
-        where=e_target > 0,
+    h: HistoryArrays, t_boost_max_hours, p_rate
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate one policy per history: the parameters are (k, 1) columns
+    (or scalars for all rows).  Returns each row's total shortfall and
+    aggregate rate as (k,) arrays; the sums reduce the last axis of each row
+    on its own, so a row's result does not depend on the other rows."""
+    t_boost, e_boost, p_eff = h._t_boost, h._e_boost, h._p_eff
+    shortfall, e_total, rate_energy = h._terms
+    # t_boost = min(e_target / p_max, t_boost_max, plugin)
+    np.minimum(h.boost_cap, t_boost_max_hours, out=t_boost)
+    # e_boost = min(t_boost * p_max, e_target)
+    np.multiply(t_boost, h.p_max_kw, out=e_boost)
+    np.minimum(e_boost, h.e_target, out=e_boost)
+    # e_total = min(e_target, p_max * (t_boost + (plugin - t_boost) * p_rate))
+    np.subtract(h.plugin, t_boost, out=e_total)
+    np.multiply(e_total, p_rate, out=e_total)
+    np.add(t_boost, e_total, out=e_total)
+    np.multiply(h.p_max_kw, e_total, out=e_total)
+    np.minimum(h.e_target, e_total, out=e_total)
+    np.subtract(h.e_target, e_total, out=shortfall)
+    # p_eff = (e_boost + p_rate * (e_total - e_boost)) * p_max / e_target,
+    # 0 for sessions without energy (never written, so still 0)
+    np.subtract(e_total, e_boost, out=t_boost)
+    np.multiply(p_rate, t_boost, out=t_boost)
+    np.add(e_boost, t_boost, out=t_boost)
+    np.multiply(t_boost, h.p_max_kw, out=t_boost)
+    np.divide(t_boost, h.e_target, out=p_eff, where=h.charged)
+    np.multiply(p_eff, e_total, out=rate_energy)
+    e_loss, delivered, weighted = np.add.reduce(h._terms, axis=-1)
+    # a history that delivers nothing has an aggregate rate of 0
+    p_aggr = np.divide(
+        weighted, delivered, out=np.zeros(delivered.shape), where=delivered > 0.0
     )
-    delivered = float(np.sum(e_total))
-    if delivered <= 0.0:
-        return PolicyEvaluation(e_loss_kwh=e_loss, p_aggr_kw=0.0)
-    p_aggr = float(np.sum(p_eff * e_total)) / delivered
-    return PolicyEvaluation(e_loss_kwh=e_loss, p_aggr_kw=p_aggr)
+    return e_loss, p_aggr
 
 
 def evaluate_policy(
@@ -160,10 +202,10 @@ def evaluate_policy(
         raise ValueError("history must be non-empty")
     if p_max_kw <= 0:
         raise ValueError("p_max_kw must be positive")
-    e_target, plugin = history_arrays(history)
-    return evaluate_policy_arrays(
-        e_target, plugin, policy.t_boost_max_hours, policy.p_rate, p_max_kw
+    e_loss, p_aggr = evaluate_policy_arrays(
+        history_arrays([history], [p_max_kw]), policy.t_boost_max_hours, policy.p_rate
     )
+    return PolicyEvaluation(e_loss_kwh=float(e_loss[0]), p_aggr_kw=float(p_aggr[0]))
 
 
 def raw_profile(session: Session, p_max_kw: float) -> PowerProfile:

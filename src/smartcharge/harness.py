@@ -5,13 +5,19 @@ Three run modes over a cleaned chargepoint dataset:
 offline -- per charge point, learn one policy on the chronologically first
            80% of sessions and replay the last 20% under the raw, ideal and
            learned strategies; aggregate daily profiles and deficit stats.
-online  -- replay one charge point session by session, charging raw during
+online  -- replay each charge point session by session, charging raw during
            a warmup and re-learning the policy after every session.
 predict -- per-charge-point cross-validated duration regression.
 
 Charge points are the unit of parallel work.  Work is cut into fixed-size
 batches processed in sorted order and folded back in batch order, so every
-report is byte-identical for any worker count.
+report is byte-identical for any worker count.  Within a batch, policy
+searches run together through optimizer.learn_policies: offline learns all
+of the batch's chargers in one call, and online replays the batch in
+lockstep by session index, re-learning after session i every charger that
+needs it in one call.  learn_policies gives each charger the result it
+would get alone, so a charger's reports do not depend on which chargers
+share its batch.
 """
 
 from __future__ import annotations
@@ -49,13 +55,15 @@ from .optimizer import (
     LearnedPolicy,
     RewardParams,
     SearchConfig,
-    learn_policy,
+    learn_policies,
+    learn_policy,  # not called here; the benchmark's tracer wraps this name
     per_cp_seed,
     rolling_window,
 )
 from .predictor import PredictionMetrics, cross_validate, pool_metrics
 
 BATCH_SIZE = 32
+_PROFILE_CHUNK_ROWS = 4096
 STRATEGIES = ("raw", "oracle", "rl")
 
 
@@ -243,10 +251,19 @@ class OfflineResults:
         return total / s if s else total.astype(np.float64)
 
 
+def _train_window(cp: ChargePoint, cfg: ExperimentConfig) -> list[Session]:
+    """The sessions the offline policy learns from: the last `history`
+    sessions with energy among the first ceil(train_fraction * n)."""
+    n_train = math.ceil(cfg.train_fraction * len(cp.sessions))
+    return rolling_window(
+        [s for s in cp.sessions[:n_train] if s.energy_kwh > 0], cfg.history
+    )
+
+
 def _simulate_split(
-    cp: ChargePoint, cfg: ExperimentConfig
+    cp: ChargePoint, cfg: ExperimentConfig, policy: ChargingPolicy, feasible: bool
 ) -> tuple[OfflineCpResult, dict[tuple[str, str], list]]:
-    """Learn on the first ceil(train_fraction * n) sessions, replay the rest.
+    """Replay the sessions after the training split under the learned policy.
 
     Returns the per-CP result row plus profile pieces keyed by
     (scope, strategy); "all" scope re-applies the learned policy to every
@@ -254,20 +271,7 @@ def _simulate_split(
     """
     n = len(cp.sessions)
     n_train = math.ceil(cfg.train_fraction * n)
-    train, test = cp.sessions[:n_train], cp.sessions[n_train:]
-
-    window = rolling_window([s for s in train if s.energy_kwh > 0], cfg.history)
-    if window:
-        learned = learn_policy(
-            window,
-            cp.p_max_kw,
-            cfg.search_config(cp.cp_id),
-            cfg.reward_params(),
-        )
-        policy, feasible = learned.policy, learned.feasible
-    else:
-        # Nothing to learn from: charge raw rather than guess.
-        policy, feasible = _raw_fallback_policy(cp.sessions), True
+    test = cp.sessions[n_train:]
 
     pieces: dict[tuple[str, str], list] = {
         (scope, strat): [] for scope in ("test", "all") for strat in STRATEGIES
@@ -330,13 +334,31 @@ def _simulate_split(
 
 
 def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
+    windows = [_train_window(cp, cfg) for cp in batch]
+    learning = [j for j, window in enumerate(windows) if window]
+    learned = dict(
+        zip(
+            learning,
+            learn_policies(
+                [windows[j] for j in learning],
+                [batch[j].p_max_kw for j in learning],
+                [cfg.search_config(batch[j].cp_id) for j in learning],
+                cfg.reward_params(),
+            ),
+        )
+    )
     rows = []
     profiles = {
         key: DailyProfile.zeros()
         for key in ((scope, strat) for scope in ("test", "all") for strat in STRATEGIES)
     }
-    for cp in batch:
-        row, pieces = _simulate_split(cp, cfg)
+    for j, cp in enumerate(batch):
+        if j in learned:
+            policy, feasible = learned[j].policy, learned[j].feasible
+        else:
+            # Nothing to learn from: charge raw rather than guess.
+            policy, feasible = _raw_fallback_policy(cp.sessions), True
+        row, pieces = _simulate_split(cp, cfg, policy, feasible)
         rows.append(row)
         for key, piece_list in pieces.items():
             aggregation.accumulate(PowerProfile(tuple(piece_list)), into=profiles[key])
@@ -454,59 +476,78 @@ class OnlineResults:
     profiles: dict[str, DailyProfile]
 
 
-def _replay_online(cp: ChargePoint, cfg: ExperimentConfig) -> OnlineCpResult:
+def _replay_online(
+    batch: Sequence[ChargePoint], cfg: ExperimentConfig
+) -> list[OnlineCpResult]:
     """Session-by-session replay: raw during warmup, then each session is
     charged with the policy learned from all preceding ones, which is
-    re-learned (warm-started) after every session."""
-    rows: list[OnlineSessionRow] = []
-    history: list[Session] = []
-    learned: LearnedPolicy | None = None
+    re-learned (warm-started) after every session.
 
-    for i, s in enumerate(cp.sessions):
-        if i < cfg.online_warmup or learned is None:
-            policy = ChargingPolicy(s.plugin_hours, 1.0)
-            mode = "raw"
-        else:
-            policy = learned.policy
-            mode = "adaptive"
-        outcome = simulate_session(s, policy, cp.p_max_kw)
-        rows.append(
-            OnlineSessionRow(
-                cp_id=cp.cp_id,
-                index=i,
-                event_id=s.event_id,
-                start=s.start,
-                plugin_hours=s.plugin_hours,
-                energy_kwh=s.energy_kwh,
-                mode=mode,
-                outcome=outcome,
-                policy_t_boost_max=policy.t_boost_max_hours,
-                policy_p_rate=policy.p_rate,
+    The batch's chargers replay in lockstep by session index, so the
+    re-learns of one index run as one learn_policies call; each charger
+    still gets exactly the policies it would get replayed alone.
+    """
+    rows: list[list[OnlineSessionRow]] = [[] for _ in batch]
+    histories: list[list[Session]] = [[] for _ in batch]
+    learned: list[LearnedPolicy | None] = [None] * len(batch)
+
+    for i in range(max(len(cp.sessions) for cp in batch)):
+        relearn = []
+        for j, cp in enumerate(batch):
+            if i >= len(cp.sessions):
+                continue
+            s = cp.sessions[i]
+            if i < cfg.online_warmup or learned[j] is None:
+                policy = ChargingPolicy(s.plugin_hours, 1.0)
+                mode = "raw"
+            else:
+                policy = learned[j].policy
+                mode = "adaptive"
+            outcome = simulate_session(s, policy, cp.p_max_kw)
+            rows[j].append(
+                OnlineSessionRow(
+                    cp_id=cp.cp_id,
+                    index=i,
+                    event_id=s.event_id,
+                    start=s.start,
+                    plugin_hours=s.plugin_hours,
+                    energy_kwh=s.energy_kwh,
+                    mode=mode,
+                    outcome=outcome,
+                    policy_t_boost_max=policy.t_boost_max_hours,
+                    policy_p_rate=policy.p_rate,
+                )
             )
-        )
-        if s.energy_kwh > 0:
-            history.append(s)
-        if i + 1 >= cfg.online_warmup and history:
-            window = rolling_window(history, cfg.history)
-            init = None if (cfg.cold_start or learned is None) else learned.policy
-            learned = learn_policy(
-                window,
-                cp.p_max_kw,
-                cfg.search_config(f"{cp.cp_id}#{i}"),
+            if s.energy_kwh > 0:
+                histories[j].append(s)
+            # (the policy learned after a charger's last session would go unused)
+            if histories[j] and cfg.online_warmup <= i + 1 < len(cp.sessions):
+                relearn.append(j)
+        if relearn:
+            results = learn_policies(
+                [rolling_window(histories[j], cfg.history) for j in relearn],
+                [batch[j].p_max_kw for j in relearn],
+                [cfg.search_config(f"{batch[j].cp_id}#{i}") for j in relearn],
                 cfg.reward_params(),
-                init=init,
+                [
+                    None if (cfg.cold_start or learned[j] is None) else learned[j].policy
+                    for j in relearn
+                ],
             )
-    return OnlineCpResult(
-        cp_id=cp.cp_id, p_max_kw=cp.p_max_kw, warmup=cfg.online_warmup, rows=rows
-    )
+            for j, result in zip(relearn, results):
+                learned[j] = result
+    return [
+        OnlineCpResult(
+            cp_id=cp.cp_id, p_max_kw=cp.p_max_kw, warmup=cfg.online_warmup, rows=cp_rows
+        )
+        for cp, cp_rows in zip(batch, rows)
+    ]
 
 
 def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
-    results = []
+    results = _replay_online(batch, cfg)
     profiles = {s: DailyProfile.zeros() for s in STRATEGIES}
-    for cp in batch:
-        result = _replay_online(cp, cfg)
-        results.append(result)
+    for cp, result in zip(batch, results):
         raw_pieces: list = []
         oracle_pieces: list = []
         rl_pieces: list = []
@@ -636,17 +677,14 @@ def _profile_csv(profiles: dict[str, DailyProfile], resolution: int) -> str:
             a.reshape(aggregation.SECONDS_PER_DAY // resolution, resolution).mean(axis=1)
             for a in arrays
         ]
-    for i in range(len(arrays[0])):
-        lines.append(
-            _csv_line(
-                [
-                    i * resolution,
-                    float(arrays[0][i]),
-                    float(arrays[1][i]),
-                    float(arrays[2][i]),
-                ]
-            )
+    # Whole-array tolist() would hold every row's floats at once; chunks
+    # keep that peak small.
+    for lo in range(0, len(arrays[0]), _PROFILE_CHUNK_ROWS):
+        chunk = zip(
+            range(lo * resolution, (lo + _PROFILE_CHUNK_ROWS) * resolution, resolution),
+            *(a[lo : lo + _PROFILE_CHUNK_ROWS].tolist() for a in arrays),
         )
+        lines.extend(f"{t},{raw!r},{oracle!r},{rl!r}" for t, raw, oracle, rl in chunk)
     return "\n".join(lines) + "\n"
 
 

@@ -2,21 +2,34 @@
 
 Each iteration perturbs the incumbent (boost duration, slow-rate
 coefficient) by a random step with a random sign, re-evaluates the whole
-session history and keeps the candidate only on strict reward improvement.
-Step sizes vary across a wide range so the search can escape local optima
-of the non-concave reward surface.
+session history, moves to the candidate when its reward is at least the
+incumbent's and remembers the best point visited.  Step sizes vary across a
+wide range so the search can escape local optima of the non-concave reward
+surface.
+
+learn_policies runs the search for many chargers at once.  Chargers whose
+windows have the same length form a bucket, and each iteration evaluates
+one candidate per charger of the bucket on a (chargers, window) array;
+acceptance and best-point updates are masked per row.  A charger's result
+does not depend on its neighbours in the bucket: its random draws come from
+its own seeded generator, every elementwise operation is the same as in a
+one-charger search, and each sum reduces its own row, in the same pairwise
+order as a one-charger sum.  Windows are never zero-padded to a common
+length, since padding would change that order.  learn_policy is the
+one-charger case.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .charging import (
     ChargingPolicy,
+    HistoryArrays,
     PolicyEvaluation,
     evaluate_policy_arrays,
     history_arrays,
@@ -116,60 +129,139 @@ def learn_policy(
     back to the raw-equivalent policy (boost cap = longest plugin duration,
     rate 1.0), which delivers every target on a cleaned charge point.
     """
-    if len(history) == 0:
-        raise ValueError("history must be non-empty")
-    if p_max_kw <= 0:
-        raise ValueError("p_max_kw must be positive")
+    return learn_policies([history], [p_max_kw], [cfg], params, [init])[0]
 
-    e_target, plugin = history_arrays(history)
-    t_mean = float(plugin.mean())
-    t_max = float(plugin.max())
 
-    def clamp_t(t: float) -> float:
-        return min(max(t, 0.0), t_max)
+def learn_policies(
+    histories: Sequence[Sequence[Session]],
+    p_max_kw: Sequence[float],
+    cfgs: Sequence[SearchConfig],
+    params: RewardParams,
+    inits: Sequence[ChargingPolicy | None] | None = None,
+) -> list[LearnedPolicy]:
+    """learn_policy for many chargers at once, one result per history.
 
-    def clamp_p(p: float) -> float:
-        return min(max(p, 0.0), 1.0)
+    Histories of one length whose configs differ at most in the seed are
+    searched in lockstep: every iteration evaluates one candidate per
+    charger on a (chargers, window) array.  Lengths are never padded to
+    match, because padding would change the order of numpy's pairwise sums.
+    Each row draws its own seeded stream and every reduction runs along its
+    own row, so a charger's result is bit-identical to searching it alone.
+    """
+    n = len(histories)
+    inits = [None] * n if inits is None else inits
+    if not len(p_max_kw) == len(cfgs) == len(inits) == n:
+        raise ValueError("need one p_max_kw, config and init per history")
+    groups: dict[tuple[int, SearchConfig], list[int]] = {}
+    for j, (history, p_max, cfg) in enumerate(zip(histories, p_max_kw, cfgs)):
+        if len(history) == 0:
+            raise ValueError("history must be non-empty")
+        if p_max <= 0:
+            raise ValueError("p_max_kw must be positive")
+        groups.setdefault((len(history), replace(cfg, seed=0)), []).append(j)
 
-    if init is not None:
-        inc_t, inc_p = clamp_t(init.t_boost_max_hours), clamp_p(init.p_rate)
-    else:
-        inc_t, inc_p = t_mean, 0.5
-    inc_eval = evaluate_policy_arrays(e_target, plugin, inc_t, inc_p, p_max_kw)
-    inc_reward = reward(inc_eval, params)
-    best_t, best_p = inc_t, inc_p
-    best_eval, best_reward = inc_eval, inc_reward
+    results: list[LearnedPolicy] = [None] * n  # type: ignore[list-item]
+    for (_, knobs), rows in groups.items():
+        learned = _search(
+            history_arrays([histories[j] for j in rows], [p_max_kw[j] for j in rows]),
+            knobs,
+            [cfgs[j].seed for j in rows],
+            [inits[j] for j in rows],
+            params,
+        )
+        for j, result in zip(rows, learned):
+            results[j] = result
+    return results
 
-    # Equal-reward candidates move the walk (the reward surface has genuinely
-    # flat regions, e.g. wherever the boost cap exceeds every session's full
-    # charge time; drifting across them is the only way off), while the
-    # returned policy is the best point visited.
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.n_tries):
-        dx = t_mean * rng.uniform(cfg.dx_min, cfg.dx_max)
-        sx = 1.0 if rng.random() < 0.5 else -1.0
-        dy = rng.uniform(cfg.dy_min, cfg.dy_max)
-        sy = 1.0 if rng.random() < 0.5 else -1.0
-        cand_t = clamp_t(inc_t + sx * dx)
-        cand_p = clamp_p(inc_p + sy * dy)
-        cand_eval = evaluate_policy_arrays(e_target, plugin, cand_t, cand_p, p_max_kw)
-        cand_reward = reward(cand_eval, params)
-        if cand_reward >= inc_reward:
-            inc_t, inc_p = cand_t, cand_p
-            inc_eval, inc_reward = cand_eval, cand_reward
-        if cand_reward > best_reward:
-            best_t, best_p = cand_t, cand_p
-            best_eval, best_reward = cand_eval, cand_reward
 
-    if best_eval.e_loss_kwh >= params.e_max_loss_kwh:
-        # Never found a feasible point: charge raw rather than undercharge.
-        best_t, best_p = t_max, 1.0
-        best_eval = evaluate_policy_arrays(e_target, plugin, best_t, best_p, p_max_kw)
-        best_reward = reward(best_eval, params)
+def _rewards(
+    e_loss: np.ndarray, p_aggr: np.ndarray, params: RewardParams, out: np.ndarray
+) -> np.ndarray:
+    """reward() of each row, written to out.  p_aggr is never negative on
+    histories of non-negative energy, so a zero rate divides to +inf."""
+    np.divide(params.k2, p_aggr, out=out)
+    out += -params.k1 * e_loss
+    np.copyto(out, -np.inf, where=e_loss >= params.e_max_loss_kwh)
+    return out
 
-    return LearnedPolicy(
-        policy=ChargingPolicy(best_t, best_p),
-        reward=best_reward,
-        evaluation=best_eval,
-        feasible=best_eval.e_loss_kwh < params.e_max_loss_kwh,
+
+def _search(
+    h: HistoryArrays,
+    cfg: SearchConfig,
+    seeds: Sequence[int],
+    inits: Sequence[ChargingPolicy | None],
+    params: RewardParams,
+) -> list[LearnedPolicy]:
+    """The lockstep search over equal-length histories (see learn_policies)."""
+    k = len(seeds)
+    t_mean = h.plugin.mean(axis=1)
+    t_max = h.plugin.max(axis=1)
+
+    # Rows 0-2 of each state: boost cap, rate, reward.
+    inc = np.empty((3, k))
+    for j, init in enumerate(inits):
+        if init is None:
+            inc[0, j], inc[1, j] = t_mean[j], 0.5
+        else:
+            inc[0, j] = min(max(init.t_boost_max_hours, 0.0), float(t_max[j]))
+            inc[1, j] = min(max(init.p_rate, 0.0), 1.0)
+
+    # Each row's draws come up front, in the order a scalar loop takes them
+    # from its generator (dx, sign of dx, dy, sign of dy per try);
+    # low + (high - low) * u is exactly how Generator.uniform maps a draw.
+    u = np.stack(
+        [np.random.default_rng(seed).random((cfg.n_tries, 4)) for seed in seeds], axis=-1
     )
+    steps = np.empty((cfg.n_tries, 2, k))
+    steps[:, 0] = t_mean * (cfg.dx_min + (cfg.dx_max - cfg.dx_min) * u[:, 0])
+    steps[:, 1] = cfg.dy_min + (cfg.dy_max - cfg.dy_min) * u[:, 2]
+    np.negative(steps, out=steps, where=u[:, 1::2] >= 0.5)
+    upper = np.stack([t_max, np.ones(k)])
+
+    cand = np.empty((3, k))
+    cand_tp, cand_r = cand[:2], cand[2]
+    cand_t, cand_p = cand[0, :, None], cand[1, :, None]
+    inc_tp, inc_r = inc[:2], inc[2]
+    accept = np.empty(k, dtype=bool)
+    better = np.empty(k, dtype=bool)
+    with np.errstate(divide="ignore"):
+        e_loss, p_aggr = evaluate_policy_arrays(h, inc[0, :, None], inc[1, :, None])
+        _rewards(e_loss, p_aggr, params, out=inc_r)
+        best = inc.copy()
+        best_r = best[2]
+        # Equal-reward candidates move the walk (the reward surface has
+        # genuinely flat regions, e.g. wherever the boost cap exceeds every
+        # session's full charge time; drifting across them is the only way
+        # off), while the returned policy is the best point visited.
+        for step in steps:
+            np.add(inc_tp, step, out=cand_tp)
+            np.maximum(cand_tp, 0.0, out=cand_tp)
+            np.minimum(cand_tp, upper, out=cand_tp)
+            e_loss, p_aggr = evaluate_policy_arrays(h, cand_t, cand_p)
+            _rewards(e_loss, p_aggr, params, out=cand_r)
+            np.greater_equal(cand_r, inc_r, out=accept)
+            np.copyto(inc, cand, where=accept)
+            np.greater(cand_r, best_r, out=better)
+            np.copyto(best, cand, where=better)
+
+        # The best point's evaluation is recomputed, not carried through the
+        # loop: the same row and parameters give the same numbers.
+        t, p = best[0], best[1]
+        e_loss, p_aggr = evaluate_policy_arrays(h, t[:, None], p[:, None])
+        fallback = e_loss >= params.e_max_loss_kwh
+        if fallback.any():
+            # Never found a feasible point: charge raw rather than undercharge.
+            t = np.where(fallback, t_max, t)
+            p = np.where(fallback, 1.0, p)
+            e_loss, p_aggr = evaluate_policy_arrays(h, t[:, None], p[:, None])
+        rewards = _rewards(e_loss, p_aggr, params, out=np.empty(k))
+
+    return [
+        LearnedPolicy(
+            policy=ChargingPolicy(float(t[j]), float(p[j])),
+            reward=float(rewards[j]),
+            evaluation=PolicyEvaluation(float(e_loss[j]), float(p_aggr[j])),
+            feasible=bool(e_loss[j] < params.e_max_loss_kwh),
+        )
+        for j in range(k)
+    ]

@@ -70,7 +70,8 @@ def extract_features(
     for s in cp_sessions:
         if prev_end is not None:
             gap_h = (s.start - prev_end) / 3600.0
-            assert gap_h >= 0, "sessions overlap; run cleaning first"
+            if gap_h < 0:
+                raise ValueError("sessions overlap; run cleaning first")
             dt = datetime.utcfromtimestamp(s.start)
             rows.append(
                 (

@@ -240,6 +240,44 @@ class TestOnline:
         ]
         assert warm_policies != cold_policies
 
+    def lockstep_fleet(self, tmp_path):
+        # more chargers than one batch holds, and zero-energy sessions so the
+        # chargers' windows differ in length at the same session index
+        text = synth_fleet_csv(
+            n_cps=40, sessions_per_cp=16, seed=12, zero_energy_prob=0.3
+        )
+        return write_csv(tmp_path, text)
+
+    def online_bundle(self, path, out, **kw):
+        cfg = small_cfg(
+            path, out, mode="online", online_warmup=8, n_tries=20, seed=3, **kw
+        )
+        emit_online_reports(run_online(cfg), out)
+        return {
+            name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)
+        }
+
+    def test_deterministic_across_workers(self, tmp_path):
+        path = self.lockstep_fleet(tmp_path)
+        bundles = [
+            self.online_bundle(path, str(tmp_path / f"w{workers}"), workers=workers)
+            for workers in (1, 2)
+        ]
+        assert bundles[0] == bundles[1]
+
+    def test_charger_alone_equals_charger_in_fleet(self, tmp_path):
+        path = self.lockstep_fleet(tmp_path)
+        fleet = self.online_bundle(path, str(tmp_path / "fleet"))
+        for cp_id in ("CP000", "CP017", "CP039"):
+            alone = self.online_bundle(path, str(tmp_path / cp_id), cp_filter=(cp_id,))
+
+            def rows(bundle):
+                lines = bundle["outcomes.csv"].decode().splitlines()
+                return [line for line in lines if line.startswith(cp_id + ",")]
+
+            assert len(rows(alone)) == 16
+            assert rows(alone) == rows(fleet)
+
     def test_same_seed_reproducible(self, tmp_path):
         a, _ = self.make_results(tmp_path, seed=5)
         b, _ = self.make_results(tmp_path, seed=5)

@@ -1,13 +1,19 @@
 """Reward function and stochastic policy search."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smartcharge.charging import ChargingPolicy, PolicyEvaluation, evaluate_policy
 from smartcharge.dataset import derive_p_max
 from smartcharge.optimizer import (
+    LearnedPolicy,
     RewardParams,
     SearchConfig,
+    learn_policies,
     learn_policy,
     per_cp_seed,
     reward,
@@ -230,3 +236,180 @@ class TestSeeds:
     def test_per_cp_seed_in_64_bits(self):
         s = per_cp_seed(12345, "CP001")
         assert 0 <= s < 2**64
+
+
+# ---------------------------------------------------------------------------
+# Reference: the scalar search, one charger and one candidate at a time, as
+# it was before the lockstep search replaced it.  The lockstep search must
+# reproduce it bit for bit.
+
+
+def serial_history_arrays(history):
+    e_target = np.array([s.energy_kwh for s in history], dtype=np.float64)
+    plugin = np.array([s.plugin_hours for s in history], dtype=np.float64)
+    return e_target, plugin
+
+
+def serial_evaluate_policy_arrays(e_target, plugin, t_boost_max_hours, p_rate, p_max_kw):
+    t_boost = np.minimum(np.minimum(e_target / p_max_kw, t_boost_max_hours), plugin)
+    e_boost = np.minimum(t_boost * p_max_kw, e_target)
+    e_total = np.minimum(e_target, p_max_kw * (t_boost + (plugin - t_boost) * p_rate))
+    e_loss = float(np.sum(e_target - e_total))
+    weighted = e_boost + p_rate * (e_total - e_boost)
+    p_eff = np.divide(
+        weighted * p_max_kw,
+        e_target,
+        out=np.zeros_like(e_target),
+        where=e_target > 0,
+    )
+    delivered = float(np.sum(e_total))
+    if delivered <= 0.0:
+        return PolicyEvaluation(e_loss_kwh=e_loss, p_aggr_kw=0.0)
+    p_aggr = float(np.sum(p_eff * e_total)) / delivered
+    return PolicyEvaluation(e_loss_kwh=e_loss, p_aggr_kw=p_aggr)
+
+
+def serial_learn_policy(history, p_max_kw, cfg, params, init=None):
+    e_target, plugin = serial_history_arrays(history)
+    t_mean = float(plugin.mean())
+    t_max = float(plugin.max())
+
+    def clamp_t(t: float) -> float:
+        return min(max(t, 0.0), t_max)
+
+    def clamp_p(p: float) -> float:
+        return min(max(p, 0.0), 1.0)
+
+    if init is not None:
+        inc_t, inc_p = clamp_t(init.t_boost_max_hours), clamp_p(init.p_rate)
+    else:
+        inc_t, inc_p = t_mean, 0.5
+    inc_eval = serial_evaluate_policy_arrays(e_target, plugin, inc_t, inc_p, p_max_kw)
+    inc_reward = reward(inc_eval, params)
+    best_t, best_p = inc_t, inc_p
+    best_eval, best_reward = inc_eval, inc_reward
+
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.n_tries):
+        dx = t_mean * rng.uniform(cfg.dx_min, cfg.dx_max)
+        sx = 1.0 if rng.random() < 0.5 else -1.0
+        dy = rng.uniform(cfg.dy_min, cfg.dy_max)
+        sy = 1.0 if rng.random() < 0.5 else -1.0
+        cand_t = clamp_t(inc_t + sx * dx)
+        cand_p = clamp_p(inc_p + sy * dy)
+        cand_eval = serial_evaluate_policy_arrays(
+            e_target, plugin, cand_t, cand_p, p_max_kw
+        )
+        cand_reward = reward(cand_eval, params)
+        if cand_reward >= inc_reward:
+            inc_t, inc_p = cand_t, cand_p
+            inc_eval, inc_reward = cand_eval, cand_reward
+        if cand_reward > best_reward:
+            best_t, best_p = cand_t, cand_p
+            best_eval, best_reward = cand_eval, cand_reward
+
+    if best_eval.e_loss_kwh >= params.e_max_loss_kwh:
+        best_t, best_p = t_max, 1.0
+        best_eval = serial_evaluate_policy_arrays(
+            e_target, plugin, best_t, best_p, p_max_kw
+        )
+        best_reward = reward(best_eval, params)
+
+    return LearnedPolicy(
+        policy=ChargingPolicy(best_t, best_p),
+        reward=best_reward,
+        evaluation=best_eval,
+        feasible=best_eval.e_loss_kwh < params.e_max_loss_kwh,
+    )
+
+
+def lockstep_window(kind, n, seed):
+    """A window of n sessions and its charger's max power.  "slack" leaves
+    room to slow down; "tight" sessions need nearly their whole plugin time
+    at full rate, so few tries end infeasible and fall back to raw; "tiny"
+    windows carry under 10 kWh in all, so charging nothing is feasible and
+    the (0, 0) policy rates +inf; "gaps" adds zero-energy sessions."""
+    rng = np.random.default_rng(seed)
+    p_max = float(rng.uniform(3.0, 10.0))
+    plugin = rng.uniform(0.5, 30.0, n)
+    fraction = {
+        "slack": rng.uniform(0.05, 1.0, n),
+        "tight": rng.uniform(0.9, 1.0, n),
+        "tiny": rng.uniform(0.0, 1.0, n) * 9.0 / (p_max * plugin.sum()),
+        "gaps": rng.uniform(0.05, 1.0, n) * (rng.random(n) < 0.7),
+    }[kind]
+    sessions = [
+        make_session(
+            start=BASE_EPOCH + i * 200_000,
+            plugin_hours=float(pl),
+            energy_kwh=float(pl * p_max * f),
+            event_id=i,
+        )
+        for i, (pl, f) in enumerate(zip(plugin, fraction))
+    ]
+    return sessions, p_max
+
+
+window_specs = st.tuples(
+    st.sampled_from(["slack", "tight", "tiny", "gaps"]),
+    st.integers(1, 70),
+    st.integers(0, 2**32 - 1),
+    st.one_of(
+        st.none(),
+        st.sampled_from([(0.0, 0.0), (-0.0, -0.0)]),
+        # clamped into [0, t_max] x [0, 1] before the search starts
+        st.tuples(st.floats(-5.0, 100.0), st.floats(-0.5, 1.5)),
+    ),
+)
+
+
+class TestLockstepEqualsSerial:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        specs=st.lists(window_specs, min_size=1, max_size=40),
+        n_tries=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_bit_identical(self, specs, n_tries, seed):
+        params = RewardParams()
+        windows, p_max, cfgs, inits = [], [], [], []
+        for j, (kind, n, window_seed, init) in enumerate(specs):
+            sessions, p = lockstep_window(kind, n, window_seed)
+            windows.append(sessions)
+            p_max.append(p)
+            cfgs.append(SearchConfig(n_tries=n_tries, seed=per_cp_seed(seed, str(j))))
+            if init is not None:
+                init = SimpleNamespace(t_boost_max_hours=init[0], p_rate=init[1])
+            inits.append(init)
+        lockstep = learn_policies(windows, p_max, cfgs, params, inits)
+        for got, window, p, cfg, init in zip(lockstep, windows, p_max, cfgs, inits):
+            want = serial_learn_policy(window, p, cfg, params, init)
+            # repr tells -0.0 from 0.0 and shows every bit of each float
+            assert repr(got.policy) == repr(want.policy)
+            assert repr(got.reward) == repr(want.reward)
+            assert repr(got.evaluation) == repr(want.evaluation)
+            assert got.feasible is want.feasible
+
+    def test_corners_occur(self):
+        # the generator reaches the raw fallback and the +inf reward
+        params = RewardParams()
+        tight, p = lockstep_window("tight", 40, 1)
+        learned = learn_policy(tight, p, SearchConfig(n_tries=1, seed=0), params)
+        assert learned.policy == ChargingPolicy(max(s.plugin_hours for s in tight), 1.0)
+        tiny, p = lockstep_window("tiny", 20, 2)
+        start = ChargingPolicy(0.0, 0.0)
+        learned = learn_policy(tiny, p, SearchConfig(n_tries=5, seed=0), params, start)
+        assert learned.reward == float("inf")
+        assert learned.evaluation.p_aggr_kw == 0.0
+
+    def test_one_result_per_history_in_input_order(self):
+        params = RewardParams()
+        windows = [lockstep_window("slack", n, n)[0] for n in (30, 7, 30, 12)]
+        p_max = [7.0] * 4
+        cfgs = [SearchConfig(n_tries=10, seed=s) for s in range(4)]
+        together = learn_policies(windows, p_max, cfgs, params)
+        alone = [learn_policy(w, 7.0, c, params) for w, c in zip(windows, cfgs)]
+        assert together == alone
+        assert learn_policies([], [], [], params) == []
+        with pytest.raises(ValueError):
+            learn_policies(windows, p_max[:3], cfgs, params)

@@ -54,6 +54,13 @@ class TestExtractFeatures:
         (fv, _), = extract_features(sessions)
         assert fv.hours_since_last == 0.0
 
+    def test_overlapping_sessions_rejected(self):
+        # a ValueError, not an assert, so the check survives `python -O`
+        first = make_session(plugin_hours=5.0, event_id=1)
+        second = make_session(start=first.end - 3600, plugin_hours=2.0, event_id=2)
+        with pytest.raises(ValueError, match="overlap"):
+            extract_features([first, second])
+
     def test_energy_toggle(self):
         sessions = sessions_with_gaps([0, 5, 5], [2, 2, 2], [5, 6, 7])
         rows = extract_features(sessions)
