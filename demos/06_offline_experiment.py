@@ -9,7 +9,7 @@ driven through the library API.
 """
 
 import tempfile
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +34,8 @@ for c in range(12):
         else:
             plugin, frac = round(float(rng.uniform(6.0, 16.0)), 2), float(rng.uniform(0.08, 0.4))
         energy = round(rate * plugin * frac, 3)
-        start = datetime.utcfromtimestamp(t)
-        end = datetime.utcfromtimestamp(t + round(plugin * 3600))
+        start = datetime(1970, 1, 1) + timedelta(seconds=t)
+        end = start + timedelta(seconds=round(plugin * 3600))
         rows.append(
             f"{event},CP{c:03d},{start:%d/%m/%Y},{start:%H:%M:%S},"
             f"{end:%d/%m/%Y},{end:%H:%M:%S},{energy},{plugin}"

@@ -6,9 +6,8 @@ from .aggregation import (
     StrategyMetrics,
     accumulate,
     deficit_stats,
-    merge,
     peak_reduction,
-    speed_histogram,
+    speed_histogram_counts,
 )
 from .charging import (
     ChargingPolicy,

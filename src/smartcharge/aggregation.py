@@ -89,13 +89,6 @@ def accumulate(
     return out
 
 
-def merge(a: DailyProfile, b: DailyProfile) -> DailyProfile:
-    """Element-wise sum of two profiles (new profile; inputs untouched)."""
-    if a.slots.shape != b.slots.shape:
-        raise ValueError("profiles have different slot counts")
-    return DailyProfile(a.slots + b.slots)
-
-
 def peak_reduction(candidate: DailyProfile, baseline: DailyProfile) -> float:
     """Percent the candidate's peak power sits below the baseline's."""
     base = baseline.peak_kw()
@@ -152,21 +145,6 @@ def strategy_metrics(
         deficit_percent=pct,
         cp_deficit_over_10pct_fraction=frac,
     )
-
-
-def speed_histogram(
-    speeds: Iterable[tuple[float, float]], bins: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized distribution of effective speed relative to charger max.
-
-    speeds: (p_eff_kw, p_max_kw) pairs.  Returns (fractions, bin_edges) over
-    [0, 1]; fractions sum to 1 when any sessions are present.
-    """
-    rel = np.array([p_eff / p_max for p_eff, p_max in speeds if p_max > 0])
-    counts, edges = np.histogram(rel, bins=bins, range=(0.0, 1.0))
-    total = counts.sum()
-    fractions = counts / total if total else counts.astype(np.float64)
-    return fractions, edges
 
 
 def speed_histogram_counts(

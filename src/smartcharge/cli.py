@@ -41,6 +41,9 @@ CONFIG_KEYS = {
 def _parse_history(value) -> int | None:
     if value is None or value == "unlimited":
         return None
+    # int() would truncate 5.5, read true as 1 and raise TypeError on a list
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"history must be a positive integer or 'unlimited', got {value!r}")
     h = int(value)
     if h < 1:
         raise ValueError("history must be a positive integer or 'unlimited'")
@@ -108,9 +111,10 @@ def build_config(argv: list[str] | None = None) -> ExperimentConfig:
 
     kwargs = {CONFIG_KEYS[k]: v for k, v in settings.items()}
     kwargs["history"] = _parse_history(kwargs.get("history", 30))
-    if "cp_filter" in kwargs:
-        cp = kwargs["cp_filter"]
-        kwargs["cp_filter"] = tuple([cp] if isinstance(cp, str) else cp)
+    # a list of ids becomes a tuple; any other type fails config validation
+    cp = kwargs.get("cp_filter")
+    if isinstance(cp, (str, list)):
+        kwargs["cp_filter"] = (cp,) if isinstance(cp, str) else tuple(cp)
     return ExperimentConfig(**kwargs)
 
 

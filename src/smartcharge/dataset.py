@@ -13,7 +13,7 @@ import csv
 import math
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable, TextIO
 
@@ -41,8 +41,7 @@ class Session:
 
     start/end are naive seconds since 1970-01-01 00:00:00 (no timezone; the
     source data carries none).  plugin_hours comes from the Duration column
-    and is the authoritative session length.  The original Energy/Duration
-    strings are kept so retained rows can be re-serialized bit-exactly.
+    and is the authoritative session length.
     """
 
     event_id: int
@@ -51,25 +50,6 @@ class Session:
     end: int
     energy_kwh: float
     plugin_hours: float
-    energy_text: str = ""
-    duration_text: str = ""
-
-    def to_csv_row(self) -> str:
-        """Re-serialize in the source format, preserving the numeric strings."""
-        s = datetime.utcfromtimestamp(self.start)
-        e = datetime.utcfromtimestamp(self.end)
-        return ",".join(
-            [
-                str(self.event_id),
-                self.cp_id,
-                s.strftime("%d/%m/%Y"),
-                s.strftime("%H:%M:%S"),
-                e.strftime("%d/%m/%Y"),
-                e.strftime("%H:%M:%S"),
-                self.energy_text or repr(self.energy_kwh),
-                self.duration_text or repr(self.plugin_hours),
-            ]
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,8 +202,6 @@ def parse_sessions(stream: TextIO) -> tuple[list[Session], list[ParseError]]:
                 end=end,
                 energy_kwh=energy_kwh,
                 plugin_hours=plugin_hours,
-                energy_text=energy_text,
-                duration_text=duration_text,
             )
         )
     return sessions, errors

@@ -17,16 +17,18 @@ of the batch's chargers in one call, and online replays the batch in
 lockstep by session index, re-learning after session i every charger that
 needs it in one call.  learn_policies gives each charger the result it
 would get alone, so a charger's reports do not depend on which chargers
-share its batch.
+share its batch.  Each session is simulated once, and its raw, oracle and rl
+pieces are built once, in offline and online mode alike.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Iterable, Sequence
 
@@ -65,6 +67,8 @@ from .predictor import PredictionMetrics, cross_validate, pool_metrics
 BATCH_SIZE = 32
 _PROFILE_CHUNK_ROWS = 4096
 STRATEGIES = ("raw", "oracle", "rl")
+# the types an ExperimentConfig field accepts, by its annotation
+_FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
 
 
 class HarnessError(Exception):
@@ -101,6 +105,20 @@ class ExperimentConfig:
     p_max_percentile: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            if value is None and optional:
+                continue
+            if kind == "tuple[str, ...]":
+                ok = isinstance(value, tuple) and all(isinstance(v, str) for v in value)
+            else:
+                # bool is an int subclass, but True is no count and no rate
+                ok = isinstance(value, _FIELD_TYPES[kind]) and (
+                    kind == "bool" or not isinstance(value, bool)
+                )
+            if not ok:
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.mode not in ("offline", "online", "predict"):
@@ -146,8 +164,10 @@ def _csv_line(values: Iterable) -> str:
 
 
 def _load_charge_points(
-    cfg: ExperimentConfig,
+    cfg: ExperimentConfig, usable_only: bool
 ) -> tuple[list[ChargePoint], CleaningReport, list[ParseError]]:
+    """Parse and clean the input, then keep the chargers the run covers
+    (usable ones only if asked, and the --cp selection), sorted by id."""
     sessions, parse_errors = parse_sessions_path(cfg.input_path)
     charge_points, report = clean_sessions(
         sessions,
@@ -155,6 +175,19 @@ def _load_charge_points(
         max_hours=cfg.max_hours,
         p_max_percentile=cfg.p_max_percentile,
     )
+    if usable_only:
+        charge_points = [cp for cp in charge_points if cp.usable]
+    if cfg.cp_filter:
+        wanted = set(cfg.cp_filter)
+        missing = wanted - {cp.cp_id for cp in charge_points}
+        if missing:
+            raise HarnessError(f"charge point(s) not in cleaned dataset: {sorted(missing)}")
+        charge_points = [cp for cp in charge_points if cp.cp_id in wanted]
+    if not charge_points:
+        raise HarnessError(
+            f"no {'usable ' if usable_only else ''}charge points after cleaning"
+        )
+    charge_points.sort(key=lambda cp: cp.cp_id)
     return charge_points, report, parse_errors
 
 
@@ -169,8 +202,56 @@ def _map_batches(fn, items: Sequence, workers: int):
         yield from pool.map(fn, batches)
 
 
-def _raw_fallback_policy(sessions: Sequence[Session]) -> ChargingPolicy:
-    return ChargingPolicy(max(s.plugin_hours for s in sessions), 1.0)
+def _zero_profiles() -> dict[str, DailyProfile]:
+    return {s: DailyProfile.zeros() for s in STRATEGIES}
+
+
+def _run_batches(
+    batch_fn, cfg: ExperimentConfig, charge_points: list[ChargePoint], scopes=()
+):
+    """Run batch_fn(batch, cfg) over the chargers' batches.  Each batch
+    returns its rows and, for each of the scopes, the strategies' profiles;
+    the rows are concatenated and the profiles summed, both in batch order."""
+    rows: list = []
+    totals = {scope: _zero_profiles() for scope in scopes}
+    worker = partial(batch_fn, cfg=cfg)
+    for batch_rows, batch_profiles in _map_batches(worker, charge_points, cfg.workers):
+        rows.extend(batch_rows)
+        for scope, profiles in batch_profiles.items():
+            for s, profile in profiles.items():
+                totals[scope][s].slots += profile.slots
+    return rows, totals
+
+
+def _session_pieces(
+    s: Session, outcome: SessionOutcome, p_max_kw: float, policy: ChargingPolicy
+) -> tuple[tuple, tuple, tuple]:
+    """One session's power pieces under each strategy, in STRATEGIES order."""
+    return (
+        raw_profile(s, p_max_kw).pieces,
+        oracle_profile(s).pieces,
+        adaptive_profile(s, outcome, p_max_kw, policy).pieces,
+    )
+
+
+def _accumulate(
+    session_pieces: Sequence[tuple[tuple, tuple, tuple]],
+    into: dict[str, DailyProfile],
+) -> None:
+    """Fold sessions' pieces into the strategies' profiles, one accumulate
+    call per strategy with the pieces in session order."""
+    for k, s in enumerate(STRATEGIES):
+        pieces = tuple(p for per_session in session_pieces for p in per_session[k])
+        aggregation.accumulate(PowerProfile(pieces), into=into[s])
+
+
+@dataclass
+class RunResults:
+    """What every mode reports besides its own results."""
+
+    cfg: ExperimentConfig
+    cleaning: CleaningReport
+    parse_errors: list[ParseError]
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +275,8 @@ class OfflineCpResult:
     slow_hours_sum: float
     n_outcomes: int
     rel_speed_sum: float
-    rel_speed_count: int
     hist_counts: np.ndarray
     raw_effective_hours_sum: float
-    n_sessions: int
 
     @property
     def deficit_kwh(self) -> float:
@@ -205,27 +284,22 @@ class OfflineCpResult:
 
 
 @dataclass
-class OfflineResults:
-    cfg: ExperimentConfig
-    cleaning: CleaningReport
-    parse_errors: list[ParseError]
+class OfflineResults(RunResults):
     cp_rows: list[OfflineCpResult]
     profiles_test: dict[str, DailyProfile]
     profiles_all: dict[str, DailyProfile]
 
-    def metrics(self, strategy: str, scope: str = "test") -> StrategyMetrics:
-        profile = (self.profiles_test if scope == "test" else self.profiles_all)[
-            strategy
-        ]
+    def metrics(self, strategy: str) -> StrategyMetrics:
         if strategy == "rl":
             energy = [(r.target_test_kwh, r.delivered_test_kwh) for r in self.cp_rows]
         else:
             energy = [(r.target_test_kwh, r.target_test_kwh) for r in self.cp_rows]
-        return strategy_metrics(profile, energy)
+        return strategy_metrics(self.profiles_test[strategy], energy)
 
-    def peak_reduction(self, strategy: str, scope: str = "test") -> float:
-        profiles = self.profiles_test if scope == "test" else self.profiles_all
-        return aggregation.peak_reduction(profiles[strategy], profiles["raw"])
+    def peak_reduction(self, strategy: str) -> float:
+        return aggregation.peak_reduction(
+            self.profiles_test[strategy], self.profiles_test["raw"]
+        )
 
     def mean_boost_hours(self) -> float:
         n = sum(r.n_outcomes for r in self.cp_rows)
@@ -236,11 +310,11 @@ class OfflineResults:
         return sum(r.slow_hours_sum for r in self.cp_rows) / n if n else 0.0
 
     def mean_raw_effective_hours(self) -> float:
-        n = sum(r.n_sessions for r in self.cp_rows)
+        n = sum(r.n_train + r.n_test for r in self.cp_rows)
         return sum(r.raw_effective_hours_sum for r in self.cp_rows) / n if n else 0.0
 
     def mean_relative_speed(self) -> float:
-        n = sum(r.rel_speed_count for r in self.cp_rows)
+        n = sum(r.n_outcomes for r in self.cp_rows)
         return sum(r.rel_speed_sum for r in self.cp_rows) / n if n else 0.0
 
     def speed_histogram(self) -> np.ndarray:
@@ -251,90 +325,69 @@ class OfflineResults:
         return total / s if s else total.astype(np.float64)
 
 
-def _train_window(cp: ChargePoint, cfg: ExperimentConfig) -> list[Session]:
-    """The sessions the offline policy learns from: the last `history`
-    sessions with energy among the first ceil(train_fraction * n)."""
-    n_train = math.ceil(cfg.train_fraction * len(cp.sessions))
-    return rolling_window(
-        [s for s in cp.sessions[:n_train] if s.energy_kwh > 0], cfg.history
-    )
+def _replay_offline(
+    cp: ChargePoint,
+    n_train: int,
+    policy: ChargingPolicy,
+    feasible: bool,
+    profiles: dict[str, dict[str, DailyProfile]],
+) -> OfflineCpResult:
+    """Simulate each of the charger's sessions once under its policy.
 
-
-def _simulate_split(
-    cp: ChargePoint, cfg: ExperimentConfig, policy: ChargingPolicy, feasible: bool
-) -> tuple[OfflineCpResult, dict[tuple[str, str], list]]:
-    """Replay the sessions after the training split under the learned policy.
-
-    Returns the per-CP result row plus profile pieces keyed by
-    (scope, strategy); "all" scope re-applies the learned policy to every
-    session so aggregate profiles exist for both interpretations.
+    The sessions after the first n_train are the test split: its pieces go
+    into the "test" profiles and its outcomes into the result row.  Every
+    session's pieces go into the "all" profiles.
     """
-    n = len(cp.sessions)
-    n_train = math.ceil(cfg.train_fraction * n)
-    test = cp.sessions[n_train:]
+    outcomes = [simulate_session(s, policy, cp.p_max_kw) for s in cp.sessions]
+    pieces = [
+        _session_pieces(s, outcome, cp.p_max_kw, policy)
+        for s, outcome in zip(cp.sessions, outcomes)
+    ]
+    _accumulate(pieces[n_train:], profiles["test"])
+    _accumulate(pieces, profiles["all"])
 
-    pieces: dict[tuple[str, str], list] = {
-        (scope, strat): [] for scope in ("test", "all") for strat in STRATEGIES
-    }
-    target_test = delivered_test = 0.0
-    boost_sum = slow_sum = 0.0
-    n_outcomes = 0
-    rel_sum = 0.0
-    rel_count = 0
+    target = delivered = boost_sum = slow_sum = rel_sum = 0.0
     rel_speeds: list[float] = []
-
-    for s in test:
-        outcome = simulate_session(s, policy, cp.p_max_kw)
-        target_test += s.energy_kwh
-        delivered_test += outcome.e_total_kwh
-        pieces[("test", "raw")].extend(raw_profile(s, cp.p_max_kw).pieces)
-        pieces[("test", "oracle")].extend(oracle_profile(s).pieces)
-        pieces[("test", "rl")].extend(
-            adaptive_profile(s, outcome, cp.p_max_kw, policy).pieces
-        )
+    for s, outcome in zip(cp.sessions[n_train:], outcomes[n_train:]):
+        target += s.energy_kwh
+        delivered += outcome.e_total_kwh
         if s.energy_kwh > 0:
             boost_sum += outcome.t_boost_hours
             slow_sum += outcome.t_slow_hours
-            n_outcomes += 1
             rel = outcome.p_eff_kw / cp.p_max_kw
             rel_sum += rel
-            rel_count += 1
             rel_speeds.append(rel)
-
     raw_eff_sum = 0.0
     for s in cp.sessions:
         raw_eff_sum += s.energy_kwh / cp.p_max_kw
-        outcome = simulate_session(s, policy, cp.p_max_kw)
-        pieces[("all", "raw")].extend(raw_profile(s, cp.p_max_kw).pieces)
-        pieces[("all", "oracle")].extend(oracle_profile(s).pieces)
-        pieces[("all", "rl")].extend(
-            adaptive_profile(s, outcome, cp.p_max_kw, policy).pieces
-        )
 
-    row = OfflineCpResult(
+    return OfflineCpResult(
         cp_id=cp.cp_id,
         p_max_kw=cp.p_max_kw,
         t_boost_max_hours=policy.t_boost_max_hours,
         p_rate=policy.p_rate,
         feasible=feasible,
         n_train=n_train,
-        n_test=len(test),
-        target_test_kwh=target_test,
-        delivered_test_kwh=delivered_test,
+        n_test=len(cp.sessions) - n_train,
+        target_test_kwh=target,
+        delivered_test_kwh=delivered,
         boost_hours_sum=boost_sum,
         slow_hours_sum=slow_sum,
-        n_outcomes=n_outcomes,
+        n_outcomes=len(rel_speeds),
         rel_speed_sum=rel_sum,
-        rel_speed_count=rel_count,
         hist_counts=aggregation.speed_histogram_counts(rel_speeds),
         raw_effective_hours_sum=raw_eff_sum,
-        n_sessions=n,
     )
-    return row, pieces
 
 
 def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
-    windows = [_train_window(cp, cfg) for cp in batch]
+    """Learn each charger's policy on the last `history` sessions with
+    energy among its first ceil(train_fraction * n), then replay it."""
+    splits = [math.ceil(cfg.train_fraction * len(cp.sessions)) for cp in batch]
+    windows = [
+        rolling_window([s for s in cp.sessions[:n] if s.energy_kwh > 0], cfg.history)
+        for cp, n in zip(batch, splits)
+    ]
     learning = [j for j, window in enumerate(windows) if window]
     learned = dict(
         zip(
@@ -347,55 +400,29 @@ def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
             ),
         )
     )
+    profiles = {"test": _zero_profiles(), "all": _zero_profiles()}
     rows = []
-    profiles = {
-        key: DailyProfile.zeros()
-        for key in ((scope, strat) for scope in ("test", "all") for strat in STRATEGIES)
-    }
     for j, cp in enumerate(batch):
         if j in learned:
             policy, feasible = learned[j].policy, learned[j].feasible
         else:
             # Nothing to learn from: charge raw rather than guess.
-            policy, feasible = _raw_fallback_policy(cp.sessions), True
-        row, pieces = _simulate_split(cp, cfg, policy, feasible)
-        rows.append(row)
-        for key, piece_list in pieces.items():
-            aggregation.accumulate(PowerProfile(tuple(piece_list)), into=profiles[key])
-    return rows, {key: p.slots for key, p in profiles.items()}
+            policy = ChargingPolicy(max(s.plugin_hours for s in cp.sessions), 1.0)
+            feasible = True
+        rows.append(_replay_offline(cp, splits[j], policy, feasible, profiles))
+    return rows, profiles
 
 
 def run_offline(cfg: ExperimentConfig) -> OfflineResults:
-    charge_points, cleaning, parse_errors = _load_charge_points(cfg)
-    eligible = [cp for cp in charge_points if cp.usable]
-    if cfg.cp_filter:
-        wanted = set(cfg.cp_filter)
-        missing = wanted - {cp.cp_id for cp in eligible}
-        if missing:
-            raise HarnessError(f"charge point(s) not in cleaned dataset: {sorted(missing)}")
-        eligible = [cp for cp in eligible if cp.cp_id in wanted]
-    if not eligible:
-        raise HarnessError("no usable charge points after cleaning")
-    eligible.sort(key=lambda cp: cp.cp_id)
-
-    rows: list[OfflineCpResult] = []
-    totals = {
-        key: DailyProfile.zeros()
-        for key in ((scope, strat) for scope in ("test", "all") for strat in STRATEGIES)
-    }
-    worker = partial(_offline_batch, cfg=cfg)
-    for batch_rows, batch_slots in _map_batches(worker, eligible, cfg.workers):
-        rows.extend(batch_rows)
-        for key, slots in batch_slots.items():
-            totals[key].slots += slots
-
+    charge_points, cleaning, parse_errors = _load_charge_points(cfg, usable_only=True)
+    rows, profiles = _run_batches(_offline_batch, cfg, charge_points, ("test", "all"))
     return OfflineResults(
         cfg=cfg,
         cleaning=cleaning,
         parse_errors=parse_errors,
         cp_rows=rows,
-        profiles_test={s: totals[("test", s)] for s in STRATEGIES},
-        profiles_all={s: totals[("all", s)] for s in STRATEGIES},
+        profiles_test=profiles["test"],
+        profiles_all=profiles["all"],
     )
 
 
@@ -439,46 +466,37 @@ class OnlineCpResult:
         target = self.target_kwh()
         return 100.0 * self.deficit_kwh() / target if target > 0 else 0.0
 
-    def _adaptive(self) -> list[OnlineSessionRow]:
-        return [r for r in self.rows if r.mode == "adaptive" and r.energy_kwh > 0]
+    def _adaptive(self, reduce, value) -> float:
+        """reduce() of value(outcome) over the adaptive sessions with
+        energy; 0.0 when there are none."""
+        values = [
+            value(r.outcome) for r in self.rows if r.mode == "adaptive" and r.energy_kwh > 0
+        ]
+        return float(reduce(values)) if values else 0.0
 
     def mean_p_eff_adaptive(self) -> float:
-        rows = self._adaptive()
-        return float(np.mean([r.outcome.p_eff_kw for r in rows])) if rows else 0.0
+        return self._adaptive(np.mean, lambda o: o.p_eff_kw)
 
     def mean_relative_speed(self) -> float:
-        rows = self._adaptive()
-        if not rows:
-            return 0.0
-        return float(np.mean([r.outcome.p_eff_kw / self.p_max_kw for r in rows]))
+        return self._adaptive(np.mean, lambda o: o.p_eff_kw / self.p_max_kw)
 
     def median_relative_speed(self) -> float:
-        rows = self._adaptive()
-        if not rows:
-            return 0.0
-        return float(np.median([r.outcome.p_eff_kw / self.p_max_kw for r in rows]))
+        return self._adaptive(np.median, lambda o: o.p_eff_kw / self.p_max_kw)
 
     def mean_boost_hours(self) -> float:
-        rows = self._adaptive()
-        return float(np.mean([r.outcome.t_boost_hours for r in rows])) if rows else 0.0
+        return self._adaptive(np.mean, lambda o: o.t_boost_hours)
 
     def mean_slow_hours(self) -> float:
-        rows = self._adaptive()
-        return float(np.mean([r.outcome.t_slow_hours for r in rows])) if rows else 0.0
+        return self._adaptive(np.mean, lambda o: o.t_slow_hours)
 
 
 @dataclass
-class OnlineResults:
-    cfg: ExperimentConfig
-    cleaning: CleaningReport
-    parse_errors: list[ParseError]
+class OnlineResults(RunResults):
     cp_results: list[OnlineCpResult]
     profiles: dict[str, DailyProfile]
 
 
-def _replay_online(
-    batch: Sequence[ChargePoint], cfg: ExperimentConfig
-) -> list[OnlineCpResult]:
+def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     """Session-by-session replay: raw during warmup, then each session is
     charged with the policy learned from all preceding ones, which is
     re-learned (warm-started) after every session.
@@ -488,6 +506,7 @@ def _replay_online(
     still gets exactly the policies it would get replayed alone.
     """
     rows: list[list[OnlineSessionRow]] = [[] for _ in batch]
+    pieces: list[list[tuple[tuple, tuple, tuple]]] = [[] for _ in batch]
     histories: list[list[Session]] = [[] for _ in batch]
     learned: list[LearnedPolicy | None] = [None] * len(batch)
 
@@ -518,6 +537,7 @@ def _replay_online(
                     policy_p_rate=policy.p_rate,
                 )
             )
+            pieces[j].append(_session_pieces(s, outcome, cp.p_max_kw, policy))
             if s.energy_kwh > 0:
                 histories[j].append(s)
             # (the policy learned after a charger's last session would go unused)
@@ -536,63 +556,28 @@ def _replay_online(
             )
             for j, result in zip(relearn, results):
                 learned[j] = result
-    return [
+
+    profiles = _zero_profiles()
+    for cp_pieces in pieces:
+        _accumulate(cp_pieces, profiles)
+    results = [
         OnlineCpResult(
             cp_id=cp.cp_id, p_max_kw=cp.p_max_kw, warmup=cfg.online_warmup, rows=cp_rows
         )
         for cp, cp_rows in zip(batch, rows)
     ]
-
-
-def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
-    results = _replay_online(batch, cfg)
-    profiles = {s: DailyProfile.zeros() for s in STRATEGIES}
-    for cp, result in zip(batch, results):
-        raw_pieces: list = []
-        oracle_pieces: list = []
-        rl_pieces: list = []
-        for row, s in zip(result.rows, cp.sessions):
-            raw_pieces.extend(raw_profile(s, cp.p_max_kw).pieces)
-            oracle_pieces.extend(oracle_profile(s).pieces)
-            policy = ChargingPolicy(row.policy_t_boost_max, row.policy_p_rate)
-            rl_pieces.extend(
-                adaptive_profile(s, row.outcome, cp.p_max_kw, policy).pieces
-            )
-        aggregation.accumulate(PowerProfile(tuple(raw_pieces)), into=profiles["raw"])
-        aggregation.accumulate(
-            PowerProfile(tuple(oracle_pieces)), into=profiles["oracle"]
-        )
-        aggregation.accumulate(PowerProfile(tuple(rl_pieces)), into=profiles["rl"])
-    return results, {s: p.slots for s, p in profiles.items()}
+    return results, {"all": profiles}
 
 
 def run_online(cfg: ExperimentConfig) -> OnlineResults:
-    charge_points, cleaning, parse_errors = _load_charge_points(cfg)
-    by_id = {cp.cp_id: cp for cp in charge_points if cp.usable}
-    if cfg.cp_filter:
-        missing = [cp_id for cp_id in cfg.cp_filter if cp_id not in by_id]
-        if missing:
-            raise HarnessError(f"charge point(s) not in cleaned dataset: {missing}")
-        selected = [by_id[cp_id] for cp_id in sorted(set(cfg.cp_filter))]
-    else:
-        selected = [by_id[cp_id] for cp_id in sorted(by_id)]
-    if not selected:
-        raise HarnessError("no usable charge points after cleaning")
-
-    results: list[OnlineCpResult] = []
-    totals = {s: DailyProfile.zeros() for s in STRATEGIES}
-    worker = partial(_online_batch, cfg=cfg)
-    for batch_results, batch_slots in _map_batches(worker, selected, cfg.workers):
-        results.extend(batch_results)
-        for s, slots in batch_slots.items():
-            totals[s].slots += slots
-
+    charge_points, cleaning, parse_errors = _load_charge_points(cfg, usable_only=True)
+    results, profiles = _run_batches(_online_batch, cfg, charge_points, ("all",))
     return OnlineResults(
         cfg=cfg,
         cleaning=cleaning,
         parse_errors=parse_errors,
         cp_results=results,
-        profiles=totals,
+        profiles=profiles["all"],
     )
 
 
@@ -609,12 +594,12 @@ class PredictCpRow:
 
 
 @dataclass
-class PredictResults:
-    cfg: ExperimentConfig
-    cleaning: CleaningReport
-    parse_errors: list[ParseError]
+class PredictResults(RunResults):
     cp_rows: list[PredictCpRow]
-    skipped: int
+
+    @property
+    def skipped(self) -> int:
+        return sum(1 for r in self.cp_rows if r.with_energy is None)
 
     def pooled(self, include_energy: bool) -> PredictionMetrics:
         key = "with_energy" if include_energy else "without_energy"
@@ -623,43 +608,23 @@ class PredictResults:
 
 
 def _predict_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
-    rows = []
-    for cp in batch:
-        n_rows = max(len(cp.sessions) - 1, 0)
-        rows.append(
-            PredictCpRow(
-                cp_id=cp.cp_id,
-                n_rows=n_rows,
-                with_energy=cross_validate(cp.sessions, include_energy=True),
-                without_energy=cross_validate(cp.sessions, include_energy=False),
-            )
+    rows = [
+        PredictCpRow(
+            cp_id=cp.cp_id,
+            n_rows=max(len(cp.sessions) - 1, 0),
+            with_energy=cross_validate(cp.sessions, include_energy=True),
+            without_energy=cross_validate(cp.sessions, include_energy=False),
         )
-    return rows
+        for cp in batch
+    ]
+    return rows, {}
 
 
 def run_predict(cfg: ExperimentConfig) -> PredictResults:
-    charge_points, cleaning, parse_errors = _load_charge_points(cfg)
-    if cfg.cp_filter:
-        wanted = set(cfg.cp_filter)
-        missing = wanted - {cp.cp_id for cp in charge_points}
-        if missing:
-            raise HarnessError(f"charge point(s) not in cleaned dataset: {sorted(missing)}")
-        charge_points = [cp for cp in charge_points if cp.cp_id in wanted]
-    if not charge_points:
-        raise HarnessError("no charge points after cleaning")
-    charge_points.sort(key=lambda cp: cp.cp_id)
-
-    rows: list[PredictCpRow] = []
-    worker = partial(_predict_batch, cfg=cfg)
-    for batch_rows in _map_batches(worker, charge_points, cfg.workers):
-        rows.extend(batch_rows)
-    skipped = sum(1 for r in rows if r.with_energy is None)
+    charge_points, cleaning, parse_errors = _load_charge_points(cfg, usable_only=False)
+    rows, _ = _run_batches(_predict_batch, cfg, charge_points)
     return PredictResults(
-        cfg=cfg,
-        cleaning=cleaning,
-        parse_errors=parse_errors,
-        cp_rows=rows,
-        skipped=skipped,
+        cfg=cfg, cleaning=cleaning, parse_errors=parse_errors, cp_rows=rows
     )
 
 
@@ -688,14 +653,6 @@ def _profile_csv(profiles: dict[str, DailyProfile], resolution: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_errors_csv(parse_errors: Sequence[ParseError]) -> str:
-    lines = ["line_number,reason"]
-    for e in parse_errors:
-        reason = e.reason.replace(",", ";")
-        lines.append(f"{e.line_number},{reason}")
-    return "\n".join(lines) + "\n"
-
-
 def _config_lines(cfg: ExperimentConfig) -> str:
     history = "unlimited" if cfg.history is None else str(cfg.history)
     return (
@@ -706,50 +663,66 @@ def _config_lines(cfg: ExperimentConfig) -> str:
     )
 
 
-def emit_offline_reports(results: OfflineResults, output_dir: str) -> dict[str, str]:
-    os.makedirs(output_dir, exist_ok=True)
-    cfg = results.cfg
-    paths = {}
+class _Bundle:
+    """A run's report bundle in output_dir.
 
-    def emit(name: str, text: str) -> None:
-        path = os.path.join(output_dir, name)
+    Opening it writes the cleaning report and the rejected input rows; a
+    parse_errors.csv left by an earlier run is removed when this run rejected
+    none.  Each report is written atomically as soon as its text exists.
+    """
+
+    def __init__(self, results: RunResults, output_dir: str):
+        os.makedirs(output_dir, exist_ok=True)
+        self.output_dir = output_dir
+        self.paths: dict[str, str] = {}
+        self.write("cleaning_report.txt", results.cleaning.to_text())
+        if results.parse_errors:
+            self.write_lines(
+                "parse_errors.csv",
+                ["line_number,reason"]
+                + [
+                    f"{e.line_number},{e.reason.replace(',', ';')}"
+                    for e in results.parse_errors
+                ],
+            )
+        else:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(output_dir, "parse_errors.csv"))
+
+    def write(self, name: str, text: str) -> None:
+        path = os.path.join(self.output_dir, name)
         _atomic_write(path, text)
-        paths[name] = path
+        self.paths[name] = path
 
-    emit("cleaning_report.txt", results.cleaning.to_text())
-    if results.parse_errors:
-        emit("parse_errors.csv", _parse_errors_csv(results.parse_errors))
-    emit("profiles.csv", _profile_csv(results.profiles_test, cfg.emit_resolution))
-    emit(
+    def write_lines(self, name: str, lines: list[str]) -> None:
+        self.write(name, "\n".join(lines) + "\n")
+
+
+def emit_offline_reports(results: OfflineResults, output_dir: str) -> dict[str, str]:
+    bundle = _Bundle(results, output_dir)
+    cfg = results.cfg
+    bundle.write("profiles.csv", _profile_csv(results.profiles_test, cfg.emit_resolution))
+    bundle.write(
         "profiles_all_sessions.csv",
         _profile_csv(results.profiles_all, cfg.emit_resolution),
     )
-
-    lines = ["cp_id,t_boost_max_hours,p_rate,deficit_kwh,n_train,n_test"]
-    for r in results.cp_rows:
-        lines.append(
+    bundle.write_lines(
+        "policies.csv",
+        ["cp_id,t_boost_max_hours,p_rate,deficit_kwh,n_train,n_test"]
+        + [
             _csv_line(
-                [
-                    r.cp_id,
-                    r.t_boost_max_hours,
-                    r.p_rate,
-                    r.deficit_kwh,
-                    r.n_train,
-                    r.n_test,
-                ]
+                [r.cp_id, r.t_boost_max_hours, r.p_rate, r.deficit_kwh, r.n_train, r.n_test]
             )
-        )
-    emit("policies.csv", "\n".join(lines) + "\n")
-
+            for r in results.cp_rows
+        ],
+    )
     hist = results.speed_histogram()
-    lines = ["rel_speed_bin_start,fraction"]
-    for i, frac in enumerate(hist):
-        lines.append(_csv_line([i / len(hist), float(frac)]))
-    emit("speed_histogram.csv", "\n".join(lines) + "\n")
+    bundle.write_lines(
+        "speed_histogram.csv",
+        ["rel_speed_bin_start,fraction"]
+        + [_csv_line([i / len(hist), float(frac)]) for i, frac in enumerate(hist)],
+    )
 
-    rl = results.metrics("rl")
-    raw = results.metrics("raw")
-    oracle = results.metrics("oracle")
     text = [
         "offline experiment report",
         "=========================",
@@ -761,7 +734,8 @@ def emit_offline_reports(results: OfflineResults, output_dir: str) -> dict[str, 
         "aggregate daily profiles (test split)",
         "strategy  peak_kw  peak_second  total_kwh  deficit_kwh  deficit_pct  cp_over_10pct",
     ]
-    for name, m in (("raw", raw), ("oracle", oracle), ("rl", rl)):
+    for name in ("raw", "oracle", "rl"):
+        m = results.metrics(name)
         text.append(
             f"{name}  {m.peak_kw!r}  {m.peak_second_of_day}  {m.total_energy_kwh!r}  "
             f"{m.total_deficit_kwh!r}  {m.deficit_percent!r}  "
@@ -778,26 +752,14 @@ def emit_offline_reports(results: OfflineResults, output_dir: str) -> dict[str, 
         "",
         f"mean relative charging speed (rl test sessions): "
         f"{results.mean_relative_speed()!r}",
-        "",
     ]
-    emit("metrics.txt", "\n".join(text))
-    return paths
+    bundle.write_lines("metrics.txt", text)
+    return bundle.paths
 
 
 def emit_online_reports(results: OnlineResults, output_dir: str) -> dict[str, str]:
-    os.makedirs(output_dir, exist_ok=True)
-    cfg = results.cfg
-    paths = {}
-
-    def emit(name: str, text: str) -> None:
-        path = os.path.join(output_dir, name)
-        _atomic_write(path, text)
-        paths[name] = path
-
-    emit("cleaning_report.txt", results.cleaning.to_text())
-    if results.parse_errors:
-        emit("parse_errors.csv", _parse_errors_csv(results.parse_errors))
-    emit("profiles.csv", _profile_csv(results.profiles, cfg.emit_resolution))
+    bundle = _Bundle(results, output_dir)
+    bundle.write("profiles.csv", _profile_csv(results.profiles, results.cfg.emit_resolution))
 
     lines = [
         "cp_id,session_index,event_id,start,plugin_hours,energy_kwh,mode,"
@@ -829,12 +791,12 @@ def emit_online_reports(results: OnlineResults, output_dir: str) -> dict[str, st
                     ]
                 )
             )
-    emit("outcomes.csv", "\n".join(lines) + "\n")
+    bundle.write_lines("outcomes.csv", lines)
 
     text = [
         "online learning report",
         "======================",
-        _config_lines(cfg),
+        _config_lines(results.cfg),
         "",
     ]
     for cp in results.cp_results:
@@ -854,32 +816,20 @@ def emit_online_reports(results: OnlineResults, output_dir: str) -> dict[str, st
             f"{cp.mean_slow_hours()!r}",
             "",
         ]
-    raw_peak = results.profiles["raw"].peak_kw()
-    if raw_peak > 0:
+    profiles = results.profiles
+    if profiles["raw"].peak_kw() > 0:
         text.append(
             f"peak reduction vs raw: rl "
-            f"{aggregation.peak_reduction(results.profiles['rl'], results.profiles['raw'])!r}% | "
+            f"{aggregation.peak_reduction(profiles['rl'], profiles['raw'])!r}% | "
             f"oracle "
-            f"{aggregation.peak_reduction(results.profiles['oracle'], results.profiles['raw'])!r}%"
+            f"{aggregation.peak_reduction(profiles['oracle'], profiles['raw'])!r}%"
         )
-    text.append("")
-    emit("metrics.txt", "\n".join(text))
-    return paths
+    bundle.write_lines("metrics.txt", text)
+    return bundle.paths
 
 
 def emit_predict_reports(results: PredictResults, output_dir: str) -> dict[str, str]:
-    os.makedirs(output_dir, exist_ok=True)
-    paths = {}
-
-    def emit(name: str, text: str) -> None:
-        path = os.path.join(output_dir, name)
-        _atomic_write(path, text)
-        paths[name] = path
-
-    emit("cleaning_report.txt", results.cleaning.to_text())
-    if results.parse_errors:
-        emit("parse_errors.csv", _parse_errors_csv(results.parse_errors))
-
+    bundle = _Bundle(results, output_dir)
     lines = [
         "cp_id,n_rows,mae_with_energy,mape_with_energy,mse_with_energy,"
         "mae_without_energy,mape_without_energy,mse_without_energy"
@@ -894,7 +844,7 @@ def emit_predict_reports(results: PredictResults, output_dir: str) -> dict[str, 
                     [r.cp_id, r.n_rows, w.mae, w.mape, w.mse, wo.mae, wo.mape, wo.mse]
                 )
             )
-    emit("prediction_per_cp.csv", "\n".join(lines) + "\n")
+    bundle.write_lines("prediction_per_cp.csv", lines)
 
     usable = [r for r in results.cp_rows if r.with_energy is not None]
     text = [
@@ -916,9 +866,8 @@ def emit_predict_reports(results: PredictResults, output_dir: str) -> dict[str, 
                 text.append(
                     f"  (rows excluded from MAPE for near-zero duration: {m.mape_excluded})"
                 )
-    text.append("")
-    emit("prediction_report.txt", "\n".join(text))
-    return paths
+    bundle.write_lines("prediction_report.txt", text)
+    return bundle.paths
 
 
 def run(cfg: ExperimentConfig) -> dict[str, str]:

@@ -11,7 +11,6 @@ charge points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
 from typing import Sequence
 
 import numpy as np
@@ -72,12 +71,12 @@ def extract_features(
             gap_h = (s.start - prev_end) / 3600.0
             if gap_h < 0:
                 raise ValueError("sessions overlap; run cleaning first")
-            dt = datetime.utcfromtimestamp(s.start)
             rows.append(
                 (
                     FeatureVector(
-                        start_hour=dt.hour,
-                        day_of_week=dt.isoweekday(),
+                        start_hour=s.start // 3600 % 24,
+                        # 1970-01-01 was a Thursday, ISO weekday 4
+                        day_of_week=(s.start // 86400 + 3) % 7 + 1,
                         hours_since_last=gap_h,
                         energy_kwh=s.energy_kwh,
                     ),

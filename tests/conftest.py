@@ -1,6 +1,6 @@
 """Shared builders for synthetic sessions and chargepoint CSV files."""
 
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -28,14 +28,12 @@ def make_session(
         end=end,
         energy_kwh=energy_kwh,
         plugin_hours=plugin_hours,
-        energy_text=repr(energy_kwh),
-        duration_text=repr(plugin_hours),
     )
 
 
 def csv_row(event_id, cp_id, start_epoch, duration_text, energy_text):
-    start = datetime.utcfromtimestamp(start_epoch)
-    end = datetime.utcfromtimestamp(start_epoch + round(float(duration_text) * 3600))
+    start = EPOCH + timedelta(seconds=start_epoch)
+    end = start + timedelta(seconds=round(float(duration_text) * 3600))
     return (
         f"{event_id},{cp_id},{start.strftime('%d/%m/%Y')},{start.strftime('%H:%M:%S')},"
         f"{end.strftime('%d/%m/%Y')},{end.strftime('%H:%M:%S')},{energy_text},{duration_text}"

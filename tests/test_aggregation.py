@@ -10,9 +10,8 @@ from smartcharge.aggregation import (
     DailyProfile,
     accumulate,
     deficit_stats,
-    merge,
     peak_reduction,
-    speed_histogram,
+    speed_histogram_counts,
 )
 from smartcharge.charging import PowerProfile
 
@@ -93,15 +92,8 @@ class TestAccumulate:
 
 
 class TestMerge:
-    def test_identity(self):
-        prof = accumulate(PowerProfile(((day_offset(10), day_offset(500), 2.0),)))
-        merged = merge(prof, DailyProfile.zeros())
-        assert np.array_equal(merged.slots, prof.slots)
-
-    def test_commutative(self):
-        a = accumulate(PowerProfile(((day_offset(0), day_offset(100.5), 3.0),)))
-        b = accumulate(PowerProfile(((day_offset(50), day_offset(220.25), 1.5),)))
-        assert np.allclose(merge(a, b).slots, merge(b, a).slots, atol=1e-15)
+    """Per-batch profiles merged into a total by adding slots, the fold the
+    offline and online runs apply to their batches."""
 
     def test_many_merges_match_one_pass(self):
         rng = np.random.default_rng(14)
@@ -111,7 +103,7 @@ class TestMerge:
             t0 = day_offset(float(rng.uniform(0, SECONDS_PER_DAY)))
             piece = (t0, t0 + float(rng.uniform(1, 40000)), float(rng.uniform(0.1, 10)))
             all_pieces.append(piece)
-            merged = merge(merged, accumulate(PowerProfile((piece,))))
+            merged.slots += accumulate(PowerProfile((piece,))).slots
         one_pass = accumulate(PowerProfile(tuple(all_pieces)))
         assert np.allclose(merged.slots, one_pass.slots, atol=1e-9)
 
@@ -155,24 +147,27 @@ class TestDeficitStats:
 
 
 class TestSpeedHistogram:
+    """Bin counts of relative speeds (effective over maximum power), which
+    the offline speed histogram sums over chargers and normalizes."""
+
     def test_all_raw_mass_at_one(self):
-        fractions, edges = speed_histogram([(7.0, 7.0)] * 20)
-        assert fractions[-1] == 1.0
-        assert fractions[:-1].sum() == 0.0
+        counts = speed_histogram_counts([1.0] * 20)
+        assert counts[-1] == 20
+        assert counts[:-1].sum() == 0
 
     def test_single_outcome_bin(self):
-        fractions, edges = speed_histogram([(3.85, 7.0)])
-        idx = np.argmax(fractions)
-        assert edges[idx] == pytest.approx(0.55)
-        assert fractions[idx] == 1.0
+        counts = speed_histogram_counts([3.85 / 7.0])
+        assert np.argmax(counts) == 55
+        assert counts.sum() == 1
 
     def test_fractions_sum_to_one(self):
         rng = np.random.default_rng(1)
-        pairs = [(float(rng.uniform(0, 7)), 7.0) for _ in range(100)]
-        fractions, _ = speed_histogram(pairs)
-        assert fractions.sum() == pytest.approx(1.0, rel=1e-12)
+        parts = [speed_histogram_counts(rng.uniform(0, 1, 30).tolist()) for _ in range(4)]
+        total = parts[0] + parts[1] + parts[2] + parts[3]
+        assert total.dtype.kind == "i" and total.sum() == 120
+        assert (total / total.sum()).sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_custom_bins(self):
-        fractions, edges = speed_histogram([(1.0, 2.0)], bins=10)
-        assert len(fractions) == 10
-        assert fractions[5] == 1.0
+        counts = speed_histogram_counts([0.5], bins=10)
+        assert len(counts) == 10
+        assert counts[5] == 1

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from smartcharge import harness
 from smartcharge.cli import build_config, main
 from smartcharge.harness import (
     ExperimentConfig,
@@ -156,6 +157,27 @@ class TestOffline:
         first = open(os.path.join(out, "metrics.txt")).read()
         emit_offline_reports(results, out)
         assert open(os.path.join(out, "metrics.txt")).read() == first
+
+    def test_each_session_simulated_once(self, tmp_path, monkeypatch):
+        # zero-energy sessions are simulated and profiled like any other
+        text = synth_fleet_csv(n_cps=5, sessions_per_cp=12, seed=8, zero_energy_prob=0.3)
+        cfg = small_cfg(write_csv(tmp_path, text), str(tmp_path / "out"))
+        calls = {"simulate": 0, "profile": 0}
+
+        def counting(name, fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, wrapper)
+
+        counting("simulate_session", harness.simulate_session, "simulate")
+        for name in ("raw_profile", "oracle_profile", "adaptive_profile"):
+            counting(name, getattr(harness, name), "profile")
+        results = run_offline(cfg)
+        retained = sum(r.n_train + r.n_test for r in results.cp_rows)
+        assert retained == results.cleaning.retained_sessions
+        assert calls == {"simulate": retained, "profile": 3 * retained}
 
     def test_emit_resolution_downsamples(self, tmp_path, fleet_csv):
         out = str(tmp_path / "out")
@@ -335,6 +357,13 @@ class TestPredict:
         assert "with energy" in report and "without energy" in report
 
 
+@pytest.mark.parametrize("mode", ["offline", "online", "predict"])
+def test_missing_charge_points_reported_sorted(tmp_path, fleet_csv, mode):
+    cfg = small_cfg(fleet_csv, str(tmp_path / "o"), mode=mode, cp_filter=("ZZ", "AA", "CP001"))
+    with pytest.raises(HarnessError, match=r"\['AA', 'ZZ'\]"):
+        {"offline": run_offline, "online": run_online, "predict": run_predict}[mode](cfg)
+
+
 class TestCli:
     def test_config_file_and_flag_override(self, tmp_path, fleet_csv):
         config = {
@@ -408,3 +437,53 @@ class TestCli:
             ]
         )
         assert rc == 1
+
+    def test_rerun_removes_stale_parse_errors(self, tmp_path, fleet_csv):
+        out = tmp_path / "out"
+        bad = write_csv(tmp_path, open(fleet_csv).read() + "1,CP9,bad,row\n", "bad.csv")
+        args = ["--mode", "predict", "--min-sessions", "5", "--out-dir", str(out)]
+        assert main(["--input", bad] + args) == 0
+        assert (out / "parse_errors.csv").read_text() == (
+            "line_number,reason\n86,expected 8 fields; got 4\n"
+        )
+        assert main(["--input", fleet_csv] + args) == 0
+        assert not (out / "parse_errors.csv").exists()
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"workers": "2"},
+            {"workers": True},
+            {"n_tries": "5"},
+            {"n_tries": 5.0},
+            {"k1": "0.1"},
+            {"emit_resolution": "60"},
+            {"train_fraction": "0.5"},
+            {"seed": "x"},
+            {"history": 5.5},
+            {"history": True},
+            {"history": [5]},
+            {"p_max_percentile": "99"},
+            {"cold_start": "yes"},
+            {"out_dir": 3},
+            {"cp": 5},
+            {"cp": ["CP001", 2]},
+        ],
+        ids=str,
+    )
+    def test_badly_typed_config_value_exits_1(self, tmp_path, fleet_csv, capsys, setting):
+        cfg_path = tmp_path / "cfg.json"
+        out = str(tmp_path / "out")
+        cfg_path.write_text(json.dumps({"input": fleet_csv, "out_dir": out, **setting}))
+        assert main(["--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("smartcharge: error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_float_fields_accept_ints(self, tmp_path, fleet_csv):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({"input": fleet_csv, "k1": 1, "max_hours": 40, "p_max_percentile": 99})
+        )
+        cfg = build_config(["--config", str(cfg_path)])
+        assert (cfg.k1, cfg.max_hours, cfg.p_max_percentile) == (1, 40, 99)

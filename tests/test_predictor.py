@@ -1,9 +1,11 @@
 """Duration regression: features, least squares and cross-validation."""
 
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smartcharge.predictor import (
     cross_validate,
@@ -14,7 +16,7 @@ from smartcharge.predictor import (
     prediction_metrics,
 )
 
-from conftest import BASE_EPOCH, make_session
+from conftest import BASE_EPOCH, EPOCH, make_session
 
 
 def sessions_with_gaps(gaps_hours, plugins, energies, start=BASE_EPOCH):
@@ -48,6 +50,18 @@ class TestExtractFeatures:
         assert fv.start_hour == 23
         assert fv.day_of_week == 7
         assert target == 18.35
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=-3_000_000_000, max_value=4_000_000_000))
+    def test_calendar_features_match_datetime(self, start):
+        sessions = [
+            make_session(start=start - 7200, plugin_hours=1.0, event_id=1),
+            make_session(start=start, plugin_hours=2.0, event_id=2),
+        ]
+        (fv, _), = extract_features(sessions)
+        reference = EPOCH + timedelta(seconds=start)
+        assert fv.start_hour == reference.hour
+        assert fv.day_of_week == reference.isoweekday()
 
     def test_back_to_back_zero_gap(self):
         sessions = sessions_with_gaps([0, 0], [2, 3], [5, 5])
@@ -177,7 +191,7 @@ class TestCrossValidate:
             gap = float(rng.uniform(0.0, 30.0))
             energy = float(rng.uniform(1.0, 50.0))
             t += round(gap * 3600)
-            dt = datetime.utcfromtimestamp(t)
+            dt = EPOCH + timedelta(seconds=t)
             plugin = 1.0 + 0.05 * dt.hour + 0.1 * dt.isoweekday() + 0.02 * gap + 0.03 * energy
             s = make_session(
                 start=t, plugin_hours=plugin, energy_kwh=energy, event_id=i
