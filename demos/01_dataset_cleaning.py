@@ -12,7 +12,7 @@ charger (earliest kept), and chargers left with too few sessions.
 
 import io
 
-from smartcharge import clean_sessions, effective_duration, parse_sessions
+from smartcharge import clean_sessions, parse_sessions
 
 CSV = """EventID,CPID,StartDate,StartTime,EndDate,EndTime,Energy,Duration
 1,AN00001,01/06/2017,18:00:00,02/06/2017,06:00:00,14.0,12.0
@@ -38,7 +38,7 @@ print(report.to_text())
 for cp in charge_points:
     print(f"{cp.cp_id}: max power {cp.p_max_kw:.2f} kW, {len(cp.sessions)} sessions")
     for s in cp.sessions:
-        eff = effective_duration(s, cp.p_max_kw)
+        eff = s.energy_kwh / cp.p_max_kw
         print(
             f"  event {s.event_id}: {s.energy_kwh:5.1f} kWh over "
             f"{s.plugin_hours:5.2f} h plugged in, {eff:.2f} h at full rate"

@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""The two-phase charging function on a single session.
+"""The two-phase charging function on a charger's sessions.
 
 A policy is (max boost duration, slow-rate coefficient): the charger runs at
 full power for the boost phase, then at coefficient * max power until the
 session ends or the target energy is met.  Raw charging and the
-known-duration ideal spread are the two baselines.
+known-duration ideal spread are the two baselines.  A charger's sessions are
+simulated as arrays, all in one call, and each strategy's power pieces come
+back as one (pieces, 3) array of (start_s, end_s, kW) rows.
 """
 
 from datetime import datetime
+
+import numpy as np
 
 from smartcharge import (
     ChargingPolicy,
@@ -15,6 +19,7 @@ from smartcharge import (
     adaptive_profile,
     oracle_profile,
     raw_profile,
+    session_arrays,
     simulate_session,
 )
 
@@ -27,6 +32,9 @@ session = Session(
     energy_kwh=7.0,
     plugin_hours=10.0,
 )
+# a tight session, a day later, that a gentle policy cannot fully serve
+day = 86_400
+tight = Session(2, "AN00001", start + day, start + day + 2 * 3600, 14.0, 2.0)
 p_max = 7.0
 
 print(f"session: {session.energy_kwh} kWh target, {session.plugin_hours} h plugged in")
@@ -34,29 +42,31 @@ print(f"charger max rate: {p_max} kW")
 print()
 
 policy = ChargingPolicy(t_boost_max_hours=0.5, p_rate=0.1)
-outcome = simulate_session(session, policy, p_max)
+sessions = session_arrays([session, tight], p_max)
+outcome = simulate_session(sessions, policy.t_boost_max_hours, policy.p_rate)
+o = outcome[0]
 print(f"policy: boost up to {policy.t_boost_max_hours} h, slow at {policy.p_rate} x max")
-print(f"  boost : {outcome.t_boost_hours:.2f} h at {p_max} kW -> {outcome.e_boost_kwh:.2f} kWh")
-print(f"  slow  : {outcome.t_slow_hours:.2f} h at {policy.p_rate * p_max:.2f} kW -> {outcome.e_slow_kwh:.2f} kWh")
-print(f"  delivered {outcome.e_total_kwh:.2f} kWh, shortfall {outcome.e_loss_kwh:.2f} kWh")
-print(f"  effective rate {outcome.p_eff_kw:.2f} kW (vs {p_max} kW raw)")
+print(f"  boost : {o.t_boost_hours:.2f} h at {p_max} kW -> {o.e_boost_kwh:.2f} kWh")
+print(f"  slow  : {o.t_slow_hours:.2f} h at {policy.p_rate * p_max:.2f} kW -> {o.e_slow_kwh:.2f} kWh")
+print(f"  delivered {o.e_total_kwh:.2f} kWh, shortfall {o.e_loss_kwh:.2f} kWh")
+print(f"  effective rate {o.p_eff_kw:.2f} kW (vs {p_max} kW raw)")
 print()
 
+# the first session's pieces under each strategy
+first = np.array([session.start]), sessions.e_target[:1], sessions.plugin[:1]
 for name, profile in [
-    ("raw", raw_profile(session, p_max)),
-    ("ideal", oracle_profile(session)),
-    ("two-phase", adaptive_profile(session, outcome, p_max, policy)),
+    ("raw", raw_profile(*first, p_max)),
+    ("ideal", oracle_profile(*first)),
+    ("two-phase", adaptive_profile(first[0], outcome[:1], p_max, policy.p_rate)),
 ]:
     desc = " + ".join(
-        f"{kw:.2f} kW x {(t1 - t0) / 3600:.2f} h" for t0, t1, kw in profile.pieces
+        f"{kw:.2f} kW x {(t1 - t0) / 3600:.2f} h" for t0, t1, kw in profile.pieces.tolist()
     )
     print(f"{name:>9}: {desc or 'idle'}  (integral {profile.energy_kwh():.2f} kWh, peak {profile.peak_kw():.2f} kW)")
 
-# a tight session cannot be fully served by a gentle policy
-tight = Session(1, "AN00001", start, start + 2 * 3600, 14.0, 2.0)
-outcome = simulate_session(tight, policy, p_max)
+o = outcome[1]
 print()
 print(
-    f"tight session (14 kWh in 2 h): delivered {outcome.e_total_kwh:.2f} kWh, "
-    f"shortfall {outcome.e_loss_kwh:.2f} kWh"
+    f"tight session (14 kWh in 2 h): delivered {o.e_total_kwh:.2f} kWh, "
+    f"shortfall {o.e_loss_kwh:.2f} kWh"
 )

@@ -10,14 +10,15 @@ same candidate space shows how close the 200-step search gets.
 import numpy as np
 
 from smartcharge import (
+    PolicyEvaluation,
     RewardParams,
     SearchConfig,
     Session,
-    evaluate_policy,
+    evaluate_policy_arrays,
+    history_arrays,
     learn_policy,
     reward,
 )
-from smartcharge import ChargingPolicy
 
 rng = np.random.default_rng(7)
 charger_kw = 7.0
@@ -49,12 +50,16 @@ print(
     f"{learned.evaluation.p_aggr_kw:.3f} kW, reward {learned.reward:.3f}"
 )
 
-# brute-force comparison over the full candidate grid
+# brute-force comparison over the full candidate grid: each boost cap is
+# evaluated at every rate in one call, one history row per rate
+rates = np.linspace(0, 1, 101)
+rows = history_arrays([sessions] * len(rates), [p_max] * len(rates))
 best = -np.inf
 best_policy = None
 for t_boost in np.linspace(0, 24, 481):
-    for p in np.linspace(0, 1, 101):
-        r = reward(evaluate_policy(sessions, ChargingPolicy(t_boost, p), p_max), params)
+    e_loss, p_aggr = evaluate_policy_arrays(rows, t_boost, rates[:, None])
+    for p, loss, aggr in zip(rates.tolist(), e_loss.tolist(), p_aggr.tolist()):
+        r = reward(PolicyEvaluation(loss, aggr), params)
         if r > best:
             best, best_policy = r, (t_boost, p)
 print(
@@ -62,5 +67,6 @@ print(
     f"rate {best_policy[1]:.2f} ({100 * learned.reward / best:.1f}% reached by search)"
 )
 
-raw = reward(evaluate_policy(sessions, ChargingPolicy(24.0, 1.0), p_max), params)
+e_loss, p_aggr = evaluate_policy_arrays(history_arrays([sessions], [p_max]), 24.0, 1.0)
+raw = reward(PolicyEvaluation(e_loss.item(), p_aggr.item()), params)
 print(f"raw-equivalent policy reward: {raw:.3f}")

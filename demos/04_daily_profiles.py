@@ -4,6 +4,7 @@
 Every session's constant-power pieces are spread over the 86,400 seconds of
 the day (calendar days folded together), which keeps the profile's total
 energy exactly equal to the energy delivered and gives honest peak numbers.
+A charger's pieces under one strategy form one profile, built in one call.
 """
 
 from datetime import datetime
@@ -12,13 +13,13 @@ import numpy as np
 
 from smartcharge import (
     ChargingPolicy,
-    DailyProfile,
     Session,
     accumulate,
     adaptive_profile,
     oracle_profile,
     peak_reduction,
     raw_profile,
+    session_arrays,
     simulate_session,
 )
 
@@ -26,24 +27,26 @@ rng = np.random.default_rng(3)
 p_max = 7.0
 policy = ChargingPolicy(0.4, 0.12)
 
-profiles = {name: DailyProfile.zeros() for name in ("raw", "ideal", "two-phase")}
-delivered = {"raw": 0.0, "ideal": 0.0, "two-phase": 0.0}
-
 base = int((datetime(2017, 1, 1) - datetime(1970, 1, 1)).total_seconds())
+sessions = []
 for day in range(60):
     # evening arrival, overnight stay: the classic domestic pattern
     arrival = base + day * 86400 + int(rng.normal(18.5, 1.5) * 3600)
     plugin = float(rng.uniform(8.0, 14.0))
     energy = float(rng.uniform(4.0, 7.0 * 2.5))
-    s = Session(day, "CP", arrival, arrival + round(plugin * 3600), energy, plugin)
+    sessions.append(Session(day, "CP", arrival, arrival + round(plugin * 3600), energy, plugin))
 
-    outcome = simulate_session(s, policy, p_max)
-    accumulate(raw_profile(s, p_max), into=profiles["raw"])
-    accumulate(oracle_profile(s), into=profiles["ideal"])
-    accumulate(adaptive_profile(s, outcome, p_max, policy), into=profiles["two-phase"])
-    delivered["raw"] += s.energy_kwh
-    delivered["ideal"] += s.energy_kwh
-    delivered["two-phase"] += outcome.e_total_kwh
+# the charger's sessions as arrays: one simulation, one profile per strategy
+charger = session_arrays(sessions, p_max)
+start = np.array([s.start for s in sessions])
+outcome = simulate_session(charger, policy.t_boost_max_hours, policy.p_rate)
+profiles = {
+    "raw": accumulate(raw_profile(start, charger.e_target, charger.plugin, p_max)),
+    "ideal": accumulate(oracle_profile(start, charger.e_target, charger.plugin)),
+    "two-phase": accumulate(adaptive_profile(start, outcome, p_max, policy.p_rate)),
+}
+target = sum(charger.e_target.tolist())
+delivered = {"raw": target, "ideal": target, "two-phase": sum(outcome.e_total_kwh.tolist())}
 
 print("60 days of one charge point, folded into one daily profile\n")
 print(f"{'strategy':>10} {'peak kW':>8} {'at':>9} {'total kWh':>10}")

@@ -15,9 +15,11 @@ from .charging import (
     PowerProfile,
     SessionOutcome,
     adaptive_profile,
-    evaluate_policy,
+    evaluate_policy_arrays,
+    history_arrays,
     oracle_profile,
     raw_profile,
+    session_arrays,
     simulate_session,
 )
 from .dataset import (
@@ -27,7 +29,6 @@ from .dataset import (
     Session,
     clean_sessions,
     derive_p_max,
-    effective_duration,
     parse_sessions,
     parse_sessions_path,
 )

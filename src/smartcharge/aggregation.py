@@ -64,14 +64,15 @@ def _add_cyclic_range(slots: np.ndarray, start_abs: int, n_seconds: int, kwh: fl
 def accumulate(
     profile: PowerProfile, into: DailyProfile | None = None
 ) -> DailyProfile:
-    """Distribute a session's power pieces into second-of-day energy slots.
+    """Distribute a profile's power pieces into second-of-day energy slots.
 
     Fractional piece boundaries are prorated exactly: a piece covering part
     of a second contributes power * overlap / 3600 kWh to that slot.
     """
     out = into if into is not None else DailyProfile.zeros()
     slots = out.slots
-    for t0, t1, kw in profile.pieces:
+    # Python floats: per-piece arithmetic on numpy scalars costs several times more
+    for t0, t1, kw in profile.pieces.tolist():
         if t1 <= t0 or kw == 0.0:
             continue
         s0 = math.floor(t0)

@@ -2,16 +2,16 @@
 
 A policy has two parameters: the maximum boost duration in hours and the
 slow-rate coefficient (slow power = coefficient * charger max power).
-Simulating a session yields how much energy each phase delivered, the
-session's effective charging rate and the energy shortfall; evaluating a
-whole history yields the total shortfall and the energy-weighted aggregate
-charging rate the reward is built on.  History evaluation runs on equal-length
-histories of many chargers at once, one row per charger.
+
+One kernel charges every session of a HistoryArrays.  evaluate_policy_arrays
+reduces its output to each history's shortfall and aggregate rate, one row
+per charger; simulate_session adds each session's slow phase.  The profile
+builders turn a charger's sessions into one array of power pieces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -37,17 +37,22 @@ class ChargingPolicy:
             raise ValueError("p_rate must be in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SessionOutcome:
-    """What one session delivered under a policy."""
+    """What each session delivered under its policy: every field is an array
+    with one entry per session (fields in the online log's column order)."""
 
-    t_boost_hours: float
-    e_boost_kwh: float
-    e_total_kwh: float
-    e_slow_kwh: float
-    t_slow_hours: float
-    p_eff_kw: float
-    e_loss_kwh: float
+    t_boost_hours: np.ndarray
+    t_slow_hours: np.ndarray
+    e_boost_kwh: np.ndarray
+    e_slow_kwh: np.ndarray
+    e_total_kwh: np.ndarray
+    e_loss_kwh: np.ndarray
+    p_eff_kw: np.ndarray
+
+    def __getitem__(self, key) -> SessionOutcome:
+        """The outcomes of the sessions key selects (a slice or a mask)."""
+        return SessionOutcome(*(getattr(self, f.name)[key] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -58,72 +63,37 @@ class PolicyEvaluation:
     p_aggr_kw: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerProfile:
-    """Piecewise-constant power over one session.
+    """Piecewise-constant power over a charger's sessions.
 
-    pieces: (start_s, end_s, power_kw) in absolute seconds, contiguous and
-    confined to the session's charging window.
+    pieces: (n, 3) array of (start_s, end_s, power_kw) rows in absolute
+    seconds, in session order; a session's pieces are contiguous and confined
+    to its charging window.  Any sequence of such triples is stored as that
+    array.
     """
 
-    pieces: tuple[tuple[float, float, float], ...]
+    pieces: np.ndarray
+
+    def __post_init__(self):
+        pieces = np.asarray(self.pieces, dtype=np.float64).reshape(-1, 3)
+        object.__setattr__(self, "pieces", pieces)
 
     def energy_kwh(self) -> float:
-        return sum(kw * (t1 - t0) / 3600.0 for t0, t1, kw in self.pieces)
+        return sum(kw * (t1 - t0) / 3600.0 for t0, t1, kw in self.pieces.tolist())
 
     def peak_kw(self) -> float:
-        return max((kw for _, _, kw in self.pieces), default=0.0)
-
-
-def simulate_session(
-    session: Session, policy: ChargingPolicy, p_max_kw: float
-) -> SessionOutcome:
-    """Charge one session under the policy.
-
-    Boost runs at p_max for up to t_boost_max hours (never more than the
-    raw charge needs or the session lasts), then the remainder of the
-    session charges at p_rate * p_max.  Delivered energy is capped at the
-    session's target.
-    """
-    if p_max_kw <= 0:
-        raise ValueError("p_max_kw must be positive")
-    e_target = session.energy_kwh
-    plugin = session.plugin_hours
-    p_rate = policy.p_rate
-
-    t_boost = min(e_target / p_max_kw, policy.t_boost_max_hours, plugin)
-    e_boost = min(t_boost * p_max_kw, e_target)
-    e_total = min(e_target, p_max_kw * (t_boost + (plugin - t_boost) * p_rate))
-    e_slow = e_total - e_boost
-    if e_slow <= 0.0:
-        e_slow = 0.0
-        t_slow = 0.0
-    else:
-        t_slow = e_slow / (p_max_kw * p_rate)
-    if e_target > 0.0:
-        p_eff = (e_boost + p_rate * (e_total - e_boost)) * p_max_kw / e_target
-    else:
-        p_eff = 0.0
-    return SessionOutcome(
-        t_boost_hours=t_boost,
-        e_boost_kwh=e_boost,
-        e_total_kwh=e_total,
-        e_slow_kwh=e_slow,
-        t_slow_hours=t_slow,
-        p_eff_kw=p_eff,
-        e_loss_kwh=e_target - e_total,
-    )
+        return max(self.pieces[:, 2].tolist(), default=0.0)
 
 
 class HistoryArrays:
-    """Session histories of k chargers, all of one length L, prepared for
-    repeated evaluation: (k, L) energy targets and plugin durations, each
-    charger's max power (given as a (k, 1) column), the per-session terms no
-    policy changes, and scratch space the evaluations reuse."""
+    """Sessions as columns, prepared for repeated evaluation: energy targets
+    and plugin durations of any shape -- a (k, L) block of k chargers'
+    equal-length histories, or one charger's n sessions -- the max power of
+    each session's charger (broadcast to that shape), the per-session terms
+    no policy changes, and scratch space the evaluations reuse."""
 
-    def __init__(
-        self, e_target: np.ndarray, plugin: np.ndarray, p_max_kw: np.ndarray
-    ):
+    def __init__(self, e_target: np.ndarray, plugin: np.ndarray, p_max_kw):
         self.e_target = e_target
         self.plugin = plugin
         # stored full width: an operand broadcast from a column costs more
@@ -137,6 +107,7 @@ class HistoryArrays:
         self._t_boost = np.empty_like(e_target)
         self._e_boost = np.empty_like(e_target)
         # rows reduced together: shortfall, delivered energy, p_eff * delivered
+        # (the kernel uses the last row as scratch before it holds its term)
         self._terms = np.empty((3,) + e_target.shape)
         self._p_eff = np.zeros_like(e_target)
 
@@ -144,7 +115,9 @@ class HistoryArrays:
 def history_arrays(
     histories: Sequence[Sequence[Session]], p_max_kw: Sequence[float]
 ) -> HistoryArrays:
-    """Equal-length histories, one per charger, as arrays for evaluation."""
+    """Equal-length, non-empty histories, one per charger, as (k, L) arrays."""
+    if any(len(h) == 0 for h in histories):
+        raise ValueError("history must be non-empty")
     return HistoryArrays(
         np.array([[s.energy_kwh for s in h] for h in histories], dtype=np.float64),
         np.array([[s.plugin_hours for s in h] for h in histories], dtype=np.float64),
@@ -152,15 +125,21 @@ def history_arrays(
     )
 
 
-def evaluate_policy_arrays(
-    h: HistoryArrays, t_boost_max_hours, p_rate
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate one policy per history: the parameters are (k, 1) columns
-    (or scalars for all rows).  Returns each row's total shortfall and
-    aggregate rate as (k,) arrays; the sums reduce the last axis of each row
-    on its own, so a row's result does not depend on the other rows."""
+def session_arrays(sessions: Sequence[Session], p_max_kw: float) -> HistoryArrays:
+    """One charger's sessions, in order, as 1-D arrays for simulation."""
+    return HistoryArrays(
+        np.array([s.energy_kwh for s in sessions], dtype=np.float64),
+        np.array([s.plugin_hours for s in sessions], dtype=np.float64),
+        p_max_kw,
+    )
+
+
+def _charge(h: HistoryArrays, t_boost_max_hours, p_rate) -> None:
+    """The charging function on every session of h, written to h's scratch
+    buffers: t_boost, e_boost, e_total (the middle row of h._terms) and
+    p_eff.  The policy parameters broadcast against the sessions."""
     t_boost, e_boost, p_eff = h._t_boost, h._e_boost, h._p_eff
-    shortfall, e_total, rate_energy = h._terms
+    _, e_total, scratch = h._terms
     # t_boost = min(e_target / p_max, t_boost_max, plugin)
     np.minimum(h.boost_cap, t_boost_max_hours, out=t_boost)
     # e_boost = min(t_boost * p_max, e_target)
@@ -172,15 +151,27 @@ def evaluate_policy_arrays(
     np.add(t_boost, e_total, out=e_total)
     np.multiply(h.p_max_kw, e_total, out=e_total)
     np.minimum(h.e_target, e_total, out=e_total)
-    np.subtract(h.e_target, e_total, out=shortfall)
     # p_eff = (e_boost + p_rate * (e_total - e_boost)) * p_max / e_target,
     # 0 for sessions without energy (never written, so still 0)
-    np.subtract(e_total, e_boost, out=t_boost)
-    np.multiply(p_rate, t_boost, out=t_boost)
-    np.add(e_boost, t_boost, out=t_boost)
-    np.multiply(t_boost, h.p_max_kw, out=t_boost)
-    np.divide(t_boost, h.e_target, out=p_eff, where=h.charged)
-    np.multiply(p_eff, e_total, out=rate_energy)
+    np.subtract(e_total, e_boost, out=scratch)
+    np.multiply(p_rate, scratch, out=scratch)
+    np.add(e_boost, scratch, out=scratch)
+    np.multiply(scratch, h.p_max_kw, out=scratch)
+    np.divide(scratch, h.e_target, out=p_eff, where=h.charged)
+
+
+def evaluate_policy_arrays(
+    h: HistoryArrays, t_boost_max_hours, p_rate
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate one policy per history: the parameters are (k, 1) columns
+    (or scalars for all rows).  Returns each row's total shortfall and
+    energy-weighted aggregate rate as (k,) arrays; the sums reduce the last
+    axis of each row on its own, so a row's result does not depend on the
+    other rows.  Zero-energy sessions carry zero weight."""
+    _charge(h, t_boost_max_hours, p_rate)
+    shortfall, e_total, rate_energy = h._terms
+    np.subtract(h.e_target, e_total, out=shortfall)
+    np.multiply(h._p_eff, e_total, out=rate_energy)
     e_loss, delivered, weighted = np.add.reduce(h._terms, axis=-1)
     # a history that delivers nothing has an aggregate rate of 0
     p_aggr = np.divide(
@@ -189,68 +180,87 @@ def evaluate_policy_arrays(
     return e_loss, p_aggr
 
 
-def evaluate_policy(
-    history: Sequence[Session], policy: ChargingPolicy, p_max_kw: float
-) -> PolicyEvaluation:
-    """Total energy shortfall and energy-weighted aggregate charging rate
-    of a policy replayed over a session history.
+def simulate_session(
+    sessions: HistoryArrays, t_boost_max_hours, p_rate
+) -> SessionOutcome:
+    """Charge every session under its policy; the parameters are scalars
+    for all sessions or arrays with one value per session.
 
-    Zero-energy sessions carry zero weight; a history that delivers nothing
-    has an aggregate rate of 0 by definition.
+    Boost runs at p_max for up to t_boost_max hours (never more than the
+    raw charge needs or the session lasts), then the remainder of the
+    session charges at p_rate * p_max.  Delivered energy is capped at the
+    session's target.
     """
-    if len(history) == 0:
-        raise ValueError("history must be non-empty")
+    if (sessions.p_max_kw <= 0).any():
+        raise ValueError("p_max_kw must be positive")
+    _charge(sessions, t_boost_max_hours, p_rate)
+    e_total = sessions._terms[1].copy()
+    e_boost = sessions._e_boost.copy()
+    e_slow = e_total - e_boost
+    slow = e_slow > 0.0
+    e_slow[~slow] = 0.0
+    t_slow = np.divide(
+        e_slow, sessions.p_max_kw * p_rate, out=np.zeros_like(e_slow), where=slow
+    )
+    return SessionOutcome(
+        t_boost_hours=sessions._t_boost.copy(),
+        e_boost_kwh=e_boost,
+        e_total_kwh=e_total,
+        e_slow_kwh=e_slow,
+        t_slow_hours=t_slow,
+        p_eff_kw=sessions._p_eff.copy(),
+        e_loss_kwh=sessions.e_target - e_total,
+    )
+
+
+def _pieces(*columns) -> np.ndarray:
+    """(n, 3) rows from three columns, each an array or a scalar."""
+    return np.column_stack(np.broadcast_arrays(*columns))
+
+
+def raw_profile(start, e_target, plugin, p_max_kw: float) -> PowerProfile:
+    """Uncontrolled charging: full rate from plugin until the target is met
+    or the session ends, then idle.  One piece per session with energy;
+    start holds the plugin instants in absolute seconds, e_target the
+    targets in kWh and plugin the durations in hours."""
     if p_max_kw <= 0:
         raise ValueError("p_max_kw must be positive")
-    e_loss, p_aggr = evaluate_policy_arrays(
-        history_arrays([history], [p_max_kw]), policy.t_boost_max_hours, policy.p_rate
+    charged = e_target > 0
+    t0 = np.asarray(start, dtype=np.float64)[charged]
+    duration_s = np.minimum(
+        e_target[charged] / p_max_kw * 3600.0, plugin[charged] * 3600.0
     )
-    return PolicyEvaluation(e_loss_kwh=float(e_loss[0]), p_aggr_kw=float(p_aggr[0]))
+    return PowerProfile(_pieces(t0, t0 + duration_s, p_max_kw))
 
 
-def raw_profile(session: Session, p_max_kw: float) -> PowerProfile:
-    """Uncontrolled charging: full rate from plugin until the target is met.
-
-    Delivered energy equals the target by definition; the charger then sits
-    idle for the rest of the session.
-    """
-    if p_max_kw <= 0:
-        raise ValueError("p_max_kw must be positive")
-    if session.energy_kwh <= 0:
-        return PowerProfile(())
-    duration_s = min(
-        session.energy_kwh / p_max_kw * 3600.0, session.plugin_hours * 3600.0
-    )
-    t0 = float(session.start)
-    return PowerProfile(((t0, t0 + duration_s, p_max_kw),))
-
-
-def oracle_profile(session: Session) -> PowerProfile:
-    """Hypothetical ideal charging: target energy spread evenly over the
-    whole session.  Requires knowing the session duration up front, so it is
-    a baseline, not an implementable strategy."""
-    if session.plugin_hours <= 0:
+def oracle_profile(start, e_target, plugin) -> PowerProfile:
+    """Hypothetical ideal charging: each target spread evenly over its
+    whole session.  Requires knowing the session duration up front, so it
+    is a baseline, not an implementable strategy; its rate is not capped at
+    the charger's max power."""
+    if (plugin <= 0).any():
         raise ValueError("plugin_hours must be positive")
-    if session.energy_kwh <= 0:
-        return PowerProfile(())
-    power = session.energy_kwh / session.plugin_hours
-    t0 = float(session.start)
-    return PowerProfile(((t0, t0 + session.plugin_hours * 3600.0, power),))
+    charged = e_target > 0
+    t0 = np.asarray(start, dtype=np.float64)[charged]
+    hours = plugin[charged]
+    return PowerProfile(_pieces(t0, t0 + hours * 3600.0, e_target[charged] / hours))
 
 
 def adaptive_profile(
-    session: Session,
-    outcome: SessionOutcome,
-    p_max_kw: float,
-    policy: ChargingPolicy,
+    start, outcome: SessionOutcome, p_max_kw: float, p_rate
 ) -> PowerProfile:
-    """Power profile of a simulated session: boost piece then slow piece."""
-    pieces = []
-    t0 = float(session.start)
-    if outcome.t_boost_hours > 0:
-        t1 = t0 + outcome.t_boost_hours * 3600.0
-        pieces.append((t0, t1, p_max_kw))
-        t0 = t1
-    if outcome.t_slow_hours > 0:
-        pieces.append((t0, t0 + outcome.t_slow_hours * 3600.0, policy.p_rate * p_max_kw))
-    return PowerProfile(tuple(pieces))
+    """Power pieces of simulated sessions: each session's boost piece, then
+    its slow piece at p_rate * p_max (p_rate a scalar or one rate per
+    session).  A phase that does not run has no piece."""
+    t0 = np.asarray(start, dtype=np.float64)
+    t1 = t0 + outcome.t_boost_hours * 3600.0
+    boost = outcome.t_boost_hours > 0
+    slow_t0 = np.where(boost, t1, t0)
+    pieces = np.stack(
+        [
+            _pieces(t0, t1, p_max_kw),
+            _pieces(slow_t0, slow_t0 + outcome.t_slow_hours * 3600.0, p_rate * p_max_kw),
+        ],
+        axis=1,
+    )
+    return PowerProfile(pieces[np.column_stack((boost, outcome.t_slow_hours > 0))])

@@ -44,10 +44,7 @@ def _parse_history(value) -> int | None:
     # int() would truncate 5.5, read true as 1 and raise TypeError on a list
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"history must be a positive integer or 'unlimited', got {value!r}")
-    h = int(value)
-    if h < 1:
-        raise ValueError("history must be a positive integer or 'unlimited'")
-    return h
+    return int(value)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -239,13 +239,6 @@ def derive_p_max(
     return float(np.percentile(rates, percentile))
 
 
-def effective_duration(session: Session, p_max_kw: float) -> float:
-    """Hours the session would take at the charger's maximum rate."""
-    if p_max_kw <= 0:
-        raise ValueError("p_max_kw must be positive")
-    return session.energy_kwh / p_max_kw
-
-
 def _drop_overlaps(sessions: list[Session]) -> tuple[list[Session], int]:
     """Keep sessions in (start, event_id) order, dropping any that overlap
     the most recently kept one.  Deterministic: the earlier session wins."""

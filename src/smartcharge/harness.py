@@ -17,8 +17,9 @@ of the batch's chargers in one call, and online replays the batch in
 lockstep by session index, re-learning after session i every charger that
 needs it in one call.  learn_policies gives each charger the result it
 would get alone, so a charger's reports do not depend on which chargers
-share its batch.  Each session is simulated once, and its raw, oracle and rl
-pieces are built once, in offline and online mode alike.
+share its batch.  Each charger's sessions are simulated in one call, as
+arrays, and each strategy's pieces of them are built in one call per
+profile they go into, in offline and online mode alike.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ from . import aggregation
 from .aggregation import DailyProfile, StrategyMetrics, strategy_metrics
 from .charging import (
     ChargingPolicy,
-    PowerProfile,
     SessionOutcome,
     adaptive_profile,
     oracle_profile,
     raw_profile,
+    session_arrays,
     simulate_session,
 )
 from .dataset import (
@@ -67,6 +68,13 @@ from .predictor import PredictionMetrics, cross_validate, pool_metrics
 BATCH_SIZE = 32
 _PROFILE_CHUNK_ROWS = 4096
 STRATEGIES = ("raw", "oracle", "rl")
+# every report a run of some mode writes, besides cleaning_report.txt
+REPORTS = (
+    ("parse_errors.csv", "metrics.txt", "profiles.csv")
+    + ("profiles_all_sessions.csv", "policies.csv", "speed_histogram.csv")  # offline
+    + ("outcomes.csv",)  # online
+    + ("prediction_per_cp.csv", "prediction_report.txt")  # predict
+)
 # the types an ExperimentConfig field accepts, by its annotation
 _FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
 
@@ -119,12 +127,24 @@ class ExperimentConfig:
                 )
             if not ok:
                 raise ValueError(f"{f.name} must be {kind}, got {value!r}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
-        if self.mode not in ("offline", "online", "predict"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.emit_resolution < 1 or aggregation.SECONDS_PER_DAY % self.emit_resolution:
             raise ValueError("emit_resolution must divide 86400")
+        percentile = self.p_max_percentile
+        for ok, rule in (
+            (0.0 < self.train_fraction < 1.0, "train_fraction must be in (0, 1)"),
+            (self.mode in ("offline", "online", "predict"), f"unknown mode {self.mode!r}"),
+            (self.history is None or self.history >= 1, "history must be >= 1 or unlimited"),
+            (self.workers >= 1, "workers must be >= 1"),
+            (self.online_warmup >= 0, "online_warmup must be >= 0"),
+            (self.min_sessions >= 1, "min_sessions must be >= 1"),
+            (self.max_hours > 0, "max_hours must be > 0"),
+            (percentile is None or 0 < percentile <= 100, "p_max_percentile must be in (0, 100]"),
+        ):
+            if not ok:
+                raise ValueError(rule)
+        # the search's own checks, made before any work starts
+        self.reward_params()
+        self.search_config("")
 
     def reward_params(self) -> RewardParams:
         return RewardParams(k1=self.k1, k2=self.k2, e_max_loss_kwh=self.e_max_loss)
@@ -223,26 +243,30 @@ def _run_batches(
     return rows, totals
 
 
-def _session_pieces(
-    s: Session, outcome: SessionOutcome, p_max_kw: float, policy: ChargingPolicy
-) -> tuple[tuple, tuple, tuple]:
-    """One session's power pieces under each strategy, in STRATEGIES order."""
-    return (
-        raw_profile(s, p_max_kw).pieces,
-        oracle_profile(s).pieces,
-        adaptive_profile(s, outcome, p_max_kw, policy).pieces,
-    )
+def _simulate(cp: ChargePoint, t_boost_max_hours, p_rate, into: list):
+    """Simulate the charger's sessions under their policies in one call, and
+    fold the pieces of sessions lo: into profiles for each (lo, profiles) of
+    into.  Returns the sessions' start instants, arrays and outcome."""
+    start = np.array([s.start for s in cp.sessions], dtype=np.int64)
+    sessions = session_arrays(cp.sessions, cp.p_max_kw)
+    outcome = simulate_session(sessions, t_boost_max_hours, p_rate)
+    e, plugin = sessions.e_target, sessions.plugin
+    p_rate = np.broadcast_to(p_rate, e.shape)
+    for lo, profiles in into:
+        built = (
+            raw_profile(start[lo:], e[lo:], plugin[lo:], cp.p_max_kw),
+            oracle_profile(start[lo:], e[lo:], plugin[lo:]),
+            adaptive_profile(start[lo:], outcome[lo:], cp.p_max_kw, p_rate[lo:]),
+        )
+        for s, profile in zip(STRATEGIES, built):
+            aggregation.accumulate(profile, into=profiles[s])
+    return start, sessions, outcome
 
 
-def _accumulate(
-    session_pieces: Sequence[tuple[tuple, tuple, tuple]],
-    into: dict[str, DailyProfile],
-) -> None:
-    """Fold sessions' pieces into the strategies' profiles, one accumulate
-    call per strategy with the pieces in session order."""
-    for k, s in enumerate(STRATEGIES):
-        pieces = tuple(p for per_session in session_pieces for p in per_session[k])
-        aggregation.accumulate(PowerProfile(pieces), into=into[s])
+def _sum(values: np.ndarray) -> float:
+    """Left-to-right sum, the order every report total is added in (np.sum
+    adds pairwise, which changes last bits)."""
+    return sum(values.tolist(), 0.0)
 
 
 @dataclass
@@ -271,6 +295,7 @@ class OfflineCpResult:
     n_test: int
     target_test_kwh: float
     delivered_test_kwh: float
+    raw_delivered_test_kwh: float
     boost_hours_sum: float
     slow_hours_sum: float
     n_outcomes: int
@@ -290,10 +315,13 @@ class OfflineResults(RunResults):
     profiles_all: dict[str, DailyProfile]
 
     def metrics(self, strategy: str) -> StrategyMetrics:
-        if strategy == "rl":
-            energy = [(r.target_test_kwh, r.delivered_test_kwh) for r in self.cp_rows]
-        else:
-            energy = [(r.target_test_kwh, r.target_test_kwh) for r in self.cp_rows]
+        """The oracle is uncapped, so it always delivers its whole target."""
+        delivered = {
+            "raw": "raw_delivered_test_kwh",
+            "oracle": "target_test_kwh",
+            "rl": "delivered_test_kwh",
+        }[strategy]
+        energy = [(r.target_test_kwh, getattr(r, delivered)) for r in self.cp_rows]
         return strategy_metrics(self.profiles_test[strategy], energy)
 
     def peak_reduction(self, strategy: str) -> float:
@@ -301,21 +329,21 @@ class OfflineResults(RunResults):
             self.profiles_test[strategy], self.profiles_test["raw"]
         )
 
+    def _mean(self, total: str, count=lambda r: r.n_outcomes) -> float:
+        n = sum(count(r) for r in self.cp_rows)
+        return sum(getattr(r, total) for r in self.cp_rows) / n if n else 0.0
+
     def mean_boost_hours(self) -> float:
-        n = sum(r.n_outcomes for r in self.cp_rows)
-        return sum(r.boost_hours_sum for r in self.cp_rows) / n if n else 0.0
+        return self._mean("boost_hours_sum")
 
     def mean_slow_hours(self) -> float:
-        n = sum(r.n_outcomes for r in self.cp_rows)
-        return sum(r.slow_hours_sum for r in self.cp_rows) / n if n else 0.0
+        return self._mean("slow_hours_sum")
 
     def mean_raw_effective_hours(self) -> float:
-        n = sum(r.n_train + r.n_test for r in self.cp_rows)
-        return sum(r.raw_effective_hours_sum for r in self.cp_rows) / n if n else 0.0
+        return self._mean("raw_effective_hours_sum", lambda r: r.n_train + r.n_test)
 
     def mean_relative_speed(self) -> float:
-        n = sum(r.n_outcomes for r in self.cp_rows)
-        return sum(r.rel_speed_sum for r in self.cp_rows) / n if n else 0.0
+        return self._mean("rel_speed_sum")
 
     def speed_histogram(self) -> np.ndarray:
         total = np.zeros(100, dtype=np.int64)
@@ -332,35 +360,26 @@ def _replay_offline(
     feasible: bool,
     profiles: dict[str, dict[str, DailyProfile]],
 ) -> OfflineCpResult:
-    """Simulate each of the charger's sessions once under its policy.
+    """Simulate the charger's sessions under its policy in one call.
 
     The sessions after the first n_train are the test split: its pieces go
     into the "test" profiles and its outcomes into the result row.  Every
-    session's pieces go into the "all" profiles.
+    session's pieces go into the "all" profiles.  Raw charging delivers a
+    session's whole target only when the charger's max power covers it
+    within the session (always, unless p_max_percentile caps that power).
     """
-    outcomes = [simulate_session(s, policy, cp.p_max_kw) for s in cp.sessions]
-    pieces = [
-        _session_pieces(s, outcome, cp.p_max_kw, policy)
-        for s, outcome in zip(cp.sessions, outcomes)
-    ]
-    _accumulate(pieces[n_train:], profiles["test"])
-    _accumulate(pieces, profiles["all"])
-
-    target = delivered = boost_sum = slow_sum = rel_sum = 0.0
-    rel_speeds: list[float] = []
-    for s, outcome in zip(cp.sessions[n_train:], outcomes[n_train:]):
-        target += s.energy_kwh
-        delivered += outcome.e_total_kwh
-        if s.energy_kwh > 0:
-            boost_sum += outcome.t_boost_hours
-            slow_sum += outcome.t_slow_hours
-            rel = outcome.p_eff_kw / cp.p_max_kw
-            rel_sum += rel
-            rel_speeds.append(rel)
-    raw_eff_sum = 0.0
-    for s in cp.sessions:
-        raw_eff_sum += s.energy_kwh / cp.p_max_kw
-
+    p_max = cp.p_max_kw
+    _, sessions, outcome = _simulate(
+        cp,
+        policy.t_boost_max_hours,
+        policy.p_rate,
+        [(n_train, profiles["test"]), (0, profiles["all"])],
+    )
+    e, plugin = sessions.e_target, sessions.plugin
+    test, e_test, plugin_test = outcome[n_train:], e[n_train:], plugin[n_train:]
+    charged = e_test > 0
+    rel_speeds = test.p_eff_kw[charged] / p_max
+    raw_delivered = np.where(e_test / plugin_test <= p_max, e_test, p_max * plugin_test)
     return OfflineCpResult(
         cp_id=cp.cp_id,
         p_max_kw=cp.p_max_kw,
@@ -369,14 +388,15 @@ def _replay_offline(
         feasible=feasible,
         n_train=n_train,
         n_test=len(cp.sessions) - n_train,
-        target_test_kwh=target,
-        delivered_test_kwh=delivered,
-        boost_hours_sum=boost_sum,
-        slow_hours_sum=slow_sum,
+        target_test_kwh=_sum(e_test),
+        delivered_test_kwh=_sum(test.e_total_kwh),
+        raw_delivered_test_kwh=_sum(raw_delivered),
+        boost_hours_sum=_sum(test.t_boost_hours[charged]),
+        slow_hours_sum=_sum(test.t_slow_hours[charged]),
         n_outcomes=len(rel_speeds),
-        rel_speed_sum=rel_sum,
+        rel_speed_sum=_sum(rel_speeds),
         hist_counts=aggregation.speed_histogram_counts(rel_speeds),
-        raw_effective_hours_sum=raw_eff_sum,
+        raw_effective_hours_sum=_sum(e / p_max),
     )
 
 
@@ -431,33 +451,27 @@ def run_offline(cfg: ExperimentConfig) -> OfflineResults:
 
 
 @dataclass
-class OnlineSessionRow:
-    """One replayed session in the online log."""
-
-    cp_id: str
-    index: int
-    event_id: int
-    start: int
-    plugin_hours: float
-    energy_kwh: float
-    mode: str
-    outcome: SessionOutcome
-    policy_t_boost_max: float
-    policy_p_rate: float
-
-
-@dataclass
 class OnlineCpResult:
+    """One charger's replay: each array holds one entry per session, in
+    session order."""
+
     cp_id: str
     p_max_kw: float
     warmup: int
-    rows: list[OnlineSessionRow]
+    event_id: np.ndarray
+    start: np.ndarray
+    plugin_hours: np.ndarray
+    energy_kwh: np.ndarray
+    adaptive: np.ndarray  # charged under a learned policy (else raw)
+    outcome: SessionOutcome
+    policy_t_boost_max: np.ndarray
+    policy_p_rate: np.ndarray
 
     def target_kwh(self) -> float:
-        return sum(r.energy_kwh for r in self.rows)
+        return _sum(self.energy_kwh)
 
     def delivered_kwh(self) -> float:
-        return sum(r.outcome.e_total_kwh for r in self.rows)
+        return _sum(self.outcome.e_total_kwh)
 
     def deficit_kwh(self) -> float:
         return self.target_kwh() - self.delivered_kwh()
@@ -466,28 +480,26 @@ class OnlineCpResult:
         target = self.target_kwh()
         return 100.0 * self.deficit_kwh() / target if target > 0 else 0.0
 
-    def _adaptive(self, reduce, value) -> float:
-        """reduce() of value(outcome) over the adaptive sessions with
-        energy; 0.0 when there are none."""
-        values = [
-            value(r.outcome) for r in self.rows if r.mode == "adaptive" and r.energy_kwh > 0
-        ]
-        return float(reduce(values)) if values else 0.0
+    def _adaptive(self, reduce, values: np.ndarray) -> float:
+        """reduce() of values over the adaptive sessions with energy; 0.0
+        when there are none."""
+        values = values[self.adaptive & (self.energy_kwh > 0)]
+        return float(reduce(values)) if len(values) else 0.0
 
     def mean_p_eff_adaptive(self) -> float:
-        return self._adaptive(np.mean, lambda o: o.p_eff_kw)
+        return self._adaptive(np.mean, self.outcome.p_eff_kw)
 
     def mean_relative_speed(self) -> float:
-        return self._adaptive(np.mean, lambda o: o.p_eff_kw / self.p_max_kw)
+        return self._adaptive(np.mean, self.outcome.p_eff_kw / self.p_max_kw)
 
     def median_relative_speed(self) -> float:
-        return self._adaptive(np.median, lambda o: o.p_eff_kw / self.p_max_kw)
+        return self._adaptive(np.median, self.outcome.p_eff_kw / self.p_max_kw)
 
     def mean_boost_hours(self) -> float:
-        return self._adaptive(np.mean, lambda o: o.t_boost_hours)
+        return self._adaptive(np.mean, self.outcome.t_boost_hours)
 
     def mean_slow_hours(self) -> float:
-        return self._adaptive(np.mean, lambda o: o.t_slow_hours)
+        return self._adaptive(np.mean, self.outcome.t_slow_hours)
 
 
 @dataclass
@@ -503,10 +515,12 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
 
     The batch's chargers replay in lockstep by session index, so the
     re-learns of one index run as one learn_policies call; each charger
-    still gets exactly the policies it would get replayed alone.
+    still gets exactly the policies it would get replayed alone.  Learning
+    reads the sessions, never their outcomes, so the replay only records
+    each session's policy, and each charger is simulated once after it.
     """
-    rows: list[list[OnlineSessionRow]] = [[] for _ in batch]
-    pieces: list[list[tuple[tuple, tuple, tuple]]] = [[] for _ in batch]
+    # per charger, each session's (t_boost_max_hours, p_rate, adaptive)
+    policies: list[list[tuple[float, float, bool]]] = [[] for _ in batch]
     histories: list[list[Session]] = [[] for _ in batch]
     learned: list[LearnedPolicy | None] = [None] * len(batch)
 
@@ -516,28 +530,9 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
             if i >= len(cp.sessions):
                 continue
             s = cp.sessions[i]
-            if i < cfg.online_warmup or learned[j] is None:
-                policy = ChargingPolicy(s.plugin_hours, 1.0)
-                mode = "raw"
-            else:
-                policy = learned[j].policy
-                mode = "adaptive"
-            outcome = simulate_session(s, policy, cp.p_max_kw)
-            rows[j].append(
-                OnlineSessionRow(
-                    cp_id=cp.cp_id,
-                    index=i,
-                    event_id=s.event_id,
-                    start=s.start,
-                    plugin_hours=s.plugin_hours,
-                    energy_kwh=s.energy_kwh,
-                    mode=mode,
-                    outcome=outcome,
-                    policy_t_boost_max=policy.t_boost_max_hours,
-                    policy_p_rate=policy.p_rate,
-                )
-            )
-            pieces[j].append(_session_pieces(s, outcome, cp.p_max_kw, policy))
+            adaptive = i >= cfg.online_warmup and learned[j] is not None
+            policy = learned[j].policy if adaptive else ChargingPolicy(s.plugin_hours, 1.0)
+            policies[j].append((policy.t_boost_max_hours, policy.p_rate, adaptive))
             if s.energy_kwh > 0:
                 histories[j].append(s)
             # (the policy learned after a charger's last session would go unused)
@@ -558,14 +553,25 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
                 learned[j] = result
 
     profiles = _zero_profiles()
-    for cp_pieces in pieces:
-        _accumulate(cp_pieces, profiles)
-    results = [
-        OnlineCpResult(
-            cp_id=cp.cp_id, p_max_kw=cp.p_max_kw, warmup=cfg.online_warmup, rows=cp_rows
+    results = []
+    for cp, cp_policies in zip(batch, policies):
+        t_boost_max, p_rate, adaptive = (np.array(c) for c in zip(*cp_policies))
+        start, sessions, outcome = _simulate(cp, t_boost_max, p_rate, [(0, profiles)])
+        results.append(
+            OnlineCpResult(
+                cp_id=cp.cp_id,
+                p_max_kw=cp.p_max_kw,
+                warmup=cfg.online_warmup,
+                event_id=np.array([s.event_id for s in cp.sessions], dtype=np.int64),
+                start=start,
+                plugin_hours=sessions.plugin,
+                energy_kwh=sessions.e_target,
+                adaptive=adaptive,
+                outcome=outcome,
+                policy_t_boost_max=t_boost_max,
+                policy_p_rate=p_rate,
+            )
         )
-        for cp, cp_rows in zip(batch, rows)
-    ]
     return results, {"all": profiles}
 
 
@@ -666,15 +672,19 @@ def _config_lines(cfg: ExperimentConfig) -> str:
 class _Bundle:
     """A run's report bundle in output_dir.
 
-    Opening it writes the cleaning report and the rejected input rows; a
-    parse_errors.csv left by an earlier run is removed when this run rejected
-    none.  Each report is written atomically as soon as its text exists.
+    Opening it removes every report an earlier run of any mode may have left
+    there, so no old file stays beside the new ones, not even when this run
+    fails halfway; then it writes the cleaning report and the rejected input
+    rows.  Each report is written atomically as soon as its text exists.
     """
 
     def __init__(self, results: RunResults, output_dir: str):
         os.makedirs(output_dir, exist_ok=True)
         self.output_dir = output_dir
         self.paths: dict[str, str] = {}
+        for name in REPORTS:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(output_dir, name))
         self.write("cleaning_report.txt", results.cleaning.to_text())
         if results.parse_errors:
             self.write_lines(
@@ -685,9 +695,6 @@ class _Bundle:
                     for e in results.parse_errors
                 ],
             )
-        else:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(output_dir, "parse_errors.csv"))
 
     def write(self, name: str, text: str) -> None:
         path = os.path.join(self.output_dir, name)
@@ -767,30 +774,20 @@ def emit_online_reports(results: OnlineResults, output_dir: str) -> dict[str, st
         "e_loss_kwh,p_eff_kw,policy_t_boost_max_hours,policy_p_rate"
     ]
     for cp in results.cp_results:
-        for r in cp.rows:
-            o = r.outcome
-            lines.append(
-                _csv_line(
-                    [
-                        r.cp_id,
-                        r.index,
-                        r.event_id,
-                        r.start,
-                        r.plugin_hours,
-                        r.energy_kwh,
-                        r.mode,
-                        o.t_boost_hours,
-                        o.t_slow_hours,
-                        o.e_boost_kwh,
-                        o.e_slow_kwh,
-                        o.e_total_kwh,
-                        o.e_loss_kwh,
-                        o.p_eff_kw,
-                        r.policy_t_boost_max,
-                        r.policy_p_rate,
-                    ]
-                )
-            )
+        columns = [
+            cp.event_id,
+            cp.start,
+            cp.plugin_hours,
+            cp.energy_kwh,
+            np.where(cp.adaptive, "adaptive", "raw"),
+            *(getattr(cp.outcome, f.name) for f in fields(cp.outcome)),
+            cp.policy_t_boost_max,
+            cp.policy_p_rate,
+        ]
+        lines.extend(
+            _csv_line([cp.cp_id, i, *row])
+            for i, row in enumerate(zip(*(c.tolist() for c in columns)))
+        )
     bundle.write_lines("outcomes.csv", lines)
 
     text = [
@@ -800,12 +797,12 @@ def emit_online_reports(results: OnlineResults, output_dir: str) -> dict[str, st
         "",
     ]
     for cp in results.cp_results:
-        adaptive = [r for r in cp.rows if r.mode == "adaptive"]
+        n_adaptive = int(cp.adaptive.sum())
         text += [
             f"charge point {cp.cp_id}",
             f"  max power rate        : {cp.p_max_kw!r} kW",
-            f"  sessions (warmup raw) : {len(cp.rows)} ({sum(1 for r in cp.rows if r.mode == 'raw')})",
-            f"  adaptive sessions     : {len(adaptive)}",
+            f"  sessions (warmup raw) : {len(cp.adaptive)} ({len(cp.adaptive) - n_adaptive})",
+            f"  adaptive sessions     : {n_adaptive}",
             f"  target energy         : {cp.target_kwh()!r} kWh",
             f"  delivered energy      : {cp.delivered_kwh()!r} kWh",
             f"  energy deficit        : {cp.deficit_kwh()!r} kWh ({cp.deficit_percent()!r}%)",

@@ -1,18 +1,27 @@
 """Two-phase charging simulation, history evaluation and power profiles."""
 
+from dataclasses import fields
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smartcharge.charging import (
     ChargingPolicy,
+    HistoryArrays,
     adaptive_profile,
-    evaluate_policy,
+    evaluate_policy_arrays,
+    history_arrays,
     oracle_profile,
     raw_profile,
+    session_arrays,
     simulate_session,
 )
 
 from conftest import BASE_EPOCH, make_session
+from test_acceptance import transcribed_session_rules
 
 REL = 1e-9
 
@@ -21,12 +30,56 @@ def rel_eq(a, b, tol=REL):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
+def columns(*sessions):
+    """The start, e_target and plugin columns the profile builders take."""
+    return (
+        np.array([s.start for s in sessions], dtype=np.int64),
+        np.array([s.energy_kwh for s in sessions], dtype=np.float64),
+        np.array([s.plugin_hours for s in sessions], dtype=np.float64),
+    )
+
+
+def simulate(sessions, policy, p_max):
+    return simulate_session(
+        session_arrays(sessions, p_max), policy.t_boost_max_hours, policy.p_rate
+    )
+
+
+def simulate_one(session, policy, p_max):
+    """simulate_session on one session, its outcome fields as floats."""
+    o = simulate([session], policy, p_max)
+    return SimpleNamespace(**{f.name: getattr(o, f.name).item() for f in fields(o)})
+
+
+def evaluate(history, policy, p_max):
+    """(e_loss, p_aggr) of one history as floats."""
+    e_loss, p_aggr = evaluate_policy_arrays(
+        history_arrays([history], [p_max]), policy.t_boost_max_hours, policy.p_rate
+    )
+    return SimpleNamespace(e_loss_kwh=e_loss.item(), p_aggr_kw=p_aggr.item())
+
+
+def raw(s, p_max):
+    return raw_profile(*columns(s), p_max)
+
+
+def oracle(s):
+    return oracle_profile(*columns(s))
+
+
+def adaptive(s, policy, p_max):
+    """A session's adaptive profile and its outcome (as floats)."""
+    start, _, _ = columns(s)
+    o = simulate([s], policy, p_max)
+    return adaptive_profile(start, o, p_max, policy.p_rate), simulate_one(s, policy, p_max)
+
+
 class TestSimulateSession:
     def test_long_session_no_loss(self):
         # hand-evaluated with a scalar calculator: boost caps at 0.5 h,
         # the slow phase finishes the remaining 3.5 kWh at 0.7 kW
         s = make_session(plugin_hours=10.0, energy_kwh=7.0)
-        o = simulate_session(s, ChargingPolicy(0.5, 0.1), 7.0)
+        o = simulate_one(s, ChargingPolicy(0.5, 0.1), 7.0)
         assert o.t_boost_hours == 0.5
         assert o.e_boost_kwh == 3.5
         assert o.e_total_kwh == 7.0
@@ -37,21 +90,26 @@ class TestSimulateSession:
 
     def test_short_session_with_loss(self):
         s = make_session(plugin_hours=2.0, energy_kwh=14.0)
-        o = simulate_session(s, ChargingPolicy(0.5, 0.1), 7.0)
+        o = simulate_one(s, ChargingPolicy(0.5, 0.1), 7.0)
         assert rel_eq(o.e_total_kwh, 4.55)
         assert rel_eq(o.e_loss_kwh, 9.45)
         assert rel_eq(o.p_eff_kw, 1.8025)
 
     def test_raw_equivalent_policy(self):
-        for plugin, energy in [(10.0, 7.0), (3.0, 2.5), (0.5, 1.0)]:
-            s = make_session(plugin_hours=plugin, energy_kwh=energy)
-            o = simulate_session(s, ChargingPolicy(energy / 7.0, 1.0), 7.0)
-            assert rel_eq(o.e_total_kwh, energy) or o.e_total_kwh == energy
-            assert rel_eq(o.p_eff_kw, 7.0)
+        # one call, one policy per session
+        cases = [(10.0, 7.0), (3.0, 2.5), (0.5, 1.0)]
+        sessions = [make_session(plugin_hours=p, energy_kwh=e) for p, e in cases]
+        t_boost_max = np.array([energy / 7.0 for _, energy in cases])
+        o = simulate_session(session_arrays(sessions, 7.0), t_boost_max, 1.0)
+        for (_, energy), e_total, p_eff in zip(
+            cases, o.e_total_kwh.tolist(), o.p_eff_kw.tolist()
+        ):
+            assert rel_eq(e_total, energy) or e_total == energy
+            assert rel_eq(p_eff, 7.0)
 
     def test_zero_energy(self):
         s = make_session(energy_kwh=0.0)
-        o = simulate_session(s, ChargingPolicy(1.0, 0.5), 7.0)
+        o = simulate_one(s, ChargingPolicy(1.0, 0.5), 7.0)
         assert o.e_total_kwh == 0.0
         assert o.p_eff_kw == 0.0
         assert o.t_slow_hours == 0.0
@@ -66,7 +124,7 @@ class TestSimulateSession:
                 float(rng.uniform(0.0, 30.0)), float(rng.uniform(0.0, 1.0))
             )
             s = make_session(plugin_hours=plugin, energy_kwh=energy)
-            o = simulate_session(s, policy, p_max)
+            o = simulate_one(s, policy, p_max)
             assert o.e_total_kwh <= energy + 1e-12
             assert rel_eq(o.e_total_kwh, o.e_boost_kwh + o.e_slow_kwh)
             assert -1e-12 <= o.p_eff_kw <= p_max * (1 + 1e-12)
@@ -83,13 +141,13 @@ class TestSimulateSession:
             s = make_session(plugin_hours=plugin, energy_kwh=energy)
             t = float(rng.uniform(0.0, 20.0))
             p1, p2 = sorted(rng.uniform(0.0, 1.0, size=2))
-            lo = simulate_session(s, ChargingPolicy(t, float(p1)), p_max)
-            hi = simulate_session(s, ChargingPolicy(t, float(p2)), p_max)
+            lo = simulate_one(s, ChargingPolicy(t, float(p1)), p_max)
+            hi = simulate_one(s, ChargingPolicy(t, float(p2)), p_max)
             assert hi.e_total_kwh >= lo.e_total_kwh - 1e-12
             p = float(rng.uniform(0.0, 1.0))
             t1, t2 = sorted(rng.uniform(0.0, 20.0, size=2))
-            lo = simulate_session(s, ChargingPolicy(float(t1), p), p_max)
-            hi = simulate_session(s, ChargingPolicy(float(t2), p), p_max)
+            lo = simulate_one(s, ChargingPolicy(float(t1), p), p_max)
+            hi = simulate_one(s, ChargingPolicy(float(t2), p), p_max)
             assert hi.e_total_kwh >= lo.e_total_kwh - 1e-12
 
 
@@ -101,7 +159,7 @@ class TestEvaluatePolicy:
                 start=BASE_EPOCH + 200000, plugin_hours=2.0, energy_kwh=14.0, event_id=2
             ),
         ]
-        ev = evaluate_policy(history, ChargingPolicy(0.5, 0.1), 7.0)
+        ev = evaluate(history, ChargingPolicy(0.5, 0.1), 7.0)
         assert rel_eq(ev.e_loss_kwh, 9.45)
         assert rel_eq(ev.p_aggr_kw, 3.043409090909091)
 
@@ -112,15 +170,15 @@ class TestEvaluatePolicy:
                 start=BASE_EPOCH + 200000, plugin_hours=4.0, energy_kwh=3.0, event_id=2
             ),
         ]
-        ev = evaluate_policy(history, ChargingPolicy(100.0, 1.0), 7.0)
+        ev = evaluate(history, ChargingPolicy(100.0, 1.0), 7.0)
         assert ev.e_loss_kwh == 0.0
         assert rel_eq(ev.p_aggr_kw, 7.0)
 
     def test_identical_sessions_match_single(self):
         s = make_session(plugin_hours=10.0, energy_kwh=7.0)
         policy = ChargingPolicy(0.5, 0.1)
-        single = simulate_session(s, policy, 7.0)
-        ev = evaluate_policy([s] * 5, policy, 7.0)
+        single = simulate_one(s, policy, 7.0)
+        ev = evaluate([s] * 5, policy, 7.0)
         assert rel_eq(ev.p_aggr_kw, single.p_eff_kw)
 
     def test_matches_per_session_aggregation(self):
@@ -136,65 +194,64 @@ class TestEvaluatePolicy:
         ]
         p_max = 9.0
         policy = ChargingPolicy(1.3, 0.22)
-        outcomes = [simulate_session(s, policy, p_max) for s in history]
-        e_loss = sum(o.e_loss_kwh for o in outcomes)
-        delivered = sum(o.e_total_kwh for o in outcomes)
-        p_aggr = sum(o.p_eff_kw * o.e_total_kwh for o in outcomes) / delivered
-        ev = evaluate_policy(history, policy, p_max)
+        o = simulate(history, policy, p_max)
+        e_loss = sum(o.e_loss_kwh.tolist())
+        delivered = sum(o.e_total_kwh.tolist())
+        p_aggr = sum((o.p_eff_kw * o.e_total_kwh).tolist()) / delivered
+        ev = evaluate(history, policy, p_max)
         assert rel_eq(ev.e_loss_kwh, e_loss)
         assert rel_eq(ev.p_aggr_kw, p_aggr)
 
     def test_all_zero_energy_history(self):
         history = [make_session(energy_kwh=0.0)]
-        ev = evaluate_policy(history, ChargingPolicy(1.0, 0.5), 7.0)
+        ev = evaluate(history, ChargingPolicy(1.0, 0.5), 7.0)
         assert ev.p_aggr_kw == 0.0
 
     def test_empty_history_errors(self):
         with pytest.raises(ValueError):
-            evaluate_policy([], ChargingPolicy(1.0, 0.5), 7.0)
+            history_arrays([[]], [7.0])
 
 
 class TestProfiles:
     def test_raw_simple(self):
         s = make_session(plugin_hours=10.0, energy_kwh=7.0)
-        prof = raw_profile(s, 7.0)
-        assert prof.pieces == ((float(s.start), float(s.start) + 3600.0, 7.0),)
+        prof = raw(s, 7.0)
+        assert prof.pieces.tolist() == [[float(s.start), float(s.start) + 3600.0, 7.0]]
         assert rel_eq(prof.energy_kwh(), 7.0)
 
     def test_raw_boundary_full_window(self):
         # the max-power-defining session charges for its entire window
         s = make_session(plugin_hours=2.0, energy_kwh=14.0)
-        prof = raw_profile(s, 7.0)
-        (t0, t1, kw) = prof.pieces[0]
+        prof = raw(s, 7.0)
+        (t0, t1, kw) = prof.pieces[0].tolist()
         assert t1 - t0 == 2.0 * 3600.0
         assert kw == 7.0
 
     def test_raw_zero_energy_empty(self):
-        assert raw_profile(make_session(energy_kwh=0.0), 7.0).pieces == ()
+        assert raw(make_session(energy_kwh=0.0), 7.0).pieces.shape == (0, 3)
 
     def test_oracle_even_spread(self):
         s = make_session(plugin_hours=10.0, energy_kwh=7.0)
-        prof = oracle_profile(s)
-        (t0, t1, kw) = prof.pieces[0]
+        prof = oracle(s)
+        (t0, t1, kw) = prof.pieces[0].tolist()
         assert rel_eq(kw, 0.7)
         assert t1 - t0 == 10.0 * 3600.0
 
     def test_oracle_can_exceed_realistic_rate(self):
         s = make_session(plugin_hours=0.066, energy_kwh=10.2)
-        (t0, t1, kw) = oracle_profile(s).pieces[0]
+        (t0, t1, kw) = oracle(s).pieces[0].tolist()
         assert rel_eq(kw, 154.54545454545453)
 
     def test_oracle_equals_raw_for_defining_session(self):
         s = make_session(plugin_hours=2.0, energy_kwh=14.0)
-        assert oracle_profile(s).pieces == raw_profile(s, 7.0).pieces
+        assert oracle(s).pieces.tolist() == raw(s, 7.0).pieces.tolist()
 
     def test_adaptive_two_pieces(self):
         s = make_session(plugin_hours=10.0, energy_kwh=7.0)
         policy = ChargingPolicy(0.5, 0.1)
-        o = simulate_session(s, policy, 7.0)
-        prof = adaptive_profile(s, o, 7.0, policy)
+        prof, o = adaptive(s, policy, 7.0)
         assert len(prof.pieces) == 2
-        (b0, b1, bkw), (s0, s1, skw) = prof.pieces
+        (b0, b1, bkw), (s0, s1, skw) = prof.pieces.tolist()
         assert b1 - b0 == 0.5 * 3600.0
         assert bkw == 7.0
         assert s0 == b1
@@ -204,19 +261,16 @@ class TestProfiles:
 
     def test_adaptive_empty_when_idle_policy(self):
         s = make_session(plugin_hours=10.0, energy_kwh=7.0)
-        policy = ChargingPolicy(0.0, 0.0)
-        o = simulate_session(s, policy, 7.0)
+        prof, o = adaptive(s, ChargingPolicy(0.0, 0.0), 7.0)
         assert o.e_total_kwh == 0.0
-        assert adaptive_profile(s, o, 7.0, policy).pieces == ()
+        assert prof.pieces.shape == (0, 3)
 
     def test_adaptive_equals_raw_for_raw_equivalent_policy(self):
         s = make_session(plugin_hours=10.0, energy_kwh=7.0)
-        policy = ChargingPolicy(100.0, 1.0)
-        o = simulate_session(s, policy, 7.0)
-        prof = adaptive_profile(s, o, 7.0, policy)
-        raw = raw_profile(s, 7.0)
-        assert len(prof.pieces) == len(raw.pieces) == 1
-        for a, b in zip(prof.pieces[0], raw.pieces[0]):
+        prof, _ = adaptive(s, ChargingPolicy(100.0, 1.0), 7.0)
+        raw_prof = raw(s, 7.0)
+        assert len(prof.pieces) == len(raw_prof.pieces) == 1
+        for a, b in zip(prof.pieces[0].tolist(), raw_prof.pieces[0].tolist()):
             assert rel_eq(a, b)
 
     def test_integral_matches_outcome_random(self):
@@ -229,10 +283,10 @@ class TestProfiles:
             policy = ChargingPolicy(
                 float(rng.uniform(0.0, 30.0)), float(rng.uniform(0.0, 1.0))
             )
-            o = simulate_session(s, policy, p_max)
-            assert rel_eq(adaptive_profile(s, o, p_max, policy).energy_kwh(), o.e_total_kwh)
-            assert rel_eq(raw_profile(s, p_max).energy_kwh(), energy)
-            assert rel_eq(oracle_profile(s).energy_kwh(), energy)
+            prof, o = adaptive(s, policy, p_max)
+            assert rel_eq(prof.energy_kwh(), o.e_total_kwh)
+            assert rel_eq(raw(s, p_max).energy_kwh(), energy)
+            assert rel_eq(oracle(s).energy_kwh(), energy)
 
     def test_oracle_peak_never_above_raw(self):
         rng = np.random.default_rng(13)
@@ -241,9 +295,7 @@ class TestProfiles:
             p_max = float(rng.uniform(1.0, 40.0))
             energy = float(rng.uniform(0.0, p_max * plugin))
             s = make_session(plugin_hours=plugin, energy_kwh=energy)
-            assert (
-                oracle_profile(s).peak_kw() <= raw_profile(s, p_max).peak_kw() + 1e-12
-            )
+            assert oracle(s).peak_kw() <= raw(s, p_max).peak_kw() + 1e-12
 
     def test_profiles_confined_to_charge_window(self):
         rng = np.random.default_rng(17)
@@ -255,15 +307,106 @@ class TestProfiles:
             policy = ChargingPolicy(
                 float(rng.uniform(0.0, 30.0)), float(rng.uniform(0.0, 1.0))
             )
-            o = simulate_session(s, policy, p_max)
             window_end = s.start + plugin * 3600.0
-            for prof in (
-                raw_profile(s, p_max),
-                oracle_profile(s),
-                adaptive_profile(s, o, p_max, policy),
-            ):
+            for prof in (raw(s, p_max), oracle(s), adaptive(s, policy, p_max)[0]):
                 prev_end = float(s.start)
-                for t0, t1, kw in prof.pieces:
+                for t0, t1, kw in prof.pieces.tolist():
                     assert t0 == prev_end
                     assert t1 <= window_end * (1 + 1e-12)
                     prev_end = t1
+
+
+# ---------------------------------------------------------------------------
+# the array kernel and builders against per-session scalar references
+#
+# Boost caps are drawn >= +0.0.  ChargingPolicy also accepts a -0.0 cap, which
+# the harness never passes (its caps are plugin durations and the search's
+# points, clamped by np.maximum(x, 0.0) from nonzero steps); on a zero-energy
+# session np.minimum may keep that -0.0 where the scalar min keeps 0.0, so
+# test_negative_zero_cap compares that case by value, not by repr.
+
+rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+sessions = st.lists(
+    st.tuples(
+        st.integers(0, 4_000_000_000),  # start
+        st.one_of(st.just(0.0), st.floats(0.0, 400.0)),  # e_target
+        st.floats(0.01, 48.0),  # plugin hours
+        st.one_of(st.just(0.0), st.floats(0.0, 60.0)),  # t_boost_max
+        rates,  # p_rate
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def scalar_pieces(start, e_target, plugin, p_max, t_boost, t_slow, p_rate):
+    """One session's raw, oracle and adaptive pieces, restated per session."""
+    t0 = float(start)
+    raw_pieces, oracle_pieces, rl_pieces = [], [], []
+    if e_target > 0:
+        duration_s = min(e_target / p_max * 3600.0, plugin * 3600.0)
+        raw_pieces.append([t0, t0 + duration_s, p_max])
+        oracle_pieces.append([t0, t0 + plugin * 3600.0, e_target / plugin])
+    if t_boost > 0:
+        t1 = t0 + t_boost * 3600.0
+        rl_pieces.append([t0, t1, p_max])
+        t0 = t1
+    if t_slow > 0:
+        rl_pieces.append([t0, t0 + t_slow * 3600.0, p_rate * p_max])
+    return raw_pieces, oracle_pieces, rl_pieces
+
+
+class TestArrayKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(p_max=st.floats(0.5, 60.0), rows=sessions)
+    def test_simulate_matches_transcription(self, p_max, rows):
+        _, e, plugin, t_max, p_rate = (np.array(c) for c in zip(*rows))
+        o = simulate_session(HistoryArrays(e, plugin, p_max), t_max, p_rate)
+        got = list(
+            zip(
+                *(
+                    getattr(o, name).tolist()
+                    for name in (
+                        "t_boost_hours",
+                        "e_boost_kwh",
+                        "e_total_kwh",
+                        "e_slow_kwh",
+                        "t_slow_hours",
+                        "p_eff_kw",
+                        "e_loss_kwh",
+                    )
+                )
+            )
+        )
+        expected = [
+            transcribed_session_rules(e_i, plugin_i, p_max, t_i, p_i)
+            for _, e_i, plugin_i, t_i, p_i in rows
+        ]
+        assert repr(got) == repr(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p_max=st.floats(0.5, 60.0), rows=sessions)
+    def test_builders_match_scalar_pieces(self, p_max, rows):
+        start, e, plugin, t_max, p_rate = (np.array(c) for c in zip(*rows))
+        o = simulate_session(HistoryArrays(e, plugin, p_max), t_max, p_rate)
+        expected = ([], [], [])
+        for k, (s0, e_i, plugin_i, _, p_i) in enumerate(rows):
+            per_session = scalar_pieces(
+                s0, e_i, plugin_i, p_max,
+                o.t_boost_hours[k].item(), o.t_slow_hours[k].item(), p_i,
+            )
+            for pieces, more in zip(expected, per_session):
+                pieces.extend(more)
+        got = (
+            raw_profile(start, e, plugin, p_max),
+            oracle_profile(start, e, plugin),
+            adaptive_profile(start, o, p_max, p_rate),
+        )
+        for profile, pieces in zip(got, expected):
+            assert repr(profile.pieces.tolist()) == repr(pieces)
+
+    def test_negative_zero_cap(self):
+        o = simulate_session(session_arrays([make_session(energy_kwh=0.0)], 7.0), -0.0, 0.5)
+        expected = transcribed_session_rules(0.0, 10.0, 7.0, -0.0, 0.5)
+        assert o.t_boost_hours.tolist() == [expected[0]] == [0.0]
+        assert o.e_total_kwh.tolist() == [expected[2]] == [0.0]

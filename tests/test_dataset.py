@@ -9,7 +9,6 @@ import pytest
 from smartcharge.dataset import (
     clean_sessions,
     derive_p_max,
-    effective_duration,
     parse_sessions,
 )
 
@@ -216,18 +215,6 @@ class TestPMax:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             derive_p_max([])
-
-
-class TestEffectiveDuration:
-    def test_simple(self):
-        assert effective_duration(make_session(energy_kwh=7.0), 7.0) == 1.0
-
-    def test_scalar_division(self):
-        assert effective_duration(make_session(energy_kwh=8.8), 3.52) == 2.5
-
-    def test_zero_p_max_errors(self):
-        with pytest.raises(ValueError):
-            effective_duration(make_session(), 0.0)
 
 
 class TestPMaxPercentile:

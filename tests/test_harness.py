@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -162,22 +163,49 @@ class TestOffline:
         # zero-energy sessions are simulated and profiled like any other
         text = synth_fleet_csv(n_cps=5, sessions_per_cp=12, seed=8, zero_energy_prob=0.3)
         cfg = small_cfg(write_csv(tmp_path, text), str(tmp_path / "out"))
-        calls = {"simulate": 0, "profile": 0}
+        simulated = []
+        profiles = {"raw_profile": 0, "oracle_profile": 0, "adaptive_profile": 0}
 
-        def counting(name, fn, key):
+        def simulate(sessions, *args):
+            simulated.append(len(sessions.e_target))
+            return simulate_session(sessions, *args)
+
+        def counting(name, fn):
             def wrapper(*args, **kwargs):
-                calls[key] += 1
+                profiles[name] += 1
                 return fn(*args, **kwargs)
 
             monkeypatch.setattr(harness, name, wrapper)
 
-        counting("simulate_session", harness.simulate_session, "simulate")
-        for name in ("raw_profile", "oracle_profile", "adaptive_profile"):
-            counting(name, getattr(harness, name), "profile")
+        simulate_session = harness.simulate_session
+        monkeypatch.setattr(harness, "simulate_session", simulate)
+        for name in profiles:
+            counting(name, getattr(harness, name))
         results = run_offline(cfg)
         retained = sum(r.n_train + r.n_test for r in results.cp_rows)
         assert retained == results.cleaning.retained_sessions
-        assert calls == {"simulate": retained, "profile": 3 * retained}
+        # one call per charger, and one profile per strategy and scope
+        assert len(simulated) == len(results.cp_rows) == 5
+        assert sum(simulated) == retained
+        assert profiles == dict.fromkeys(profiles, 2 * len(results.cp_rows))
+
+    def test_raw_deficit_when_p_max_capped(self, tmp_path):
+        # at the 50th percentile of session rates, half the sessions need
+        # more than the capped max power can give them within the session
+        cfg = small_cfg(
+            write_csv(tmp_path, synth_fleet_csv(n_cps=6, sessions_per_cp=20, seed=4)),
+            str(tmp_path / "out"),
+            p_max_percentile=50.0,
+            train_fraction=0.5,
+        )
+        results = run_offline(cfg)
+        m = results.metrics("raw")
+        target = sum(r.target_test_kwh for r in results.cp_rows)
+        assert m.total_deficit_kwh > 0.05 * target
+        assert m.total_deficit_kwh == pytest.approx(
+            target - results.profiles_test["raw"].total_energy_kwh(), rel=1e-9
+        )
+        assert results.metrics("oracle").total_deficit_kwh == 0.0
 
     def test_emit_resolution_downsamples(self, tmp_path, fleet_csv):
         out = str(tmp_path / "out")
@@ -204,32 +232,33 @@ class TestOnline:
     def test_warmup_charges_raw(self, tmp_path):
         results, _ = self.make_results(tmp_path)
         for cp in results.cp_results:
-            for row in cp.rows[:10]:
-                assert row.mode == "raw"
-                if row.energy_kwh > 0:
-                    assert row.outcome.p_eff_kw == pytest.approx(cp.p_max_kw, rel=1e-12)
-                assert row.outcome.e_loss_kwh == 0.0
-            assert any(r.mode == "adaptive" for r in cp.rows[10:])
+            o = cp.outcome
+            for k in range(10):
+                assert not cp.adaptive[k]
+                if cp.energy_kwh[k] > 0:
+                    assert o.p_eff_kw[k] == pytest.approx(cp.p_max_kw, rel=1e-12)
+                assert o.e_loss_kwh[k] == 0.0
+            assert cp.adaptive[10:].any()
 
     def test_outcome_log_and_profiles(self, tmp_path):
         results, cfg = self.make_results(tmp_path)
         paths = emit_online_reports(results, cfg.output_dir)
         lines = open(paths["outcomes.csv"]).read().strip().split("\n")
-        assert len(lines) == 1 + sum(len(cp.rows) for cp in results.cp_results)
+        assert len(lines) == 1 + sum(len(cp.event_id) for cp in results.cp_results)
         assert os.path.exists(paths["profiles.csv"])
         assert os.path.exists(paths["metrics.txt"])
 
     def test_energy_accounting(self, tmp_path):
         results, _ = self.make_results(tmp_path)
         for cp in results.cp_results:
-            delivered = sum(r.outcome.e_total_kwh for r in cp.rows)
+            delivered = sum(cp.outcome.e_total_kwh.tolist())
             assert cp.deficit_kwh() == pytest.approx(
                 cp.target_kwh() - delivered, abs=1e-9
             )
             assert cp.deficit_kwh() >= -1e-9
         total_rl = results.profiles["rl"].total_energy_kwh()
         delivered_all = sum(
-            r.outcome.e_total_kwh for cp in results.cp_results for r in cp.rows
+            e for cp in results.cp_results for e in cp.outcome.e_total_kwh.tolist()
         )
         assert total_rl == pytest.approx(delivered_all, rel=1e-6)
 
@@ -250,17 +279,14 @@ class TestOnline:
     def test_cold_start_differs_from_warm(self, tmp_path):
         warm, _ = self.make_results(tmp_path, seed=11)
         cold, _ = self.make_results(tmp_path, seed=11, cold_start=True)
-        warm_policies = [
-            (r.policy_t_boost_max, r.policy_p_rate)
-            for cp in warm.cp_results
-            for r in cp.rows
-        ]
-        cold_policies = [
-            (r.policy_t_boost_max, r.policy_p_rate)
-            for cp in cold.cp_results
-            for r in cp.rows
-        ]
-        assert warm_policies != cold_policies
+
+        def policies(results):
+            return [
+                (cp.policy_t_boost_max.tolist(), cp.policy_p_rate.tolist())
+                for cp in results.cp_results
+            ]
+
+        assert policies(warm) != policies(cold)
 
     def lockstep_fleet(self, tmp_path):
         # more chargers than one batch holds, and zero-energy sessions so the
@@ -303,15 +329,15 @@ class TestOnline:
     def test_same_seed_reproducible(self, tmp_path):
         a, _ = self.make_results(tmp_path, seed=5)
         b, _ = self.make_results(tmp_path, seed=5)
-        assert [
-            (r.policy_t_boost_max, r.policy_p_rate, r.outcome)
-            for cp in a.cp_results
-            for r in cp.rows
-        ] == [
-            (r.policy_t_boost_max, r.policy_p_rate, r.outcome)
-            for cp in b.cp_results
-            for r in cp.rows
-        ]
+
+        def columns(results):
+            return [
+                [cp.policy_t_boost_max.tolist(), cp.policy_p_rate.tolist()]
+                + [getattr(cp.outcome, f.name).tolist() for f in fields(cp.outcome)]
+                for cp in results.cp_results
+            ]
+
+        assert columns(a) == columns(b)
 
 
 class TestPredict:
@@ -438,6 +464,20 @@ class TestCli:
         )
         assert rc == 1
 
+    def test_other_modes_reports_removed(self, tmp_path, fleet_csv):
+        out = tmp_path / "out"
+        args = ["--input", fleet_csv, "--min-sessions", "5", "--n-tries", "10"]
+        args += ["--out-dir", str(out)]
+        assert main(args + ["--mode", "offline"]) == 0
+        assert main(args + ["--mode", "predict"]) == 0
+        assert sorted(os.listdir(out)) == [
+            "cleaning_report.txt", "prediction_per_cp.csv", "prediction_report.txt"
+        ]
+        assert main(args + ["--mode", "online", "--warmup", "5"]) == 0
+        assert sorted(os.listdir(out)) == [
+            "cleaning_report.txt", "metrics.txt", "outcomes.csv", "profiles.csv"
+        ]
+
     def test_rerun_removes_stale_parse_errors(self, tmp_path, fleet_csv):
         out = tmp_path / "out"
         bad = write_csv(tmp_path, open(fleet_csv).read() + "1,CP9,bad,row\n", "bad.csv")
@@ -468,6 +508,21 @@ class TestCli:
             {"out_dir": 3},
             {"cp": 5},
             {"cp": ["CP001", 2]},
+            # out of range
+            {"history": 0},
+            {"warmup": -3},
+            {"workers": -2},
+            {"workers": 0},
+            {"min_sessions": -4},
+            {"max_hours": 0},
+            {"n_tries": -5},
+            {"n_tries": 0},
+            {"k1": -1},
+            {"max_loss": 0},
+            {"dx_min": 0.6},
+            {"dy_max": 2.0},
+            {"p_max_percentile": 0},
+            {"p_max_percentile": 101},
         ],
         ids=str,
     )

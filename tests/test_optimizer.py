@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smartcharge.charging import ChargingPolicy, PolicyEvaluation, evaluate_policy
+from smartcharge.charging import (
+    ChargingPolicy,
+    PolicyEvaluation,
+    evaluate_policy_arrays,
+    history_arrays,
+)
 from smartcharge.dataset import derive_p_max
 from smartcharge.optimizer import (
     LearnedPolicy,
@@ -141,7 +146,10 @@ class TestLearnPolicy:
             history, p_max = slack_history(100 + seed)
             plugins = [s.plugin_hours for s in history]
             start = ChargingPolicy(float(np.mean(plugins)), 0.5)
-            start_reward = reward(evaluate_policy(history, start, p_max), params)
+            e_loss, p_aggr = evaluate_policy_arrays(
+                history_arrays([history], [p_max]), start.t_boost_max_hours, start.p_rate
+            )
+            start_reward = reward(PolicyEvaluation(e_loss.item(), p_aggr.item()), params)
             learned = learn_policy(history, p_max, SearchConfig(seed=seed), params)
             if np.isfinite(start_reward):
                 assert learned.reward >= start_reward
