@@ -35,11 +35,15 @@ charge_points, report = clean_sessions(sessions, min_sessions=2)
 print()
 print(report.to_text())
 
+# each charger's sessions are columns, one entry per session
 for cp in charge_points:
-    print(f"{cp.cp_id}: max power {cp.p_max_kw:.2f} kW, {len(cp.sessions)} sessions")
-    for s in cp.sessions:
-        eff = s.energy_kwh / cp.p_max_kw
+    s = cp.sessions
+    print(f"{cp.cp_id}: max power {cp.p_max_kw:.2f} kW, {len(s)} sessions")
+    for event_id, energy, plugin in zip(
+        s.event_id.tolist(), s.energy_kwh.tolist(), s.plugin_hours.tolist()
+    ):
+        eff = energy / cp.p_max_kw
         print(
-            f"  event {s.event_id}: {s.energy_kwh:5.1f} kWh over "
-            f"{s.plugin_hours:5.2f} h plugged in, {eff:.2f} h at full rate"
+            f"  event {event_id}: {energy:5.1f} kWh over "
+            f"{plugin:5.2f} h plugged in, {eff:.2f} h at full rate"
         )

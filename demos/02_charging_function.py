@@ -11,39 +11,37 @@ back as one (pieces, 3) array of (start_s, end_s, kW) rows.
 
 from datetime import datetime
 
-import numpy as np
-
 from smartcharge import (
     ChargingPolicy,
-    Session,
+    HistoryArrays,
+    Sessions,
     adaptive_profile,
     oracle_profile,
     raw_profile,
-    session_arrays,
     simulate_session,
 )
 
 start = int((datetime(2017, 6, 1, 18, 0) - datetime(1970, 1, 1)).total_seconds())
-session = Session(
-    event_id=1,
-    cp_id="AN00001",
-    start=start,
-    end=start + 10 * 3600,
-    energy_kwh=7.0,
-    plugin_hours=10.0,
-)
-# a tight session, a day later, that a gentle policy cannot fully serve
 day = 86_400
-tight = Session(2, "AN00001", start + day, start + day + 2 * 3600, 14.0, 2.0)
+# a 10 h overnight session, then a tight one a day later that a gentle
+# policy cannot fully serve
+sessions = Sessions(
+    event_id=[1, 2],
+    cp_id=["AN00001", "AN00001"],
+    start=[start, start + day],
+    end=[start + 10 * 3600, start + day + 2 * 3600],
+    energy_kwh=[7.0, 14.0],
+    plugin_hours=[10.0, 2.0],
+)
 p_max = 7.0
 
-print(f"session: {session.energy_kwh} kWh target, {session.plugin_hours} h plugged in")
+print(f"session: {sessions.energy_kwh[0]} kWh target, {sessions.plugin_hours[0]} h plugged in")
 print(f"charger max rate: {p_max} kW")
 print()
 
 policy = ChargingPolicy(t_boost_max_hours=0.5, p_rate=0.1)
-sessions = session_arrays([session, tight], p_max)
-outcome = simulate_session(sessions, policy.t_boost_max_hours, policy.p_rate)
+charger = HistoryArrays(sessions.energy_kwh, sessions.plugin_hours, p_max)
+outcome = simulate_session(charger, policy.t_boost_max_hours, policy.p_rate)
 o = outcome[0]
 print(f"policy: boost up to {policy.t_boost_max_hours} h, slow at {policy.p_rate} x max")
 print(f"  boost : {o.t_boost_hours:.2f} h at {p_max} kW -> {o.e_boost_kwh:.2f} kWh")
@@ -53,7 +51,7 @@ print(f"  effective rate {o.p_eff_kw:.2f} kW (vs {p_max} kW raw)")
 print()
 
 # the first session's pieces under each strategy
-first = np.array([session.start]), sessions.e_target[:1], sessions.plugin[:1]
+first = sessions.start[:1], sessions.energy_kwh[:1], sessions.plugin_hours[:1]
 for name, profile in [
     ("raw", raw_profile(*first, p_max)),
     ("ideal", oracle_profile(*first)),

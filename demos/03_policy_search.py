@@ -13,7 +13,8 @@ from smartcharge import (
     PolicyEvaluation,
     RewardParams,
     SearchConfig,
-    Session,
+    Sessions,
+    derive_p_max,
     evaluate_policy_arrays,
     history_arrays,
     learn_policy,
@@ -22,7 +23,7 @@ from smartcharge import (
 
 rng = np.random.default_rng(7)
 charger_kw = 7.0
-sessions = []
+rows = []
 t = 1_500_000_000
 for i in range(25):
     if i == 3:
@@ -33,10 +34,12 @@ for i in range(25):
         plugin = float(rng.uniform(8.0, 16.0))
         energy = charger_kw * plugin * float(rng.uniform(0.05, 0.2))
     end = t + round(plugin * 3600)
-    sessions.append(Session(i, "CP", t, end, energy, plugin))
+    rows.append((i, "CP", t, end, energy, plugin))
     t = end + 3600 * 8
+# the rows transposed: one column per Sessions field
+sessions = Sessions(*zip(*rows))
 
-p_max = max(s.energy_kwh / s.plugin_hours for s in sessions)
+p_max = derive_p_max(sessions)
 params = RewardParams(k1=0.1, k2=10.0, e_max_loss_kwh=10.0)
 
 learned = learn_policy(sessions, p_max, SearchConfig(n_tries=200, seed=1), params)

@@ -13,13 +13,13 @@ import numpy as np
 
 from smartcharge import (
     ChargingPolicy,
-    Session,
+    HistoryArrays,
+    Sessions,
     accumulate,
     adaptive_profile,
     oracle_profile,
     peak_reduction,
     raw_profile,
-    session_arrays,
     simulate_session,
 )
 
@@ -28,17 +28,19 @@ p_max = 7.0
 policy = ChargingPolicy(0.4, 0.12)
 
 base = int((datetime(2017, 1, 1) - datetime(1970, 1, 1)).total_seconds())
-sessions = []
+rows = []
 for day in range(60):
     # evening arrival, overnight stay: the classic domestic pattern
     arrival = base + day * 86400 + int(rng.normal(18.5, 1.5) * 3600)
     plugin = float(rng.uniform(8.0, 14.0))
     energy = float(rng.uniform(4.0, 7.0 * 2.5))
-    sessions.append(Session(day, "CP", arrival, arrival + round(plugin * 3600), energy, plugin))
+    rows.append((day, "CP", arrival, arrival + round(plugin * 3600), energy, plugin))
+# the rows transposed: one column per Sessions field
+sessions = Sessions(*zip(*rows))
 
 # the charger's sessions as arrays: one simulation, one profile per strategy
-charger = session_arrays(sessions, p_max)
-start = np.array([s.start for s in sessions])
+charger = HistoryArrays(sessions.energy_kwh, sessions.plugin_hours, p_max)
+start = sessions.start
 outcome = simulate_session(charger, policy.t_boost_max_hours, policy.p_rate)
 profiles = {
     "raw": accumulate(raw_profile(start, charger.e_target, charger.plugin, p_max)),

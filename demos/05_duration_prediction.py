@@ -10,23 +10,24 @@ controlling the charging parameters directly instead of predicting.
 
 import numpy as np
 
-from smartcharge import Session, cross_validate
+from smartcharge import Sessions, cross_validate
 
 rng = np.random.default_rng(42)
 
 
 def charger(noise_hours):
-    sessions = []
+    rows = []
     t = 1_483_228_800  # 2017-01-01
     for i in range(80):
         # weekday-ish routine plus noise: arrive evening, leave morning
         t += round(float(rng.uniform(6, 16)) * 3600)
         plugin = max(0.5, 11.0 + float(rng.normal(0, noise_hours)))
         energy = float(rng.uniform(3, 20))
-        s = Session(i, "CP", t, t + round(plugin * 3600), energy, plugin)
-        sessions.append(s)
-        t = s.end
-    return sessions
+        end = t + round(plugin * 3600)
+        rows.append((i, "CP", t, end, energy, plugin))
+        t = end
+    # the rows transposed: one column per Sessions field
+    return Sessions(*zip(*rows))
 
 
 for noise in (0.1, 2.0, 6.0):

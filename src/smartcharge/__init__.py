@@ -11,6 +11,7 @@ from .aggregation import (
 )
 from .charging import (
     ChargingPolicy,
+    HistoryArrays,
     PolicyEvaluation,
     PowerProfile,
     SessionOutcome,
@@ -19,14 +20,13 @@ from .charging import (
     history_arrays,
     oracle_profile,
     raw_profile,
-    session_arrays,
     simulate_session,
 )
 from .dataset import (
     ChargePoint,
     CleaningReport,
     ParseError,
-    Session,
+    Sessions,
     clean_sessions,
     derive_p_max,
     parse_sessions,
@@ -51,7 +51,6 @@ from .optimizer import (
     rolling_window,
 )
 from .predictor import (
-    FeatureVector,
     PredictionMetrics,
     RegressionModel,
     cross_validate,

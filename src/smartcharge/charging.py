@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Session
+from .dataset import Sessions
 
 
 @dataclass(frozen=True)
@@ -113,24 +113,15 @@ class HistoryArrays:
 
 
 def history_arrays(
-    histories: Sequence[Sequence[Session]], p_max_kw: Sequence[float]
+    histories: Sequence[Sessions], p_max_kw: Sequence[float]
 ) -> HistoryArrays:
     """Equal-length, non-empty histories, one per charger, as (k, L) arrays."""
     if any(len(h) == 0 for h in histories):
         raise ValueError("history must be non-empty")
     return HistoryArrays(
-        np.array([[s.energy_kwh for s in h] for h in histories], dtype=np.float64),
-        np.array([[s.plugin_hours for s in h] for h in histories], dtype=np.float64),
+        np.stack([h.energy_kwh for h in histories]),
+        np.stack([h.plugin_hours for h in histories]),
         np.array(p_max_kw, dtype=np.float64)[:, None],
-    )
-
-
-def session_arrays(sessions: Sequence[Session], p_max_kw: float) -> HistoryArrays:
-    """One charger's sessions, in order, as 1-D arrays for simulation."""
-    return HistoryArrays(
-        np.array([s.energy_kwh for s in sessions], dtype=np.float64),
-        np.array([s.plugin_hours for s in sessions], dtype=np.float64),
-        p_max_kw,
     )
 
 

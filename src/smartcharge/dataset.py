@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
+from dataclasses import dataclass, fields
+from datetime import datetime
+from typing import TextIO
 
 import numpy as np
-from dataclasses import dataclass
-from datetime import datetime
-from typing import Iterable, TextIO
 
 EXPECTED_HEADER = [
     "EventID",
@@ -35,21 +36,47 @@ DURATION_TOLERANCE_HOURS = 0.02
 _EPOCH = datetime(1970, 1, 1)
 
 
-@dataclass(frozen=True, slots=True)
-class Session:
-    """One charging event.
+@dataclass(frozen=True, eq=False)
+class Sessions:
+    """Charging events as columns, one entry per session; any sequences
+    given become arrays of the column's dtype (_DTYPES).
 
     start/end are naive seconds since 1970-01-01 00:00:00 (no timezone; the
     source data carries none).  plugin_hours comes from the Duration column
-    and is the authoritative session length.
+    and is the authoritative session length.  cp_id holds str objects; the
+    parser stores each distinct id once and every row refers to it.
     """
 
-    event_id: int
-    cp_id: str
-    start: int
-    end: int
-    energy_kwh: float
-    plugin_hours: float
+    event_id: np.ndarray
+    cp_id: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    energy_kwh: np.ndarray
+    plugin_hours: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            column = np.asarray(getattr(self, f.name), dtype=_DTYPES[f.name])
+            object.__setattr__(self, f.name, column)
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def __getitem__(self, key) -> Sessions:
+        """The sessions key selects (a slice or a mask), in every column.
+        An integer selects one session as 0-d columns, which is what
+        iterating over a table yields."""
+        return Sessions(*(getattr(self, f.name)[key] for f in fields(self)))
+
+
+_DTYPES = {
+    "event_id": np.int64,
+    "cp_id": object,
+    "start": np.int64,
+    "end": np.int64,
+    "energy_kwh": np.float64,
+    "plugin_hours": np.float64,
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,7 +94,7 @@ class ChargePoint:
 
     cp_id: str
     p_max_kw: float
-    sessions: list[Session]
+    sessions: Sessions
 
     @property
     def usable(self) -> bool:
@@ -125,7 +152,7 @@ def _parse_instant(date_text: str, time_text: str) -> int:
     return int((dt - _EPOCH).total_seconds())
 
 
-def parse_sessions(stream: TextIO) -> tuple[list[Session], list[ParseError]]:
+def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
     """Parse the chargepoint CSV into sessions plus a list of rejected rows.
 
     Malformed rows are collected with a reason, never silently dropped.
@@ -142,7 +169,11 @@ def parse_sessions(stream: TextIO) -> tuple[list[Session], list[ParseError]]:
             f"unexpected header {header!r}; expected {','.join(EXPECTED_HEADER)}"
         )
 
-    sessions: list[Session] = []
+    # accepted rows, appended to compact columns; a row's charger is the
+    # position of its id in cp_codes, so each id string is stored once
+    event_ids, starts, ends = array("q"), array("q"), array("q")
+    energies, plugins, cps = array("d"), array("d"), array("i")
+    cp_codes: dict[str, int] = {}
     errors: list[ParseError] = []
 
     def reject(line_number: int, reason: str, row: list[str]) -> None:
@@ -159,6 +190,8 @@ def parse_sessions(stream: TextIO) -> tuple[list[Session], list[ParseError]]:
         )
         try:
             event_id = int(evt)
+            if abs(event_id) >= 2**63:  # does not fit the int64 column
+                raise ValueError
         except ValueError:
             reject(line_number, f"bad EventID {evt!r}", row)
             continue
@@ -194,27 +227,30 @@ def parse_sessions(stream: TextIO) -> tuple[list[Session], list[ParseError]]:
                 row,
             )
             continue
-        sessions.append(
-            Session(
-                event_id=event_id,
-                cp_id=cp_id,
-                start=start,
-                end=end,
-                energy_kwh=energy_kwh,
-                plugin_hours=plugin_hours,
-            )
-        )
+        event_ids.append(event_id)
+        cps.append(cp_codes.setdefault(cp_id, len(cp_codes)))
+        starts.append(start)
+        ends.append(end)
+        # -0.0 passes the sign check; + 0.0 stores it as 0.0
+        energies.append(energy_kwh + 0.0)
+        plugins.append(plugin_hours)
+    sessions = Sessions(
+        event_id=np.frombuffer(event_ids, dtype=np.int64),
+        cp_id=np.array(list(cp_codes), dtype=object)[np.frombuffer(cps, dtype=np.intc)],
+        start=np.frombuffer(starts, dtype=np.int64),
+        end=np.frombuffer(ends, dtype=np.int64),
+        energy_kwh=np.frombuffer(energies, dtype=np.float64),
+        plugin_hours=np.frombuffer(plugins, dtype=np.float64),
+    )
     return sessions, errors
 
 
-def parse_sessions_path(path) -> tuple[list[Session], list[ParseError]]:
+def parse_sessions_path(path) -> tuple[Sessions, list[ParseError]]:
     with open(path, newline="") as fh:
         return parse_sessions(fh)
 
 
-def derive_p_max(
-    cp_sessions: Iterable[Session], percentile: float | None = None
-) -> float:
+def derive_p_max(cp_sessions: Sessions, percentile: float | None = None) -> float:
     """Maximum observed session-average power of one charge point, in kW.
 
     0.0 means every session dispensed zero energy; such chargers cannot be
@@ -225,35 +261,35 @@ def derive_p_max(
     rate at that percentile of the session-average powers.  Off by default:
     with a cap, sessions above it can no longer be fully served.
     """
-    rates = []
-    for s in cp_sessions:
-        if s.plugin_hours <= 0:
-            raise ValueError(f"session {s.event_id} has non-positive plugin_hours")
-        rates.append(s.energy_kwh / s.plugin_hours)
-    if not rates:
+    if not len(cp_sessions):
         raise ValueError("cannot derive p_max from an empty session list")
+    bad = cp_sessions.plugin_hours <= 0
+    if bad.any():
+        raise ValueError(f"session {cp_sessions.event_id[bad][0]} has non-positive plugin_hours")
+    rates = cp_sessions.energy_kwh / cp_sessions.plugin_hours
     if percentile is None:
-        return max(rates)
+        return float(rates.max())
     if not 0.0 < percentile <= 100.0:
         raise ValueError("percentile must be in (0, 100]")
     return float(np.percentile(rates, percentile))
 
 
-def _drop_overlaps(sessions: list[Session]) -> tuple[list[Session], int]:
-    """Keep sessions in (start, event_id) order, dropping any that overlap
-    the most recently kept one.  Deterministic: the earlier session wins."""
-    kept: list[Session] = []
-    dropped = 0
-    for s in sorted(sessions, key=lambda s: (s.start, s.event_id)):
-        if kept and s.start < kept[-1].end:
-            dropped += 1
-            continue
-        kept.append(s)
-    return kept, dropped
+def _overlap_free(cp: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Mask of the sessions kept when, in order, each charger drops any
+    session that starts before its most recently kept one ends.
+    Deterministic: the earlier session wins."""
+    keep = np.ones(len(start), dtype=bool)
+    last_cp, last_end = -1, 0
+    for i, (c, t0, t1) in enumerate(zip(cp.tolist(), start.tolist(), end.tolist())):
+        if c == last_cp and t0 < last_end:
+            keep[i] = False
+        else:
+            last_cp, last_end = c, t1
+    return keep
 
 
 def clean_sessions(
-    sessions: Iterable[Session],
+    sessions: Sessions,
     min_sessions: int = 10,
     max_hours: float = 48.0,
     p_max_percentile: float | None = None,
@@ -263,32 +299,35 @@ def clean_sessions(
     In order: drop sessions longer than max_hours, drop overlap conflicts
     within each charger, then drop chargers left with fewer than
     min_sessions.  Total cleaning: every input session lands in exactly one
-    report bucket.
+    report bucket.  Chargers come in sorted() order of id, each one's
+    sessions in (start, event_id) order, ties in input order.
     """
-    sessions = list(sessions)
     report = CleaningReport(
         total_records=len(sessions), max_hours=max_hours, min_sessions=min_sessions
     )
+    over = sessions.plugin_hours > max_hours
+    report.removed_over_max_hours = int(over.sum())
+    sessions = sessions[~over]
 
-    by_cp: dict[str, list[Session]] = {}
-    for s in sessions:
-        if s.plugin_hours > max_hours:
-            report.removed_over_max_hours += 1
-            continue
-        by_cp.setdefault(s.cp_id, []).append(s)
+    ids = sorted(set(sessions.cp_id.tolist()))
+    rank = dict(zip(ids, range(len(ids))))
+    cp = np.fromiter(map(rank.__getitem__, sessions.cp_id), dtype=np.intp, count=len(sessions))
+    order = np.lexsort((sessions.event_id, sessions.start, cp))  # stable
+    sessions, cp = sessions[order], cp[order]
+    keep = _overlap_free(cp, sessions.start, sessions.end)
+    report.removed_overlapping = len(keep) - int(keep.sum())
+    sessions, cp = sessions[keep], cp[keep]
 
     charge_points: list[ChargePoint] = []
-    for cp_id in sorted(by_cp):
-        kept, dropped = _drop_overlaps(by_cp[cp_id])
-        report.removed_overlapping += dropped
-        if len(kept) < min_sessions:
+    edges = np.searchsorted(cp, np.arange(len(ids) + 1)).tolist()
+    for cp_id, lo, hi in zip(ids, edges, edges[1:]):
+        if hi - lo < min_sessions:
             report.removed_small_cp_points += 1
-            report.removed_small_cp_sessions += len(kept)
+            report.removed_small_cp_sessions += hi - lo
             continue
-        charge_points.append(
-            ChargePoint(cp_id, derive_p_max(kept, p_max_percentile), kept)
-        )
-        report.retained_sessions += len(kept)
+        kept = sessions[lo:hi]
+        charge_points.append(ChargePoint(cp_id, derive_p_max(kept, p_max_percentile), kept))
+        report.retained_sessions += hi - lo
 
     report.retained_charge_points = len(charge_points)
     return charge_points, report

@@ -39,18 +39,17 @@ from . import aggregation
 from .aggregation import DailyProfile, StrategyMetrics, strategy_metrics
 from .charging import (
     ChargingPolicy,
+    HistoryArrays,
     SessionOutcome,
     adaptive_profile,
     oracle_profile,
     raw_profile,
-    session_arrays,
     simulate_session,
 )
 from .dataset import (
     ChargePoint,
     CleaningReport,
     ParseError,
-    Session,
     clean_sessions,
     parse_sessions_path,
 )
@@ -243,14 +242,12 @@ def _run_batches(
     return rows, totals
 
 
-def _simulate(cp: ChargePoint, t_boost_max_hours, p_rate, into: list):
+def _simulate(cp: ChargePoint, t_boost_max_hours, p_rate, into: list) -> SessionOutcome:
     """Simulate the charger's sessions under their policies in one call, and
     fold the pieces of sessions lo: into profiles for each (lo, profiles) of
-    into.  Returns the sessions' start instants, arrays and outcome."""
-    start = np.array([s.start for s in cp.sessions], dtype=np.int64)
-    sessions = session_arrays(cp.sessions, cp.p_max_kw)
-    outcome = simulate_session(sessions, t_boost_max_hours, p_rate)
-    e, plugin = sessions.e_target, sessions.plugin
+    into."""
+    start, e, plugin = cp.sessions.start, cp.sessions.energy_kwh, cp.sessions.plugin_hours
+    outcome = simulate_session(HistoryArrays(e, plugin, cp.p_max_kw), t_boost_max_hours, p_rate)
     p_rate = np.broadcast_to(p_rate, e.shape)
     for lo, profiles in into:
         built = (
@@ -260,7 +257,7 @@ def _simulate(cp: ChargePoint, t_boost_max_hours, p_rate, into: list):
         )
         for s, profile in zip(STRATEGIES, built):
             aggregation.accumulate(profile, into=profiles[s])
-    return start, sessions, outcome
+    return outcome
 
 
 def _sum(values: np.ndarray) -> float:
@@ -369,13 +366,13 @@ def _replay_offline(
     within the session (always, unless p_max_percentile caps that power).
     """
     p_max = cp.p_max_kw
-    _, sessions, outcome = _simulate(
+    outcome = _simulate(
         cp,
         policy.t_boost_max_hours,
         policy.p_rate,
         [(n_train, profiles["test"]), (0, profiles["all"])],
     )
-    e, plugin = sessions.e_target, sessions.plugin
+    e, plugin = cp.sessions.energy_kwh, cp.sessions.plugin_hours
     test, e_test, plugin_test = outcome[n_train:], e[n_train:], plugin[n_train:]
     charged = e_test > 0
     rel_speeds = test.p_eff_kw[charged] / p_max
@@ -404,11 +401,9 @@ def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     """Learn each charger's policy on the last `history` sessions with
     energy among its first ceil(train_fraction * n), then replay it."""
     splits = [math.ceil(cfg.train_fraction * len(cp.sessions)) for cp in batch]
-    windows = [
-        rolling_window([s for s in cp.sessions[:n] if s.energy_kwh > 0], cfg.history)
-        for cp, n in zip(batch, splits)
-    ]
-    learning = [j for j, window in enumerate(windows) if window]
+    trains = [cp.sessions[:n] for cp, n in zip(batch, splits)]
+    windows = [rolling_window(t[t.energy_kwh > 0], cfg.history) for t in trains]
+    learning = [j for j, window in enumerate(windows) if len(window)]
     learned = dict(
         zip(
             learning,
@@ -427,7 +422,7 @@ def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
             policy, feasible = learned[j].policy, learned[j].feasible
         else:
             # Nothing to learn from: charge raw rather than guess.
-            policy = ChargingPolicy(max(s.plugin_hours for s in cp.sessions), 1.0)
+            policy = ChargingPolicy(float(cp.sessions.plugin_hours.max()), 1.0)
             feasible = True
         rows.append(_replay_offline(cp, splits[j], policy, feasible, profiles))
     return rows, profiles
@@ -452,23 +447,17 @@ def run_offline(cfg: ExperimentConfig) -> OfflineResults:
 
 @dataclass
 class OnlineCpResult:
-    """One charger's replay: each array holds one entry per session, in
-    session order."""
+    """One charger's replay: each array holds one entry per session of cp,
+    in session order."""
 
-    cp_id: str
-    p_max_kw: float
-    warmup: int
-    event_id: np.ndarray
-    start: np.ndarray
-    plugin_hours: np.ndarray
-    energy_kwh: np.ndarray
+    cp: ChargePoint
     adaptive: np.ndarray  # charged under a learned policy (else raw)
     outcome: SessionOutcome
     policy_t_boost_max: np.ndarray
     policy_p_rate: np.ndarray
 
     def target_kwh(self) -> float:
-        return _sum(self.energy_kwh)
+        return _sum(self.cp.sessions.energy_kwh)
 
     def delivered_kwh(self) -> float:
         return _sum(self.outcome.e_total_kwh)
@@ -483,17 +472,17 @@ class OnlineCpResult:
     def _adaptive(self, reduce, values: np.ndarray) -> float:
         """reduce() of values over the adaptive sessions with energy; 0.0
         when there are none."""
-        values = values[self.adaptive & (self.energy_kwh > 0)]
+        values = values[self.adaptive & (self.cp.sessions.energy_kwh > 0)]
         return float(reduce(values)) if len(values) else 0.0
 
     def mean_p_eff_adaptive(self) -> float:
         return self._adaptive(np.mean, self.outcome.p_eff_kw)
 
     def mean_relative_speed(self) -> float:
-        return self._adaptive(np.mean, self.outcome.p_eff_kw / self.p_max_kw)
+        return self._adaptive(np.mean, self.outcome.p_eff_kw / self.cp.p_max_kw)
 
     def median_relative_speed(self) -> float:
-        return self._adaptive(np.median, self.outcome.p_eff_kw / self.p_max_kw)
+        return self._adaptive(np.median, self.outcome.p_eff_kw / self.cp.p_max_kw)
 
     def mean_boost_hours(self) -> float:
         return self._adaptive(np.mean, self.outcome.t_boost_hours)
@@ -519,28 +508,31 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     reads the sessions, never their outcomes, so the replay only records
     each session's policy, and each charger is simulated once after it.
     """
-    # per charger, each session's (t_boost_max_hours, p_rate, adaptive)
-    policies: list[list[tuple[float, float, bool]]] = [[] for _ in batch]
-    histories: list[list[Session]] = [[] for _ in batch]
+    sessions = [cp.sessions for cp in batch]
+    # each session's policy: raw (boost for the whole session) unless adaptive
+    t_boost_max = [s.plugin_hours.copy() for s in sessions]
+    p_rate = [np.ones(len(s)) for s in sessions]
+    adaptive = [np.zeros(len(s), dtype=bool) for s in sessions]
+    # the sessions with energy, and how many of them sessions 0..i include
+    charged = [s[s.energy_kwh > 0] for s in sessions]
+    n_charged = [np.cumsum(s.energy_kwh > 0).tolist() for s in sessions]
     learned: list[LearnedPolicy | None] = [None] * len(batch)
 
-    for i in range(max(len(cp.sessions) for cp in batch)):
+    for i in range(max(len(s) for s in sessions)):
         relearn = []
-        for j, cp in enumerate(batch):
-            if i >= len(cp.sessions):
+        for j, s in enumerate(sessions):
+            if i >= len(s):
                 continue
-            s = cp.sessions[i]
-            adaptive = i >= cfg.online_warmup and learned[j] is not None
-            policy = learned[j].policy if adaptive else ChargingPolicy(s.plugin_hours, 1.0)
-            policies[j].append((policy.t_boost_max_hours, policy.p_rate, adaptive))
-            if s.energy_kwh > 0:
-                histories[j].append(s)
+            if i >= cfg.online_warmup and learned[j] is not None:
+                policy = learned[j].policy
+                t_boost_max[j][i], p_rate[j][i] = policy.t_boost_max_hours, policy.p_rate
+                adaptive[j][i] = True
             # (the policy learned after a charger's last session would go unused)
-            if histories[j] and cfg.online_warmup <= i + 1 < len(cp.sessions):
+            if n_charged[j][i] and cfg.online_warmup <= i + 1 < len(s):
                 relearn.append(j)
         if relearn:
             results = learn_policies(
-                [rolling_window(histories[j], cfg.history) for j in relearn],
+                [rolling_window(charged[j][: n_charged[j][i]], cfg.history) for j in relearn],
                 [batch[j].p_max_kw for j in relearn],
                 [cfg.search_config(f"{batch[j].cp_id}#{i}") for j in relearn],
                 cfg.reward_params(),
@@ -553,25 +545,10 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
                 learned[j] = result
 
     profiles = _zero_profiles()
-    results = []
-    for cp, cp_policies in zip(batch, policies):
-        t_boost_max, p_rate, adaptive = (np.array(c) for c in zip(*cp_policies))
-        start, sessions, outcome = _simulate(cp, t_boost_max, p_rate, [(0, profiles)])
-        results.append(
-            OnlineCpResult(
-                cp_id=cp.cp_id,
-                p_max_kw=cp.p_max_kw,
-                warmup=cfg.online_warmup,
-                event_id=np.array([s.event_id for s in cp.sessions], dtype=np.int64),
-                start=start,
-                plugin_hours=sessions.plugin,
-                energy_kwh=sessions.e_target,
-                adaptive=adaptive,
-                outcome=outcome,
-                policy_t_boost_max=t_boost_max,
-                policy_p_rate=p_rate,
-            )
-        )
+    results = [
+        OnlineCpResult(cp, a, _simulate(cp, t, p, [(0, profiles)]), t, p)
+        for cp, t, p, a in zip(batch, t_boost_max, p_rate, adaptive)
+    ]
     return results, {"all": profiles}
 
 
@@ -657,6 +634,16 @@ def _profile_csv(profiles: dict[str, DailyProfile], resolution: int) -> str:
         )
         lines.extend(f"{t},{raw!r},{oracle!r},{rl!r}" for t, raw, oracle, rl in chunk)
     return "\n".join(lines) + "\n"
+
+
+def _peak_reduction_lines(profiles: dict[str, DailyProfile]) -> list[str]:
+    """The peak reduction line, when the raw profile has a peak to reduce
+    (it has none when every session it covers is empty or has no energy)."""
+    raw = profiles["raw"]
+    if raw.peak_kw() <= 0:
+        return []
+    rl, oracle = (aggregation.peak_reduction(profiles[s], raw) for s in ("rl", "oracle"))
+    return [f"peak reduction vs raw: rl {rl!r}% | oracle {oracle!r}%"]
 
 
 def _config_lines(cfg: ExperimentConfig) -> str:
@@ -748,10 +735,8 @@ def emit_offline_reports(results: OfflineResults, output_dir: str) -> dict[str, 
             f"{m.total_deficit_kwh!r}  {m.deficit_percent!r}  "
             f"{m.cp_deficit_over_10pct_fraction!r}"
         )
+    text += ["", *_peak_reduction_lines(results.profiles_test)]
     text += [
-        "",
-        f"peak reduction vs raw: rl {results.peak_reduction('rl')!r}% | "
-        f"oracle {results.peak_reduction('oracle')!r}%",
         "",
         "charge phase durations (mean hours)",
         f"boost {results.mean_boost_hours()!r} | slow {results.mean_slow_hours()!r} | "
@@ -773,19 +758,20 @@ def emit_online_reports(results: OnlineResults, output_dir: str) -> dict[str, st
         "t_boost_hours,t_slow_hours,e_boost_kwh,e_slow_kwh,e_total_kwh,"
         "e_loss_kwh,p_eff_kw,policy_t_boost_max_hours,policy_p_rate"
     ]
-    for cp in results.cp_results:
+    for r in results.cp_results:
+        s = r.cp.sessions
         columns = [
-            cp.event_id,
-            cp.start,
-            cp.plugin_hours,
-            cp.energy_kwh,
-            np.where(cp.adaptive, "adaptive", "raw"),
-            *(getattr(cp.outcome, f.name) for f in fields(cp.outcome)),
-            cp.policy_t_boost_max,
-            cp.policy_p_rate,
+            s.event_id,
+            s.start,
+            s.plugin_hours,
+            s.energy_kwh,
+            np.where(r.adaptive, "adaptive", "raw"),
+            *(getattr(r.outcome, f.name) for f in fields(r.outcome)),
+            r.policy_t_boost_max,
+            r.policy_p_rate,
         ]
         lines.extend(
-            _csv_line([cp.cp_id, i, *row])
+            _csv_line([r.cp.cp_id, i, *row])
             for i, row in enumerate(zip(*(c.tolist() for c in columns)))
         )
     bundle.write_lines("outcomes.csv", lines)
@@ -796,31 +782,24 @@ def emit_online_reports(results: OnlineResults, output_dir: str) -> dict[str, st
         _config_lines(results.cfg),
         "",
     ]
-    for cp in results.cp_results:
-        n_adaptive = int(cp.adaptive.sum())
+    for r in results.cp_results:
+        n_adaptive = int(r.adaptive.sum())
         text += [
-            f"charge point {cp.cp_id}",
-            f"  max power rate        : {cp.p_max_kw!r} kW",
-            f"  sessions (warmup raw) : {len(cp.adaptive)} ({len(cp.adaptive) - n_adaptive})",
+            f"charge point {r.cp.cp_id}",
+            f"  max power rate        : {r.cp.p_max_kw!r} kW",
+            f"  sessions (warmup raw) : {len(r.adaptive)} ({len(r.adaptive) - n_adaptive})",
             f"  adaptive sessions     : {n_adaptive}",
-            f"  target energy         : {cp.target_kwh()!r} kWh",
-            f"  delivered energy      : {cp.delivered_kwh()!r} kWh",
-            f"  energy deficit        : {cp.deficit_kwh()!r} kWh ({cp.deficit_percent()!r}%)",
-            f"  mean effective speed  : {cp.mean_p_eff_adaptive()!r} kW (adaptive sessions)",
-            f"  mean / median relative speed : {cp.mean_relative_speed()!r} / "
-            f"{cp.median_relative_speed()!r}",
-            f"  mean boost / slow hours      : {cp.mean_boost_hours()!r} / "
-            f"{cp.mean_slow_hours()!r}",
+            f"  target energy         : {r.target_kwh()!r} kWh",
+            f"  delivered energy      : {r.delivered_kwh()!r} kWh",
+            f"  energy deficit        : {r.deficit_kwh()!r} kWh ({r.deficit_percent()!r}%)",
+            f"  mean effective speed  : {r.mean_p_eff_adaptive()!r} kW (adaptive sessions)",
+            f"  mean / median relative speed : {r.mean_relative_speed()!r} / "
+            f"{r.median_relative_speed()!r}",
+            f"  mean boost / slow hours      : {r.mean_boost_hours()!r} / "
+            f"{r.mean_slow_hours()!r}",
             "",
         ]
-    profiles = results.profiles
-    if profiles["raw"].peak_kw() > 0:
-        text.append(
-            f"peak reduction vs raw: rl "
-            f"{aggregation.peak_reduction(profiles['rl'], profiles['raw'])!r}% | "
-            f"oracle "
-            f"{aggregation.peak_reduction(profiles['oracle'], profiles['raw'])!r}%"
-        )
+    text += _peak_reduction_lines(results.profiles)
     bundle.write_lines("metrics.txt", text)
     return bundle.paths
 

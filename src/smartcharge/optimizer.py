@@ -34,7 +34,7 @@ from .charging import (
     evaluate_policy_arrays,
     history_arrays,
 )
-from .dataset import Session
+from .dataset import Sessions
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,13 @@ def reward(evaluation: PolicyEvaluation, params: RewardParams) -> float:
     return -params.k1 * evaluation.e_loss_kwh + params.k2 / evaluation.p_aggr_kw
 
 
-def rolling_window(history: Sequence[Session], h: int | None) -> list[Session]:
+def rolling_window(history: Sessions, h: int | None) -> Sessions:
     """Last h sessions of a chronologically sorted history (all if h is None)."""
     if h is None:
-        return list(history)
+        return history
     if h < 0:
         raise ValueError("history size must be >= 0 or None")
-    return list(history[-h:]) if h else []
+    return history[-h:] if h else history[:0]
 
 
 def per_cp_seed(seed: int, key: str) -> int:
@@ -114,7 +114,7 @@ def per_cp_seed(seed: int, key: str) -> int:
 
 
 def learn_policy(
-    history: Sequence[Session],
+    history: Sessions,
     p_max_kw: float,
     cfg: SearchConfig,
     params: RewardParams,
@@ -133,7 +133,7 @@ def learn_policy(
 
 
 def learn_policies(
-    histories: Sequence[Sequence[Session]],
+    histories: Sequence[Sessions],
     p_max_kw: Sequence[float],
     cfgs: Sequence[SearchConfig],
     params: RewardParams,

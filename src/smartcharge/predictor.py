@@ -15,26 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Session
+from .dataset import Sessions
 
 MAPE_MIN_ACTUAL_HOURS = 1e-6
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Predictors for one session (the first session of a charger has no
-    predecessor and is excluded)."""
-
-    start_hour: int
-    day_of_week: int
-    hours_since_last: float
-    energy_kwh: float
-
-    def as_array(self, include_energy: bool) -> np.ndarray:
-        base = [self.start_hour, self.day_of_week, self.hours_since_last]
-        if include_energy:
-            base.append(self.energy_kwh)
-        return np.array(base, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -57,42 +40,21 @@ class PredictionMetrics:
 
 
 def extract_features(
-    cp_sessions: Sequence[Session], include_energy: bool = True
-) -> list[tuple[FeatureVector, float]]:
-    """One (features, plugin_hours) row per session after the first.
-
-    include_energy only affects which columns as_array() later emits; the
-    energy value is always carried so both variants can share one pass.
-    """
-    rows: list[tuple[FeatureVector, float]] = []
-    prev_end: int | None = None
-    for s in cp_sessions:
-        if prev_end is not None:
-            gap_h = (s.start - prev_end) / 3600.0
-            if gap_h < 0:
-                raise ValueError("sessions overlap; run cleaning first")
-            rows.append(
-                (
-                    FeatureVector(
-                        start_hour=s.start // 3600 % 24,
-                        # 1970-01-01 was a Thursday, ISO weekday 4
-                        day_of_week=(s.start // 86400 + 3) % 7 + 1,
-                        hours_since_last=gap_h,
-                        energy_kwh=s.energy_kwh,
-                    ),
-                    s.plugin_hours,
-                )
-            )
-        prev_end = s.end
-    return rows
-
-
-def design_matrix(
-    rows: Sequence[tuple[FeatureVector, float]], include_energy: bool
+    cp_sessions: Sessions, include_energy: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    x = np.array([fv.as_array(include_energy) for fv, _ in rows], dtype=np.float64)
-    y = np.array([target for _, target in rows], dtype=np.float64)
-    return x, y
+    """The design matrix and targets: one row per session after the first
+    (it has no predecessor), with columns start hour, ISO day of week, hours
+    since the previous session ended and, if include_energy, the dispensed
+    energy; the target is the plugin duration."""
+    start = cp_sessions.start[1:]
+    gap_h = (start - cp_sessions.end[:-1]) / 3600.0
+    if (gap_h < 0).any():
+        raise ValueError("sessions overlap; run cleaning first")
+    # 1970-01-01 was a Thursday, ISO weekday 4
+    columns = [start // 3600 % 24, (start // 86400 + 3) % 7 + 1, gap_h]
+    if include_energy:
+        columns.append(cp_sessions.energy_kwh[1:])
+    return np.column_stack(columns), cp_sessions.plugin_hours[1:]
 
 
 def fit_ols(x: np.ndarray, y: np.ndarray) -> RegressionModel:
@@ -144,7 +106,7 @@ def prediction_metrics(
 
 
 def cross_validate(
-    cp_sessions: Sequence[Session],
+    cp_sessions: Sessions,
     folds: int = 4,
     include_energy: bool = True,
 ) -> PredictionMetrics | None:
@@ -154,10 +116,9 @@ def cross_validate(
     metrics are pooled over all rows.  Returns None when the charger has
     fewer usable rows than folds (callers count those as skipped).
     """
-    rows = extract_features(cp_sessions)
-    if len(rows) < folds:
+    x, y = extract_features(cp_sessions, include_energy)
+    if len(y) < folds:
         return None
-    x, y = design_matrix(rows, include_energy)
     predicted = np.empty(len(y))
     for fold_idx in np.array_split(np.arange(len(y)), folds):
         mask = np.ones(len(y), dtype=bool)

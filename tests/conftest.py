@@ -1,15 +1,21 @@
 """Shared builders for synthetic sessions and chargepoint CSV files."""
 
+from collections import namedtuple
+from dataclasses import fields
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
-from smartcharge.dataset import Session
+from smartcharge.dataset import Sessions
 
 EPOCH = datetime(1970, 1, 1)
 # 2017-01-01 00:00:00, matching the source data's year
 BASE_EPOCH = int((datetime(2017, 1, 1) - EPOCH).total_seconds())
+
+
+# one session as a row, with the fields of a Sessions column
+Row = namedtuple("Row", [f.name for f in fields(Sessions)])
 
 
 def make_session(
@@ -19,9 +25,9 @@ def make_session(
     energy_kwh=7.0,
     event_id=1,
 ):
-    """Session with end derived from plugin_hours (always consistent)."""
+    """Session row with end derived from plugin_hours (always consistent)."""
     end = start + round(plugin_hours * 3600)
-    return Session(
+    return Row(
         event_id=event_id,
         cp_id=cp_id,
         start=start,
@@ -29,6 +35,16 @@ def make_session(
         energy_kwh=energy_kwh,
         plugin_hours=plugin_hours,
     )
+
+
+def table(rows):
+    """Session rows, in order, as one Sessions table."""
+    return Sessions(*(list(zip(*rows)) or [()] * len(Row._fields)))
+
+
+def rows(sessions):
+    """A Sessions table as a list of rows of Python scalars."""
+    return [Row(*r) for r in zip(*(getattr(sessions, f).tolist() for f in Row._fields))]
 
 
 def csv_row(event_id, cp_id, start_epoch, duration_text, energy_text):

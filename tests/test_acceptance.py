@@ -27,7 +27,7 @@ from smartcharge.harness import (
 from smartcharge.optimizer import RewardParams, SearchConfig, learn_policy
 from smartcharge.predictor import fit_ols
 
-from conftest import BASE_EPOCH, make_session, synth_fleet_csv
+from conftest import BASE_EPOCH, make_session, synth_fleet_csv, table
 
 DATASET_ENV = "SMARTCHARGE_DATASET"
 DATASET = os.environ.get(DATASET_ENV)
@@ -118,8 +118,8 @@ def test_criterion_1_simulation_conformance():
 def grid_oracle_best(history, p_max, params):
     """Reward maximum over the 481 x 101 grid, via an independent
     vectorized coding of the charging rules."""
-    e = np.array([s.energy_kwh for s in history])[None, None, :]
-    pl = np.array([s.plugin_hours for s in history])[None, None, :]
+    e = history.energy_kwh[None, None, :]
+    pl = history.plugin_hours[None, None, :]
     T = np.linspace(0.0, 24.0, 481)[:, None, None]
     P = np.linspace(0.0, 1.0, 101)[None, :, None]
     t_boost = np.minimum(np.minimum(e / p_max, T), pl)
@@ -167,6 +167,7 @@ def test_criterion_2_oracle_equivalence():
                 )
             )
             t += round(plugin * 3600) + 3600
+        history = table(history)
         p_max = derive_p_max(history)
         best_rewards.append(grid_oracle_best(history, p_max, params))
         learned = learn_policy(history, p_max, SearchConfig(seed=h), params)
@@ -394,7 +395,7 @@ def test_criterion_10_online_case_study(tmp_path):
     report(
         10,
         ok,
-        f"AN15123 (p_max {cp.p_max_kw:.1f} kW, {len(cp.event_id)} sessions): deficit "
+        f"AN15123 (p_max {cp.cp.p_max_kw:.1f} kW, {len(cp.cp.sessions)} sessions): deficit "
         f"{deficit_pct:.2f}% (1.3 +/- 1), mean effective speed {mean_speed:.2f} kW "
         f"(18.29 +/- 20%)",
     )

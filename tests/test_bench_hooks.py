@@ -44,12 +44,14 @@ def test_tracer_installs_on_every_hook_point_and_unwraps():
 
 
 @pytest.mark.parametrize(
-    "mode_args", [["--mode", "offline"], ["--mode", "online", "--warmup", "5"]], ids=str
+    "mode_args",
+    [["--mode", "offline"], ["--mode", "online", "--warmup", "5"], ["--mode", "predict"]],
+    ids=str,
 )
 def test_traced_run_flows_through_every_kernel(tmp_path, fleet_csv, mode_args):
-    """A tiny traced run in this process: the charging and aggregation
-    kernels must run under the names the tracer wraps, and the module self
-    times must account for the whole run."""
+    """A tiny traced run in this process: the mode's kernels must run under
+    the names the tracer wraps, the parse result must count its rows with
+    len(), and the module self times must account for the whole run."""
     spans = load_spans()
     tracer = spans.Tracer("smoke")
     spans.install(tracer)
@@ -65,14 +67,22 @@ def test_traced_run_flows_through_every_kernel(tmp_path, fleet_csv, mode_args):
     tracer.save(str(tmp_path / "spans.npz"))
     trace = spans.load(str(tmp_path / "spans.npz"))
     metrics = spans.layer_metrics(trace)
+    # the fixture's 6 chargers x 14 rows, all accepted
+    assert metrics["dataset.rows_read"] == 84
+    assert metrics["dataset.rows_rejected"] == 0
     # (optimizer.learn_calls is not among them: the harness searches through
     # learn_policies, a name the tracer does not wrap yet)
-    for name in (
-        "charging.simulate_calls",
-        "charging.profile_calls",
-        "charging.eval_calls",
-        "aggregation.accumulate_calls",
-    ):
+    kernels = (
+        ("predictor.cv_calls", "predictor.fit_calls")
+        if "predict" in mode_args
+        else (
+            "charging.simulate_calls",
+            "charging.profile_calls",
+            "charging.eval_calls",
+            "aggregation.accumulate_calls",
+        )
+    )
+    for name in kernels:
         assert metrics[name] > 0, name
     selfs = spans.module_self_times(trace)
     assert abs(metrics["harness.run_s"] - sum(selfs.values())) <= 1e-6

@@ -16,11 +16,10 @@ from smartcharge.charging import (
     history_arrays,
     oracle_profile,
     raw_profile,
-    session_arrays,
     simulate_session,
 )
 
-from conftest import BASE_EPOCH, make_session
+from conftest import BASE_EPOCH, make_session, table
 from test_acceptance import transcribed_session_rules
 
 REL = 1e-9
@@ -32,16 +31,19 @@ def rel_eq(a, b, tol=REL):
 
 def columns(*sessions):
     """The start, e_target and plugin columns the profile builders take."""
-    return (
-        np.array([s.start for s in sessions], dtype=np.int64),
-        np.array([s.energy_kwh for s in sessions], dtype=np.float64),
-        np.array([s.plugin_hours for s in sessions], dtype=np.float64),
-    )
+    t = table(sessions)
+    return t.start, t.energy_kwh, t.plugin_hours
+
+
+def charger(sessions, p_max):
+    """One charger's session rows, in order, as simulation arrays."""
+    t = table(sessions)
+    return HistoryArrays(t.energy_kwh, t.plugin_hours, p_max)
 
 
 def simulate(sessions, policy, p_max):
     return simulate_session(
-        session_arrays(sessions, p_max), policy.t_boost_max_hours, policy.p_rate
+        charger(sessions, p_max), policy.t_boost_max_hours, policy.p_rate
     )
 
 
@@ -54,7 +56,7 @@ def simulate_one(session, policy, p_max):
 def evaluate(history, policy, p_max):
     """(e_loss, p_aggr) of one history as floats."""
     e_loss, p_aggr = evaluate_policy_arrays(
-        history_arrays([history], [p_max]), policy.t_boost_max_hours, policy.p_rate
+        history_arrays([table(history)], [p_max]), policy.t_boost_max_hours, policy.p_rate
     )
     return SimpleNamespace(e_loss_kwh=e_loss.item(), p_aggr_kw=p_aggr.item())
 
@@ -100,7 +102,7 @@ class TestSimulateSession:
         cases = [(10.0, 7.0), (3.0, 2.5), (0.5, 1.0)]
         sessions = [make_session(plugin_hours=p, energy_kwh=e) for p, e in cases]
         t_boost_max = np.array([energy / 7.0 for _, energy in cases])
-        o = simulate_session(session_arrays(sessions, 7.0), t_boost_max, 1.0)
+        o = simulate_session(charger(sessions, 7.0), t_boost_max, 1.0)
         for (_, energy), e_total, p_eff in zip(
             cases, o.e_total_kwh.tolist(), o.p_eff_kw.tolist()
         ):
@@ -406,7 +408,7 @@ class TestArrayKernel:
             assert repr(profile.pieces.tolist()) == repr(pieces)
 
     def test_negative_zero_cap(self):
-        o = simulate_session(session_arrays([make_session(energy_kwh=0.0)], 7.0), -0.0, 0.5)
+        o = simulate_session(charger([make_session(energy_kwh=0.0)], 7.0), -0.0, 0.5)
         expected = transcribed_session_rules(0.0, 10.0, 7.0, -0.0, 0.5)
         assert o.t_boost_hours.tolist() == [expected[0]] == [0.0]
         assert o.e_total_kwh.tolist() == [expected[2]] == [0.0]

@@ -19,6 +19,7 @@ from smartcharge.harness import (
     run_online,
     run_predict,
 )
+from smartcharge.optimizer import learn_policy
 
 from conftest import CSV_HEADER, csv_row, synth_fleet_csv, BASE_EPOCH
 
@@ -109,6 +110,42 @@ class TestOffline:
         (row,) = results.cp_rows
         assert row.n_test == 0
         assert row.deficit_kwh == 0.0
+        # the raw test profile is flat, so there is no peak to reduce
+        assert main(["--input", cfg.input_path, "--min-sessions", "4", "--n-tries", "10"]
+                    + ["--out-dir", cfg.output_dir]) == 0
+        metrics = open(os.path.join(cfg.output_dir, "metrics.txt")).read()
+        assert "test sessions           : 0" in metrics
+        assert "peak reduction" not in metrics
+
+    def test_zero_energy_test_split_emits(self, tmp_path):
+        # 10 sessions, the last 2 (the test split) without energy
+        rows = [CSV_HEADER]
+        for i in range(10):
+            energy = "0.0" if i >= 8 else f"{3.0 + i:.1f}"
+            rows.append(csv_row(i, "CP0", BASE_EPOCH + i * 86400, "6.00", energy))
+        path = write_csv(tmp_path, "\n".join(rows) + "\n")
+        for mode in ("offline", "online"):
+            out = tmp_path / mode
+            args = ["--input", path, "--mode", mode, "--warmup", "3", "--n-tries", "10"]
+            assert main(args + ["--out-dir", str(out)]) == 0
+            metrics = (out / "metrics.txt").read_text()
+            # online's raw profile covers every session, offline's the test split
+            assert ("peak reduction" in metrics) == (mode == "online")
+
+    @pytest.mark.parametrize("mode", ["offline", "online", "predict"])
+    def test_negative_zero_energy_same_bundle(self, tmp_path, mode):
+        bundles = []
+        for zero in ("0.0", "-0.0"):
+            rows = [CSV_HEADER]
+            for i in range(10):
+                energy = zero if i in (4, 9) else f"{3.0 + i:.1f}"
+                rows.append(csv_row(i, "CP0", BASE_EPOCH + i * 86400, "6.00", energy))
+            path = write_csv(tmp_path, "\n".join(rows) + "\n", f"{zero}.csv")
+            out = tmp_path / zero
+            args = ["--input", path, "--mode", mode, "--warmup", "3", "--n-tries", "10"]
+            assert main(args + ["--out-dir", str(out)]) == 0
+            bundles.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert bundles[0] == bundles[1]
 
     def test_no_usable_cp_fatal(self, tmp_path):
         rows = [CSV_HEADER]
@@ -147,7 +184,7 @@ class TestOffline:
         )
         sessions, _ = parse_sessions_path(fleet_csv)
         cps, _ = clean_sessions(sessions, min_sessions=cfg.min_sessions)
-        total_energy = sum(s.energy_kwh for cp in cps for s in cp.sessions)
+        total_energy = sum(e for cp in cps for e in cp.sessions.energy_kwh.tolist())
         assert total_from_rows == pytest.approx(total_energy, rel=1e-9)
 
     def test_rerun_overwrites(self, tmp_path, fleet_csv):
@@ -231,20 +268,20 @@ class TestOnline:
 
     def test_warmup_charges_raw(self, tmp_path):
         results, _ = self.make_results(tmp_path)
-        for cp in results.cp_results:
-            o = cp.outcome
+        for r in results.cp_results:
+            o = r.outcome
             for k in range(10):
-                assert not cp.adaptive[k]
-                if cp.energy_kwh[k] > 0:
-                    assert o.p_eff_kw[k] == pytest.approx(cp.p_max_kw, rel=1e-12)
+                assert not r.adaptive[k]
+                if r.cp.sessions.energy_kwh[k] > 0:
+                    assert o.p_eff_kw[k] == pytest.approx(r.cp.p_max_kw, rel=1e-12)
                 assert o.e_loss_kwh[k] == 0.0
-            assert cp.adaptive[10:].any()
+            assert r.adaptive[10:].any()
 
     def test_outcome_log_and_profiles(self, tmp_path):
         results, cfg = self.make_results(tmp_path)
         paths = emit_online_reports(results, cfg.output_dir)
         lines = open(paths["outcomes.csv"]).read().strip().split("\n")
-        assert len(lines) == 1 + sum(len(cp.event_id) for cp in results.cp_results)
+        assert len(lines) == 1 + sum(len(r.cp.sessions) for r in results.cp_results)
         assert os.path.exists(paths["profiles.csv"])
         assert os.path.exists(paths["metrics.txt"])
 
@@ -269,7 +306,7 @@ class TestOnline:
             path, str(tmp_path / "o"), mode="online", cp_filter=("CP001",), n_tries=20
         )
         results = run_online(cfg)
-        assert [cp.cp_id for cp in results.cp_results] == ["CP001"]
+        assert [r.cp.cp_id for r in results.cp_results] == ["CP001"]
         bad = small_cfg(
             path, str(tmp_path / "o2"), mode="online", cp_filter=("NOPE",), n_tries=20
         )
@@ -325,6 +362,41 @@ class TestOnline:
 
             assert len(rows(alone)) == 16
             assert rows(alone) == rows(fleet)
+
+    def test_replay_matches_per_session_reference(self, tmp_path):
+        # each session's policy, restated one session at a time: raw during
+        # the warmup, then the policy learned from the last `history`
+        # sessions with energy before it, warm-started from the previous one
+        text = synth_fleet_csv(n_cps=3, sessions_per_cp=24, seed=21, zero_energy_prob=0.3)
+        cfg = small_cfg(
+            write_csv(tmp_path, text), str(tmp_path / "o"), mode="online",
+            online_warmup=6, history=5, n_tries=15,
+        )
+        for r in run_online(cfg).cp_results:
+            s, learned, charged, want = r.cp.sessions, None, [], []
+            for i, (energy, plugin) in enumerate(
+                zip(s.energy_kwh.tolist(), s.plugin_hours.tolist())
+            ):
+                if i >= cfg.online_warmup and learned is not None:
+                    p = learned.policy
+                    want.append((p.t_boost_max_hours, p.p_rate, True))
+                else:
+                    want.append((plugin, 1.0, False))
+                if energy > 0:
+                    charged.append(i)
+                if charged and cfg.online_warmup <= i + 1 < len(s):
+                    learned = learn_policy(
+                        s[np.array(charged[-cfg.history:])],
+                        r.cp.p_max_kw,
+                        cfg.search_config(f"{r.cp.cp_id}#{i}"),
+                        cfg.reward_params(),
+                        None if learned is None else learned.policy,
+                    )
+            got = zip(
+                r.policy_t_boost_max.tolist(), r.policy_p_rate.tolist(), r.adaptive.tolist()
+            )
+            assert list(map(repr, got)) == list(map(repr, want))
+            assert r.adaptive.any()
 
     def test_same_seed_reproducible(self, tmp_path):
         a, _ = self.make_results(tmp_path, seed=5)

@@ -25,15 +25,15 @@ from smartcharge.optimizer import (
     rolling_window,
 )
 
-from conftest import BASE_EPOCH, make_session
+from conftest import BASE_EPOCH, make_session, rows, table
 
 
 def grid_search_best(history, p_max, params):
     """Brute-force reward maximum over the 481 x 101 candidate grid,
     evaluated with an independent vectorized transcription of the
     charging rules."""
-    e = np.array([s.energy_kwh for s in history])[None, None, :]
-    pl = np.array([s.plugin_hours for s in history])[None, None, :]
+    e = history.energy_kwh[None, None, :]
+    pl = history.plugin_hours[None, None, :]
     t_grid = np.linspace(0.0, 24.0, 481)
     p_grid = np.linspace(0.0, 1.0, 101)
     T = t_grid[:, None, None]
@@ -79,7 +79,7 @@ def slack_history(seed, n=None):
             )
         )
         t += round(plugin * 3600) + 3600
-    return sessions, derive_p_max(sessions)
+    return table(sessions), derive_p_max(table(sessions))
 
 
 class TestReward:
@@ -144,8 +144,7 @@ class TestLearnPolicy:
         params = RewardParams()
         for seed in range(10):
             history, p_max = slack_history(100 + seed)
-            plugins = [s.plugin_hours for s in history]
-            start = ChargingPolicy(float(np.mean(plugins)), 0.5)
+            start = ChargingPolicy(float(np.mean(history.plugin_hours.tolist())), 0.5)
             e_loss, p_aggr = evaluate_policy_arrays(
                 history_arrays([history], [p_max]), start.t_boost_max_hours, start.p_rate
             )
@@ -168,7 +167,7 @@ class TestLearnPolicy:
         # point no single step can reach a policy losing < 10 kWh (even the
         # extreme corner t=23.25, p=0.75 loses 11.8 kWh), so with one try
         # the search must return the raw-equivalent fallback
-        history = [
+        history = table([
             make_session(plugin_hours=1.0, energy_kwh=7.0, event_id=1),
             make_session(
                 start=BASE_EPOCH + 90000,
@@ -176,7 +175,7 @@ class TestLearnPolicy:
                 energy_kwh=210.0,
                 event_id=2,
             ),
-        ]
+        ])
         learned = learn_policy(
             history, 7.0, SearchConfig(n_tries=1, seed=0), RewardParams()
         )
@@ -188,11 +187,11 @@ class TestLearnPolicy:
         # grid optimum sits at no boost and a rate near 1/24 (aggregate rate
         # about 0.29 kW); seed pinned, as only some trajectories thread the
         # narrow feasible band this landscape has
-        history = [
+        history = table([
             make_session(start=BASE_EPOCH + i * 90000, event_id=i, plugin_hours=24.0,
                          energy_kwh=7.0)
             for i in range(30)
-        ]
+        ])
         params = RewardParams()
         best = grid_search_best(history, 7.0, params)
         learned = learn_policy(history, 7.0, SearchConfig(seed=9), params)
@@ -204,7 +203,7 @@ class TestLearnPolicy:
     def test_no_slack_history_stays_raw(self):
         # every session already needs its whole window at full rate, so only
         # raw-equivalent charging is feasible
-        history = [
+        history = table([
             make_session(
                 start=BASE_EPOCH + i * 90000,
                 plugin_hours=5.0,
@@ -212,7 +211,7 @@ class TestLearnPolicy:
                 event_id=i,
             )
             for i in range(30)
-        ]
+        ])
         params = RewardParams()
         learned = learn_policy(history, 10.0, SearchConfig(seed=3), params)
         assert learned.evaluation.e_loss_kwh == 0.0
@@ -346,7 +345,7 @@ def lockstep_window(kind, n, seed):
         "tiny": rng.uniform(0.0, 1.0, n) * 9.0 / (p_max * plugin.sum()),
         "gaps": rng.uniform(0.05, 1.0, n) * (rng.random(n) < 0.7),
     }[kind]
-    sessions = [
+    sessions = table([
         make_session(
             start=BASE_EPOCH + i * 200_000,
             plugin_hours=float(pl),
@@ -354,7 +353,7 @@ def lockstep_window(kind, n, seed):
             event_id=i,
         )
         for i, (pl, f) in enumerate(zip(plugin, fraction))
-    ]
+    ])
     return sessions, p_max
 
 
@@ -391,7 +390,7 @@ class TestLockstepEqualsSerial:
             inits.append(init)
         lockstep = learn_policies(windows, p_max, cfgs, params, inits)
         for got, window, p, cfg, init in zip(lockstep, windows, p_max, cfgs, inits):
-            want = serial_learn_policy(window, p, cfg, params, init)
+            want = serial_learn_policy(rows(window), p, cfg, params, init)
             # repr tells -0.0 from 0.0 and shows every bit of each float
             assert repr(got.policy) == repr(want.policy)
             assert repr(got.reward) == repr(want.reward)
@@ -403,7 +402,7 @@ class TestLockstepEqualsSerial:
         params = RewardParams()
         tight, p = lockstep_window("tight", 40, 1)
         learned = learn_policy(tight, p, SearchConfig(n_tries=1, seed=0), params)
-        assert learned.policy == ChargingPolicy(max(s.plugin_hours for s in tight), 1.0)
+        assert learned.policy == ChargingPolicy(max(tight.plugin_hours.tolist()), 1.0)
         tiny, p = lockstep_window("tiny", 20, 2)
         start = ChargingPolicy(0.0, 0.0)
         learned = learn_policy(tiny, p, SearchConfig(n_tries=5, seed=0), params, start)

@@ -1,5 +1,6 @@
 """Duration regression: features, least squares and cross-validation."""
 
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -9,14 +10,13 @@ from hypothesis import strategies as st
 
 from smartcharge.predictor import (
     cross_validate,
-    design_matrix,
     extract_features,
     fit_ols,
     pool_metrics,
     prediction_metrics,
 )
 
-from conftest import BASE_EPOCH, EPOCH, make_session
+from conftest import BASE_EPOCH, EPOCH, Row, make_session, table
 
 
 def sessions_with_gaps(gaps_hours, plugins, energies, start=BASE_EPOCH):
@@ -28,58 +28,58 @@ def sessions_with_gaps(gaps_hours, plugins, energies, start=BASE_EPOCH):
             make_session(start=t, plugin_hours=plugin, energy_kwh=energy, event_id=i)
         )
         t = sessions[-1].end
-    return sessions
+    return table(sessions)
 
 
 class TestExtractFeatures:
     def test_first_session_excluded(self):
         sessions = sessions_with_gaps([0, 5, 5], [2, 2, 2], [5, 5, 5])
-        rows = extract_features(sessions)
-        assert len(rows) == 2
+        x, y = extract_features(sessions)
+        assert len(x) == len(y) == 2
 
     def test_calendar_features(self):
         # 31/12/2017 23:59:23 was a Sunday
         epoch = int(
             (datetime(2017, 12, 31, 23, 59, 23) - datetime(1970, 1, 1)).total_seconds()
         )
-        sessions = [
+        sessions = table([
             make_session(start=epoch - 20 * 3600, plugin_hours=1.0, event_id=1),
             make_session(start=epoch, plugin_hours=18.35, event_id=2),
-        ]
-        (fv, target), = extract_features(sessions)
-        assert fv.start_hour == 23
-        assert fv.day_of_week == 7
-        assert target == 18.35
+        ])
+        x, y = extract_features(sessions)
+        (start_hour, day_of_week, _, _), = x.tolist()
+        assert start_hour == 23
+        assert day_of_week == 7
+        assert y.tolist() == [18.35]
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=-3_000_000_000, max_value=4_000_000_000))
     def test_calendar_features_match_datetime(self, start):
-        sessions = [
+        sessions = table([
             make_session(start=start - 7200, plugin_hours=1.0, event_id=1),
             make_session(start=start, plugin_hours=2.0, event_id=2),
-        ]
-        (fv, _), = extract_features(sessions)
+        ])
+        (start_hour, day_of_week, _, _), = extract_features(sessions)[0].tolist()
         reference = EPOCH + timedelta(seconds=start)
-        assert fv.start_hour == reference.hour
-        assert fv.day_of_week == reference.isoweekday()
+        assert start_hour == reference.hour
+        assert day_of_week == reference.isoweekday()
 
     def test_back_to_back_zero_gap(self):
         sessions = sessions_with_gaps([0, 0], [2, 3], [5, 5])
-        (fv, _), = extract_features(sessions)
-        assert fv.hours_since_last == 0.0
+        (_, _, hours_since_last, _), = extract_features(sessions)[0].tolist()
+        assert hours_since_last == 0.0
 
     def test_overlapping_sessions_rejected(self):
         # a ValueError, not an assert, so the check survives `python -O`
         first = make_session(plugin_hours=5.0, event_id=1)
         second = make_session(start=first.end - 3600, plugin_hours=2.0, event_id=2)
         with pytest.raises(ValueError, match="overlap"):
-            extract_features([first, second])
+            extract_features(table([first, second]))
 
     def test_energy_toggle(self):
         sessions = sessions_with_gaps([0, 5, 5], [2, 2, 2], [5, 6, 7])
-        rows = extract_features(sessions)
-        x_with, _ = design_matrix(rows, include_energy=True)
-        x_without, _ = design_matrix(rows, include_energy=False)
+        x_with, _ = extract_features(sessions, include_energy=True)
+        x_without, _ = extract_features(sessions, include_energy=False)
         assert x_with.shape[1] == 4
         assert x_without.shape[1] == 3
 
@@ -198,7 +198,7 @@ class TestCrossValidate:
             )
             sessions.append(s)
             t = s.end
-        metrics = cross_validate(sessions, folds=4, include_energy=True)
+        metrics = cross_validate(table(sessions), folds=4, include_energy=True)
         assert metrics.n == 39
         assert metrics.mae < 0.02
         assert metrics.mse < 0.01
@@ -217,7 +217,90 @@ class TestCrossValidate:
             )
             sessions.append(s)
             t = s.end
-        with_e = cross_validate(sessions, include_energy=True)
-        without_e = cross_validate(sessions, include_energy=False)
+        with_e = cross_validate(table(sessions), include_energy=True)
+        without_e = cross_validate(table(sessions), include_energy=False)
         assert with_e.mae < 0.05
         assert without_e.mae > 10 * with_e.mae
+
+
+# ---------------------------------------------------------------------------
+# Reference: the feature rows built one session at a time, as they were
+# before sessions became columns.  The column arithmetic must reproduce them.
+
+
+@dataclass(frozen=True)
+class FeatureVector:
+    """Predictors for one session (the first session of a charger has no
+    predecessor and is excluded)."""
+
+    start_hour: int
+    day_of_week: int
+    hours_since_last: float
+    energy_kwh: float
+
+    def as_array(self, include_energy: bool) -> np.ndarray:
+        base = [self.start_hour, self.day_of_week, self.hours_since_last]
+        if include_energy:
+            base.append(self.energy_kwh)
+        return np.array(base, dtype=np.float64)
+
+
+def reference_extract_features(cp_sessions, include_energy=True):
+    rows = []
+    prev_end = None
+    for s in cp_sessions:
+        if prev_end is not None:
+            gap_h = (s.start - prev_end) / 3600.0
+            if gap_h < 0:
+                raise ValueError("sessions overlap; run cleaning first")
+            rows.append(
+                (
+                    FeatureVector(
+                        start_hour=s.start // 3600 % 24,
+                        # 1970-01-01 was a Thursday, ISO weekday 4
+                        day_of_week=(s.start // 86400 + 3) % 7 + 1,
+                        hours_since_last=gap_h,
+                        energy_kwh=s.energy_kwh,
+                    ),
+                    s.plugin_hours,
+                )
+            )
+        prev_end = s.end
+    return rows
+
+
+def reference_design_matrix(rows, include_energy):
+    x = np.array([fv.as_array(include_energy) for fv, _ in rows], dtype=np.float64)
+    y = np.array([target for _, target in rows], dtype=np.float64)
+    return x, y
+
+
+chained_sessions = st.lists(
+    st.tuples(
+        st.integers(0, 40 * 86400),  # gap before the session, in seconds
+        st.integers(1, 60 * 3600),  # its length in seconds
+        st.one_of(st.just(0.0), st.floats(0.0, 80.0)),
+        st.floats(0.01, 60.0),  # plugin hours
+    ),
+    min_size=2,
+    max_size=30,
+)
+
+
+class TestFeaturesAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-3_000_000_000, 4_000_000_000), chained_sessions, st.booleans())
+    def test_same_matrix_and_targets(self, t, chain, include_energy):
+        sessions = []
+        for i, (gap, length, energy, plugin) in enumerate(chain):
+            t += gap
+            sessions.append(Row(i, "CP", t, t + length, energy, plugin))
+            t += length
+        x, y = extract_features(table(sessions), include_energy)
+        ref_x, ref_y = reference_design_matrix(
+            reference_extract_features(sessions), include_energy
+        )
+        # compared by repr, value by value
+        assert list(map(repr, x.ravel().tolist())) == list(map(repr, ref_x.ravel().tolist()))
+        assert list(map(repr, y.tolist())) == list(map(repr, ref_y.tolist()))
+        assert x.shape == ref_x.shape and x.dtype == ref_x.dtype and y.dtype == ref_y.dtype
