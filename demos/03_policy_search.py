@@ -42,7 +42,7 @@ sessions = Sessions(*zip(*rows))
 p_max = derive_p_max(sessions)
 params = RewardParams(k1=0.1, k2=10.0, e_max_loss_kwh=10.0)
 
-learned = learn_policy(sessions, p_max, SearchConfig(n_tries=200, seed=1), params)
+learned = learn_policy(sessions, p_max, SearchConfig(n_tries=200), params, seed=1)
 print(f"history: {len(sessions)} sessions, charger max {p_max:.2f} kW")
 print(
     f"learned policy: boost up to {learned.policy.t_boost_max_hours:.3f} h, "

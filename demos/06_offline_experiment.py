@@ -58,7 +58,14 @@ paths = emit_offline_reports(results, cfg.output_dir)
 
 print(f"fleet of {len(results.cp_rows)} chargers, reports in {cfg.output_dir}\n")
 rl = results.metrics("rl")
-print(f"peak reduction vs raw : {results.peak_reduction('rl'):.1f}% (ideal {results.peak_reduction('oracle'):.1f}%)")
+
+
+def percent(value):
+    """A peak reduction is None when the raw profile has no peak."""
+    return "n/a" if value is None else f"{value:.1f}%"
+
+
+print(f"peak reduction vs raw : {percent(results.peak_reduction('rl'))} (ideal {percent(results.peak_reduction('oracle'))})")
 print(f"energy deficit        : {rl.total_deficit_kwh:.1f} kWh ({rl.deficit_percent:.2f}% of target)")
 print(f"chargers > 10% deficit: {100 * rl.cp_deficit_over_10pct_fraction:.1f}%")
 print(f"mean boost / slow     : {results.mean_boost_hours():.2f} h / {results.mean_slow_hours():.2f} h")

@@ -90,11 +90,13 @@ def accumulate(
     return out
 
 
-def peak_reduction(candidate: DailyProfile, baseline: DailyProfile) -> float:
-    """Percent the candidate's peak power sits below the baseline's."""
+def peak_reduction(candidate: DailyProfile, baseline: DailyProfile) -> float | None:
+    """Percent the candidate's peak power sits below the baseline's; None
+    when the baseline has no peak to reduce (every session it covers is
+    empty or has no energy)."""
     base = baseline.peak_kw()
     if base <= 0:
-        raise ValueError("baseline profile has no peak")
+        return None
     return 100.0 * (base - candidate.peak_kw()) / base
 
 
@@ -132,20 +134,6 @@ def deficit_stats(
     pct = 100.0 * total_deficit / total_target if total_target > 0 else 0.0
     frac = n_over / n_cp if n_cp else 0.0
     return total_target, total_deficit, pct, frac
-
-
-def strategy_metrics(
-    profile: DailyProfile, cp_energy: Iterable[tuple[float, float]]
-) -> StrategyMetrics:
-    total_target, total_deficit, pct, frac = deficit_stats(cp_energy)
-    return StrategyMetrics(
-        peak_kw=profile.peak_kw(),
-        peak_second_of_day=profile.peak_second_of_day(),
-        total_energy_kwh=profile.total_energy_kwh(),
-        total_deficit_kwh=total_deficit,
-        deficit_percent=pct,
-        cp_deficit_over_10pct_fraction=frac,
-    )
 
 
 def speed_histogram_counts(

@@ -9,33 +9,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .harness import ExperimentConfig, HarnessError, run
 
-CONFIG_KEYS = {
-    "input": "input_path",
-    "mode": "mode",
-    "history": "history",
-    "seed": "seed",
-    "min_sessions": "min_sessions",
-    "max_hours": "max_hours",
-    "n_tries": "n_tries",
-    "k1": "k1",
-    "k2": "k2",
-    "max_loss": "e_max_loss",
-    "dx_min": "dx_min",
-    "dx_max": "dx_max",
-    "dy_min": "dy_min",
-    "dy_max": "dy_max",
-    "warmup": "online_warmup",
-    "train_fraction": "train_fraction",
-    "out_dir": "output_dir",
-    "cp": "cp_filter",
-    "workers": "workers",
-    "emit_resolution": "emit_resolution",
-    "cold_start": "cold_start",
-    "p_max_percentile": "p_max_percentile",
+# config file keys (also the flags' argparse dests), by ExperimentConfig
+# field: the field's own name, except for these five
+_RENAMED = {
+    "input_path": "input",
+    "e_max_loss": "max_loss",
+    "online_warmup": "warmup",
+    "output_dir": "out_dir",
+    "cp_filter": "cp",
 }
+CONFIG_KEYS = {_RENAMED.get(f.name, f.name): f.name for f in fields(ExperimentConfig)}
 
 
 def _parse_history(value) -> int | None:

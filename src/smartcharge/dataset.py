@@ -34,6 +34,8 @@ EXPECTED_HEADER = [
 DURATION_TOLERANCE_HOURS = 0.02
 
 _EPOCH = datetime(1970, 1, 1)
+# characters a CPID must not hold
+_CSV_SPECIALS = frozenset(',"\r\n')
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,6 +196,10 @@ def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
                 raise ValueError
         except ValueError:
             reject(line_number, f"bad EventID {evt!r}", row)
+            continue
+        # the reports write ids unquoted, one CSV field each
+        if not cp_id or not _CSV_SPECIALS.isdisjoint(cp_id):
+            reject(line_number, f"bad CPID {cp_id!r}", row)
             continue
         try:
             start = _parse_instant(sd, st)

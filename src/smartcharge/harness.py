@@ -26,17 +26,18 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import partial, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import aggregation
-from .aggregation import DailyProfile, StrategyMetrics, strategy_metrics
+from .aggregation import DailyProfile, StrategyMetrics, deficit_stats
 from .charging import (
     ChargingPolicy,
     HistoryArrays,
@@ -143,20 +144,14 @@ class ExperimentConfig:
                 raise ValueError(rule)
         # the search's own checks, made before any work starts
         self.reward_params()
-        self.search_config("")
+        self.search_config()
 
     def reward_params(self) -> RewardParams:
         return RewardParams(k1=self.k1, k2=self.k2, e_max_loss_kwh=self.e_max_loss)
 
-    def search_config(self, seed_key: str) -> SearchConfig:
-        return SearchConfig(
-            n_tries=self.n_tries,
-            dx_min=self.dx_min,
-            dx_max=self.dx_max,
-            dy_min=self.dy_min,
-            dy_max=self.dy_max,
-            seed=per_cp_seed(self.seed, seed_key),
-        )
+    def search_config(self) -> SearchConfig:
+        # each SearchConfig field has a field of the same name here
+        return SearchConfig(**{f.name: getattr(self, f.name) for f in fields(SearchConfig)})
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +181,7 @@ def _load_charge_points(
     cfg: ExperimentConfig, usable_only: bool
 ) -> tuple[list[ChargePoint], CleaningReport, list[ParseError]]:
     """Parse and clean the input, then keep the chargers the run covers
-    (usable ones only if asked, and the --cp selection), sorted by id."""
+    (the --cp selection, usable ones only if asked), in clean_sessions' order."""
     sessions, parse_errors = parse_sessions_path(cfg.input_path)
     charge_points, report = clean_sessions(
         sessions,
@@ -194,19 +189,21 @@ def _load_charge_points(
         max_hours=cfg.max_hours,
         p_max_percentile=cfg.p_max_percentile,
     )
-    if usable_only:
-        charge_points = [cp for cp in charge_points if cp.usable]
     if cfg.cp_filter:
         wanted = set(cfg.cp_filter)
         missing = wanted - {cp.cp_id for cp in charge_points}
         if missing:
             raise HarnessError(f"charge point(s) not in cleaned dataset: {sorted(missing)}")
         charge_points = [cp for cp in charge_points if cp.cp_id in wanted]
+        empty = [cp.cp_id for cp in charge_points if usable_only and not cp.usable]
+        if empty:
+            raise HarnessError(f"charge point(s) with no energy to simulate: {empty}")
+    if usable_only:
+        charge_points = [cp for cp in charge_points if cp.usable]
     if not charge_points:
         raise HarnessError(
             f"no {'usable ' if usable_only else ''}charge points after cleaning"
         )
-    charge_points.sort(key=lambda cp: cp.cp_id)
     return charge_points, report, parse_errors
 
 
@@ -260,10 +257,10 @@ def _simulate(cp: ChargePoint, t_boost_max_hours, p_rate, into: list) -> Session
     return outcome
 
 
-def _sum(values: np.ndarray) -> float:
+def _sum(values) -> float:
     """Left-to-right sum, the order every report total is added in (np.sum
-    adds pairwise, which changes last bits)."""
-    return sum(values.tolist(), 0.0)
+    adds pairwise, and builtin sum() compensates from Python 3.12 on)."""
+    return reduce(operator.add, np.asarray(values, dtype=np.float64).tolist(), 0.0)
 
 
 @dataclass
@@ -318,17 +315,28 @@ class OfflineResults(RunResults):
             "oracle": "target_test_kwh",
             "rl": "delivered_test_kwh",
         }[strategy]
-        energy = [(r.target_test_kwh, getattr(r, delivered)) for r in self.cp_rows]
-        return strategy_metrics(self.profiles_test[strategy], energy)
+        _, deficit, pct, frac = deficit_stats(
+            (r.target_test_kwh, getattr(r, delivered)) for r in self.cp_rows
+        )
+        profile = self.profiles_test[strategy]
+        return StrategyMetrics(
+            peak_kw=profile.peak_kw(),
+            peak_second_of_day=profile.peak_second_of_day(),
+            total_energy_kwh=profile.total_energy_kwh(),
+            total_deficit_kwh=deficit,
+            deficit_percent=pct,
+            cp_deficit_over_10pct_fraction=frac,
+        )
 
-    def peak_reduction(self, strategy: str) -> float:
+    def peak_reduction(self, strategy: str) -> float | None:
+        """None when the raw test profile has no peak to reduce."""
         return aggregation.peak_reduction(
             self.profiles_test[strategy], self.profiles_test["raw"]
         )
 
     def _mean(self, total: str, count=lambda r: r.n_outcomes) -> float:
         n = sum(count(r) for r in self.cp_rows)
-        return sum(getattr(r, total) for r in self.cp_rows) / n if n else 0.0
+        return _sum([getattr(r, total) for r in self.cp_rows]) / n if n else 0.0
 
     def mean_boost_hours(self) -> float:
         return self._mean("boost_hours_sum")
@@ -410,7 +418,8 @@ def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
             learn_policies(
                 [windows[j] for j in learning],
                 [batch[j].p_max_kw for j in learning],
-                [cfg.search_config(batch[j].cp_id) for j in learning],
+                [per_cp_seed(cfg.seed, batch[j].cp_id) for j in learning],
+                cfg.search_config(),
                 cfg.reward_params(),
             ),
         )
@@ -466,8 +475,7 @@ class OnlineCpResult:
         return self.target_kwh() - self.delivered_kwh()
 
     def deficit_percent(self) -> float:
-        target = self.target_kwh()
-        return 100.0 * self.deficit_kwh() / target if target > 0 else 0.0
+        return deficit_stats([(self.target_kwh(), self.delivered_kwh())])[2]
 
     def _adaptive(self, reduce, values: np.ndarray) -> float:
         """reduce() of values over the adaptive sessions with energy; 0.0
@@ -534,7 +542,8 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
             results = learn_policies(
                 [rolling_window(charged[j][: n_charged[j][i]], cfg.history) for j in relearn],
                 [batch[j].p_max_kw for j in relearn],
-                [cfg.search_config(f"{batch[j].cp_id}#{i}") for j in relearn],
+                [per_cp_seed(cfg.seed, f"{batch[j].cp_id}#{i}") for j in relearn],
+                cfg.search_config(),
                 cfg.reward_params(),
                 [
                     None if (cfg.cold_start or learned[j] is None) else learned[j].policy
@@ -637,12 +646,11 @@ def _profile_csv(profiles: dict[str, DailyProfile], resolution: int) -> str:
 
 
 def _peak_reduction_lines(profiles: dict[str, DailyProfile]) -> list[str]:
-    """The peak reduction line, when the raw profile has a peak to reduce
-    (it has none when every session it covers is empty or has no energy)."""
+    """The peak reduction line, when the raw profile has a peak to reduce."""
     raw = profiles["raw"]
-    if raw.peak_kw() <= 0:
-        return []
     rl, oracle = (aggregation.peak_reduction(profiles[s], raw) for s in ("rl", "oracle"))
+    if rl is None:
+        return []
     return [f"peak reduction vs raw: rl {rl!r}% | oracle {oracle!r}%"]
 
 

@@ -22,7 +22,7 @@ one-charger case.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,7 +54,7 @@ class RewardParams:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search knobs: iteration count, step bounds and the RNG seed.
+    """Search knobs: iteration count and step bounds.
 
     Boost-duration steps are relative (multiplied by the history's mean
     plugin duration); rate steps are absolute.
@@ -65,7 +65,6 @@ class SearchConfig:
     dx_max: float = 0.5
     dy_min: float = 0.01
     dy_max: float = 0.25
-    seed: int = 0
 
     def __post_init__(self):
         if not (0 < self.dx_min <= self.dx_max):
@@ -119,53 +118,56 @@ def learn_policy(
     cfg: SearchConfig,
     params: RewardParams,
     init: ChargingPolicy | None = None,
+    seed: int = 0,
 ) -> LearnedPolicy:
     """Search for the policy maximizing the reward over a session history.
 
     Starts from `init` when given (warm start), otherwise from (mean plugin
-    duration, 0.5).  The incumbent reward is the evaluated starting point's
-    reward, so the search can always make progress even when every feasible
-    reward is negative.  If the final incumbent is still infeasible, falls
-    back to the raw-equivalent policy (boost cap = longest plugin duration,
-    rate 1.0), which delivers every target on a cleaned charge point.
+    duration, 0.5), and draws its steps from a generator seeded with `seed`.
+    The incumbent reward is the evaluated starting point's reward, so the
+    search can always make progress even when every feasible reward is
+    negative.  If the final incumbent is still infeasible, falls back to the
+    raw-equivalent policy (boost cap = longest plugin duration, rate 1.0),
+    which delivers every target on a cleaned charge point.
     """
-    return learn_policies([history], [p_max_kw], [cfg], params, [init])[0]
+    return learn_policies([history], [p_max_kw], [seed], cfg, params, [init])[0]
 
 
 def learn_policies(
     histories: Sequence[Sessions],
     p_max_kw: Sequence[float],
-    cfgs: Sequence[SearchConfig],
+    seeds: Sequence[int],
+    cfg: SearchConfig,
     params: RewardParams,
     inits: Sequence[ChargingPolicy | None] | None = None,
 ) -> list[LearnedPolicy]:
     """learn_policy for many chargers at once, one result per history.
 
-    Histories of one length whose configs differ at most in the seed are
-    searched in lockstep: every iteration evaluates one candidate per
-    charger on a (chargers, window) array.  Lengths are never padded to
-    match, because padding would change the order of numpy's pairwise sums.
-    Each row draws its own seeded stream and every reduction runs along its
-    own row, so a charger's result is bit-identical to searching it alone.
+    Histories of one length are searched in lockstep: every iteration
+    evaluates one candidate per charger on a (chargers, window) array.
+    Lengths are never padded to match, because padding would change the
+    order of numpy's pairwise sums.  Each row draws its own seeded stream
+    and every reduction runs along its own row, so a charger's result is
+    bit-identical to searching it alone.
     """
     n = len(histories)
     inits = [None] * n if inits is None else inits
-    if not len(p_max_kw) == len(cfgs) == len(inits) == n:
-        raise ValueError("need one p_max_kw, config and init per history")
-    groups: dict[tuple[int, SearchConfig], list[int]] = {}
-    for j, (history, p_max, cfg) in enumerate(zip(histories, p_max_kw, cfgs)):
+    if not len(p_max_kw) == len(seeds) == len(inits) == n:
+        raise ValueError("need one p_max_kw, seed and init per history")
+    groups: dict[int, list[int]] = {}
+    for j, (history, p_max) in enumerate(zip(histories, p_max_kw)):
         if len(history) == 0:
             raise ValueError("history must be non-empty")
         if p_max <= 0:
             raise ValueError("p_max_kw must be positive")
-        groups.setdefault((len(history), replace(cfg, seed=0)), []).append(j)
+        groups.setdefault(len(history), []).append(j)
 
     results: list[LearnedPolicy] = [None] * n  # type: ignore[list-item]
-    for (_, knobs), rows in groups.items():
+    for rows in groups.values():
         learned = _search(
             history_arrays([histories[j] for j in rows], [p_max_kw[j] for j in rows]),
-            knobs,
-            [cfgs[j].seed for j in rows],
+            cfg,
+            [seeds[j] for j in rows],
             [inits[j] for j in rows],
             params,
         )

@@ -170,7 +170,7 @@ def test_criterion_2_oracle_equivalence():
         history = table(history)
         p_max = derive_p_max(history)
         best_rewards.append(grid_oracle_best(history, p_max, params))
-        learned = learn_policy(history, p_max, SearchConfig(seed=h), params)
+        learned = learn_policy(history, p_max, SearchConfig(), params, seed=h)
         learned_rewards.append(learned.reward)
     elapsed = time.time() - t0
     mean_learned = float(np.mean(learned_rewards))

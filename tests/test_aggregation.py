@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smartcharge.aggregation import (
     SECONDS_PER_DAY,
@@ -19,15 +21,14 @@ from conftest import BASE_EPOCH
 
 
 def brute_force_profile(pieces):
-    """Per-second overlap loop: the layout oracle accumulate() must match."""
+    """Each piece's overlap with every second it touches, added second by
+    second: the layout oracle accumulate() must match."""
     slots = np.zeros(SECONDS_PER_DAY)
     for t0, t1, kw in pieces:
-        s = math.floor(t0)
-        while s < t1:
-            overlap = min(t1, s + 1) - max(t0, s)
-            if overlap > 0:
-                slots[s % SECONDS_PER_DAY] += kw * overlap / 3600.0
-            s += 1
+        s = np.arange(math.floor(t0), math.ceil(t1))
+        overlap = np.minimum(t1, s + 1.0) - np.maximum(t0, s)
+        # add.at adds repeated slots one at a time, in order
+        np.add.at(slots, s % SECONDS_PER_DAY, kw * overlap / 3600.0)
     return slots
 
 
@@ -91,6 +92,34 @@ class TestAccumulate:
         assert prof.total_energy_kwh() == pytest.approx(total, rel=1e-6)
 
 
+# piece starts, as seconds after a midnight: on whole seconds, anywhere in
+# two days, or in the last hour of a day, so the piece wraps past midnight
+piece_starts = st.one_of(
+    st.integers(0, 2 * SECONDS_PER_DAY).map(float),
+    st.floats(0.0, 2 * SECONDS_PER_DAY),
+    st.floats(SECONDS_PER_DAY - 3600.0, float(SECONDS_PER_DAY)),
+)
+piece_lengths = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1.0, exclude_min=True),  # sub-second
+    st.integers(1, 7200).map(float),  # ends on a whole second from a whole one
+    st.floats(1.0, float(SECONDS_PER_DAY)),
+    st.floats(float(SECONDS_PER_DAY), 3.0 * SECONDS_PER_DAY),  # several days
+)
+piece_powers = st.one_of(st.just(0.0), st.floats(0.1, 50.0))
+
+
+class TestAccumulateAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(piece_starts, piece_lengths, piece_powers), max_size=6))
+    def test_matches_per_second_oracle(self, drawn):
+        pieces = [(day_offset(t), day_offset(t) + dur, kw) for t, dur, kw in drawn]
+        want = brute_force_profile(pieces)
+        got = accumulate(PowerProfile(tuple(pieces))).slots
+        # bench/check.py's SLOT_RTOL: 1e-9 of the oracle's peak
+        assert np.abs(got - want).max() <= 1e-9 * want.max()
+
+
 class TestMerge:
     """Per-batch profiles merged into a total by adding slots, the fold the
     offline and online runs apply to their batches."""
@@ -119,8 +148,8 @@ class TestPeakReduction:
         assert peak_reduction(cand, base) == pytest.approx(50.0, rel=1e-12)
 
     def test_zero_baseline_errors(self):
-        with pytest.raises(ValueError):
-            peak_reduction(DailyProfile.zeros(), DailyProfile.zeros())
+        # no baseline peak, no reduction: None, not an error
+        assert peak_reduction(DailyProfile.zeros(), DailyProfile.zeros()) is None
 
     def test_peak_power_scaling(self):
         prof = accumulate(PowerProfile(((day_offset(0), day_offset(3600), 7.0),)))

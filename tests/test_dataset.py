@@ -294,6 +294,30 @@ class TestParseColumns:
         assert sessions.event_id.tolist() == [2**63 - 1]
         assert [(e.line_number, e.reason) for e in errors] == [(2, f"bad EventID '{2**63}'")]
 
+    def test_bad_cp_id_rejected(self):
+        # an empty id, or one the unquoted report CSVs cannot hold as one field
+        times = "01/06/2017,10:00:00,01/06/2017,12:00:00,5.0,2.0"
+        rows = [
+            CSV_HEADER,
+            f"1,,{times}",
+            f"2,  ,{times}",
+            f'3,"AN,1",{times}',
+            f'4,"AN""1",{times}',
+            f'5,"AN\r1",{times}',
+            f"6,AN 1,{times}",
+            f'7,"AN\n1",{times}',
+        ]
+        sessions, errors = parse_text("\n".join(rows) + "\n")
+        assert sessions.cp_id.tolist() == ["AN 1"]
+        assert [(e.line_number, e.reason) for e in errors] == [
+            (2, "bad CPID ''"),
+            (3, "bad CPID ''"),
+            (4, "bad CPID 'AN,1'"),
+            (5, "bad CPID 'AN\"1'"),
+            (6, "bad CPID 'AN\\r1'"),
+            (8, "bad CPID 'AN\\n1'"),
+        ]
+
     def test_each_cp_id_stored_once(self):
         sessions, _ = parse_text(SAMPLE + SAMPLE.split("\n", 1)[1])
         ids = sessions.cp_id.tolist()

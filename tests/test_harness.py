@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from smartcharge import harness
-from smartcharge.cli import build_config, main
+from smartcharge.cli import CONFIG_KEYS, build_config, main
 from smartcharge.harness import (
     ExperimentConfig,
     HarnessError,
@@ -19,7 +19,7 @@ from smartcharge.harness import (
     run_online,
     run_predict,
 )
-from smartcharge.optimizer import learn_policy
+from smartcharge.optimizer import learn_policy, per_cp_seed
 
 from conftest import CSV_HEADER, csv_row, synth_fleet_csv, BASE_EPOCH
 
@@ -28,6 +28,15 @@ def write_csv(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def flat_test_split_csv(tmp_path):
+    """One charger of 10 sessions, the last 2 (the test split) without energy."""
+    rows = [CSV_HEADER]
+    for i in range(10):
+        energy = "0.0" if i >= 8 else f"{3.0 + i:.1f}"
+        rows.append(csv_row(i, "CP0", BASE_EPOCH + i * 86400, "6.00", energy))
+    return write_csv(tmp_path, "\n".join(rows) + "\n")
 
 
 def small_cfg(input_path, out_dir, **kw):
@@ -118,12 +127,7 @@ class TestOffline:
         assert "peak reduction" not in metrics
 
     def test_zero_energy_test_split_emits(self, tmp_path):
-        # 10 sessions, the last 2 (the test split) without energy
-        rows = [CSV_HEADER]
-        for i in range(10):
-            energy = "0.0" if i >= 8 else f"{3.0 + i:.1f}"
-            rows.append(csv_row(i, "CP0", BASE_EPOCH + i * 86400, "6.00", energy))
-        path = write_csv(tmp_path, "\n".join(rows) + "\n")
+        path = flat_test_split_csv(tmp_path)
         for mode in ("offline", "online"):
             out = tmp_path / mode
             args = ["--input", path, "--mode", mode, "--warmup", "3", "--n-tries", "10"]
@@ -131,6 +135,15 @@ class TestOffline:
             metrics = (out / "metrics.txt").read_text()
             # online's raw profile covers every session, offline's the test split
             assert ("peak reduction" in metrics) == (mode == "online")
+
+    def test_no_peak_reduction_on_flat_raw_profile(self, tmp_path):
+        # the report and the results agree: no raw peak, no peak reduction
+        cfg = small_cfg(flat_test_split_csv(tmp_path), str(tmp_path / "out"), n_tries=10)
+        results = run_offline(cfg)
+        assert results.peak_reduction("rl") is None
+        assert results.peak_reduction("oracle") is None
+        paths = emit_offline_reports(results, cfg.output_dir)
+        assert "peak reduction" not in open(paths["metrics.txt"]).read()
 
     @pytest.mark.parametrize("mode", ["offline", "online", "predict"])
     def test_negative_zero_energy_same_bundle(self, tmp_path, mode):
@@ -388,9 +401,10 @@ class TestOnline:
                     learned = learn_policy(
                         s[np.array(charged[-cfg.history:])],
                         r.cp.p_max_kw,
-                        cfg.search_config(f"{r.cp.cp_id}#{i}"),
+                        cfg.search_config(),
                         cfg.reward_params(),
                         None if learned is None else learned.policy,
+                        per_cp_seed(cfg.seed, f"{r.cp.cp_id}#{i}"),
                     )
             got = zip(
                 r.policy_t_boost_max.tolist(), r.policy_p_rate.tolist(), r.adaptive.tolist()
@@ -462,7 +476,57 @@ def test_missing_charge_points_reported_sorted(tmp_path, fleet_csv, mode):
         {"offline": run_offline, "online": run_online, "predict": run_predict}[mode](cfg)
 
 
+def test_cp_without_energy_has_its_own_error(tmp_path, capsys):
+    # cleaning keeps CP1 (it has enough sessions), but none has energy
+    rows = [CSV_HEADER]
+    for i in range(20):
+        cp_id, energy = ("CP0", "5.0") if i % 2 else ("CP1", "0.0")
+        rows.append(csv_row(i, cp_id, BASE_EPOCH + i * 86400, "6.00", energy))
+    path = write_csv(tmp_path, "\n".join(rows) + "\n")
+    args = ["--input", path, "--cp", "CP1", "--out-dir", str(tmp_path / "out")]
+    for mode in ("offline", "online"):
+        assert main(args + ["--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert err == "smartcharge: error: charge point(s) with no energy to simulate: ['CP1']\n"
+    # predict needs no power rate
+    assert main(args + ["--mode", "predict"]) == 0
+
+
+def test_report_totals_add_left_to_right():
+    # builtin sum() compensates from Python 3.12 on and would give 1.0
+    assert repr(harness._sum([1e16, 1.0, -1e16])) == "0.0"
+    assert repr(harness._sum(np.array([1e16, 1.0, -1e16]))) == "0.0"
+    assert repr(harness._sum([])) == "0.0"
+
+
 class TestCli:
+    def test_config_keys(self):
+        # every ExperimentConfig field has one config key; these are today's
+        assert CONFIG_KEYS == {
+            "input": "input_path",
+            "mode": "mode",
+            "history": "history",
+            "seed": "seed",
+            "min_sessions": "min_sessions",
+            "max_hours": "max_hours",
+            "n_tries": "n_tries",
+            "k1": "k1",
+            "k2": "k2",
+            "max_loss": "e_max_loss",
+            "dx_min": "dx_min",
+            "dx_max": "dx_max",
+            "dy_min": "dy_min",
+            "dy_max": "dy_max",
+            "warmup": "online_warmup",
+            "train_fraction": "train_fraction",
+            "out_dir": "output_dir",
+            "cp": "cp_filter",
+            "workers": "workers",
+            "emit_resolution": "emit_resolution",
+            "cold_start": "cold_start",
+            "p_max_percentile": "p_max_percentile",
+        }
+
     def test_config_file_and_flag_override(self, tmp_path, fleet_csv):
         config = {
             "input": fleet_csv,

@@ -128,14 +128,14 @@ class TestRollingWindow:
 class TestLearnPolicy:
     def test_deterministic_for_seed(self):
         history, p_max = slack_history(0)
-        a = learn_policy(history, p_max, SearchConfig(seed=123), RewardParams())
-        b = learn_policy(history, p_max, SearchConfig(seed=123), RewardParams())
+        a = learn_policy(history, p_max, SearchConfig(), RewardParams(), seed=123)
+        b = learn_policy(history, p_max, SearchConfig(), RewardParams(), seed=123)
         assert a == b
 
     def test_seed_changes_trajectory(self):
         history, p_max = slack_history(1)
         results = {
-            learn_policy(history, p_max, SearchConfig(seed=s), RewardParams()).policy
+            learn_policy(history, p_max, SearchConfig(), RewardParams(), seed=s).policy
             for s in range(5)
         }
         assert len(results) > 1
@@ -149,7 +149,7 @@ class TestLearnPolicy:
                 history_arrays([history], [p_max]), start.t_boost_max_hours, start.p_rate
             )
             start_reward = reward(PolicyEvaluation(e_loss.item(), p_aggr.item()), params)
-            learned = learn_policy(history, p_max, SearchConfig(seed=seed), params)
+            learned = learn_policy(history, p_max, SearchConfig(), params, seed=seed)
             if np.isfinite(start_reward):
                 assert learned.reward >= start_reward
 
@@ -157,7 +157,7 @@ class TestLearnPolicy:
         for seed in range(20):
             history, p_max = slack_history(200 + seed)
             learned = learn_policy(
-                history, p_max, SearchConfig(seed=seed), RewardParams()
+                history, p_max, SearchConfig(), RewardParams(), seed=seed
             )
             assert learned.feasible
             assert learned.evaluation.e_loss_kwh < 10.0
@@ -177,7 +177,7 @@ class TestLearnPolicy:
             ),
         ])
         learned = learn_policy(
-            history, 7.0, SearchConfig(n_tries=1, seed=0), RewardParams()
+            history, 7.0, SearchConfig(n_tries=1), RewardParams(), seed=0
         )
         assert learned.policy == ChargingPolicy(30.0, 1.0)
         assert learned.feasible
@@ -194,7 +194,7 @@ class TestLearnPolicy:
         ])
         params = RewardParams()
         best = grid_search_best(history, 7.0, params)
-        learned = learn_policy(history, 7.0, SearchConfig(seed=9), params)
+        learned = learn_policy(history, 7.0, SearchConfig(), params, seed=9)
         assert learned.reward >= 0.95 * best
         assert learned.policy.t_boost_max_hours < 1.0
         assert learned.policy.p_rate < 0.06
@@ -213,7 +213,7 @@ class TestLearnPolicy:
             for i in range(30)
         ])
         params = RewardParams()
-        learned = learn_policy(history, 10.0, SearchConfig(seed=3), params)
+        learned = learn_policy(history, 10.0, SearchConfig(), params, seed=3)
         assert learned.evaluation.e_loss_kwh == 0.0
         assert learned.evaluation.p_aggr_kw == pytest.approx(10.0, rel=1e-12)
 
@@ -224,7 +224,7 @@ class TestLearnPolicy:
         for seed in range(n):
             history, p_max = slack_history(300 + seed)
             best = grid_search_best(history, p_max, params)
-            learned = learn_policy(history, p_max, SearchConfig(seed=seed), params)
+            learned = learn_policy(history, p_max, SearchConfig(), params, seed=seed)
             learned_sum += learned.reward
             best_sum += best
         assert learned_sum / n >= 0.95 * best_sum / n
@@ -276,7 +276,7 @@ def serial_evaluate_policy_arrays(e_target, plugin, t_boost_max_hours, p_rate, p
     return PolicyEvaluation(e_loss_kwh=e_loss, p_aggr_kw=p_aggr)
 
 
-def serial_learn_policy(history, p_max_kw, cfg, params, init=None):
+def serial_learn_policy(history, p_max_kw, cfg, params, init=None, seed=0):
     e_target, plugin = serial_history_arrays(history)
     t_mean = float(plugin.mean())
     t_max = float(plugin.max())
@@ -296,7 +296,7 @@ def serial_learn_policy(history, p_max_kw, cfg, params, init=None):
     best_t, best_p = inc_t, inc_p
     best_eval, best_reward = inc_eval, inc_reward
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     for _ in range(cfg.n_tries):
         dx = t_mean * rng.uniform(cfg.dx_min, cfg.dx_max)
         sx = 1.0 if rng.random() < 0.5 else -1.0
@@ -379,18 +379,19 @@ class TestLockstepEqualsSerial:
     )
     def test_bit_identical(self, specs, n_tries, seed):
         params = RewardParams()
-        windows, p_max, cfgs, inits = [], [], [], []
+        cfg = SearchConfig(n_tries=n_tries)
+        windows, p_max, seeds, inits = [], [], [], []
         for j, (kind, n, window_seed, init) in enumerate(specs):
             sessions, p = lockstep_window(kind, n, window_seed)
             windows.append(sessions)
             p_max.append(p)
-            cfgs.append(SearchConfig(n_tries=n_tries, seed=per_cp_seed(seed, str(j))))
+            seeds.append(per_cp_seed(seed, str(j)))
             if init is not None:
                 init = SimpleNamespace(t_boost_max_hours=init[0], p_rate=init[1])
             inits.append(init)
-        lockstep = learn_policies(windows, p_max, cfgs, params, inits)
-        for got, window, p, cfg, init in zip(lockstep, windows, p_max, cfgs, inits):
-            want = serial_learn_policy(rows(window), p, cfg, params, init)
+        lockstep = learn_policies(windows, p_max, seeds, cfg, params, inits)
+        for got, window, p, row_seed, init in zip(lockstep, windows, p_max, seeds, inits):
+            want = serial_learn_policy(rows(window), p, cfg, params, init, row_seed)
             # repr tells -0.0 from 0.0 and shows every bit of each float
             assert repr(got.policy) == repr(want.policy)
             assert repr(got.reward) == repr(want.reward)
@@ -401,11 +402,11 @@ class TestLockstepEqualsSerial:
         # the generator reaches the raw fallback and the +inf reward
         params = RewardParams()
         tight, p = lockstep_window("tight", 40, 1)
-        learned = learn_policy(tight, p, SearchConfig(n_tries=1, seed=0), params)
+        learned = learn_policy(tight, p, SearchConfig(n_tries=1), params, seed=0)
         assert learned.policy == ChargingPolicy(max(tight.plugin_hours.tolist()), 1.0)
         tiny, p = lockstep_window("tiny", 20, 2)
         start = ChargingPolicy(0.0, 0.0)
-        learned = learn_policy(tiny, p, SearchConfig(n_tries=5, seed=0), params, start)
+        learned = learn_policy(tiny, p, SearchConfig(n_tries=5), params, start, seed=0)
         assert learned.reward == float("inf")
         assert learned.evaluation.p_aggr_kw == 0.0
 
@@ -413,10 +414,15 @@ class TestLockstepEqualsSerial:
         params = RewardParams()
         windows = [lockstep_window("slack", n, n)[0] for n in (30, 7, 30, 12)]
         p_max = [7.0] * 4
-        cfgs = [SearchConfig(n_tries=10, seed=s) for s in range(4)]
-        together = learn_policies(windows, p_max, cfgs, params)
-        alone = [learn_policy(w, 7.0, c, params) for w, c in zip(windows, cfgs)]
+        cfg = SearchConfig(n_tries=10)
+        together = learn_policies(windows, p_max, range(4), cfg, params)
+        alone = [learn_policy(w, 7.0, cfg, params, seed=s) for s, w in enumerate(windows)]
         assert together == alone
-        assert learn_policies([], [], [], params) == []
+        assert learn_policies([], [], [], cfg, params) == []
         with pytest.raises(ValueError):
-            learn_policies(windows, p_max[:3], cfgs, params)
+            learn_policies(windows, p_max[:3], range(4), cfg, params)
+
+    def test_one_seed_per_history(self):
+        windows = [lockstep_window("slack", n, n)[0] for n in (30, 7)]
+        with pytest.raises(ValueError, match="seed"):
+            learn_policies(windows, [7.0, 7.0], [0], SearchConfig(n_tries=10), RewardParams())
