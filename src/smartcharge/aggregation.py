@@ -8,7 +8,6 @@ equal to the delivered energy (coarser slots visibly distort the totals).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -17,6 +16,7 @@ import numpy as np
 from .charging import PowerProfile
 
 SECONDS_PER_DAY = 86_400
+SPEED_BINS = 100  # relative-speed histogram bins
 
 
 @dataclass
@@ -43,50 +43,35 @@ class DailyProfile:
         return self.slots * 3600.0
 
 
-def _add_cyclic_range(slots: np.ndarray, start_abs: int, n_seconds: int, kwh: float):
-    """Add kwh to each of n_seconds consecutive absolute-second slots,
-    wrapping modulo the day length."""
-    if n_seconds <= 0:
-        return
-    full_days, rem = divmod(n_seconds, SECONDS_PER_DAY)
-    if full_days:
-        slots += kwh * full_days
-    if rem:
-        a = start_abs % SECONDS_PER_DAY
-        b = a + rem
-        if b <= SECONDS_PER_DAY:
-            slots[a:b] += kwh
-        else:
-            slots[a:] += kwh
-            slots[: b - SECONDS_PER_DAY] += kwh
-
-
-def accumulate(
-    profile: PowerProfile, into: DailyProfile | None = None
-) -> DailyProfile:
+def accumulate(profile: PowerProfile) -> DailyProfile:
     """Distribute a profile's power pieces into second-of-day energy slots.
 
     Fractional piece boundaries are prorated exactly: a piece covering part
-    of a second contributes power * overlap / 3600 kWh to that slot.
+    of a second contributes power * overlap / 3600 kWh to that slot.  The
+    whole seconds between a piece's first and last second add its rate as
+    a run, and the run's whole days add it to every slot.
     """
-    out = into if into is not None else DailyProfile.zeros()
-    slots = out.slots
-    # Python floats: per-piece arithmetic on numpy scalars costs several times more
-    for t0, t1, kw in profile.pieces.tolist():
-        if t1 <= t0 or kw == 0.0:
-            continue
-        s0 = math.floor(t0)
-        s1 = math.floor(t1)
-        if s0 == s1:
-            slots[s0 % SECONDS_PER_DAY] += kw * (t1 - t0) / 3600.0
-            continue
-        lead = (s0 + 1) - t0
-        if lead > 0:
-            slots[s0 % SECONDS_PER_DAY] += kw * lead / 3600.0
-        _add_cyclic_range(slots, s0 + 1, s1 - (s0 + 1), kw / 3600.0)
-        tail = t1 - s1
-        if tail > 0:
-            slots[s1 % SECONDS_PER_DAY] += kw * tail / 3600.0
+    pieces = profile.pieces
+    t0, t1, kw = pieces[(pieces[:, 1] > pieces[:, 0]) & (pieces[:, 2] != 0.0)].T
+    s0, s1 = np.floor(t0), np.floor(t1)
+    rate = kw / 3600.0
+    # a piece within one second is all first second; a last second's part
+    # counts only when it is not also the first
+    head = kw * (np.minimum(t1, s0 + 1) - t0) / 3600.0
+    tail = np.where(s1 > s0, kw * (t1 - s1) / 3600.0, 0.0)
+    first = s0.astype(np.int64) % SECONDS_PER_DAY
+    out = DailyProfile.zeros()  # (bincount of no pieces is integer-typed)
+    out.slots += np.bincount(first, head, SECONDS_PER_DAY)
+    out.slots += np.bincount(s1.astype(np.int64) % SECONDS_PER_DAY, tail, SECONDS_PER_DAY)
+    # the run starts a second after the first and may cross one midnight:
+    # +rate at its start and -rate past its end on a two-day difference array
+    days, rem = np.divmod(np.maximum(s1 - s0 - 1, 0).astype(np.int64), SECONDS_PER_DAY)
+    run = first + 1
+    diff = np.bincount(
+        np.concatenate((run, run + rem)), np.concatenate((rate, -rate)), 2 * SECONDS_PER_DAY
+    )
+    two_days = np.cumsum(diff)
+    out.slots += two_days[:SECONDS_PER_DAY] + two_days[SECONDS_PER_DAY:] + rate @ days
     return out
 
 
@@ -136,12 +121,10 @@ def deficit_stats(
     return total_target, total_deficit, pct, frac
 
 
-def speed_histogram_counts(
-    rel_speeds: Sequence[float], bins: int = 100
-) -> np.ndarray:
-    """Raw integer bin counts of relative speeds in [0, 1]; summing counts
-    across charge points is exact in any order."""
+def speed_histogram_counts(rel_speeds: Sequence[float]) -> np.ndarray:
+    """Raw integer counts of relative speeds in SPEED_BINS equal bins of
+    [0, 1]; summing counts across charge points is exact in any order."""
     counts, _ = np.histogram(
-        np.asarray(rel_speeds, dtype=np.float64), bins=bins, range=(0.0, 1.0)
+        np.asarray(rel_speeds, dtype=np.float64), bins=SPEED_BINS, range=(0.0, 1.0)
     )
     return counts

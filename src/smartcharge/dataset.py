@@ -181,7 +181,10 @@ def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
     def reject(line_number: int, reason: str, row: list[str]) -> None:
         errors.append(ParseError(line_number, reason, ",".join(row)))
 
-    for line_number, row in enumerate(reader, start=2):
+    next_line = reader.line_num + 1
+    for row in reader:
+        # the record's first line: a quoted field may hold line breaks
+        line_number, next_line = next_line, reader.line_num + 1
         if not row:
             continue
         if len(row) != 8:

@@ -19,7 +19,9 @@ needs it in one call.  learn_policies gives each charger the result it
 would get alone, so a charger's reports do not depend on which chargers
 share its batch.  Each charger's sessions are simulated in one call, as
 arrays, and each strategy's pieces of them are built in one call per
-profile they go into, in offline and online mode alike.
+profile they go into.  Each batch then folds each profile's pieces of all
+its chargers into that profile in one aggregation.accumulate call, in
+offline and online mode alike.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .aggregation import DailyProfile, StrategyMetrics, deficit_stats
 from .charging import (
     ChargingPolicy,
     HistoryArrays,
+    PowerProfile,
     SessionOutcome,
     adaptive_profile,
     oracle_profile,
@@ -218,10 +221,6 @@ def _map_batches(fn, items: Sequence, workers: int):
         yield from pool.map(fn, batches)
 
 
-def _zero_profiles() -> dict[str, DailyProfile]:
-    return {s: DailyProfile.zeros() for s in STRATEGIES}
-
-
 def _run_batches(
     batch_fn, cfg: ExperimentConfig, charge_points: list[ChargePoint], scopes=()
 ):
@@ -229,7 +228,7 @@ def _run_batches(
     returns its rows and, for each of the scopes, the strategies' profiles;
     the rows are concatenated and the profiles summed, both in batch order."""
     rows: list = []
-    totals = {scope: _zero_profiles() for scope in scopes}
+    totals = {scope: {s: DailyProfile.zeros() for s in STRATEGIES} for scope in scopes}
     worker = partial(batch_fn, cfg=cfg)
     for batch_rows, batch_profiles in _map_batches(worker, charge_points, cfg.workers):
         rows.extend(batch_rows)
@@ -239,22 +238,33 @@ def _run_batches(
     return rows, totals
 
 
+def _no_pieces() -> dict[str, list[np.ndarray]]:
+    return {s: [] for s in STRATEGIES}
+
+
 def _simulate(cp: ChargePoint, t_boost_max_hours, p_rate, into: list) -> SessionOutcome:
     """Simulate the charger's sessions under their policies in one call, and
-    fold the pieces of sessions lo: into profiles for each (lo, profiles) of
-    into."""
+    append each strategy's pieces of sessions lo: to pieces[strategy] for
+    each (lo, pieces) of into."""
     start, e, plugin = cp.sessions.start, cp.sessions.energy_kwh, cp.sessions.plugin_hours
     outcome = simulate_session(HistoryArrays(e, plugin, cp.p_max_kw), t_boost_max_hours, p_rate)
     p_rate = np.broadcast_to(p_rate, e.shape)
-    for lo, profiles in into:
+    for lo, pieces in into:
         built = (
             raw_profile(start[lo:], e[lo:], plugin[lo:], cp.p_max_kw),
             oracle_profile(start[lo:], e[lo:], plugin[lo:]),
             adaptive_profile(start[lo:], outcome[lo:], cp.p_max_kw, p_rate[lo:]),
         )
         for s, profile in zip(STRATEGIES, built):
-            aggregation.accumulate(profile, into=profiles[s])
+            pieces[s].append(profile.pieces)
     return outcome
+
+
+def _fold(pieces: dict[str, list[np.ndarray]]) -> dict[str, DailyProfile]:
+    """Each strategy's daily profile of all the pieces collected for it."""
+    return {
+        s: aggregation.accumulate(PowerProfile(np.concatenate(pieces[s]))) for s in STRATEGIES
+    }
 
 
 def _sum(values) -> float:
@@ -351,7 +361,7 @@ class OfflineResults(RunResults):
         return self._mean("rel_speed_sum")
 
     def speed_histogram(self) -> np.ndarray:
-        total = np.zeros(100, dtype=np.int64)
+        total = np.zeros(aggregation.SPEED_BINS, dtype=np.int64)
         for r in self.cp_rows:
             total += r.hist_counts
         s = total.sum()
@@ -363,13 +373,13 @@ def _replay_offline(
     n_train: int,
     policy: ChargingPolicy,
     feasible: bool,
-    profiles: dict[str, dict[str, DailyProfile]],
+    pieces: dict[str, dict[str, list[np.ndarray]]],
 ) -> OfflineCpResult:
     """Simulate the charger's sessions under its policy in one call.
 
     The sessions after the first n_train are the test split: its pieces go
-    into the "test" profiles and its outcomes into the result row.  Every
-    session's pieces go into the "all" profiles.  Raw charging delivers a
+    to the "test" pieces and its outcomes into the result row.  Every
+    session's pieces go to the "all" pieces.  Raw charging delivers a
     session's whole target only when the charger's max power covers it
     within the session (always, unless p_max_percentile caps that power).
     """
@@ -378,7 +388,7 @@ def _replay_offline(
         cp,
         policy.t_boost_max_hours,
         policy.p_rate,
-        [(n_train, profiles["test"]), (0, profiles["all"])],
+        [(n_train, pieces["test"]), (0, pieces["all"])],
     )
     e, plugin = cp.sessions.energy_kwh, cp.sessions.plugin_hours
     test, e_test, plugin_test = outcome[n_train:], e[n_train:], plugin[n_train:]
@@ -424,7 +434,7 @@ def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
             ),
         )
     )
-    profiles = {"test": _zero_profiles(), "all": _zero_profiles()}
+    pieces = {"test": _no_pieces(), "all": _no_pieces()}
     rows = []
     for j, cp in enumerate(batch):
         if j in learned:
@@ -433,8 +443,8 @@ def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
             # Nothing to learn from: charge raw rather than guess.
             policy = ChargingPolicy(float(cp.sessions.plugin_hours.max()), 1.0)
             feasible = True
-        rows.append(_replay_offline(cp, splits[j], policy, feasible, profiles))
-    return rows, profiles
+        rows.append(_replay_offline(cp, splits[j], policy, feasible, pieces))
+    return rows, {scope: _fold(p) for scope, p in pieces.items()}
 
 
 def run_offline(cfg: ExperimentConfig) -> OfflineResults:
@@ -553,12 +563,12 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
             for j, result in zip(relearn, results):
                 learned[j] = result
 
-    profiles = _zero_profiles()
+    pieces = _no_pieces()
     results = [
-        OnlineCpResult(cp, a, _simulate(cp, t, p, [(0, profiles)]), t, p)
+        OnlineCpResult(cp, a, _simulate(cp, t, p, [(0, pieces)]), t, p)
         for cp, t, p, a in zip(batch, t_boost_max, p_rate, adaptive)
     ]
-    return results, {"all": profiles}
+    return results, {"all": _fold(pieces)}
 
 
 def run_online(cfg: ExperimentConfig) -> OnlineResults:

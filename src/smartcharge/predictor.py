@@ -70,11 +70,14 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> RegressionModel:
         raise ValueError("need a non-empty 2-D design and matching targets")
 
     a = np.column_stack([np.ones(len(x)), x])
-    kept: list[int] = []
-    for j in range(a.shape[1]):
-        candidate = a[:, kept + [j]]
-        if np.linalg.matrix_rank(candidate) > len(kept):
-            kept.append(j)
+    kept = list(range(a.shape[1]))
+    # every column subset of a full-rank design is full rank, so the
+    # greedy search would keep them all
+    if np.linalg.matrix_rank(a) < len(kept):
+        kept = []
+        for j in range(a.shape[1]):
+            if np.linalg.matrix_rank(a[:, kept + [j]]) > len(kept):
+                kept.append(j)
 
     a_kept = a[:, kept]
     beta_kept = np.linalg.solve(a_kept.T @ a_kept, a_kept.T @ y)

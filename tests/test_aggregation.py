@@ -119,6 +119,29 @@ class TestAccumulateAgainstOracle:
         # bench/check.py's SLOT_RTOL: 1e-9 of the oracle's peak
         assert np.abs(got - want).max() <= 1e-9 * want.max()
 
+    def test_batch_sized_mix(self):
+        """One call over as many pieces as a batch folds, at the rates of a
+        slow and a rapid charger, with every kind of piece drawn above."""
+        rng = np.random.default_rng(2024)
+        n = 2000
+        starts = rng.uniform(0, 2 * SECONDS_PER_DAY, n)
+        starts[:300] = rng.uniform(SECONDS_PER_DAY - 3600, SECONDS_PER_DAY, 300)  # wraps
+        starts[300:600] = rng.integers(0, 2 * SECONDS_PER_DAY, 300)  # whole seconds
+        lengths = rng.uniform(1.0, 12 * 3600.0, n)
+        lengths[300:450] = rng.integers(1, 7200, 150)  # whole-second ends
+        lengths[600:800] = rng.uniform(0.0, 1.0, 200)  # sub-second
+        lengths[800:830] = rng.uniform(SECONDS_PER_DAY, 3 * SECONDS_PER_DAY, 30)  # days
+        lengths[830:900] = 0.0
+        powers = rng.choice([0.1, 50.0], n)
+        powers[900:950] = 0.0
+        pieces = [
+            (day_offset(t), day_offset(t) + dur, kw)
+            for t, dur, kw in zip(starts.tolist(), lengths.tolist(), powers.tolist())
+        ]
+        want = brute_force_profile(pieces)
+        got = accumulate(PowerProfile(tuple(pieces))).slots
+        assert np.abs(got - want).max() <= 1e-9 * want.max()
+
 
 class TestMerge:
     """Per-batch profiles merged into a total by adding slots, the fold the
@@ -195,8 +218,3 @@ class TestSpeedHistogram:
         total = parts[0] + parts[1] + parts[2] + parts[3]
         assert total.dtype.kind == "i" and total.sum() == 120
         assert (total / total.sum()).sum() == pytest.approx(1.0, rel=1e-12)
-
-    def test_custom_bins(self):
-        counts = speed_histogram_counts([0.5], bins=10)
-        assert len(counts) == 10
-        assert counts[5] == 1

@@ -318,6 +318,16 @@ class TestParseColumns:
             (8, "bad CPID 'AN\\n1'"),
         ]
 
+    def test_line_numbers_count_lines_not_records(self):
+        # the first row's quoted CPID spans lines 2-3
+        times = "01/06/2017,10:00:00,01/06/2017,12:00:00,5.0,2.0"
+        rows = [CSV_HEADER, f'1,"AN\n1",{times}', f"bad,AN2,{times}"]
+        _, errors = parse_text("\n".join(rows) + "\n")
+        assert [(e.line_number, e.reason) for e in errors] == [
+            (2, "bad CPID 'AN\\n1'"),
+            (4, "bad EventID 'bad'"),
+        ]
+
     def test_each_cp_id_stored_once(self):
         sessions, _ = parse_text(SAMPLE + SAMPLE.split("\n", 1)[1])
         ids = sessions.cp_id.tolist()

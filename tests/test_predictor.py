@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smartcharge.predictor import (
+    RegressionModel,
     cross_validate,
     extract_features,
     fit_ols,
@@ -136,6 +137,57 @@ class TestFitOls:
         model = fit_ols(x, y)
         assert model.coefficients[0] == 0.0  # collinear with the intercept
         assert np.allclose(model.predict(x), y, atol=1e-8)
+
+
+def greedy_fit(x, y):
+    """fit_ols with one rank check per column, kept column by column in
+    order: the reference the single full-rank check must reproduce."""
+    a = np.column_stack([np.ones(len(x)), x])
+    kept = []
+    for j in range(a.shape[1]):
+        if np.linalg.matrix_rank(a[:, kept + [j]]) > len(kept):
+            kept.append(j)
+    beta = np.zeros(a.shape[1])
+    beta[kept] = np.linalg.solve(a[:, kept].T @ a[:, kept], a[:, kept].T @ y)
+    return RegressionModel(float(beta[0]), tuple(beta[1:]))
+
+
+def fit_or_singular(fit, x, y):
+    # a nearly collinear column can pass the rank check and still leave
+    # the normal equations singular
+    try:
+        return fit(x, y)
+    except np.linalg.LinAlgError:
+        return "singular"
+
+
+@st.composite
+def designs(draw):
+    """Random designs with columns that are constant, exact combinations of
+    earlier ones, or such combinations plus a small perturbation; and wide
+    ones with fewer rows than columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows = draw(st.integers(1, 30))
+    columns = [rng.normal(size=n_rows) * 10.0 ** rng.integers(-2, 3)]
+    for kind in draw(st.lists(st.sampled_from(["new", "const", "comb", "near"]), max_size=5)):
+        if kind == "new":
+            columns.append(rng.normal(size=n_rows))
+        elif kind == "const":
+            columns.append(np.full(n_rows, rng.normal()))
+        else:
+            col = np.column_stack(columns) @ rng.normal(size=len(columns))
+            if kind == "near":
+                col = col + rng.normal(size=n_rows) * 10.0 ** rng.integers(-12, -3)
+            columns.append(col)
+    return np.column_stack(columns), rng.normal(size=n_rows)
+
+
+class TestFitOlsAgainstGreedy:
+    @settings(max_examples=200, deadline=None)
+    @given(designs())
+    def test_same_columns_and_coefficients(self, design):
+        x, y = design
+        assert fit_or_singular(fit_ols, x, y) == fit_or_singular(greedy_fit, x, y)
 
 
 class TestMetrics:
