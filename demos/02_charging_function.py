@@ -11,6 +11,8 @@ back as one (pieces, 3) array of (start_s, end_s, kW) rows.
 
 from datetime import datetime
 
+import numpy as np
+
 from smartcharge import (
     ChargingPolicy,
     HistoryArrays,
@@ -60,7 +62,9 @@ for name, profile in [
     desc = " + ".join(
         f"{kw:.2f} kW x {(t1 - t0) / 3600:.2f} h" for t0, t1, kw in profile.pieces.tolist()
     )
-    print(f"{name:>9}: {desc or 'idle'}  (integral {profile.energy_kwh():.2f} kWh, peak {profile.peak_kw():.2f} kW)")
+    t0, t1, kw = profile.pieces.T
+    energy, peak = np.sum(kw * (t1 - t0)) / 3600, kw.max(initial=0.0)
+    print(f"{name:>9}: {desc or 'idle'}  (integral {energy:.2f} kWh, peak {peak:.2f} kW)")
 
 o = outcome[1]
 print()

@@ -10,7 +10,6 @@ same candidate space shows how close the 200-step search gets.
 import numpy as np
 
 from smartcharge import (
-    PolicyEvaluation,
     RewardParams,
     SearchConfig,
     Sessions,
@@ -43,33 +42,35 @@ p_max = derive_p_max(sessions)
 params = RewardParams(k1=0.1, k2=10.0, e_max_loss_kwh=10.0)
 
 learned = learn_policy(sessions, p_max, SearchConfig(n_tries=200), params, seed=1)
+history = history_arrays([sessions], [p_max])
+e_loss, p_aggr = evaluate_policy_arrays(
+    history, learned.policy.t_boost_max_hours, learned.policy.p_rate
+)
+learned_reward = reward(e_loss, p_aggr, params).item()
 print(f"history: {len(sessions)} sessions, charger max {p_max:.2f} kW")
 print(
     f"learned policy: boost up to {learned.policy.t_boost_max_hours:.3f} h, "
     f"slow rate {learned.policy.p_rate:.3f} x max"
 )
 print(
-    f"  shortfall {learned.evaluation.e_loss_kwh:.2f} kWh, aggregate rate "
-    f"{learned.evaluation.p_aggr_kw:.3f} kW, reward {learned.reward:.3f}"
+    f"  shortfall {e_loss.item():.2f} kWh, aggregate rate "
+    f"{p_aggr.item():.3f} kW, reward {learned_reward:.3f}"
 )
 
 # brute-force comparison over the full candidate grid: each boost cap is
-# evaluated at every rate in one call, one history row per rate
+# evaluated at every rate in one call, one history row per rate, and the
+# whole grid's rewards come from one reward call
+boosts = np.linspace(0, 24, 481)
 rates = np.linspace(0, 1, 101)
 rows = history_arrays([sessions] * len(rates), [p_max] * len(rates))
-best = -np.inf
-best_policy = None
-for t_boost in np.linspace(0, 24, 481):
-    e_loss, p_aggr = evaluate_policy_arrays(rows, t_boost, rates[:, None])
-    for p, loss, aggr in zip(rates.tolist(), e_loss.tolist(), p_aggr.tolist()):
-        r = reward(PolicyEvaluation(loss, aggr), params)
-        if r > best:
-            best, best_policy = r, (t_boost, p)
+grid = np.array([evaluate_policy_arrays(rows, t_boost, rates[:, None]) for t_boost in boosts])
+rewards = reward(grid[:, 0], grid[:, 1], params)
+i, j = np.unravel_index(np.argmax(rewards), rewards.shape)
+best = rewards[i, j]
 print(
-    f"grid best: reward {best:.3f} at boost {best_policy[0]:.2f} h, "
-    f"rate {best_policy[1]:.2f} ({100 * learned.reward / best:.1f}% reached by search)"
+    f"grid best: reward {best:.3f} at boost {boosts[i]:.2f} h, "
+    f"rate {rates[j]:.2f} ({100 * learned_reward / best:.1f}% reached by search)"
 )
 
-e_loss, p_aggr = evaluate_policy_arrays(history_arrays([sessions], [p_max]), 24.0, 1.0)
-raw = reward(PolicyEvaluation(e_loss.item(), p_aggr.item()), params)
+raw = reward(*evaluate_policy_arrays(history, 24.0, 1.0), params).item()
 print(f"raw-equivalent policy reward: {raw:.3f}")

@@ -12,7 +12,6 @@ from .aggregation import (
 from .charging import (
     ChargingPolicy,
     HistoryArrays,
-    PolicyEvaluation,
     PowerProfile,
     SessionOutcome,
     adaptive_profile,

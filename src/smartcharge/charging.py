@@ -55,14 +55,6 @@ class SessionOutcome:
         return SessionOutcome(*(getattr(self, f.name)[key] for f in fields(self)))
 
 
-@dataclass(frozen=True)
-class PolicyEvaluation:
-    """History-level result: total energy shortfall and the aggregate rate."""
-
-    e_loss_kwh: float
-    p_aggr_kw: float
-
-
 @dataclass(frozen=True, eq=False)
 class PowerProfile:
     """Piecewise-constant power over a charger's sessions.
@@ -78,12 +70,6 @@ class PowerProfile:
     def __post_init__(self):
         pieces = np.asarray(self.pieces, dtype=np.float64).reshape(-1, 3)
         object.__setattr__(self, "pieces", pieces)
-
-    def energy_kwh(self) -> float:
-        return sum(kw * (t1 - t0) / 3600.0 for t0, t1, kw in self.pieces.tolist())
-
-    def peak_kw(self) -> float:
-        return max(self.pieces[:, 2].tolist(), default=0.0)
 
 
 class HistoryArrays:

@@ -195,7 +195,7 @@ def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
         )
         try:
             event_id = int(evt)
-            if abs(event_id) >= 2**63:  # does not fit the int64 column
+            if not -(2**63) <= event_id < 2**63:  # does not fit the int64 column
                 raise ValueError
         except ValueError:
             reject(line_number, f"bad EventID {evt!r}", row)

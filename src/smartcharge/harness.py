@@ -58,7 +58,6 @@ from .dataset import (
     parse_sessions_path,
 )
 from .optimizer import (
-    LearnedPolicy,
     RewardParams,
     SearchConfig,
     learn_policies,
@@ -534,34 +533,30 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     # the sessions with energy, and how many of them sessions 0..i include
     charged = [s[s.energy_kwh > 0] for s in sessions]
     n_charged = [np.cumsum(s.energy_kwh > 0).tolist() for s in sessions]
-    learned: list[LearnedPolicy | None] = [None] * len(batch)
-
-    for i in range(max(len(s) for s in sessions)):
-        relearn = []
-        for j, s in enumerate(sessions):
-            if i >= len(s):
-                continue
-            if i >= cfg.online_warmup and learned[j] is not None:
-                policy = learned[j].policy
-                t_boost_max[j][i], p_rate[j][i] = policy.t_boost_max_hours, policy.p_rate
-                adaptive[j][i] = True
-            # (the policy learned after a charger's last session would go unused)
-            if n_charged[j][i] and cfg.online_warmup <= i + 1 < len(s):
-                relearn.append(j)
-        if relearn:
-            results = learn_policies(
-                [rolling_window(charged[j][: n_charged[j][i]], cfg.history) for j in relearn],
-                [batch[j].p_max_kw for j in relearn],
-                [per_cp_seed(cfg.seed, f"{batch[j].cp_id}#{i}") for j in relearn],
-                cfg.search_config(),
-                cfg.reward_params(),
-                [
-                    None if (cfg.cold_start or learned[j] is None) else learned[j].policy
-                    for j in relearn
-                ],
-            )
-            for j, result in zip(relearn, results):
-                learned[j] = result
+    # after session i, learn the policy session i + 1 charges with; the
+    # warmup's sessions charge raw
+    for i in range(max(cfg.online_warmup - 1, 0), max(map(len, sessions)) - 1):
+        relearn = [j for j, s in enumerate(sessions) if i + 1 < len(s) and n_charged[j][i]]
+        if not relearn:
+            continue
+        results = learn_policies(
+            [rolling_window(charged[j][: n_charged[j][i]], cfg.history) for j in relearn],
+            [batch[j].p_max_kw for j in relearn],
+            [per_cp_seed(cfg.seed, f"{batch[j].cp_id}#{i}") for j in relearn],
+            cfg.search_config(),
+            cfg.reward_params(),
+            [
+                # warm start from the policy learned for session i, if any
+                ChargingPolicy(float(t_boost_max[j][i]), float(p_rate[j][i]))
+                if adaptive[j][i] and not cfg.cold_start
+                else None
+                for j in relearn
+            ],
+        )
+        for j, result in zip(relearn, results):
+            t_boost_max[j][i + 1] = result.policy.t_boost_max_hours
+            p_rate[j][i + 1] = result.policy.p_rate
+            adaptive[j][i + 1] = True
 
     pieces = _no_pieces()
     results = [

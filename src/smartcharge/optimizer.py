@@ -22,6 +22,7 @@ one-charger case.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,7 +31,6 @@ import numpy as np
 from .charging import (
     ChargingPolicy,
     HistoryArrays,
-    PolicyEvaluation,
     evaluate_policy_arrays,
     history_arrays,
 )
@@ -48,8 +48,10 @@ class RewardParams:
     e_max_loss_kwh: float = 10.0
 
     def __post_init__(self):
-        if self.k1 < 0 or self.k2 <= 0 or self.e_max_loss_kwh <= 0:
-            raise ValueError("require k1 >= 0, k2 > 0, e_max_loss_kwh > 0")
+        # NaN fails every comparison, so each rule is stated as what holds;
+        # the loss cap alone may be infinite (no cap)
+        if not (0 <= self.k1 < math.inf and 0 < self.k2 < math.inf and self.e_max_loss_kwh > 0):
+            raise ValueError("require finite k1 >= 0, finite k2 > 0 and e_max_loss_kwh > 0")
 
 
 @dataclass(frozen=True)
@@ -77,23 +79,29 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class LearnedPolicy:
-    """Search result: the chosen policy, its reward and history evaluation."""
+    """Search result: the chosen policy, and whether its shortfall over the
+    history stays below the loss cap."""
 
     policy: ChargingPolicy
-    reward: float
-    evaluation: PolicyEvaluation
     feasible: bool
 
 
-def reward(evaluation: PolicyEvaluation, params: RewardParams) -> float:
-    """Reward of an evaluated policy; -inf once the shortfall reaches the
-    acceptable-loss threshold, and higher the lower the aggregate rate."""
-    if evaluation.e_loss_kwh >= params.e_max_loss_kwh:
-        return float("-inf")
-    if evaluation.p_aggr_kw <= 0.0:
-        # Only possible when the history delivers no energy at all.
-        return float("inf")
-    return -params.k1 * evaluation.e_loss_kwh + params.k2 / evaluation.p_aggr_kw
+def reward(
+    e_loss: np.ndarray,
+    p_aggr: np.ndarray,
+    params: RewardParams,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Reward of each evaluated policy, from arrays of shortfalls (kWh) and
+    aggregate rates (kW) as evaluate_policy_arrays returns them: -inf once
+    the shortfall reaches the loss cap, otherwise k2 / p_aggr - k1 * e_loss,
+    higher the lower the aggregate rate.  A zero rate (a history that
+    delivers no energy) rewards +inf.  Written to out when given."""
+    with np.errstate(divide="ignore"):
+        out = np.divide(params.k2, p_aggr, out=out)
+    out += -params.k1 * e_loss
+    np.copyto(out, -np.inf, where=e_loss >= params.e_max_loss_kwh)
+    return out
 
 
 def rolling_window(history: Sessions, h: int | None) -> Sessions:
@@ -126,7 +134,7 @@ def learn_policy(
     duration, 0.5), and draws its steps from a generator seeded with `seed`.
     The incumbent reward is the evaluated starting point's reward, so the
     search can always make progress even when every feasible reward is
-    negative.  If the final incumbent is still infeasible, falls back to the
+    negative.  If no point visited is feasible, falls back to the
     raw-equivalent policy (boost cap = longest plugin duration, rate 1.0),
     which delivers every target on a cleaned charge point.
     """
@@ -176,17 +184,6 @@ def learn_policies(
     return results
 
 
-def _rewards(
-    e_loss: np.ndarray, p_aggr: np.ndarray, params: RewardParams, out: np.ndarray
-) -> np.ndarray:
-    """reward() of each row, written to out.  p_aggr is never negative on
-    histories of non-negative energy, so a zero rate divides to +inf."""
-    np.divide(params.k2, p_aggr, out=out)
-    out += -params.k1 * e_loss
-    np.copyto(out, -np.inf, where=e_loss >= params.e_max_loss_kwh)
-    return out
-
-
 def _search(
     h: HistoryArrays,
     cfg: SearchConfig,
@@ -226,44 +223,38 @@ def _search(
     inc_tp, inc_r = inc[:2], inc[2]
     accept = np.empty(k, dtype=bool)
     better = np.empty(k, dtype=bool)
-    with np.errstate(divide="ignore"):
-        e_loss, p_aggr = evaluate_policy_arrays(h, inc[0, :, None], inc[1, :, None])
-        _rewards(e_loss, p_aggr, params, out=inc_r)
-        best = inc.copy()
-        best_r = best[2]
-        # Equal-reward candidates move the walk (the reward surface has
-        # genuinely flat regions, e.g. wherever the boost cap exceeds every
-        # session's full charge time; drifting across them is the only way
-        # off), while the returned policy is the best point visited.
-        for step in steps:
-            np.add(inc_tp, step, out=cand_tp)
-            np.maximum(cand_tp, 0.0, out=cand_tp)
-            np.minimum(cand_tp, upper, out=cand_tp)
-            e_loss, p_aggr = evaluate_policy_arrays(h, cand_t, cand_p)
-            _rewards(e_loss, p_aggr, params, out=cand_r)
-            np.greater_equal(cand_r, inc_r, out=accept)
-            np.copyto(inc, cand, where=accept)
-            np.greater(cand_r, best_r, out=better)
-            np.copyto(best, cand, where=better)
+    e_loss, p_aggr = evaluate_policy_arrays(h, inc[0, :, None], inc[1, :, None])
+    reward(e_loss, p_aggr, params, out=inc_r)
+    best = inc.copy()
+    best_r = best[2]
+    # Equal-reward candidates move the walk (the reward surface has
+    # genuinely flat regions, e.g. wherever the boost cap exceeds every
+    # session's full charge time; drifting across them is the only way
+    # off), while the returned policy is the best point visited.
+    for step in steps:
+        np.add(inc_tp, step, out=cand_tp)
+        np.maximum(cand_tp, 0.0, out=cand_tp)
+        np.minimum(cand_tp, upper, out=cand_tp)
+        e_loss, p_aggr = evaluate_policy_arrays(h, cand_t, cand_p)
+        reward(e_loss, p_aggr, params, out=cand_r)
+        np.greater_equal(cand_r, inc_r, out=accept)
+        np.copyto(inc, cand, where=accept)
+        np.greater(cand_r, best_r, out=better)
+        np.copyto(best, cand, where=better)
 
-        # The best point's evaluation is recomputed, not carried through the
-        # loop: the same row and parameters give the same numbers.
-        t, p = best[0], best[1]
-        e_loss, p_aggr = evaluate_policy_arrays(h, t[:, None], p[:, None])
-        fallback = e_loss >= params.e_max_loss_kwh
-        if fallback.any():
-            # Never found a feasible point: charge raw rather than undercharge.
-            t = np.where(fallback, t_max, t)
-            p = np.where(fallback, 1.0, p)
-            e_loss, p_aggr = evaluate_policy_arrays(h, t[:, None], p[:, None])
-        rewards = _rewards(e_loss, p_aggr, params, out=np.empty(k))
-
+    # Finite weights give -inf only at or above the loss cap (unless
+    # k1 * e_loss overflows a float), so a row whose best reward is -inf
+    # visited no feasible point: it charges raw rather than undercharge, and
+    # only then is the bucket evaluated again, to tell if raw is feasible.
+    t, p = best[0], best[1]
+    fallback = best_r == -np.inf
+    feasible = ~fallback
+    if fallback.any():
+        t = np.where(fallback, t_max, t)
+        p = np.where(fallback, 1.0, p)
+        e_loss, _ = evaluate_policy_arrays(h, t[:, None], p[:, None])
+        feasible = e_loss < params.e_max_loss_kwh
     return [
-        LearnedPolicy(
-            policy=ChargingPolicy(float(t[j]), float(p[j])),
-            reward=float(rewards[j]),
-            evaluation=PolicyEvaluation(float(e_loss[j]), float(p_aggr[j])),
-            feasible=bool(e_loss[j] < params.e_max_loss_kwh),
-        )
+        LearnedPolicy(ChargingPolicy(float(t[j]), float(p[j])), bool(feasible[j]))
         for j in range(k)
     ]

@@ -57,6 +57,16 @@ def extract_features(
     return np.column_stack(columns), cp_sessions.plugin_hours[1:]
 
 
+def _lstsq(a: np.ndarray, y: np.ndarray) -> tuple[bool, np.ndarray]:
+    """One SVD of a: whether a has full column rank, by matrix_rank's
+    tolerance, and the least-squares solution of a @ beta = y over the
+    singular values above that tolerance."""
+    u, sv, vt = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.count_nonzero(sv > sv.max() * max(a.shape) * np.finfo(sv.dtype).eps))
+    beta = vt[:rank].T @ (u[:, :rank].T @ y / sv[:rank])
+    return rank == a.shape[1], beta
+
+
 def fit_ols(x: np.ndarray, y: np.ndarray) -> RegressionModel:
     """Least-squares fit with an intercept.
 
@@ -70,19 +80,16 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> RegressionModel:
         raise ValueError("need a non-empty 2-D design and matching targets")
 
     a = np.column_stack([np.ones(len(x)), x])
-    kept = list(range(a.shape[1]))
+    full_rank, beta = _lstsq(a, y)
     # every column subset of a full-rank design is full rank, so the
     # greedy search would keep them all
-    if np.linalg.matrix_rank(a) < len(kept):
-        kept = []
+    if not full_rank:
+        kept: list[int] = []
         for j in range(a.shape[1]):
             if np.linalg.matrix_rank(a[:, kept + [j]]) > len(kept):
                 kept.append(j)
-
-    a_kept = a[:, kept]
-    beta_kept = np.linalg.solve(a_kept.T @ a_kept, a_kept.T @ y)
-    beta = np.zeros(a.shape[1])
-    beta[kept] = beta_kept
+        beta = np.zeros(a.shape[1])
+        beta[kept] = _lstsq(a[:, kept], y)[1]
     return RegressionModel(intercept=float(beta[0]), coefficients=tuple(beta[1:]))
 
 

@@ -15,7 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from smartcharge.charging import HistoryArrays, simulate_session
+from smartcharge.charging import (
+    HistoryArrays,
+    evaluate_policy_arrays,
+    history_arrays,
+    simulate_session,
+)
 from smartcharge.dataset import derive_p_max
 from smartcharge.harness import (
     ExperimentConfig,
@@ -24,7 +29,7 @@ from smartcharge.harness import (
     run_online,
     run_predict,
 )
-from smartcharge.optimizer import RewardParams, SearchConfig, learn_policy
+from smartcharge.optimizer import RewardParams, SearchConfig, learn_policy, reward
 from smartcharge.predictor import fit_ols
 
 from conftest import BASE_EPOCH, make_session, synth_fleet_csv, table
@@ -170,8 +175,11 @@ def test_criterion_2_oracle_equivalence():
         history = table(history)
         p_max = derive_p_max(history)
         best_rewards.append(grid_oracle_best(history, p_max, params))
-        learned = learn_policy(history, p_max, SearchConfig(), params, seed=h)
-        learned_rewards.append(learned.reward)
+        policy = learn_policy(history, p_max, SearchConfig(), params, seed=h).policy
+        e_loss, p_aggr = evaluate_policy_arrays(
+            history_arrays([history], [p_max]), policy.t_boost_max_hours, policy.p_rate
+        )
+        learned_rewards.append(reward(e_loss, p_aggr, params).item())
     elapsed = time.time() - t0
     mean_learned = float(np.mean(learned_rewards))
     mean_best = float(np.mean(best_rewards))

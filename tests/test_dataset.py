@@ -285,14 +285,16 @@ class TestParseColumns:
         assert repr(sessions.energy_kwh.tolist()) == "[0.0]"
 
     def test_event_id_beyond_int64_rejected(self):
-        rows = [
-            CSV_HEADER,
-            f"{2**63},CP1,01/06/2017,10:00:00,01/06/2017,12:00:00,5.0,2.0",
-            f"{2**63 - 1},CP1,01/06/2017,10:00:00,01/06/2017,12:00:00,5.0,2.0",
+        times = "CP1,01/06/2017,10:00:00,01/06/2017,12:00:00,5.0,2.0"
+        rows = [CSV_HEADER] + [
+            f"{event_id},{times}" for event_id in (2**63, 2**63 - 1, -(2**63), -(2**63) - 1)
         ]
         sessions, errors = parse_text("\n".join(rows) + "\n")
-        assert sessions.event_id.tolist() == [2**63 - 1]
-        assert [(e.line_number, e.reason) for e in errors] == [(2, f"bad EventID '{2**63}'")]
+        assert sessions.event_id.tolist() == [2**63 - 1, -(2**63)]
+        assert [(e.line_number, e.reason) for e in errors] == [
+            (2, f"bad EventID '{2**63}'"),
+            (5, f"bad EventID '{-(2**63) - 1}'"),
+        ]
 
     def test_bad_cp_id_rejected(self):
         # an empty id, or one the unquoted report CSVs cannot hold as one field

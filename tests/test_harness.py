@@ -376,14 +376,17 @@ class TestOnline:
             assert len(rows(alone)) == 16
             assert rows(alone) == rows(fleet)
 
-    def test_replay_matches_per_session_reference(self, tmp_path):
+    # a warmup of 0 and 1 learns after the first session; 30 outlasts
+    # every charger's 24 sessions
+    @pytest.mark.parametrize("warmup", [0, 1, 6, 30])
+    def test_replay_matches_per_session_reference(self, tmp_path, warmup):
         # each session's policy, restated one session at a time: raw during
         # the warmup, then the policy learned from the last `history`
         # sessions with energy before it, warm-started from the previous one
         text = synth_fleet_csv(n_cps=3, sessions_per_cp=24, seed=21, zero_energy_prob=0.3)
         cfg = small_cfg(
             write_csv(tmp_path, text), str(tmp_path / "o"), mode="online",
-            online_warmup=6, history=5, n_tries=15,
+            online_warmup=warmup, history=5, n_tries=15,
         )
         for r in run_online(cfg).cp_results:
             s, learned, charged, want = r.cp.sessions, None, [], []
@@ -410,7 +413,7 @@ class TestOnline:
                 r.policy_t_boost_max.tolist(), r.policy_p_rate.tolist(), r.adaptive.tolist()
             )
             assert list(map(repr, got)) == list(map(repr, want))
-            assert r.adaptive.any()
+            assert r.adaptive.any() == (warmup < len(s))
 
     def test_same_seed_reproducible(self, tmp_path):
         a, _ = self.make_results(tmp_path, seed=5)
@@ -655,6 +658,11 @@ class TestCli:
             {"n_tries": 0},
             {"k1": -1},
             {"max_loss": 0},
+            {"k1": float("nan")},
+            {"k2": float("nan")},
+            {"max_loss": float("nan")},
+            {"k1": float("inf")},
+            {"k2": float("inf")},
             {"dx_min": 0.6},
             {"dy_max": 2.0},
             {"p_max_percentile": 0},

@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smartcharge.charging import (
-    ChargingPolicy,
-    PolicyEvaluation,
-    evaluate_policy_arrays,
-    history_arrays,
-)
+from smartcharge import optimizer
+from smartcharge.charging import ChargingPolicy, evaluate_policy_arrays, history_arrays
 from smartcharge.dataset import derive_p_max
 from smartcharge.optimizer import (
     LearnedPolicy,
@@ -61,6 +57,20 @@ def grid_search_best(history, p_max, params):
     return float(r.max())
 
 
+def evaluated(history, p_max, policy, params):
+    """(shortfall, aggregate rate, reward) of one policy over one history,
+    as floats."""
+    e_loss, p_aggr = evaluate_policy_arrays(
+        history_arrays([history], [p_max]), policy.t_boost_max_hours, policy.p_rate
+    )
+    return e_loss.item(), p_aggr.item(), reward(e_loss, p_aggr, params).item()
+
+
+def reward_of(e_loss, p_aggr, params):
+    """reward() of one shortfall and aggregate rate, as a float."""
+    return reward(np.array([e_loss]), np.array([p_aggr]), params).item()
+
+
 def slack_history(seed, n=None):
     """History with the charger's max power derived from its own sessions,
     the way the pipeline produces them."""
@@ -85,32 +95,43 @@ def slack_history(seed, n=None):
 class TestReward:
     def test_example_values(self):
         params = RewardParams(k1=0.1, k2=10.0)
-        r = reward(PolicyEvaluation(9.45, 3.043409090909091), params)
+        r = reward_of(9.45, 3.043409090909091, params)
         assert abs(r - 2.340788962736166) < 1e-12
-        assert reward(PolicyEvaluation(0.0, 7.0), params) == pytest.approx(
-            10.0 / 7.0, rel=1e-12
-        )
+        assert reward_of(0.0, 7.0, params) == pytest.approx(10.0 / 7.0, rel=1e-12)
 
     def test_threshold_is_strict(self):
         params = RewardParams(e_max_loss_kwh=10.0)
-        assert reward(PolicyEvaluation(10.0, 3.0), params) == float("-inf")
-        assert reward(PolicyEvaluation(11.0, 3.0), params) == float("-inf")
-        assert np.isfinite(reward(PolicyEvaluation(9.999999, 3.0), params))
+        assert reward_of(10.0, 3.0, params) == float("-inf")
+        assert reward_of(11.0, 3.0, params) == float("-inf")
+        assert np.isfinite(reward_of(9.999999, 3.0, params))
 
     def test_zero_rate_feasible_is_plus_inf(self):
-        assert reward(PolicyEvaluation(0.0, 0.0), RewardParams()) == float("inf")
+        # the reward sets its own error state for the division by zero
+        with np.errstate(all="raise"):
+            assert reward_of(0.0, 0.0, RewardParams()) == float("inf")
+            assert reward_of(10.0, 0.0, RewardParams()) == float("-inf")
 
     def test_weight_scaling_preserves_argmax(self):
         rng = np.random.default_rng(4)
-        evals = [
-            PolicyEvaluation(float(rng.uniform(0, 9.9)), float(rng.uniform(0.1, 7)))
-            for _ in range(50)
-        ]
+        e_loss, p_aggr = rng.uniform(0, 9.9, 50), rng.uniform(0.1, 7, 50)
         base = RewardParams(k1=0.1, k2=10.0)
         scaled = RewardParams(k1=0.1 * 3.7, k2=10.0 * 3.7)
-        a = np.argmax([reward(e, base) for e in evals])
-        b = np.argmax([reward(e, scaled) for e in evals])
-        assert a == b
+        assert np.argmax(reward(e_loss, p_aggr, base)) == np.argmax(
+            reward(e_loss, p_aggr, scaled)
+        )
+
+    def test_rows_are_independent_and_out_is_filled(self):
+        rng = np.random.default_rng(5)
+        e_loss = np.concatenate([rng.uniform(0, 12, 40), [0.0, 10.0]])
+        p_aggr = np.concatenate([rng.uniform(0.1, 7, 40), [0.0, 0.0]])
+        params = RewardParams()
+        out = np.full(len(e_loss), np.nan)
+        assert reward(e_loss, p_aggr, params, out=out) is out
+        assert out.tolist() == [reward_of(e, p, params) for e, p in zip(e_loss, p_aggr)]
+
+    def test_uncapped_loss_allowed(self):
+        params = RewardParams(e_max_loss_kwh=float("inf"))
+        assert reward_of(1e6, 3.0, params) == pytest.approx(10.0 / 3.0 - 0.1e6)
 
 
 class TestRollingWindow:
@@ -145,13 +166,10 @@ class TestLearnPolicy:
         for seed in range(10):
             history, p_max = slack_history(100 + seed)
             start = ChargingPolicy(float(np.mean(history.plugin_hours.tolist())), 0.5)
-            e_loss, p_aggr = evaluate_policy_arrays(
-                history_arrays([history], [p_max]), start.t_boost_max_hours, start.p_rate
-            )
-            start_reward = reward(PolicyEvaluation(e_loss.item(), p_aggr.item()), params)
+            start_reward = evaluated(history, p_max, start, params)[2]
             learned = learn_policy(history, p_max, SearchConfig(), params, seed=seed)
             if np.isfinite(start_reward):
-                assert learned.reward >= start_reward
+                assert evaluated(history, p_max, learned.policy, params)[2] >= start_reward
 
     def test_always_feasible_on_slack_histories(self):
         for seed in range(20):
@@ -160,7 +178,7 @@ class TestLearnPolicy:
                 history, p_max, SearchConfig(), RewardParams(), seed=seed
             )
             assert learned.feasible
-            assert learned.evaluation.e_loss_kwh < 10.0
+            assert evaluated(history, p_max, learned.policy, RewardParams())[0] < 10.0
 
     def test_infeasible_search_falls_back_to_raw(self):
         # one short and one very long zero-slack session: from the start
@@ -181,7 +199,7 @@ class TestLearnPolicy:
         )
         assert learned.policy == ChargingPolicy(30.0, 1.0)
         assert learned.feasible
-        assert learned.evaluation.e_loss_kwh == 0.0
+        assert evaluated(history, 7.0, learned.policy, RewardParams())[0] == 0.0
 
     def test_identical_sessions_near_grid_optimum(self):
         # grid optimum sits at no boost and a rate near 1/24 (aggregate rate
@@ -195,10 +213,11 @@ class TestLearnPolicy:
         params = RewardParams()
         best = grid_search_best(history, 7.0, params)
         learned = learn_policy(history, 7.0, SearchConfig(), params, seed=9)
-        assert learned.reward >= 0.95 * best
+        _, p_aggr, r = evaluated(history, 7.0, learned.policy, params)
+        assert r >= 0.95 * best
         assert learned.policy.t_boost_max_hours < 1.0
         assert learned.policy.p_rate < 0.06
-        assert learned.evaluation.p_aggr_kw < 0.35
+        assert p_aggr < 0.35
 
     def test_no_slack_history_stays_raw(self):
         # every session already needs its whole window at full rate, so only
@@ -214,8 +233,9 @@ class TestLearnPolicy:
         ])
         params = RewardParams()
         learned = learn_policy(history, 10.0, SearchConfig(), params, seed=3)
-        assert learned.evaluation.e_loss_kwh == 0.0
-        assert learned.evaluation.p_aggr_kw == pytest.approx(10.0, rel=1e-12)
+        e_loss, p_aggr, _ = evaluated(history, 10.0, learned.policy, params)
+        assert e_loss == 0.0
+        assert p_aggr == pytest.approx(10.0, rel=1e-12)
 
     def test_mean_reward_near_grid_best(self):
         params = RewardParams()
@@ -225,7 +245,7 @@ class TestLearnPolicy:
             history, p_max = slack_history(300 + seed)
             best = grid_search_best(history, p_max, params)
             learned = learn_policy(history, p_max, SearchConfig(), params, seed=seed)
-            learned_sum += learned.reward
+            learned_sum += evaluated(history, p_max, learned.policy, params)[2]
             best_sum += best
         assert learned_sum / n >= 0.95 * best_sum / n
 
@@ -271,9 +291,18 @@ def serial_evaluate_policy_arrays(e_target, plugin, t_boost_max_hours, p_rate, p
     )
     delivered = float(np.sum(e_total))
     if delivered <= 0.0:
-        return PolicyEvaluation(e_loss_kwh=e_loss, p_aggr_kw=0.0)
-    p_aggr = float(np.sum(p_eff * e_total)) / delivered
-    return PolicyEvaluation(e_loss_kwh=e_loss, p_aggr_kw=p_aggr)
+        return e_loss, 0.0
+    return e_loss, float(np.sum(p_eff * e_total)) / delivered
+
+
+def serial_reward(e_loss, p_aggr, params):
+    """The reward of one evaluated policy, one branch per case."""
+    if e_loss >= params.e_max_loss_kwh:
+        return float("-inf")
+    if p_aggr <= 0.0:
+        # only possible when the history delivers no energy at all
+        return float("inf")
+    return -params.k1 * e_loss + params.k2 / p_aggr
 
 
 def serial_learn_policy(history, p_max_kw, cfg, params, init=None, seed=0):
@@ -292,7 +321,7 @@ def serial_learn_policy(history, p_max_kw, cfg, params, init=None, seed=0):
     else:
         inc_t, inc_p = t_mean, 0.5
     inc_eval = serial_evaluate_policy_arrays(e_target, plugin, inc_t, inc_p, p_max_kw)
-    inc_reward = reward(inc_eval, params)
+    inc_reward = serial_reward(*inc_eval, params)
     best_t, best_p = inc_t, inc_p
     best_eval, best_reward = inc_eval, inc_reward
 
@@ -307,7 +336,7 @@ def serial_learn_policy(history, p_max_kw, cfg, params, init=None, seed=0):
         cand_eval = serial_evaluate_policy_arrays(
             e_target, plugin, cand_t, cand_p, p_max_kw
         )
-        cand_reward = reward(cand_eval, params)
+        cand_reward = serial_reward(*cand_eval, params)
         if cand_reward >= inc_reward:
             inc_t, inc_p = cand_t, cand_p
             inc_eval, inc_reward = cand_eval, cand_reward
@@ -315,18 +344,15 @@ def serial_learn_policy(history, p_max_kw, cfg, params, init=None, seed=0):
             best_t, best_p = cand_t, cand_p
             best_eval, best_reward = cand_eval, cand_reward
 
-    if best_eval.e_loss_kwh >= params.e_max_loss_kwh:
+    if best_eval[0] >= params.e_max_loss_kwh:
         best_t, best_p = t_max, 1.0
         best_eval = serial_evaluate_policy_arrays(
             e_target, plugin, best_t, best_p, p_max_kw
         )
-        best_reward = reward(best_eval, params)
 
     return LearnedPolicy(
         policy=ChargingPolicy(best_t, best_p),
-        reward=best_reward,
-        evaluation=best_eval,
-        feasible=best_eval.e_loss_kwh < params.e_max_loss_kwh,
+        feasible=best_eval[0] < params.e_max_loss_kwh,
     )
 
 
@@ -393,10 +419,7 @@ class TestLockstepEqualsSerial:
         for got, window, p, row_seed, init in zip(lockstep, windows, p_max, seeds, inits):
             want = serial_learn_policy(rows(window), p, cfg, params, init, row_seed)
             # repr tells -0.0 from 0.0 and shows every bit of each float
-            assert repr(got.policy) == repr(want.policy)
-            assert repr(got.reward) == repr(want.reward)
-            assert repr(got.evaluation) == repr(want.evaluation)
-            assert got.feasible is want.feasible
+            assert repr(got) == repr(want)
 
     def test_corners_occur(self):
         # the generator reaches the raw fallback and the +inf reward
@@ -407,8 +430,9 @@ class TestLockstepEqualsSerial:
         tiny, p = lockstep_window("tiny", 20, 2)
         start = ChargingPolicy(0.0, 0.0)
         learned = learn_policy(tiny, p, SearchConfig(n_tries=5), params, start, seed=0)
-        assert learned.reward == float("inf")
-        assert learned.evaluation.p_aggr_kw == 0.0
+        _, p_aggr, r = evaluated(tiny, p, learned.policy, params)
+        assert r == float("inf")
+        assert p_aggr == 0.0
 
     def test_one_result_per_history_in_input_order(self):
         params = RewardParams()
@@ -421,6 +445,34 @@ class TestLockstepEqualsSerial:
         assert learn_policies([], [], [], cfg, params) == []
         with pytest.raises(ValueError):
             learn_policies(windows, p_max[:3], range(4), cfg, params)
+
+    def test_evaluations_per_bucket(self, monkeypatch):
+        # one evaluation of the start and one per try; a row that falls
+        # back to raw costs one more, for its bucket alone
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[0].e_target))
+            return evaluate_policy_arrays(*args)
+
+        monkeypatch.setattr(optimizer, "evaluate_policy_arrays", counting)
+        params, cfg = RewardParams(), SearchConfig(n_tries=1)
+        # the tight window falls back, the tiny and slack ones do not
+        tight, p_tight = lockstep_window("tight", 40, 1)
+        tiny, p_tiny = lockstep_window("tiny", 40, 1)
+        slack, p_slack = lockstep_window("slack", 30, 3)
+
+        learned = learn_policies([tiny, slack], [p_tiny, p_slack], [0, 0], cfg, params)
+        assert calls == [1, 1, 1, 1]
+        assert all(result.feasible for result in learned)
+
+        calls.clear()
+        learned = learn_policies(
+            [tight, tiny, slack], [p_tight, p_tiny, p_slack], [0, 0, 0], cfg, params
+        )
+        assert calls == [2, 2, 2, 1, 1]
+        raw = [ChargingPolicy(max(w.plugin_hours.tolist()), 1.0) for w in (tight, tiny)]
+        assert [result.policy == policy for result, policy in zip(learned, raw)] == [True, False]
 
     def test_one_seed_per_history(self):
         windows = [lockstep_window("slack", n, n)[0] for n in (30, 7)]
