@@ -81,6 +81,8 @@ def build_config(argv: list[str] | None = None) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

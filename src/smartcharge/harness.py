@@ -22,6 +22,11 @@ arrays, and each strategy's pieces of them are built in one call per
 profile they go into.  Each batch then folds each profile's pieces of all
 its chargers into that profile in one aggregation.accumulate call, in
 offline and online mode alike.
+
+Reports stream to disk in chunks of text, so the long ones (profiles and
+the online outcome log) never exist whole, as a list of rows or as one
+string.  A profile is formatted once per run of equal values, and a table
+a column at a time.
 """
 
 from __future__ import annotations
@@ -30,11 +35,10 @@ import contextlib
 import math
 import operator
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial, reduce
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -160,23 +164,29 @@ class ExperimentConfig:
 # shared plumbing
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write-then-rename so a rerun never leaves a half-written report."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to a new file beside path, then rename it to path,
+    so a rerun never leaves a half-written report.  The file gets the mode
+    open() would give it: 0o666 less the umask."""
+    tmp = os.path.join(os.path.dirname(path), f".tmp-report-{os.urandom(8).hex()}")
+    # O_EXCL: never write into a file that already exists (mkstemp would
+    # ensure that too, but creates the file with mode 0o600)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _csv_line(values: Iterable) -> str:
-    # full-precision, shortest round-trip floats (plain float repr, never a
-    # numpy scalar repr)
-    return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in values)
+def _csv_rows(columns: Iterable[Iterable]) -> str:
+    """The CSV lines of the columns' rows.  A column is a numpy array or an
+    iterable of Python str, int and float values; each value is written as
+    str() gives it, which for a float is its shortest round-trip repr."""
+    rows = zip(*(map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns))
+    return "\n".join([*map(",".join, rows), ""])
 
 
 def _load_charge_points(
@@ -216,7 +226,9 @@ def _map_batches(fn, items: Sequence, workers: int):
     if workers <= 1 or len(batches) <= 1:
         yield from map(fn, batches)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool may start all its workers up front: ask for no more than
+    # there are batches
+    with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
         yield from pool.map(fn, batches)
 
 
@@ -629,25 +641,32 @@ def run_predict(cfg: ExperimentConfig) -> PredictResults:
 # report emission
 
 
-def _profile_csv(profiles: dict[str, DailyProfile], resolution: int) -> str:
-    """second_of_day,raw_kw,oracle_kw,rl_kw rows; coarser resolutions emit
-    the average power over each bucket."""
-    lines = ["second_of_day,raw_kw,oracle_kw,rl_kw"]
+def _profile_csv(profiles: dict[str, DailyProfile], resolution: int) -> Iterator[str]:
+    """second_of_day,raw_kw,oracle_kw,rl_kw rows, as chunks of text;
+    coarser resolutions emit the average power over each bucket.
+
+    A profile is piecewise constant (accumulate sums runs of equal rate),
+    so within a chunk each column's value is formatted once per run of
+    equal bit patterns (0.0 and -0.0 stay apart), and each row picks up its
+    run's text.  Only one chunk's texts exist at a time.
+    """
     arrays = [profiles[s].power_kw() for s in STRATEGIES]
     if resolution > 1:
         arrays = [
             a.reshape(aggregation.SECONDS_PER_DAY // resolution, resolution).mean(axis=1)
             for a in arrays
         ]
-    # Whole-array tolist() would hold every row's floats at once; chunks
-    # keep that peak small.
+    yield "second_of_day,raw_kw,oracle_kw,rl_kw\n"
     for lo in range(0, len(arrays[0]), _PROFILE_CHUNK_ROWS):
-        chunk = zip(
-            range(lo * resolution, (lo + _PROFILE_CHUNK_ROWS) * resolution, resolution),
-            *(a[lo : lo + _PROFILE_CHUNK_ROWS].tolist() for a in arrays),
-        )
-        lines.extend(f"{t},{raw!r},{oracle!r},{rl!r}" for t, raw, oracle, rl in chunk)
-    return "\n".join(lines) + "\n"
+        hi = lo + _PROFILE_CHUNK_ROWS
+        columns = [range(lo * resolution, hi * resolution, resolution)]
+        for a in arrays:
+            chunk = a[lo:hi]
+            bits = chunk.view(np.int64)
+            starts = np.concatenate(([True], bits[1:] != bits[:-1]))
+            texts = np.array(list(map(repr, chunk[starts].tolist())), dtype=object)
+            columns.append(texts[np.cumsum(starts) - 1])
+        yield _csv_rows(columns)
 
 
 def _peak_reduction_lines(profiles: dict[str, DailyProfile]) -> list[str]:
@@ -675,7 +694,8 @@ class _Bundle:
     Opening it removes every report an earlier run of any mode may have left
     there, so no old file stays beside the new ones, not even when this run
     fails halfway; then it writes the cleaning report and the rejected input
-    rows.  Each report is written atomically as soon as its text exists.
+    rows.  Each report is written atomically, chunk by chunk as its text is
+    made.
     """
 
     def __init__(self, results: RunResults, output_dir: str):
@@ -685,7 +705,7 @@ class _Bundle:
         for name in REPORTS:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(output_dir, name))
-        self.write("cleaning_report.txt", results.cleaning.to_text())
+        self.write("cleaning_report.txt", [results.cleaning.to_text()])
         if results.parse_errors:
             self.write_lines(
                 "parse_errors.csv",
@@ -696,13 +716,16 @@ class _Bundle:
                 ],
             )
 
-    def write(self, name: str, text: str) -> None:
+    def write(self, name: str, chunks: Iterable[str]) -> None:
         path = os.path.join(self.output_dir, name)
-        _atomic_write(path, text)
+        _atomic_write(path, chunks)
         self.paths[name] = path
 
     def write_lines(self, name: str, lines: list[str]) -> None:
-        self.write(name, "\n".join(lines) + "\n")
+        self.write(name, ["\n".join(lines) + "\n"])
+
+    def write_csv(self, name: str, header: str, columns: Iterable[Iterable]) -> None:
+        self.write(name, [header + "\n", _csv_rows(columns)])
 
 
 def emit_offline_reports(results: OfflineResults, output_dir: str) -> dict[str, str]:
@@ -713,21 +736,15 @@ def emit_offline_reports(results: OfflineResults, output_dir: str) -> dict[str, 
         "profiles_all_sessions.csv",
         _profile_csv(results.profiles_all, cfg.emit_resolution),
     )
-    bundle.write_lines(
-        "policies.csv",
-        ["cp_id,t_boost_max_hours,p_rate,deficit_kwh,n_train,n_test"]
-        + [
-            _csv_line(
-                [r.cp_id, r.t_boost_max_hours, r.p_rate, r.deficit_kwh, r.n_train, r.n_test]
-            )
-            for r in results.cp_rows
-        ],
+    keys = ("cp_id", "t_boost_max_hours", "p_rate", "deficit_kwh", "n_train", "n_test")
+    bundle.write_csv(
+        "policies.csv", ",".join(keys), [[getattr(r, k) for r in results.cp_rows] for k in keys]
     )
     hist = results.speed_histogram()
-    bundle.write_lines(
+    bundle.write_csv(
         "speed_histogram.csv",
-        ["rel_speed_bin_start,fraction"]
-        + [_csv_line([i / len(hist), float(frac)]) for i, frac in enumerate(hist)],
+        "rel_speed_bin_start,fraction",
+        [[i / len(hist) for i in range(len(hist))], hist],
     )
 
     text = [
@@ -762,32 +779,35 @@ def emit_offline_reports(results: OfflineResults, output_dir: str) -> dict[str, 
     return bundle.paths
 
 
+def _outcome_chunks(cp_results: list[OnlineCpResult]) -> Iterator[str]:
+    """outcomes.csv, one chunk per charger: a row per session."""
+    yield (
+        "cp_id,session_index,event_id,start,plugin_hours,energy_kwh,mode,"
+        "t_boost_hours,t_slow_hours,e_boost_kwh,e_slow_kwh,e_total_kwh,"
+        "e_loss_kwh,p_eff_kw,policy_t_boost_max_hours,policy_p_rate\n"
+    )
+    for r in cp_results:
+        s = r.cp.sessions
+        yield _csv_rows(
+            [
+                [r.cp.cp_id] * len(s),
+                range(len(s)),
+                s.event_id,
+                s.start,
+                s.plugin_hours,
+                s.energy_kwh,
+                np.where(r.adaptive, "adaptive", "raw"),
+                *(getattr(r.outcome, f.name) for f in fields(r.outcome)),
+                r.policy_t_boost_max,
+                r.policy_p_rate,
+            ]
+        )
+
+
 def emit_online_reports(results: OnlineResults, output_dir: str) -> dict[str, str]:
     bundle = _Bundle(results, output_dir)
     bundle.write("profiles.csv", _profile_csv(results.profiles, results.cfg.emit_resolution))
-
-    lines = [
-        "cp_id,session_index,event_id,start,plugin_hours,energy_kwh,mode,"
-        "t_boost_hours,t_slow_hours,e_boost_kwh,e_slow_kwh,e_total_kwh,"
-        "e_loss_kwh,p_eff_kw,policy_t_boost_max_hours,policy_p_rate"
-    ]
-    for r in results.cp_results:
-        s = r.cp.sessions
-        columns = [
-            s.event_id,
-            s.start,
-            s.plugin_hours,
-            s.energy_kwh,
-            np.where(r.adaptive, "adaptive", "raw"),
-            *(getattr(r.outcome, f.name) for f in fields(r.outcome)),
-            r.policy_t_boost_max,
-            r.policy_p_rate,
-        ]
-        lines.extend(
-            _csv_line([r.cp.cp_id, i, *row])
-            for i, row in enumerate(zip(*(c.tolist() for c in columns)))
-        )
-    bundle.write_lines("outcomes.csv", lines)
+    bundle.write("outcomes.csv", _outcome_chunks(results.cp_results))
 
     text = [
         "online learning report",
@@ -819,21 +839,17 @@ def emit_online_reports(results: OnlineResults, output_dir: str) -> dict[str, st
 
 def emit_predict_reports(results: PredictResults, output_dir: str) -> dict[str, str]:
     bundle = _Bundle(results, output_dir)
-    lines = [
-        "cp_id,n_rows,mae_with_energy,mape_with_energy,mse_with_energy,"
-        "mae_without_energy,mape_without_energy,mse_without_energy"
-    ]
+    rows = []
     for r in results.cp_rows:
-        if r.with_energy is None:
-            lines.append(_csv_line([r.cp_id, r.n_rows, "", "", "", "", "", ""]))
-        else:
-            w, wo = r.with_energy, r.without_energy
-            lines.append(
-                _csv_line(
-                    [r.cp_id, r.n_rows, w.mae, w.mape, w.mse, wo.mae, wo.mape, wo.mse]
-                )
-            )
-    bundle.write_lines("prediction_per_cp.csv", lines)
+        w, wo = r.with_energy, r.without_energy
+        metrics = ("",) * 6 if w is None else (w.mae, w.mape, w.mse, wo.mae, wo.mape, wo.mse)
+        rows.append((r.cp_id, r.n_rows, *metrics))
+    bundle.write_csv(
+        "prediction_per_cp.csv",
+        "cp_id,n_rows,mae_with_energy,mape_with_energy,mse_with_energy,"
+        "mae_without_energy,mape_without_energy,mse_without_energy",
+        zip(*rows),
+    )
 
     usable = [r for r in results.cp_rows if r.with_energy is not None]
     text = [

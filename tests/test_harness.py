@@ -495,6 +495,30 @@ def test_cp_without_energy_has_its_own_error(tmp_path, capsys):
     assert main(args + ["--mode", "predict"]) == 0
 
 
+@pytest.mark.parametrize("workers, n_items, pool_size", [(64, 70, 3), (2, 70, 2), (64, 32, None)])
+def test_pool_no_larger_than_the_batch_count(monkeypatch, workers, n_items, pool_size):
+    # a fake executor: it records the pool size asked for and starts no process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    batches = list(harness._map_batches(len, list(range(n_items)), workers))
+    size = harness.BATCH_SIZE
+    assert batches == [min(size, n_items - lo) for lo in range(0, n_items, size)]
+    assert sizes == ([] if pool_size is None else [pool_size])
+
+
 def test_report_totals_add_left_to_right():
     # builtin sum() compensates from Python 3.12 on and would give 1.0
     assert repr(harness._sum([1e16, 1.0, -1e16])) == "0.0"
@@ -565,6 +589,14 @@ class TestCli:
         cfg_path.write_text(json.dumps({"input": fleet_csv, "typo_key": 1}))
         with pytest.raises(ValueError):
             build_config(["--config", str(cfg_path)])
+
+    @pytest.mark.parametrize("content", ["5", "null", '"x"', "[]", '["input"]'])
+    def test_config_file_not_an_object_exits_1(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(content)
+        assert main(["--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "smartcharge: error: config file must hold a JSON object\n"
 
     def test_missing_input_is_error(self):
         with pytest.raises(ValueError):
