@@ -48,15 +48,15 @@ csv_path = workdir / "fleet.csv"
 csv_path.write_text("\n".join(rows) + "\n")
 
 cfg = ExperimentConfig(
-    input_path=str(csv_path),
+    input=str(csv_path),
     history=30,
     seed=0,
-    output_dir=str(workdir / "out"),
+    out_dir=str(workdir / "out"),
 )
 results = run_offline(cfg)
-paths = emit_offline_reports(results, cfg.output_dir)
+paths = emit_offline_reports(results, cfg.out_dir)
 
-print(f"fleet of {len(results.cp_rows)} chargers, reports in {cfg.output_dir}\n")
+print(f"fleet of {len(results.cp_rows)} chargers, reports in {cfg.out_dir}\n")
 rl = results.metrics("rl")
 
 

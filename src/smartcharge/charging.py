@@ -176,9 +176,11 @@ def simulate_session(
     e_slow = e_total - e_boost
     slow = e_slow > 0.0
     e_slow[~slow] = 0.0
-    t_slow = np.divide(
-        e_slow, sessions.p_max_kw * p_rate, out=np.zeros_like(e_slow), where=slow
-    )
+    # at a rate of 0 kW (p_max * p_rate may underflow to 0 while the slow
+    # phase still delivers energy) the slow phase runs to the session's end
+    rate = sessions.p_max_kw * p_rate
+    t_slow = np.where(slow, sessions.plugin - sessions._t_boost, 0.0)
+    np.divide(e_slow, rate, out=t_slow, where=slow & (rate > 0.0))
     return SessionOutcome(
         t_boost_hours=sessions._t_boost.copy(),
         e_boost_kwh=e_boost,

@@ -13,16 +13,22 @@ from dataclasses import fields
 
 from .harness import ExperimentConfig, HarnessError, run
 
-# config file keys (also the flags' argparse dests), by ExperimentConfig
-# field: the field's own name, except for these five
-_RENAMED = {
-    "input_path": "input",
-    "e_max_loss": "max_loss",
-    "online_warmup": "warmup",
-    "output_dir": "out_dir",
-    "cp_filter": "cp",
+# argparse settings of a field's flag, by the field's annotation; a field
+# of any other type is read as text
+_FLAG_KINDS = {
+    "int": {"type": int},
+    "float": {"type": float},
+    "float | None": {"type": float},
+    "bool": {"action": "store_true", "default": None},
+    "tuple[str, ...]": {"action": "append"},
 }
-CONFIG_KEYS = {_RENAMED.get(f.name, f.name): f.name for f in fields(ExperimentConfig)}
+_HELP = {
+    "input": "chargepoint session CSV",
+    "history": "sessions of history used for learning: an integer or 'unlimited'",
+    "cp": "restrict to this charge point (repeatable)",
+    "cold_start": "online mode: re-learn from scratch after each session instead "
+    "of warm-starting from the previous policy",
+}
 
 
 def _parse_history(value) -> int | None:
@@ -41,67 +47,41 @@ def build_parser() -> argparse.ArgumentParser:
         "on a chargepoint session dataset.",
     )
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--input", help="chargepoint session CSV")
-    p.add_argument("--mode", choices=["offline", "online", "predict"])
-    p.add_argument(
-        "--history",
-        help="sessions of history used for learning: an integer or 'unlimited'",
-    )
-    p.add_argument("--seed", type=int)
-    p.add_argument("--min-sessions", type=int, dest="min_sessions")
-    p.add_argument("--n-tries", type=int, dest="n_tries")
-    p.add_argument("--k1", type=float)
-    p.add_argument("--k2", type=float)
-    p.add_argument("--max-loss", type=float, dest="max_loss")
-    p.add_argument("--warmup", type=int)
-    p.add_argument("--train-fraction", type=float, dest="train_fraction")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument(
-        "--cp",
-        action="append",
-        help="restrict to this charge point (repeatable)",
-    )
-    p.add_argument("--workers", type=int)
-    p.add_argument("--emit-resolution", type=int, dest="emit_resolution")
-    p.add_argument(
-        "--cold-start",
-        action="store_true",
-        default=None,
-        dest="cold_start",
-        help="online mode: re-learn from scratch after each session instead "
-        "of warm-starting from the previous policy",
-    )
+    for f in fields(ExperimentConfig):
+        flag = "--" + f.name.replace("_", "-")
+        p.add_argument(flag, help=_HELP.get(f.name), **_FLAG_KINDS.get(f.type, {}))
     return p
 
 
 def build_config(argv: list[str] | None = None) -> ExperimentConfig:
     args = build_parser().parse_args(argv)
 
+    names = [f.name for f in fields(ExperimentConfig)]
     settings: dict = {}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(CONFIG_KEYS)
+        unknown = set(file_cfg) - set(names)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         settings.update(file_cfg)
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
+    for name in names:
+        value = getattr(args, name)
         if value is not None:
-            settings[key] = value
+            settings[name] = value
 
     if "input" not in settings:
         raise ValueError("an input CSV is required (--input or config file)")
 
-    kwargs = {CONFIG_KEYS[k]: v for k, v in settings.items()}
-    kwargs["history"] = _parse_history(kwargs.get("history", 30))
+    if "history" in settings:
+        settings["history"] = _parse_history(settings["history"])
     # a list of ids becomes a tuple; any other type fails config validation
-    cp = kwargs.get("cp_filter")
+    cp = settings.get("cp")
     if isinstance(cp, (str, list)):
-        kwargs["cp_filter"] = (cp,) if isinstance(cp, str) else tuple(cp)
-    return ExperimentConfig(**kwargs)
+        settings["cp"] = (cp,) if isinstance(cp, str) else tuple(cp)
+    return ExperimentConfig(**settings)
 
 
 def main(argv: list[str] | None = None) -> int:

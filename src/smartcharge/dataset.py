@@ -10,10 +10,11 @@ the calendar and for a consistency check against the Duration column.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from array import array
 from dataclasses import dataclass, fields
-from datetime import datetime
+from datetime import date
 from typing import TextIO
 
 import numpy as np
@@ -33,7 +34,12 @@ EXPECTED_HEADER = [
 # Guards against DST/clock artifacts in the source file.
 DURATION_TOLERANCE_HOURS = 0.02
 
-_EPOCH = datetime(1970, 1, 1)
+# cleaning defaults: sessions longer than MAX_HOURS are dropped, then
+# chargers left with fewer than MIN_SESSIONS sessions
+MAX_HOURS = 48.0
+MIN_SESSIONS = 10
+
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 # characters a CPID must not hold
 _CSV_SPECIALS = frozenset(',"\r\n')
 
@@ -115,8 +121,8 @@ class CleaningReport:
     removed_small_cp_sessions: int = 0
     retained_sessions: int = 0
     retained_charge_points: int = 0
-    max_hours: float = 48.0
-    min_sessions: int = 10
+    max_hours: float = MAX_HOURS
+    min_sessions: int = MIN_SESSIONS
 
     def removed_total(self) -> int:
         return (
@@ -146,12 +152,21 @@ class CleaningReport:
         return "\n".join(lines) + "\n"
 
 
+# an export spans a few hundred distinct dates; the bound caps the memory
+# a file of many distinct date strings could hold
+@functools.lru_cache(maxsize=1 << 14)
+def _epoch_day(date_text: str) -> int:
+    """DD/MM/YYYY -> days since 1970-01-01; date() rejects 29/02/2017."""
+    day, month, year = date_text.split("/")
+    return date(int(year), int(month), int(day)).toordinal() - _EPOCH_ORDINAL
+
+
 def _parse_instant(date_text: str, time_text: str) -> int:
     """DD/MM/YYYY + HH:MM:SS -> naive epoch seconds."""
-    day, month, year = date_text.split("/")
-    hh, mm, ss = time_text.split(":")
-    dt = datetime(int(year), int(month), int(day), int(hh), int(mm), int(ss))
-    return int((dt - _EPOCH).total_seconds())
+    hh, mm, ss = map(int, time_text.split(":"))
+    if not (0 <= hh < 24 and 0 <= mm < 60 and 0 <= ss < 60):
+        raise ValueError(f"time out of range: {time_text!r}")
+    return _epoch_day(date_text) * 86400 + hh * 3600 + mm * 60 + ss
 
 
 def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
@@ -207,7 +222,7 @@ def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
         try:
             start = _parse_instant(sd, st)
             end = _parse_instant(ed, et)
-        except (ValueError, IndexError):
+        except (ValueError, OverflowError):
             reject(line_number, f"bad date/time {sd!r} {st!r} / {ed!r} {et!r}", row)
             continue
         try:
@@ -255,7 +270,9 @@ def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
 
 
 def parse_sessions_path(path) -> tuple[Sessions, list[ParseError]]:
-    with open(path, newline="") as fh:
+    """parse_sessions on a UTF-8 file, whatever the locale; a byte-order
+    mark, as spreadsheet exports write, is skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return parse_sessions(fh)
 
 
@@ -299,8 +316,8 @@ def _overlap_free(cp: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndar
 
 def clean_sessions(
     sessions: Sessions,
-    min_sessions: int = 10,
-    max_hours: float = 48.0,
+    min_sessions: int = MIN_SESSIONS,
+    max_hours: float = MAX_HOURS,
     p_max_percentile: float | None = None,
 ) -> tuple[list[ChargePoint], CleaningReport]:
     """Apply the cleaning rules and group the survivors by charge point.

@@ -55,6 +55,8 @@ from .charging import (
     simulate_session,
 )
 from .dataset import (
+    MAX_HOURS,
+    MIN_SESSIONS,
     ChargePoint,
     CleaningReport,
     ParseError,
@@ -92,28 +94,34 @@ class HarnessError(Exception):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; defaults follow the published experiment
-    setup where one exists (80/20 split, 200 search steps, 10 kWh loss cap,
-    100-session online warmup, at least 10 sessions per charger)."""
+    setup where one exists (80/20 split, 100-session online warmup, and the
+    search, reward and cleaning defaults of SearchConfig, RewardParams and
+    dataset).
 
-    input_path: str
+    Each field is one option: the CLI's flag --<name> (with - for _) and
+    its config file key <name>.  max_loss is RewardParams.e_max_loss_kwh;
+    cp restricts the run to those charge points; out_dir is the report
+    directory."""
+
+    input: str
     mode: str = "offline"
     history: int | None = 30
-    min_sessions: int = 10
-    max_hours: float = 48.0
+    min_sessions: int = MIN_SESSIONS
+    max_hours: float = MAX_HOURS
     seed: int = 0
-    n_tries: int = 200
-    k1: float = 0.1
-    k2: float = 10.0
-    e_max_loss: float = 10.0
-    dx_min: float = 0.01
-    dx_max: float = 0.5
-    dy_min: float = 0.01
-    dy_max: float = 0.25
-    online_warmup: int = 100
+    n_tries: int = SearchConfig.n_tries
+    k1: float = RewardParams.k1
+    k2: float = RewardParams.k2
+    max_loss: float = RewardParams.e_max_loss_kwh
+    dx_min: float = SearchConfig.dx_min
+    dx_max: float = SearchConfig.dx_max
+    dy_min: float = SearchConfig.dy_min
+    dy_max: float = SearchConfig.dy_max
+    warmup: int = 100
     train_fraction: float = 0.8
-    output_dir: str = "out"
+    out_dir: str = "out"
     workers: int = 1
-    cp_filter: tuple[str, ...] = ()
+    cp: tuple[str, ...] = ()
     emit_resolution: int = 1
     cold_start: bool = False
     p_max_percentile: float | None = None
@@ -141,7 +149,7 @@ class ExperimentConfig:
             (self.mode in ("offline", "online", "predict"), f"unknown mode {self.mode!r}"),
             (self.history is None or self.history >= 1, "history must be >= 1 or unlimited"),
             (self.workers >= 1, "workers must be >= 1"),
-            (self.online_warmup >= 0, "online_warmup must be >= 0"),
+            (self.warmup >= 0, "warmup must be >= 0"),
             (self.min_sessions >= 1, "min_sessions must be >= 1"),
             (self.max_hours > 0, "max_hours must be > 0"),
             (percentile is None or 0 < percentile <= 100, "p_max_percentile must be in (0, 100]"),
@@ -153,7 +161,7 @@ class ExperimentConfig:
         self.search_config()
 
     def reward_params(self) -> RewardParams:
-        return RewardParams(k1=self.k1, k2=self.k2, e_max_loss_kwh=self.e_max_loss)
+        return RewardParams(k1=self.k1, k2=self.k2, e_max_loss_kwh=self.max_loss)
 
     def search_config(self) -> SearchConfig:
         # each SearchConfig field has a field of the same name here
@@ -167,13 +175,14 @@ class ExperimentConfig:
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     """Write the chunks to a new file beside path, then rename it to path,
     so a rerun never leaves a half-written report.  The file gets the mode
-    open() would give it: 0o666 less the umask."""
+    open() would give it: 0o666 less the umask.  Reports are UTF-8 whatever
+    the locale."""
     tmp = os.path.join(os.path.dirname(path), f".tmp-report-{os.urandom(8).hex()}")
     # O_EXCL: never write into a file that already exists (mkstemp would
     # ensure that too, but creates the file with mode 0o600)
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -194,15 +203,15 @@ def _load_charge_points(
 ) -> tuple[list[ChargePoint], CleaningReport, list[ParseError]]:
     """Parse and clean the input, then keep the chargers the run covers
     (the --cp selection, usable ones only if asked), in clean_sessions' order."""
-    sessions, parse_errors = parse_sessions_path(cfg.input_path)
+    sessions, parse_errors = parse_sessions_path(cfg.input)
     charge_points, report = clean_sessions(
         sessions,
         min_sessions=cfg.min_sessions,
         max_hours=cfg.max_hours,
         p_max_percentile=cfg.p_max_percentile,
     )
-    if cfg.cp_filter:
-        wanted = set(cfg.cp_filter)
+    if cfg.cp:
+        wanted = set(cfg.cp)
         missing = wanted - {cp.cp_id for cp in charge_points}
         if missing:
             raise HarnessError(f"charge point(s) not in cleaned dataset: {sorted(missing)}")
@@ -547,7 +556,7 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     n_charged = [np.cumsum(s.energy_kwh > 0).tolist() for s in sessions]
     # after session i, learn the policy session i + 1 charges with; the
     # warmup's sessions charge raw
-    for i in range(max(cfg.online_warmup - 1, 0), max(map(len, sessions)) - 1):
+    for i in range(max(cfg.warmup - 1, 0), max(map(len, sessions)) - 1):
         relearn = [j for j, s in enumerate(sessions) if i + 1 < len(s) and n_charged[j][i]]
         if not relearn:
             continue
@@ -682,9 +691,9 @@ def _config_lines(cfg: ExperimentConfig) -> str:
     history = "unlimited" if cfg.history is None else str(cfg.history)
     return (
         f"mode={cfg.mode} history={history} seed={cfg.seed} n_tries={cfg.n_tries} "
-        f"k1={cfg.k1!r} k2={cfg.k2!r} e_max_loss={cfg.e_max_loss!r} "
+        f"k1={cfg.k1!r} k2={cfg.k2!r} e_max_loss={cfg.max_loss!r} "
         f"min_sessions={cfg.min_sessions} train_fraction={cfg.train_fraction!r} "
-        f"warmup={cfg.online_warmup}"
+        f"warmup={cfg.warmup}"
     )
 
 
@@ -878,9 +887,9 @@ def emit_predict_reports(results: PredictResults, output_dir: str) -> dict[str, 
 def run(cfg: ExperimentConfig) -> dict[str, str]:
     """Run the configured experiment and emit its report bundle."""
     if cfg.mode == "offline":
-        return emit_offline_reports(run_offline(cfg), cfg.output_dir)
+        return emit_offline_reports(run_offline(cfg), cfg.out_dir)
     if cfg.mode == "online":
-        return emit_online_reports(run_online(cfg), cfg.output_dir)
+        return emit_online_reports(run_online(cfg), cfg.out_dir)
     if cfg.mode == "predict":
-        return emit_predict_reports(run_predict(cfg), cfg.output_dir)
+        return emit_predict_reports(run_predict(cfg), cfg.out_dir)
     raise HarnessError(f"unknown mode {cfg.mode!r}")

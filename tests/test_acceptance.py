@@ -65,7 +65,9 @@ def transcribed_session_rules(e_target, plugin, p_max, t_maxboost, p_rate):
     e_total = min(e_target, e_total)
     e_slow = e_total - e_boost
     if e_slow > 0:
-        t_slow = e_slow / (p_max * p_rate)
+        # a slow rate that underflows to 0 kW charges until the session ends
+        rate = p_max * p_rate
+        t_slow = e_slow / rate if rate > 0 else plugin - t_boost
     else:
         e_slow = 0.0
         t_slow = 0.0
@@ -202,12 +204,12 @@ def _offline_on_synthetic(tmp_path, seed, **cfg_kw):
         synth_fleet_csv(n_cps=5, sessions_per_cp=14, seed=seed, zero_energy_prob=0.05)
     )
     defaults = dict(
-        input_path=str(path),
+        input=str(path),
         min_sessions=5,
         history=10,
         n_tries=50,
         seed=seed,
-        output_dir=str(tmp_path / f"out{seed}"),
+        out_dir=str(tmp_path / f"out{seed}"),
     )
     defaults.update(cfg_kw)
     return run_offline(ExperimentConfig(**defaults))
@@ -253,13 +255,13 @@ def test_criterion_5_worker_determinism(tmp_path):
     for workers in (1, 4, 8):
         out = str(tmp_path / f"det-w{workers}")
         cfg = ExperimentConfig(
-            input_path=str(path),
+            input=str(path),
             min_sessions=5,
             history=8,
             n_tries=40,
             seed=99,
             workers=workers,
-            output_dir=out,
+            out_dir=out,
         )
         emit_offline_reports(run_offline(cfg), out)
         bundles[workers] = {
@@ -305,8 +307,8 @@ def dataset_cfg(**kw):
     # results are worker-count independent (criterion 5), so the heavy
     # reproduction runs may be parallelized freely
     defaults = dict(
-        input_path=DATASET,
-        output_dir=kw.pop("output_dir", "out"),
+        input=DATASET,
+        out_dir=kw.pop("out_dir", "out"),
         workers=int(os.environ.get("SMARTCHARGE_WORKERS", "1")),
     )
     defaults.update(kw)
@@ -320,7 +322,7 @@ def sweep_results(tmp_path_factory):
     runs = {}
     for label, history in (("30", 30), ("60", 60), ("all", None)):
         runs[label] = run_offline(
-            dataset_cfg(history=history, output_dir=str(out / label))
+            dataset_cfg(history=history, out_dir=str(out / label))
         )
     return runs
 
@@ -392,8 +394,8 @@ def test_criterion_10_online_case_study(tmp_path):
     cfg = dataset_cfg(
         mode="online",
         history=60,
-        cp_filter=("AN15123",),
-        output_dir=str(tmp_path / "online"),
+        cp=("AN15123",),
+        out_dir=str(tmp_path / "online"),
     )
     results = run_online(cfg)
     (cp,) = results.cp_results
@@ -411,7 +413,7 @@ def test_criterion_10_online_case_study(tmp_path):
 
 @needs_dataset
 def test_criterion_11_predictability(tmp_path):
-    cfg = dataset_cfg(mode="predict", output_dir=str(tmp_path / "predict"))
+    cfg = dataset_cfg(mode="predict", out_dir=str(tmp_path / "predict"))
     results = run_predict(cfg)
     pooled = results.pooled(include_energy=True)
     ok = (

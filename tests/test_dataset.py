@@ -1,18 +1,21 @@
 """Parsing, cleaning and max-power derivation."""
 
 import io
-from datetime import timedelta
+from dataclasses import fields
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smartcharge.dataset import (
     CleaningReport,
+    _parse_instant,
     clean_sessions,
     derive_p_max,
     parse_sessions,
+    parse_sessions_path,
 )
 
 from conftest import BASE_EPOCH, CSV_HEADER, EPOCH, Row, make_session, rows, table
@@ -335,6 +338,67 @@ class TestParseColumns:
         ids = sessions.cp_id.tolist()
         assert ids == ["AN21771", "AN04715", "AN04849"] * 2
         assert all(a is b for a, b in zip(ids[:3], ids[3:]))
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # spreadsheet exports start the file with one; ids may be non-ASCII
+        text = SAMPLE.replace("AN04715", "ANé0003") + "1,CP1,bad,row\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        (a, a_errors), (b, b_errors) = map(parse_sessions_path, (plain, marked))
+        for f in fields(a):
+            assert getattr(a, f.name).tolist() == getattr(b, f.name).tolist()
+        assert a.cp_id.tolist()[1] == "ANé0003"
+        assert a_errors == b_errors and len(a_errors) == 1
+
+    def test_date_too_large_for_a_calendar_rejected(self):
+        row = "1,CP1,01/06/99999999999999999999,10:00:00,01/06/2017,12:00:00,5.0,2.0"
+        sessions, errors = parse_text(CSV_HEADER + "\n" + row + "\n")
+        assert not sessions
+        assert [e.reason.split(" ")[:2] for e in errors] == [["bad", "date/time"]]
+
+
+def parse_instant_reference(date_text, time_text):
+    """The datetime formula _parse_instant replaced: its reference."""
+    day, month, year = date_text.split("/")
+    hh, mm, ss = time_text.split(":")
+    dt = datetime(int(year), int(month), int(day), int(hh), int(mm), int(ss))
+    return int((dt - EPOCH).total_seconds())
+
+
+def instant_or_rejected(parse, date_text, time_text):
+    try:
+        return parse(date_text, time_text)
+    except (ValueError, OverflowError):
+        return "rejected"
+
+
+_number_text = st.one_of(
+    st.integers(-3, 10_000).map(str),
+    st.sampled_from(["", "x", "1.5", " 7", "+3", "007", "1_0", "99999999999999999999"]),
+)
+_date_texts = st.one_of(
+    st.dates().map(lambda d: f"{d.day:02d}/{d.month:02d}/{d.year:04d}"),
+    st.tuples(_number_text, _number_text, _number_text).map("/".join),
+    st.text("0123456789/", max_size=12),
+)
+_time_texts = st.one_of(
+    st.times().map(lambda t: t.strftime("%H:%M:%S")),
+    st.tuples(_number_text, _number_text, _number_text).map(":".join),
+    st.text("0123456789:", max_size=10),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(date_text=_date_texts, time_text=_time_texts)
+@example(date_text="29/02/2017", time_text="10:00:00")
+@example(date_text="29/02/2016", time_text="23:59:59")
+@example(date_text="01/06/2017", time_text="24:00:00")
+@example(date_text="01/06/2017", time_text="12:60:00")
+@example(date_text="01/06/2017", time_text="12:00:60")
+def test_parse_instant_matches_datetime_formula(date_text, time_text):
+    got = instant_or_rejected(_parse_instant, date_text, time_text)
+    assert got == instant_or_rejected(parse_instant_reference, date_text, time_text)
 
 
 # ---------------------------------------------------------------------------

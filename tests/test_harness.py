@@ -2,13 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from smartcharge import harness
-from smartcharge.cli import CONFIG_KEYS, build_config, main
+from smartcharge.cli import build_config, main
 from smartcharge.harness import (
     ExperimentConfig,
     HarnessError,
@@ -22,6 +24,8 @@ from smartcharge.harness import (
 from smartcharge.optimizer import learn_policy, per_cp_seed
 
 from conftest import CSV_HEADER, csv_row, synth_fleet_csv, BASE_EPOCH
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -41,11 +45,11 @@ def flat_test_split_csv(tmp_path):
 
 def small_cfg(input_path, out_dir, **kw):
     defaults = dict(
-        input_path=input_path,
+        input=input_path,
         min_sessions=5,
         n_tries=60,
         history=10,
-        output_dir=out_dir,
+        out_dir=out_dir,
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
@@ -55,7 +59,7 @@ class TestOffline:
     def test_report_bundle(self, tmp_path, fleet_csv):
         cfg = small_cfg(fleet_csv, str(tmp_path / "out"))
         results = run_offline(cfg)
-        paths = emit_offline_reports(results, cfg.output_dir)
+        paths = emit_offline_reports(results, cfg.out_dir)
         for name in (
             "cleaning_report.txt",
             "profiles.csv",
@@ -120,9 +124,9 @@ class TestOffline:
         assert row.n_test == 0
         assert row.deficit_kwh == 0.0
         # the raw test profile is flat, so there is no peak to reduce
-        assert main(["--input", cfg.input_path, "--min-sessions", "4", "--n-tries", "10"]
-                    + ["--out-dir", cfg.output_dir]) == 0
-        metrics = open(os.path.join(cfg.output_dir, "metrics.txt")).read()
+        assert main(["--input", cfg.input, "--min-sessions", "4", "--n-tries", "10"]
+                    + ["--out-dir", cfg.out_dir]) == 0
+        metrics = open(os.path.join(cfg.out_dir, "metrics.txt")).read()
         assert "test sessions           : 0" in metrics
         assert "peak reduction" not in metrics
 
@@ -142,7 +146,7 @@ class TestOffline:
         results = run_offline(cfg)
         assert results.peak_reduction("rl") is None
         assert results.peak_reduction("oracle") is None
-        paths = emit_offline_reports(results, cfg.output_dir)
+        paths = emit_offline_reports(results, cfg.out_dir)
         assert "peak reduction" not in open(paths["metrics.txt"]).read()
 
     @pytest.mark.parametrize("mode", ["offline", "online", "predict"])
@@ -273,7 +277,7 @@ class TestOnline:
             path,
             str(tmp_path / "out"),
             mode="online",
-            online_warmup=10,
+            warmup=10,
             n_tries=40,
             **kw,
         )
@@ -292,7 +296,7 @@ class TestOnline:
 
     def test_outcome_log_and_profiles(self, tmp_path):
         results, cfg = self.make_results(tmp_path)
-        paths = emit_online_reports(results, cfg.output_dir)
+        paths = emit_online_reports(results, cfg.out_dir)
         lines = open(paths["outcomes.csv"]).read().strip().split("\n")
         assert len(lines) == 1 + sum(len(r.cp.sessions) for r in results.cp_results)
         assert os.path.exists(paths["profiles.csv"])
@@ -316,12 +320,12 @@ class TestOnline:
         text = synth_fleet_csv(n_cps=3, sessions_per_cp=12, seed=4)
         path = write_csv(tmp_path, text)
         cfg = small_cfg(
-            path, str(tmp_path / "o"), mode="online", cp_filter=("CP001",), n_tries=20
+            path, str(tmp_path / "o"), mode="online", cp=("CP001",), n_tries=20
         )
         results = run_online(cfg)
         assert [r.cp.cp_id for r in results.cp_results] == ["CP001"]
         bad = small_cfg(
-            path, str(tmp_path / "o2"), mode="online", cp_filter=("NOPE",), n_tries=20
+            path, str(tmp_path / "o2"), mode="online", cp=("NOPE",), n_tries=20
         )
         with pytest.raises(HarnessError):
             run_online(bad)
@@ -348,7 +352,7 @@ class TestOnline:
 
     def online_bundle(self, path, out, **kw):
         cfg = small_cfg(
-            path, out, mode="online", online_warmup=8, n_tries=20, seed=3, **kw
+            path, out, mode="online", warmup=8, n_tries=20, seed=3, **kw
         )
         emit_online_reports(run_online(cfg), out)
         return {
@@ -367,7 +371,7 @@ class TestOnline:
         path = self.lockstep_fleet(tmp_path)
         fleet = self.online_bundle(path, str(tmp_path / "fleet"))
         for cp_id in ("CP000", "CP017", "CP039"):
-            alone = self.online_bundle(path, str(tmp_path / cp_id), cp_filter=(cp_id,))
+            alone = self.online_bundle(path, str(tmp_path / cp_id), cp=(cp_id,))
 
             def rows(bundle):
                 lines = bundle["outcomes.csv"].decode().splitlines()
@@ -386,21 +390,21 @@ class TestOnline:
         text = synth_fleet_csv(n_cps=3, sessions_per_cp=24, seed=21, zero_energy_prob=0.3)
         cfg = small_cfg(
             write_csv(tmp_path, text), str(tmp_path / "o"), mode="online",
-            online_warmup=warmup, history=5, n_tries=15,
+            warmup=warmup, history=5, n_tries=15,
         )
         for r in run_online(cfg).cp_results:
             s, learned, charged, want = r.cp.sessions, None, [], []
             for i, (energy, plugin) in enumerate(
                 zip(s.energy_kwh.tolist(), s.plugin_hours.tolist())
             ):
-                if i >= cfg.online_warmup and learned is not None:
+                if i >= cfg.warmup and learned is not None:
                     p = learned.policy
                     want.append((p.t_boost_max_hours, p.p_rate, True))
                 else:
                     want.append((plugin, 1.0, False))
                 if energy > 0:
                     charged.append(i)
-                if charged and cfg.online_warmup <= i + 1 < len(s):
+                if charged and cfg.warmup <= i + 1 < len(s):
                     learned = learn_policy(
                         s[np.array(charged[-cfg.history:])],
                         r.cp.p_max_kw,
@@ -459,13 +463,13 @@ class TestPredict:
         )
         results = run_predict(cfg)
         assert results.skipped == 1
-        paths = emit_predict_reports(results, cfg.output_dir)
+        paths = emit_predict_reports(results, cfg.out_dir)
         assert "skipped" in open(paths["prediction_report.txt"]).read()
 
     def test_reports(self, tmp_path, fleet_csv):
         cfg = small_cfg(fleet_csv, str(tmp_path / "out"), mode="predict")
         results = run_predict(cfg)
-        paths = emit_predict_reports(results, cfg.output_dir)
+        paths = emit_predict_reports(results, cfg.out_dir)
         per_cp = open(paths["prediction_per_cp.csv"]).read().strip().split("\n")
         assert len(per_cp) == len(results.cp_rows) + 1
         report = open(paths["prediction_report.txt"]).read()
@@ -474,7 +478,7 @@ class TestPredict:
 
 @pytest.mark.parametrize("mode", ["offline", "online", "predict"])
 def test_missing_charge_points_reported_sorted(tmp_path, fleet_csv, mode):
-    cfg = small_cfg(fleet_csv, str(tmp_path / "o"), mode=mode, cp_filter=("ZZ", "AA", "CP001"))
+    cfg = small_cfg(fleet_csv, str(tmp_path / "o"), mode=mode, cp=("ZZ", "AA", "CP001"))
     with pytest.raises(HarnessError, match=r"\['AA', 'ZZ'\]"):
         {"offline": run_offline, "online": run_online, "predict": run_predict}[mode](cfg)
 
@@ -528,31 +532,82 @@ def test_report_totals_add_left_to_right():
 
 class TestCli:
     def test_config_keys(self):
-        # every ExperimentConfig field has one config key; these are today's
-        assert CONFIG_KEYS == {
-            "input": "input_path",
-            "mode": "mode",
-            "history": "history",
-            "seed": "seed",
-            "min_sessions": "min_sessions",
-            "max_hours": "max_hours",
-            "n_tries": "n_tries",
-            "k1": "k1",
-            "k2": "k2",
-            "max_loss": "e_max_loss",
-            "dx_min": "dx_min",
-            "dx_max": "dx_max",
-            "dy_min": "dy_min",
-            "dy_max": "dy_max",
-            "warmup": "online_warmup",
-            "train_fraction": "train_fraction",
-            "out_dir": "output_dir",
-            "cp": "cp_filter",
-            "workers": "workers",
-            "emit_resolution": "emit_resolution",
-            "cold_start": "cold_start",
-            "p_max_percentile": "p_max_percentile",
-        }
+        # each ExperimentConfig field is one option: its config key, and
+        # its flag with - for _; these are today's
+        assert [f.name for f in fields(ExperimentConfig)] == [
+            "input",
+            "mode",
+            "history",
+            "min_sessions",
+            "max_hours",
+            "seed",
+            "n_tries",
+            "k1",
+            "k2",
+            "max_loss",
+            "dx_min",
+            "dx_max",
+            "dy_min",
+            "dy_max",
+            "warmup",
+            "train_fraction",
+            "out_dir",
+            "workers",
+            "cp",
+            "emit_resolution",
+            "cold_start",
+            "p_max_percentile",
+        ]
+
+    # per option: its flag's arguments, and the config value they stand for
+    OPTION_SAMPLES = {
+        "input": (["--input", "other.csv"], "other.csv"),
+        "mode": (["--mode", "online"], "online"),
+        "history": (["--history", "7"], 7),
+        "min_sessions": (["--min-sessions", "3"], 3),
+        "max_hours": (["--max-hours", "30.5"], 30.5),
+        "seed": (["--seed", "5"], 5),
+        "n_tries": (["--n-tries", "40"], 40),
+        "k1": (["--k1", "0.5"], 0.5),
+        "k2": (["--k2", "4"], 4.0),
+        "max_loss": (["--max-loss", "3"], 3.0),
+        "dx_min": (["--dx-min", "0.05"], 0.05),
+        "dx_max": (["--dx-max", "0.4"], 0.4),
+        "dy_min": (["--dy-min", "0.02"], 0.02),
+        "dy_max": (["--dy-max", "0.2"], 0.2),
+        "warmup": (["--warmup", "10"], 10),
+        "train_fraction": (["--train-fraction", "0.5"], 0.5),
+        "out_dir": (["--out-dir", "elsewhere"], "elsewhere"),
+        "workers": (["--workers", "2"], 2),
+        "cp": (["--cp", "AN1", "--cp", "AN2"], ["AN1", "AN2"]),
+        "emit_resolution": (["--emit-resolution", "60"], 60),
+        "cold_start": (["--cold-start"], True),
+        "p_max_percentile": (["--p-max-percentile", "50"], 50.0),
+    }
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+    def test_flag_and_config_key_agree(self, tmp_path, name):
+        flag_args, value = self.OPTION_SAMPLES[name]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"input": "data.csv", name: value}))
+        from_flag = build_config(["--input", "data.csv", *flag_args])
+        assert from_flag == build_config(["--config", str(cfg_path)])
+        assert getattr(from_flag, name) != getattr(ExperimentConfig(input="x"), name)
+
+    @pytest.mark.parametrize(
+        "args, setting, message",
+        [
+            ([], {"warmup": "5"}, "warmup must be int, got '5'"),
+            ([], {"cp": 5}, "cp must be tuple[str, ...], got 5"),
+            (["--warmup", "-3"], {}, "warmup must be >= 0"),
+            (["--mode", "bogus"], {}, "unknown mode 'bogus'"),
+        ],
+    )
+    def test_diagnostic_names_the_option(self, tmp_path, capsys, args, setting, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"input": "data.csv", **setting}))
+        assert main(["--config", str(cfg_path), *args]) == 1
+        assert capsys.readouterr().err == f"smartcharge: error: {message}\n"
 
     def test_config_file_and_flag_override(self, tmp_path, fleet_csv):
         config = {
@@ -568,7 +623,7 @@ class TestCli:
         cfg = build_config(["--config", str(cfg_path), "--seed", "99"])
         assert cfg.seed == 99
         assert cfg.history == 5
-        assert cfg.input_path == fleet_csv
+        assert cfg.input == fleet_csv
         assert cfg.n_tries == 10
 
     def test_unlimited_history_flag(self, tmp_path, fleet_csv):
@@ -710,6 +765,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("smartcharge: error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_bundle_independent_of_locale(self, tmp_path, fleet_csv):
+        # a non-ASCII charger id, read and written under an ASCII locale
+        path = tmp_path / "data.csv"
+        path.write_bytes(open(fleet_csv).read().replace("CP001", "CPé01").encode("utf-8"))
+        args = ["--input", str(path), "--min-sessions", "5", "--n-tries", "10"]
+        bundles = []
+        for locale_env in ({"PYTHONUTF8": "1"}, {"PYTHONUTF8": "0", "LC_ALL": "C"}):
+            out = tmp_path / f"out{len(bundles)}"
+            env = {**os.environ, "PYTHONPATH": SRC, **locale_env}
+            result = subprocess.run(
+                [sys.executable, "-m", "smartcharge.cli", *args, "--out-dir", str(out)],
+                env=env, capture_output=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            bundles.append({name: (out / name).read_bytes() for name in os.listdir(out)})
+        assert bundles[0] == bundles[1]
+        assert "CPé01".encode("utf-8") in bundles[0]["policies.csv"]
 
     def test_float_fields_accept_ints(self, tmp_path, fleet_csv):
         cfg_path = tmp_path / "cfg.json"

@@ -202,7 +202,7 @@ def test_tables_match_row_by_row_reference(tmp_path):
 
     def cfg(mode, **kw):
         return harness.ExperimentConfig(
-            input_path=str(path), mode=mode, output_dir=str(tmp_path / mode),
+            input=str(path), mode=mode, out_dir=str(tmp_path / mode),
             min_sessions=4, n_tries=15, history=8, **kw,
         )
 
@@ -214,7 +214,7 @@ def test_tables_match_row_by_row_reference(tmp_path):
     assert read(paths, "policies.csv") == policies_csv_reference(offline)
     assert read(paths, "speed_histogram.csv") == speed_histogram_csv_reference(offline)
 
-    online = run_online(cfg("online", online_warmup=6))
+    online = run_online(cfg("online", warmup=6))
     assert any(r.adaptive.any() for r in online.cp_results)
     paths = emit_online_reports(online, str(tmp_path / "online"))
     assert read(paths, "outcomes.csv") == outcomes_csv_reference(online)
