@@ -34,10 +34,14 @@ _HELP = {
 def _parse_history(value) -> int | None:
     if value is None or value == "unlimited":
         return None
+    message = f"history must be a positive integer or 'unlimited', got {value!r}"
     # int() would truncate 5.5, read true as 1 and raise TypeError on a list
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"history must be a positive integer or 'unlimited', got {value!r}")
-    return int(value)
+        raise ValueError(message)
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(message) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,6 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="smartcharge",
         description="Learn and evaluate two-phase EV charging policies "
         "on a chargepoint session dataset.",
+        # a bad flag value raises ArgumentError, which build_config reports
+        exit_on_error=False,
     )
     p.add_argument("--config", help="JSON config file; flags override its values")
     for f in fields(ExperimentConfig):
@@ -54,7 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def build_config(argv: list[str] | None = None) -> ExperimentConfig:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:  # e.g. "argument --workers: invalid int value: 'x'"
+        raise ValueError(str(exc)) from None
 
     names = [f.name for f in fields(ExperimentConfig)]
     settings: dict = {}

@@ -35,6 +35,7 @@ import contextlib
 import math
 import operator
 import os
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial, reduce
@@ -152,6 +153,7 @@ class ExperimentConfig:
             (self.warmup >= 0, "warmup must be >= 0"),
             (self.min_sessions >= 1, "min_sessions must be >= 1"),
             (self.max_hours > 0, "max_hours must be > 0"),
+            (self.max_loss > 0, "max_loss must be > 0"),
             (percentile is None or 0 < percentile <= 100, "p_max_percentile must be in (0, 100]"),
         ):
             if not ok:
@@ -198,18 +200,37 @@ def _csv_rows(columns: Iterable[Iterable]) -> str:
     return "\n".join([*map(",".join, rows), ""])
 
 
-def _load_charge_points(
-    cfg: ExperimentConfig, usable_only: bool
-) -> tuple[list[ChargePoint], CleaningReport, list[ParseError]]:
-    """Parse and clean the input, then keep the chargers the run covers
-    (the --cp selection, usable ones only if asked), in clean_sessions' order."""
+def _map_batches(fn, items: Sequence, workers: int):
+    """Apply fn to fixed-size batches of items, yielding results in batch
+    order regardless of worker count (the determinism contract)."""
+    batches = [items[i : i + BATCH_SIZE] for i in range(0, len(items), BATCH_SIZE)]
+    if workers <= 1 or len(batches) <= 1:
+        yield from map(fn, batches)
+        return
+    # the pool may start all its workers up front: ask for no more than
+    # there are batches
+    with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
+        yield from pool.map(fn, batches)
+
+
+def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool):
+    """Parse and clean the input, keep the chargers the run covers (the --cp
+    selection, usable ones only if asked) in clean_sessions' order, and run
+    batch_fn(batch, cfg) over their batches.
+
+    Each batch returns its rows and its profiles keyed by (scope, strategy);
+    the rows are concatenated and the profiles summed, both in batch order.
+    Returns the RunResults fields, the rows, and the profiles as
+    {scope: {strategy: profile}}.
+    """
     sessions, parse_errors = parse_sessions_path(cfg.input)
-    charge_points, report = clean_sessions(
+    charge_points, cleaning = clean_sessions(
         sessions,
         min_sessions=cfg.min_sessions,
         max_hours=cfg.max_hours,
         p_max_percentile=cfg.p_max_percentile,
     )
+    del sessions  # the chargers hold their own copies
     if cfg.cp:
         wanted = set(cfg.cp)
         missing = wanted - {cp.cp_id for cp in charge_points}
@@ -225,65 +246,45 @@ def _load_charge_points(
         raise HarnessError(
             f"no {'usable ' if usable_only else ''}charge points after cleaning"
         )
-    return charge_points, report, parse_errors
 
-
-def _map_batches(fn, items: Sequence, workers: int):
-    """Apply fn to fixed-size batches of items, yielding results in batch
-    order regardless of worker count (the determinism contract)."""
-    batches = [items[i : i + BATCH_SIZE] for i in range(0, len(items), BATCH_SIZE)]
-    if workers <= 1 or len(batches) <= 1:
-        yield from map(fn, batches)
-        return
-    # the pool may start all its workers up front: ask for no more than
-    # there are batches
-    with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
-        yield from pool.map(fn, batches)
-
-
-def _run_batches(
-    batch_fn, cfg: ExperimentConfig, charge_points: list[ChargePoint], scopes=()
-):
-    """Run batch_fn(batch, cfg) over the chargers' batches.  Each batch
-    returns its rows and, for each of the scopes, the strategies' profiles;
-    the rows are concatenated and the profiles summed, both in batch order."""
     rows: list = []
-    totals = {scope: {s: DailyProfile.zeros() for s in STRATEGIES} for scope in scopes}
+    totals: defaultdict[tuple[str, str], DailyProfile] = defaultdict(DailyProfile.zeros)
     worker = partial(batch_fn, cfg=cfg)
     for batch_rows, batch_profiles in _map_batches(worker, charge_points, cfg.workers):
         rows.extend(batch_rows)
-        for scope, profiles in batch_profiles.items():
-            for s, profile in profiles.items():
-                totals[scope][s].slots += profile.slots
-    return rows, totals
+        for key, profile in batch_profiles.items():
+            totals[key].slots += profile.slots
+    profiles: dict[str, dict[str, DailyProfile]] = {}
+    for (scope, s), profile in totals.items():
+        profiles.setdefault(scope, {})[s] = profile
+    return {"cfg": cfg, "cleaning": cleaning, "parse_errors": parse_errors}, rows, profiles
 
 
-def _no_pieces() -> dict[str, list[np.ndarray]]:
-    return {s: [] for s in STRATEGIES}
-
-
-def _simulate(cp: ChargePoint, t_boost_max_hours, p_rate, into: list) -> SessionOutcome:
-    """Simulate the charger's sessions under their policies in one call, and
-    append each strategy's pieces of sessions lo: to pieces[strategy] for
-    each (lo, pieces) of into."""
+def _simulate(
+    cp: ChargePoint, t_boost_max_hours, p_rate, firsts: dict[str, int], pieces: defaultdict
+) -> SessionOutcome:
+    """Simulate the charger's sessions under their policies in one call.
+    Then, for each scope of firsts, append each strategy's pieces of the
+    sessions from firsts[scope] on to pieces[scope, strategy]."""
     start, e, plugin = cp.sessions.start, cp.sessions.energy_kwh, cp.sessions.plugin_hours
     outcome = simulate_session(HistoryArrays(e, plugin, cp.p_max_kw), t_boost_max_hours, p_rate)
     p_rate = np.broadcast_to(p_rate, e.shape)
-    for lo, pieces in into:
+    for scope, lo in firsts.items():
         built = (
             raw_profile(start[lo:], e[lo:], plugin[lo:], cp.p_max_kw),
             oracle_profile(start[lo:], e[lo:], plugin[lo:]),
             adaptive_profile(start[lo:], outcome[lo:], cp.p_max_kw, p_rate[lo:]),
         )
         for s, profile in zip(STRATEGIES, built):
-            pieces[s].append(profile.pieces)
+            pieces[scope, s].append(profile.pieces)
     return outcome
 
 
-def _fold(pieces: dict[str, list[np.ndarray]]) -> dict[str, DailyProfile]:
-    """Each strategy's daily profile of all the pieces collected for it."""
+def _fold(pieces: dict[tuple[str, str], list]) -> dict[tuple[str, str], DailyProfile]:
+    """The daily profile of all the pieces collected under each (scope,
+    strategy) key."""
     return {
-        s: aggregation.accumulate(PowerProfile(np.concatenate(pieces[s]))) for s in STRATEGIES
+        key: aggregation.accumulate(PowerProfile(np.concatenate(p))) for key, p in pieces.items()
     }
 
 
@@ -393,7 +394,7 @@ def _replay_offline(
     n_train: int,
     policy: ChargingPolicy,
     feasible: bool,
-    pieces: dict[str, dict[str, list[np.ndarray]]],
+    pieces: defaultdict,
 ) -> OfflineCpResult:
     """Simulate the charger's sessions under its policy in one call.
 
@@ -405,10 +406,7 @@ def _replay_offline(
     """
     p_max = cp.p_max_kw
     outcome = _simulate(
-        cp,
-        policy.t_boost_max_hours,
-        policy.p_rate,
-        [(n_train, pieces["test"]), (0, pieces["all"])],
+        cp, policy.t_boost_max_hours, policy.p_rate, {"test": n_train, "all": 0}, pieces
     )
     e, plugin = cp.sessions.energy_kwh, cp.sessions.plugin_hours
     test, e_test, plugin_test = outcome[n_train:], e[n_train:], plugin[n_train:]
@@ -454,7 +452,7 @@ def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
             ),
         )
     )
-    pieces = {"test": _no_pieces(), "all": _no_pieces()}
+    pieces = defaultdict(list)
     rows = []
     for j, cp in enumerate(batch):
         if j in learned:
@@ -464,19 +462,13 @@ def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
             policy = ChargingPolicy(float(cp.sessions.plugin_hours.max()), 1.0)
             feasible = True
         rows.append(_replay_offline(cp, splits[j], policy, feasible, pieces))
-    return rows, {scope: _fold(p) for scope, p in pieces.items()}
+    return rows, _fold(pieces)
 
 
 def run_offline(cfg: ExperimentConfig) -> OfflineResults:
-    charge_points, cleaning, parse_errors = _load_charge_points(cfg, usable_only=True)
-    rows, profiles = _run_batches(_offline_batch, cfg, charge_points, ("test", "all"))
+    common, rows, profiles = _run(_offline_batch, cfg, usable_only=True)
     return OfflineResults(
-        cfg=cfg,
-        cleaning=cleaning,
-        parse_errors=parse_errors,
-        cp_rows=rows,
-        profiles_test=profiles["test"],
-        profiles_all=profiles["all"],
+        **common, cp_rows=rows, profiles_test=profiles["test"], profiles_all=profiles["all"]
     )
 
 
@@ -579,24 +571,17 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
             p_rate[j][i + 1] = result.policy.p_rate
             adaptive[j][i + 1] = True
 
-    pieces = _no_pieces()
+    pieces = defaultdict(list)
     results = [
-        OnlineCpResult(cp, a, _simulate(cp, t, p, [(0, pieces)]), t, p)
+        OnlineCpResult(cp, a, _simulate(cp, t, p, {"all": 0}, pieces), t, p)
         for cp, t, p, a in zip(batch, t_boost_max, p_rate, adaptive)
     ]
-    return results, {"all": _fold(pieces)}
+    return results, _fold(pieces)
 
 
 def run_online(cfg: ExperimentConfig) -> OnlineResults:
-    charge_points, cleaning, parse_errors = _load_charge_points(cfg, usable_only=True)
-    results, profiles = _run_batches(_online_batch, cfg, charge_points, ("all",))
-    return OnlineResults(
-        cfg=cfg,
-        cleaning=cleaning,
-        parse_errors=parse_errors,
-        cp_results=results,
-        profiles=profiles["all"],
-    )
+    common, results, profiles = _run(_online_batch, cfg, usable_only=True)
+    return OnlineResults(**common, cp_results=results, profiles=profiles["all"])
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +624,8 @@ def _predict_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
 
 
 def run_predict(cfg: ExperimentConfig) -> PredictResults:
-    charge_points, cleaning, parse_errors = _load_charge_points(cfg, usable_only=False)
-    rows, _ = _run_batches(_predict_batch, cfg, charge_points)
-    return PredictResults(
-        cfg=cfg, cleaning=cleaning, parse_errors=parse_errors, cp_rows=rows
-    )
+    common, rows, _ = _run(_predict_batch, cfg, usable_only=False)
+    return PredictResults(**common, cp_rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -687,14 +669,19 @@ def _peak_reduction_lines(profiles: dict[str, DailyProfile]) -> list[str]:
     return [f"peak reduction vs raw: rl {rl!r}% | oracle {oracle!r}%"]
 
 
-def _config_lines(cfg: ExperimentConfig) -> str:
+def _report_head(title: str, cfg: ExperimentConfig) -> list[str]:
+    """A text report's first lines: its underlined title and the run's
+    configuration, then a blank line."""
     history = "unlimited" if cfg.history is None else str(cfg.history)
-    return (
+    return [
+        title,
+        "=" * len(title),
         f"mode={cfg.mode} history={history} seed={cfg.seed} n_tries={cfg.n_tries} "
         f"k1={cfg.k1!r} k2={cfg.k2!r} e_max_loss={cfg.max_loss!r} "
         f"min_sessions={cfg.min_sessions} train_fraction={cfg.train_fraction!r} "
-        f"warmup={cfg.warmup}"
-    )
+        f"warmup={cfg.warmup}",
+        "",
+    ]
 
 
 class _Bundle:
@@ -756,11 +743,7 @@ def emit_offline_reports(results: OfflineResults, output_dir: str) -> dict[str, 
         [[i / len(hist) for i in range(len(hist))], hist],
     )
 
-    text = [
-        "offline experiment report",
-        "=========================",
-        _config_lines(cfg),
-        "",
+    text = _report_head("offline experiment report", cfg) + [
         f"charge points simulated : {len(results.cp_rows)}",
         f"test sessions           : {sum(r.n_test for r in results.cp_rows)}",
         "",
@@ -818,12 +801,7 @@ def emit_online_reports(results: OnlineResults, output_dir: str) -> dict[str, st
     bundle.write("profiles.csv", _profile_csv(results.profiles, results.cfg.emit_resolution))
     bundle.write("outcomes.csv", _outcome_chunks(results.cp_results))
 
-    text = [
-        "online learning report",
-        "======================",
-        _config_lines(results.cfg),
-        "",
-    ]
+    text = _report_head("online learning report", results.cfg)
     for r in results.cp_results:
         n_adaptive = int(r.adaptive.sum())
         text += [
@@ -861,11 +839,7 @@ def emit_predict_reports(results: PredictResults, output_dir: str) -> dict[str, 
     )
 
     usable = [r for r in results.cp_rows if r.with_energy is not None]
-    text = [
-        "session duration prediction report",
-        "==================================",
-        _config_lines(results.cfg),
-        "",
+    text = _report_head("session duration prediction report", results.cfg) + [
         f"charge points evaluated : {len(usable)}",
         f"charge points skipped (too few rows) : {results.skipped}",
         "",

@@ -50,8 +50,10 @@ class RewardParams:
     def __post_init__(self):
         # NaN fails every comparison, so each rule is stated as what holds;
         # the loss cap alone may be infinite (no cap)
-        if not (0 <= self.k1 < math.inf and 0 < self.k2 < math.inf and self.e_max_loss_kwh > 0):
-            raise ValueError("require finite k1 >= 0, finite k2 > 0 and e_max_loss_kwh > 0")
+        if not (0 <= self.k1 < math.inf and 0 < self.k2 < math.inf):
+            raise ValueError("require finite k1 >= 0 and finite k2 > 0")
+        if not self.e_max_loss_kwh > 0:
+            raise ValueError("require e_max_loss_kwh > 0")
 
 
 @dataclass(frozen=True)

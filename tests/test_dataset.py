@@ -75,16 +75,22 @@ class TestParse:
             "5,CP1,01/06/2017,10:00:00,01/06/2017,12:00:00,5.0",
             "6,CP1,01/06/2017,10:00:00,01/06/2017,12:00:00,5.0,9.0",
             "7,CP1,01/06/2017,12:00:00,01/06/2017,10:00:00,5.0,2.0",
+            "",  # a blank record is skipped, not rejected
+            "9,CP1,01/06/2017,10:00:00,01/06/2017,12:00:00,nan,2.0",
+            "10,CP1,01/06/2017,10:00:00,01/06/2017,12:00:00,5.0,-2.0",
             "8,CP1,01/06/2017,10:00:00,01/06/2017,12:00:00,5.0,2.0",
         ]
         sessions, errors = parse_text("\n".join(rows) + "\n")
         assert sessions.event_id.tolist() == [8]
-        assert len(errors) == 7
+        # each rejection keeps its physical line number past the blank line
+        assert [e.line_number for e in errors] == [2, 3, 4, 5, 6, 7, 8, 10, 11]
         reasons = "\n".join(e.reason for e in errors)
         assert "bad EventID" in reasons
         assert "bad date/time" in reasons
         assert "negative energy" in reasons
         assert "disagrees" in reasons
+        assert "non-finite Energy/Duration" in reasons
+        assert "non-positive duration -2.0" in reasons
 
     def test_duration_within_tolerance_kept(self):
         # 2h01m against a 2.0 Duration column: 0.0167 h gap, inside 0.02

@@ -243,6 +243,18 @@ class TestOffline:
         assert sum(simulated) == retained
         assert profiles == dict.fromkeys(profiles, 2 * len(results.cp_rows))
 
+    def test_raw_fallback_without_training_energy(self, tmp_path):
+        # the 8 training sessions have no energy, so there is no history to
+        # learn from: the charger charges raw, boosting for its longest
+        # session at the full rate
+        rows = [CSV_HEADER]
+        for i in range(10):
+            energy = "0.0" if i < 8 else f"{3.0 + i:.1f}"
+            rows.append(csv_row(i, "CP0", BASE_EPOCH + i * 86400, f"{4.0 + i / 2:.2f}", energy))
+        cfg = small_cfg(write_csv(tmp_path, "\n".join(rows) + "\n"), str(tmp_path / "out"))
+        paths = emit_offline_reports(run_offline(cfg), cfg.out_dir)
+        assert open(paths["policies.csv"]).read().split("\n")[1] == "CP0,8.5,1.0,0.0,8,2"
+
     def test_raw_deficit_when_p_max_capped(self, tmp_path):
         # at the 50th percentile of session rates, half the sessions need
         # more than the capped max power can give them within the session
@@ -466,6 +478,21 @@ class TestPredict:
         paths = emit_predict_reports(results, cfg.out_dir)
         assert "skipped" in open(paths["prediction_report.txt"]).read()
 
+    def test_near_zero_duration_excluded_from_mape(self, tmp_path):
+        # a 1 s session whose Duration column reads 1e-07 h
+        rows = [CSV_HEADER]
+        for i in range(12):
+            duration = "0.0003" if i == 6 else f"{2.0 + i / 4:.2f}"
+            row = csv_row(i, "CP0", BASE_EPOCH + i * 86400, duration, f"{3.0 + i:.1f}")
+            rows.append(row.replace(",0.0003", ",1e-07") if i == 6 else row)
+        cfg = small_cfg(
+            write_csv(tmp_path, "\n".join(rows) + "\n"), str(tmp_path / "out"), mode="predict"
+        )
+        paths = emit_predict_reports(run_predict(cfg), cfg.out_dir)
+        report = open(paths["prediction_report.txt"]).read()
+        # once per feature set
+        assert report.count("  (rows excluded from MAPE for near-zero duration: 1)\n") == 2
+
     def test_reports(self, tmp_path, fleet_csv):
         cfg = small_cfg(fleet_csv, str(tmp_path / "out"), mode="predict")
         results = run_predict(cfg)
@@ -601,6 +628,14 @@ class TestCli:
             ([], {"cp": 5}, "cp must be tuple[str, ...], got 5"),
             (["--warmup", "-3"], {}, "warmup must be >= 0"),
             (["--mode", "bogus"], {}, "unknown mode 'bogus'"),
+            (["--workers", "x"], {}, "argument --workers: invalid int value: 'x'"),
+            (["--k1", "abc"], {}, "argument --k1: invalid float value: 'abc'"),
+            (
+                ["--history", "5.5"],
+                {},
+                "history must be a positive integer or 'unlimited', got '5.5'",
+            ),
+            (["--max-loss", "0"], {}, "max_loss must be > 0"),
         ],
     )
     def test_diagnostic_names_the_option(self, tmp_path, capsys, args, setting, message):
@@ -754,6 +789,7 @@ class TestCli:
             {"dy_max": 2.0},
             {"p_max_percentile": 0},
             {"p_max_percentile": 101},
+            {"emit_resolution": 7},
         ],
         ids=str,
     )
