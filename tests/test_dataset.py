@@ -1,16 +1,24 @@
 """Parsing, cleaning and max-power derivation."""
 
+import csv
 import io
+import math
+from array import array
 from dataclasses import fields
 from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from smartcharge import dataset
 from smartcharge.dataset import (
+    DURATION_TOLERANCE_HOURS,
+    EXPECTED_HEADER,
     CleaningReport,
+    Sessions,
     _parse_instant,
     clean_sessions,
     derive_p_max,
@@ -408,6 +416,217 @@ def test_parse_instant_matches_datetime_formula(date_text, time_text):
 
 
 # ---------------------------------------------------------------------------
+# Reference: the parse as one loop over records, as it was before the parse
+# went by chunks, kept word for word but for its rejections, which are
+# (line number, reason) pairs.  The chunked parse must reproduce it exactly.
+
+_CSV_SPECIALS = frozenset(',"\r\n')
+
+
+def reference_parse_sessions(stream):
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError("empty input: expected header row") from None
+    if [h.strip() for h in header] != EXPECTED_HEADER:
+        raise ValueError(
+            f"unexpected header {header!r}; expected {','.join(EXPECTED_HEADER)}"
+        )
+
+    # accepted rows, appended to compact columns; a row's charger is the
+    # position of its id in cp_codes, so each id string is stored once
+    event_ids, starts, ends = array("q"), array("q"), array("q")
+    energies, plugins, cps = array("d"), array("d"), array("i")
+    cp_codes: dict[str, int] = {}
+    errors = []
+
+    def reject(line_number: int, reason: str, row: list[str]) -> None:
+        errors.append((line_number, reason))
+
+    next_line = reader.line_num + 1
+    for row in reader:
+        # the record's first line: a quoted field may hold line breaks
+        line_number, next_line = next_line, reader.line_num + 1
+        if not row:
+            continue
+        if len(row) != 8:
+            reject(line_number, f"expected 8 fields, got {len(row)}", row)
+            continue
+        evt, cp_id, sd, st, ed, et, energy_text, duration_text = (
+            f.strip() for f in row
+        )
+        try:
+            event_id = int(evt)
+            if not -(2**63) <= event_id < 2**63:  # does not fit the int64 column
+                raise ValueError
+        except ValueError:
+            reject(line_number, f"bad EventID {evt!r}", row)
+            continue
+        # the reports write ids unquoted, one CSV field each
+        if not cp_id or not _CSV_SPECIALS.isdisjoint(cp_id):
+            reject(line_number, f"bad CPID {cp_id!r}", row)
+            continue
+        try:
+            start = _parse_instant(sd, st)
+            end = _parse_instant(ed, et)
+        except (ValueError, OverflowError):
+            reject(line_number, f"bad date/time {sd!r} {st!r} / {ed!r} {et!r}", row)
+            continue
+        try:
+            energy_kwh = float(energy_text)
+            plugin_hours = float(duration_text)
+        except ValueError:
+            reject(line_number, f"bad Energy/Duration {energy_text!r}/{duration_text!r}", row)
+            continue
+        if not (math.isfinite(energy_kwh) and math.isfinite(plugin_hours)):
+            reject(line_number, "non-finite Energy/Duration", row)
+            continue
+        if energy_kwh < 0:
+            reject(line_number, f"negative energy {energy_kwh}", row)
+            continue
+        if end <= start:
+            reject(line_number, "end instant not after start", row)
+            continue
+        if plugin_hours <= 0:
+            reject(line_number, f"non-positive duration {plugin_hours}", row)
+            continue
+        if abs(plugin_hours - (end - start) / 3600.0) > DURATION_TOLERANCE_HOURS:
+            reject(
+                line_number,
+                f"Duration {plugin_hours} disagrees with end-start "
+                f"{(end - start) / 3600.0:.4f} h",
+                row,
+            )
+            continue
+        event_ids.append(event_id)
+        cps.append(cp_codes.setdefault(cp_id, len(cp_codes)))
+        starts.append(start)
+        ends.append(end)
+        # -0.0 passes the sign check; + 0.0 stores it as 0.0
+        energies.append(energy_kwh + 0.0)
+        plugins.append(plugin_hours)
+    sessions = Sessions(
+        event_id=np.frombuffer(event_ids, dtype=np.int64),
+        cp_id=np.array(list(cp_codes), dtype=object)[np.frombuffer(cps, dtype=np.intc)],
+        start=np.frombuffer(starts, dtype=np.int64),
+        end=np.frombuffer(ends, dtype=np.int64),
+        energy_kwh=np.frombuffer(energies, dtype=np.float64),
+        plugin_hours=np.frombuffer(plugins, dtype=np.float64),
+    )
+    return sessions, errors
+
+
+# Awkward texts for each field.  Each record starts from a consistent row
+# (a start, a length, a Duration near it) and swaps some fields for these:
+# padding (str.strip() strips \x1c, int() and float() do not), signs, digit
+# separators and non-ASCII digits, which the bulk checks pass to the row
+# validator; values at the edges of each rule; and CPIDs the CSV must quote,
+# some holding line breaks, so records span lines.
+_AWKWARD = {
+    "evt": [" 5", "5 ", "+5", "5_0", "٥", "\x1c5", "5.0", "x", "", "-0",
+            str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1)],
+    "cp": [" AN1", "AN1 ", "\x1cAN1", "AN,1", 'AN"1', "AN\r1", "AN\n1", "AN\r\n1",
+           "", "  ", "\xe9", "AN 1"],
+    "date": [" 01/06/2017", "01/06/2017 ", "1/6/2017", "29/02/2017", "29/02/2016",
+             "31/13/2017", "00/06/2017", "٠١/06/2017", "01-06-2017", "x", "",
+             "01/06/99999999999999999999"],
+    "time": ["1:2:3", "24:00:00", "23:59:60", "09:60:00", "09:59:60", "10:00;00", "10;00:00",
+             "10:00:0A", "0::00:00", "9:59:59", "1O:00:00", " 10:00:00", "10:00:00 ",
+             "+1:00:00", "-0:00:00", "١٠:00:00", "10:00", "10:00:00:00",
+             "1000000:", "\x1c0:00:00", "ab:cd:ef", "", "x"],
+    "energy": ["-0.0", "0", "-1", "nan", "inf", "-inf", "1e400", " 5", "+5", "5_0",
+               "٥", "\x1c5", "x", ""],
+    "duration": ["0", "-0.0", "-2", "nan", "inf", "1e400", " 2", "+2", "2_0", "x", ""],
+}
+_CLOCK_STARTS = [0, 59, 3599, 36000, 86399]
+_SPANS = [0, 60, 3600, 7200, 86400, 3 * 86400 + 1]
+_DELTAS = [0.0, -0.0199, 0.0199, -0.02, 0.02, -0.0201, 0.0201, 0.5]
+
+
+def _instant_texts(t):
+    when = EPOCH + timedelta(seconds=t)
+    return when.strftime("%d/%m/%Y"), when.strftime("%H:%M:%S")
+
+
+# the field kind of each column, keying _AWKWARD
+_KINDS = ["evt", "cp", "date", "time", "date", "time", "energy", "duration"]
+
+
+@st.composite
+def _records(draw):
+    kind = draw(st.sampled_from(["row"] * 12 + ["blank", "short", "long"]))
+    if kind == "blank":
+        return []
+    # 2017-06-01 or -02, at a clock from _CLOCK_STARTS
+    start = 1_496_275_200 + draw(st.sampled_from([0, 86400])) + draw(st.sampled_from(_CLOCK_STARTS))
+    span = draw(st.sampled_from(_SPANS))
+    delta = draw(st.one_of(st.just(0.0), st.sampled_from(_DELTAS)))
+    row = [
+        str(draw(st.integers(-3, 3))),
+        draw(st.sampled_from(["AN1", "AN2", "\xe9"])),
+        *_instant_texts(start),
+        *_instant_texts(start + span),
+        repr(draw(st.sampled_from([0.0, 1.5, 7.25]))),
+        repr(span / 3600 + delta),
+    ]
+    # mostly one awkward field, so each rule meets rows that pass the rest
+    for k in draw(st.lists(st.integers(0, 7), max_size=2)):
+        row[k] = draw(st.sampled_from(_AWKWARD[_KINDS[k]]))
+    if kind == "short":
+        return row[:7]
+    if kind == "long":
+        return row + ["9"]
+    return row
+
+
+def _csv_text(records):
+    # csv.writer would leave a CR unquoted under a "\n" line terminator
+    def field(text):
+        return f'"{text.replace(chr(34), 2 * chr(34))}"' if set(text) & _CSV_SPECIALS else text
+
+    return "".join(",".join(map(field, r)) + "\n" for r in [EXPECTED_HEADER, *records])
+
+
+_TIMES = ["01/06/2017", "10:00:00", "01/06/2017", "12:00:00"]
+# start clocks that each break one clock rule, and would read as a time
+# within the Duration tolerance of 10:00:00 if the bulk checks skipped it
+_NEAR_TEN = ["09:60:00", "09:59:60", "10:00;00", "10;00:00", "10:00:0A", "0::00:00",
+             "9:59:59", "1O:00:00", "x0:00:00"]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@settings(max_examples=150, deadline=None)
+@given(records=st.lists(_records(), max_size=24), newline=st.sampled_from(["\n", ""]))
+# each in an otherwise consistent row: the clocks above, 24:00:00 (one
+# second after 23:59:59) and a negative Energy
+@example(records=[["1", "AN1", "01/06/2017", clock, *_TIMES[2:], "5", "2"] for clock in _NEAR_TEN]
+         + [["1", "AN1", "01/06/2017", "24:00:00", "02/06/2017", "00:01:00", "5", "0.0166"],
+            ["1", "AN1", *_TIMES, "-1", "2.0"]],
+         newline="\n")
+# two records that span lines (a CR is a line break only under newline ""),
+# then rejections whose line numbers must count those lines
+@example(records=[["1", "A\n1", *_TIMES, "5", "2"], ["2", "AN2", *_TIMES, "5", "2"],
+                  ["3", "A\r\n1", *_TIMES, "5", "2"], ["x", "AN1", *_TIMES, "5", "2"],
+                  ["4", " 7 ", *_TIMES, "5", "2"], ["5", "AN1", *_TIMES, "5"]],
+         newline="")
+def test_parse_matches_reference_loop(chunk, records, newline):
+    # newline "" splits lines at \r too, as parse_sessions_path's files do
+    text = _csv_text(records)
+    with mock.patch.object(dataset, "_CHUNK_RECORDS", chunk):
+        sessions, errors = parse_sessions(io.StringIO(text, newline=newline))
+    ref_sessions, ref_errors = reference_parse_sessions(io.StringIO(text, newline=newline))
+    for f in fields(Sessions):
+        got, want = getattr(sessions, f.name), getattr(ref_sessions, f.name)
+        assert got.dtype == want.dtype, f.name
+        if want.dtype == object:
+            assert got.tolist() == want.tolist(), f.name
+        else:
+            assert got.tobytes() == want.tobytes(), f.name
+    assert [(e.line_number, e.reason) for e in errors] == ref_errors
+
+
+# ---------------------------------------------------------------------------
 # Reference: cleaning over per-session objects, as it was before sessions
 # became columns (dict grouping, then a sorted overlap scan per charger).
 # The column code must reproduce it exactly.
@@ -490,6 +709,10 @@ session_rows = st.lists(
 )
 
 
+def _hours(cp_id, event_id, start_h, end_h):
+    return Row(event_id, cp_id, start_h * 3600, end_h * 3600, 1.0, float(end_h - start_h))
+
+
 class TestCleanAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -497,6 +720,21 @@ class TestCleanAgainstReference:
         st.integers(1, 4),
         st.sampled_from([10.0, 48.0]),
         st.one_of(st.none(), st.floats(1.0, 100.0)),
+    )
+    # a long session holding three short ones, each clear of the one before
+    # it but not of the long one, then a session that starts as the long
+    # one ends: the scan must compare with the last kept session
+    @example(
+        [_hours("A", 0, 0, 10), _hours("A", 1, 1, 2), _hours("A", 2, 3, 4),
+         _hours("A", 3, 5, 6), _hours("A", 4, 10, 12), _hours("A", 5, 11, 13)],
+        1, 48.0, None,
+    )
+    # a charger's last session overlaps the next charger's first in time:
+    # the scan must not carry one charger's sessions into the next
+    @example(
+        [_hours("A", 0, 0, 5), _hours("A", 1, 6, 9), _hours("B", 2, 8, 10),
+         _hours("B", 3, 10, 11)],
+        1, 48.0, None,
     )
     def test_same_chargers_sessions_and_counts(self, rows_in, min_sessions, max_hours, pct):
         cps, report = clean_sessions(table(rows_in), min_sessions, max_hours, pct)
