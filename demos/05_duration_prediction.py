@@ -3,9 +3,10 @@
 
 Features per session: start hour, day of week, hours since the previous
 session and (optionally) the dispensed energy.  Each charger is fit with
-ordinary least squares under 4-fold chronological cross-validation.  With
-human-driven schedules the errors stay large, which is the motivation for
-controlling the charging parameters directly instead of predicting.
+ordinary least squares under 4-fold chronological cross-validation, all
+three chargers in one batch call.  With human-driven schedules the errors
+stay large, which is the motivation for controlling the charging parameters
+directly instead of predicting.
 """
 
 import numpy as np
@@ -30,10 +31,14 @@ def charger(noise_hours):
     return Sessions(*zip(*rows))
 
 
-for noise in (0.1, 2.0, 6.0):
-    sessions = charger(noise)
-    with_e = cross_validate(sessions, include_energy=True)
-    without_e = cross_validate(sessions, include_energy=False)
+# one charger per noise level, cross-validated together as one batch
+noises = (0.1, 2.0, 6.0)
+chargers = [charger(noise) for noise in noises]
+for noise, with_e, without_e in zip(
+    noises,
+    cross_validate(chargers, include_energy=True),
+    cross_validate(chargers, include_energy=False),
+):
     print(f"behavior noise +/- {noise} h:")
     print(
         f"  with energy    MAE {with_e.mae:6.2f} h  MAPE {with_e.mape:8.1f}%  "

@@ -611,14 +611,19 @@ class PredictResults(RunResults):
 
 
 def _predict_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
+    histories = [cp.sessions for cp in batch]
     rows = [
         PredictCpRow(
             cp_id=cp.cp_id,
             n_rows=max(len(cp.sessions) - 1, 0),
-            with_energy=cross_validate(cp.sessions, include_energy=True),
-            without_energy=cross_validate(cp.sessions, include_energy=False),
+            with_energy=with_energy,
+            without_energy=without_energy,
         )
-        for cp in batch
+        for cp, with_energy, without_energy in zip(
+            batch,
+            cross_validate(histories, include_energy=True),
+            cross_validate(histories, include_energy=False),
+        )
     ]
     return rows, {}
 

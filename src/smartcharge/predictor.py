@@ -6,6 +6,11 @@ top-up sessions that amount is only known once the session ends).  Each
 charge point is cross-validated on its own history with chronologically
 contiguous folds; dataset-level accuracy is the unweighted mean over
 charge points.
+
+Cross-validation takes a batch of chargers.  Their training designs, over
+every charger and every fold, are grouped by shape, never padded, and each
+group is solved by one stacked SVD; each charger still gets exactly the
+metrics it would get alone.
 """
 
 from __future__ import annotations
@@ -57,18 +62,65 @@ def extract_features(
     return np.column_stack(columns), cp_sessions.plugin_hours[1:]
 
 
+def _ranks(sv: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The rank of each design of the given shape from its singular values
+    (the last axis of sv), by matrix_rank's tolerance."""
+    tol = sv.max(axis=-1, keepdims=True) * max(shape[-2:]) * np.finfo(sv.dtype).eps
+    return np.count_nonzero(sv > tol, axis=-1)
+
+
 def _lstsq(a: np.ndarray, y: np.ndarray) -> tuple[bool, np.ndarray]:
     """One SVD of a: whether a has full column rank, by matrix_rank's
     tolerance, and the least-squares solution of a @ beta = y over the
     singular values above that tolerance."""
     u, sv, vt = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.count_nonzero(sv > sv.max() * max(a.shape) * np.finfo(sv.dtype).eps))
+    rank = int(_ranks(sv, a.shape))
     beta = vt[:rank].T @ (u[:, :rank].T @ y / sv[:rank])
     return rank == a.shape[1], beta
 
 
-def fit_ols(x: np.ndarray, y: np.ndarray) -> RegressionModel:
-    """Least-squares fit with an intercept.
+def _greedy_beta(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The least-squares solution over the columns of a kept greedily in
+    column order, each kept only if it raises the rank; the rest get 0."""
+    kept: list[int] = []
+    for j in range(a.shape[1]):
+        if np.linalg.matrix_rank(a[:, kept + [j]]) > len(kept):
+            kept.append(j)
+    beta = np.zeros(a.shape[1])
+    beta[kept] = _lstsq(a[:, kept], y)[1]
+    return beta
+
+
+def _fit_stack(x: np.ndarray, y: np.ndarray) -> list[RegressionModel]:
+    """fit_ols over a (k, m, f) stack of designs with (k, m) targets.
+
+    One SVD call factors the whole stack, and LAPACK factors each design
+    in it exactly as it would alone.  The products stay per design (2-D @
+    1-D), because a stacked matmul may round differently.
+    """
+    a = np.concatenate([np.ones((*x.shape[:2], 1)), x], axis=2)
+    u, sv, vt = np.linalg.svd(a, full_matrices=False)
+    # full rank is a rank equal to the column count: a design with fewer
+    # rows than columns has fewer singular values than that
+    full_rank = _ranks(sv, a.shape) == a.shape[2]
+    models = []
+    for i in range(len(a)):
+        # every column subset of a full-rank design is full rank, so the
+        # greedy search would keep them all
+        if full_rank[i]:
+            beta = vt[i].T @ (u[i].T @ y[i] / sv[i])
+        else:
+            beta = _greedy_beta(a[i], y[i])
+        models.append(
+            RegressionModel(intercept=float(beta[0]), coefficients=tuple(beta[1:]))
+        )
+    return models
+
+
+def fit_ols(x: np.ndarray, y: np.ndarray) -> RegressionModel | list[RegressionModel]:
+    """Least-squares fit with an intercept: of one (m, f) design with m
+    targets, or of each design in a (k, m, f) stack with (k, m) targets,
+    which returns one model per design, each the model it gets alone.
 
     Collinear columns are dropped (their coefficient is 0), chosen greedily
     in column order with the intercept always kept, so a rank-deficient
@@ -76,66 +128,111 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> RegressionModel:
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or len(x) != len(y) or len(y) == 0:
-        raise ValueError("need a non-empty 2-D design and matching targets")
-
-    a = np.column_stack([np.ones(len(x)), x])
-    full_rank, beta = _lstsq(a, y)
-    # every column subset of a full-rank design is full rank, so the
-    # greedy search would keep them all
-    if not full_rank:
-        kept: list[int] = []
-        for j in range(a.shape[1]):
-            if np.linalg.matrix_rank(a[:, kept + [j]]) > len(kept):
-                kept.append(j)
-        beta = np.zeros(a.shape[1])
-        beta[kept] = _lstsq(a[:, kept], y)[1]
-    return RegressionModel(intercept=float(beta[0]), coefficients=tuple(beta[1:]))
+    if x.ndim not in (2, 3) or y.shape != x.shape[:-1] or y.shape[-1] == 0:
+        raise ValueError(
+            "need a non-empty 2-D design, or a stack of them, and matching targets"
+        )
+    if x.ndim == 2:
+        return _fit_stack(x[None], y[None])[0]
+    return _fit_stack(x, y)
 
 
 def prediction_metrics(
     predicted: np.ndarray, actual: np.ndarray
-) -> PredictionMetrics:
-    """MAE / MAPE / MSE of pooled predictions.  Rows with near-zero actual
-    duration are excluded from MAPE only (the ratio is unbounded there) and
-    counted separately."""
+) -> PredictionMetrics | list[PredictionMetrics]:
+    """MAE / MAPE / MSE of pooled predictions: of one row, or of each row of
+    a (g, n) block, which returns one result per row.  Rows with near-zero
+    actual duration are excluded from MAPE only (the ratio is unbounded
+    there) and counted separately."""
     predicted = np.asarray(predicted, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
+    if actual.ndim == 1:
+        return prediction_metrics(predicted[None], actual[None])[0]
+    # a reduce along the rows of a C-contiguous block sums each row exactly
+    # as np.mean sums the row alone
+    n = actual.shape[1]
     err = predicted - actual
-    mae = float(np.mean(np.abs(err)))
-    mse = float(np.mean(err**2))
+    mae = np.add.reduce(np.abs(err), axis=1) / n
+    mse = np.add.reduce(err**2, axis=1) / n
     ok = actual >= MAPE_MIN_ACTUAL_HOURS
-    excluded = int(np.sum(~ok))
-    if np.any(ok):
-        mape = float(np.mean(np.abs(err[ok]) / actual[ok]) * 100.0)
-    else:
-        mape = 0.0
-    return PredictionMetrics(
-        mae=mae, mape=mape, mse=mse, n=len(actual), mape_excluded=excluded
-    )
+    excluded = n - np.count_nonzero(ok, axis=1)
+    mape = np.zeros(len(actual))
+    whole = excluded == 0
+    mape[whole] = np.add.reduce(np.abs(err[whole]) / actual[whole], axis=1) / n * 100.0
+    for i in np.flatnonzero(~whole & (excluded < n)):
+        kept = ok[i]
+        mape[i] = np.mean(np.abs(err[i, kept]) / actual[i, kept]) * 100.0
+    return [
+        PredictionMetrics(
+            mae=float(mae[i]),
+            mape=float(mape[i]),
+            mse=float(mse[i]),
+            n=n,
+            mape_excluded=int(excluded[i]),
+        )
+        for i in range(len(actual))
+    ]
 
 
 def cross_validate(
-    cp_sessions: Sessions,
+    histories: Sequence[Sessions],
     folds: int = 4,
     include_energy: bool = True,
-) -> PredictionMetrics | None:
-    """Chronologically contiguous k-fold cross-validation of one charger.
+) -> list[PredictionMetrics | None]:
+    """Chronologically contiguous k-fold cross-validation of each charger in
+    a batch, each exactly as if validated alone.
 
     Each fold is predicted by a model trained on the remaining rows and the
-    metrics are pooled over all rows.  Returns None when the charger has
-    fewer usable rows than folds (callers count those as skipped).
+    metrics are pooled over all the charger's rows.  A charger with fewer
+    usable rows than folds gets None (callers count those as skipped).
+
+    Chargers with equal row counts are validated as one block, and every
+    training design of one shape, from any block and any fold, is fit in
+    one fit_ols call.
     """
-    x, y = extract_features(cp_sessions, include_energy)
-    if len(y) < folds:
-        return None
-    predicted = np.empty(len(y))
-    for fold_idx in np.array_split(np.arange(len(y)), folds):
-        mask = np.ones(len(y), dtype=bool)
-        mask[fold_idx] = False
-        model = fit_ols(x[mask], y[mask])
-        predicted[fold_idx] = model.predict(x[fold_idx])
-    return prediction_metrics(predicted, y)
+    if folds < 1:
+        raise ValueError(f"folds must be at least 1, got {folds}")
+    features = [extract_features(h, include_energy) for h in histories]
+    by_rows: dict[int, list[int]] = {}
+    for i, (_, y) in enumerate(features):
+        if len(y) >= folds:
+            by_rows.setdefault(len(y), []).append(i)
+
+    blocks = []
+    # training rows -> the folds with that many, and their designs and
+    # targets stacked charger by charger, fold by fold
+    by_shape: dict[int, tuple[list, list, list]] = {}
+    for n, members in by_rows.items():
+        x = np.stack([features[i][0] for i in members])
+        y = np.stack([features[i][1] for i in members])
+        predicted = np.empty_like(y)
+        blocks.append((members, y, predicted))
+        # np.array_split's folds: the first n % folds hold one row more
+        q, r = divmod(n, folds)
+        starts = np.arange(folds) * q + np.minimum(np.arange(folds), r)
+        for size in (q + 1, q) if r else (q,):
+            los = starts[:r] if size > q else starts[r:]
+            # training row j of the fold at lo is row j, or j + size past lo
+            m = n - size
+            train = np.arange(m)
+            idx = train + size * (train >= los[:, None])
+            owners, xs, ys = by_shape.setdefault(m, ([], [], []))
+            owners.append((x, predicted, los, size))
+            xs.append(np.take(x, idx, axis=1).reshape(-1, m, x.shape[2]))
+            ys.append(np.take(y, idx, axis=1).reshape(-1, m))
+
+    for owners, xs, ys in by_shape.values():
+        models = iter(fit_ols(np.concatenate(xs), np.concatenate(ys)))
+        for x, predicted, los, size in owners:
+            for c in range(len(x)):
+                for lo in los:
+                    predicted[c, lo:lo + size] = next(models).predict(x[c, lo:lo + size])
+
+    results: list[PredictionMetrics | None] = [None] * len(histories)
+    for members, y, predicted in blocks:
+        for i, metrics in zip(members, prediction_metrics(predicted, y)):
+            results[i] = metrics
+    return results
 
 
 def pool_metrics(per_cp: Sequence[PredictionMetrics]) -> PredictionMetrics:

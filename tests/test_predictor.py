@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smartcharge.predictor import (
+    MAPE_MIN_ACTUAL_HOURS,
+    PredictionMetrics,
     RegressionModel,
     _lstsq,
     cross_validate,
@@ -200,6 +202,39 @@ class TestFitOlsAgainstGreedy:
             assert residual <= want + 1e-5
 
 
+@st.composite
+def design_stacks(draw):
+    """1 to 6 designs of one shape, each full rank, with a column that
+    duplicates another, or with a constant column; a shape with fewer rows
+    than columns (intercept included) makes every design in it wide."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows = draw(st.integers(1, 12))
+    n_cols = draw(st.integers(1, 5))
+    kinds = draw(
+        st.lists(st.sampled_from(["full", "duplicate", "constant"]), min_size=1, max_size=6)
+    )
+    stack = rng.normal(size=(len(kinds), n_rows, n_cols)) * 10.0 ** rng.integers(-2, 3)
+    for x, kind in zip(stack, kinds):
+        if kind == "duplicate" and n_cols > 1:
+            src, dst = rng.choice(n_cols, 2, replace=False)
+            x[:, dst] = x[:, src]
+        elif kind == "constant":
+            x[:, rng.integers(n_cols)] = rng.normal()
+    return stack, rng.normal(size=(len(kinds), n_rows))
+
+
+class TestFitOlsStack:
+    @settings(max_examples=300, deadline=None)
+    @given(design_stacks())
+    def test_each_design_fits_as_alone(self, stack):
+        x, y = stack
+        assert fit_ols(x, y) == [fit_ols(design, target) for design, target in zip(x, y)]
+
+    def test_mismatched_targets_rejected(self):
+        with pytest.raises(ValueError, match="matching targets"):
+            fit_ols(np.ones((2, 5, 3)), np.ones((2, 4)))
+
+
 class TestMetrics:
     def test_formulas(self):
         m = prediction_metrics(np.array([2.0, 4.0]), np.array([1.0, 4.0]))
@@ -241,7 +276,7 @@ class TestMetrics:
 class TestCrossValidate:
     def test_too_few_rows_skipped(self):
         sessions = sessions_with_gaps([0, 1, 2], [2, 2, 2], [5, 5, 5])
-        assert cross_validate(sessions, folds=4) is None
+        assert cross_validate([sessions], folds=4) == [None]
 
     def test_linear_cp_recovered(self):
         # plugin duration is an exact linear function of the features, so
@@ -260,7 +295,7 @@ class TestCrossValidate:
             )
             sessions.append(s)
             t = s.end
-        metrics = cross_validate(table(sessions), folds=4, include_energy=True)
+        (metrics,) = cross_validate([table(sessions)], folds=4, include_energy=True)
         assert metrics.n == 39
         assert metrics.mae < 0.02
         assert metrics.mse < 0.01
@@ -279,10 +314,79 @@ class TestCrossValidate:
             )
             sessions.append(s)
             t = s.end
-        with_e = cross_validate(table(sessions), include_energy=True)
-        without_e = cross_validate(table(sessions), include_energy=False)
+        (with_e,) = cross_validate([table(sessions)], include_energy=True)
+        (without_e,) = cross_validate([table(sessions)], include_energy=False)
         assert with_e.mae < 0.05
         assert without_e.mae > 10 * with_e.mae
+
+    @pytest.mark.parametrize("folds", [0, -1])
+    def test_folds_below_one_rejected(self, folds):
+        sessions = sessions_with_gaps([0, 1, 2], [2, 2, 2], [5, 5, 5])
+        with pytest.raises(ValueError, match="folds"):
+            cross_validate([sessions], folds=folds)
+
+
+def reference_cross_validate(cp_sessions, folds, include_energy):
+    """Cross-validation of one charger fold by fold, one fit_ols call per
+    fold and metrics from np.mean, as it ran before chargers came in
+    batches."""
+    x, y = extract_features(cp_sessions, include_energy)
+    if len(y) < folds:
+        return None
+    predicted = np.empty(len(y))
+    for fold_idx in np.array_split(np.arange(len(y)), folds):
+        mask = np.ones(len(y), dtype=bool)
+        mask[fold_idx] = False
+        predicted[fold_idx] = fit_ols(x[mask], y[mask]).predict(x[fold_idx])
+    err = predicted - y
+    ok = y >= MAPE_MIN_ACTUAL_HOURS
+    mape = float(np.mean(np.abs(err[ok]) / y[ok]) * 100.0) if ok.any() else 0.0
+    return PredictionMetrics(
+        mae=float(np.mean(np.abs(err))),
+        mape=mape,
+        mse=float(np.mean(err**2)),
+        n=len(y),
+        mape_excluded=int(np.sum(~ok)),
+    )
+
+
+charger_histories = st.lists(
+    st.lists(
+        st.tuples(
+            st.integers(0, 5 * 86400),  # gap before the session, in seconds
+            st.integers(1, 30 * 3600),  # its length in seconds
+            st.floats(0.0, 60.0),  # energy
+            # plugin hours; 1e-9 takes the MAPE-exclusion path
+            st.one_of(st.just(1e-9), st.floats(0.01, 30.0)),
+        ),
+        min_size=1,
+        max_size=14,
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestCrossValidateBatch:
+    """A batch mixes row counts, so several chargers share a block and
+    several design shapes occur; n % folds != 0 gives a charger two training
+    shapes, fewer rows than folds gives None, and short histories give
+    designs with fewer rows than columns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(charger_histories, st.integers(2, 5), st.booleans())
+    def test_each_charger_validates_as_alone(self, chains, folds, include_energy):
+        histories = []
+        for k, chain in enumerate(chains):
+            rows, t = [], BASE_EPOCH
+            for i, (gap, length, energy, plugin) in enumerate(chain):
+                t += gap
+                rows.append(Row(i, f"CP{k}", t, t + length, energy, plugin))
+                t += length
+            histories.append(table(rows))
+        batch = cross_validate(histories, folds, include_energy)
+        assert batch == [cross_validate([h], folds, include_energy)[0] for h in histories]
+        assert batch == [reference_cross_validate(h, folds, include_energy) for h in histories]
 
 
 # ---------------------------------------------------------------------------
