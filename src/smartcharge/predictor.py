@@ -139,39 +139,24 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> RegressionModel | list[RegressionMo
 
 def prediction_metrics(
     predicted: np.ndarray, actual: np.ndarray
-) -> PredictionMetrics | list[PredictionMetrics]:
-    """MAE / MAPE / MSE of pooled predictions: of one row, or of each row of
-    a (g, n) block, which returns one result per row.  Rows with near-zero
-    actual duration are excluded from MAPE only (the ratio is unbounded
-    there) and counted separately."""
+) -> PredictionMetrics:
+    """MAE / MAPE / MSE of pooled predictions.  Rows with near-zero actual
+    duration are excluded from MAPE only (the ratio is unbounded there) and
+    counted separately."""
     predicted = np.asarray(predicted, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
-    if actual.ndim == 1:
-        return prediction_metrics(predicted[None], actual[None])[0]
-    # a reduce along the rows of a C-contiguous block sums each row exactly
-    # as np.mean sums the row alone
-    n = actual.shape[1]
+    # sum() / count is np.mean's own arithmetic, without its call overhead
+    n = len(actual)
     err = predicted - actual
-    mae = np.add.reduce(np.abs(err), axis=1) / n
-    mse = np.add.reduce(err**2, axis=1) / n
+    mae = float(np.abs(err).sum() / n)
+    mse = float((err**2).sum() / n)
     ok = actual >= MAPE_MIN_ACTUAL_HOURS
-    excluded = n - np.count_nonzero(ok, axis=1)
-    mape = np.zeros(len(actual))
-    whole = excluded == 0
-    mape[whole] = np.add.reduce(np.abs(err[whole]) / actual[whole], axis=1) / n * 100.0
-    for i in np.flatnonzero(~whole & (excluded < n)):
-        kept = ok[i]
-        mape[i] = np.mean(np.abs(err[i, kept]) / actual[i, kept]) * 100.0
-    return [
-        PredictionMetrics(
-            mae=float(mae[i]),
-            mape=float(mape[i]),
-            mse=float(mse[i]),
-            n=n,
-            mape_excluded=int(excluded[i]),
-        )
-        for i in range(len(actual))
-    ]
+    kept = int(np.count_nonzero(ok))
+    if kept:
+        mape = float((np.abs(err[ok]) / actual[ok]).sum() / kept * 100.0)
+    else:
+        mape = 0.0
+    return PredictionMetrics(mae=mae, mape=mape, mse=mse, n=n, mape_excluded=n - kept)
 
 
 def cross_validate(
@@ -186,27 +171,21 @@ def cross_validate(
     metrics are pooled over all the charger's rows.  A charger with fewer
     usable rows than folds gets None (callers count those as skipped).
 
-    Chargers with equal row counts are validated as one block, and every
-    training design of one shape, from any block and any fold, is fit in
-    one fit_ols call.
+    Every training design with the same row count, from any charger and any
+    fold, is fit in one fit_ols call.
     """
-    if folds < 1:
-        raise ValueError(f"folds must be at least 1, got {folds}")
+    if folds < 2:
+        raise ValueError(f"folds must be at least 2, got {folds}")
     features = [extract_features(h, include_energy) for h in histories]
-    by_rows: dict[int, list[int]] = {}
-    for i, (_, y) in enumerate(features):
-        if len(y) >= folds:
-            by_rows.setdefault(len(y), []).append(i)
-
-    blocks = []
-    # training rows -> the folds with that many, and their designs and
-    # targets stacked charger by charger, fold by fold
-    by_shape: dict[int, tuple[list, list, list]] = {}
-    for n, members in by_rows.items():
-        x = np.stack([features[i][0] for i in members])
-        y = np.stack([features[i][1] for i in members])
-        predicted = np.empty_like(y)
-        blocks.append((members, y, predicted))
+    predicted: list[np.ndarray | None] = [None] * len(features)
+    # training rows -> (charger, fold starts, fold size) of the designs with
+    # that many, and the designs and targets, stacked in that order
+    by_rows: dict[int, tuple[list, list, list]] = {}
+    for c, (x, y) in enumerate(features):
+        n = len(y)
+        if n < folds:
+            continue
+        predicted[c] = np.empty(n)
         # np.array_split's folds: the first n % folds hold one row more
         q, r = divmod(n, folds)
         starts = np.arange(folds) * q + np.minimum(np.arange(folds), r)
@@ -216,23 +195,22 @@ def cross_validate(
             m = n - size
             train = np.arange(m)
             idx = train + size * (train >= los[:, None])
-            owners, xs, ys = by_shape.setdefault(m, ([], [], []))
-            owners.append((x, predicted, los, size))
-            xs.append(np.take(x, idx, axis=1).reshape(-1, m, x.shape[2]))
-            ys.append(np.take(y, idx, axis=1).reshape(-1, m))
+            owners, xs, ys = by_rows.setdefault(m, ([], [], []))
+            owners.append((c, los, size))
+            xs.append(x[idx])
+            ys.append(y[idx])
 
-    for owners, xs, ys in by_shape.values():
+    for owners, xs, ys in by_rows.values():
         models = iter(fit_ols(np.concatenate(xs), np.concatenate(ys)))
-        for x, predicted, los, size in owners:
-            for c in range(len(x)):
-                for lo in los:
-                    predicted[c, lo:lo + size] = next(models).predict(x[c, lo:lo + size])
+        for c, los, size in owners:
+            x = features[c][0]
+            for lo in los:
+                predicted[c][lo:lo + size] = next(models).predict(x[lo:lo + size])
 
-    results: list[PredictionMetrics | None] = [None] * len(histories)
-    for members, y, predicted in blocks:
-        for i, metrics in zip(members, prediction_metrics(predicted, y)):
-            results[i] = metrics
-    return results
+    return [
+        None if p is None else prediction_metrics(p, y)
+        for p, (_, y) in zip(predicted, features)
+    ]
 
 
 def pool_metrics(per_cp: Sequence[PredictionMetrics]) -> PredictionMetrics:

@@ -319,8 +319,8 @@ class TestCrossValidate:
         assert with_e.mae < 0.05
         assert without_e.mae > 10 * with_e.mae
 
-    @pytest.mark.parametrize("folds", [0, -1])
-    def test_folds_below_one_rejected(self, folds):
+    @pytest.mark.parametrize("folds", [1, 0, -1])
+    def test_folds_below_two_rejected(self, folds):
         sessions = sessions_with_gaps([0, 1, 2], [2, 2, 2], [5, 5, 5])
         with pytest.raises(ValueError, match="folds"):
             cross_validate([sessions], folds=folds)
@@ -368,10 +368,10 @@ charger_histories = st.lists(
 
 
 class TestCrossValidateBatch:
-    """A batch mixes row counts, so several chargers share a block and
-    several design shapes occur; n % folds != 0 gives a charger two training
-    shapes, fewer rows than folds gives None, and short histories give
-    designs with fewer rows than columns."""
+    """A batch mixes row counts, so several design shapes occur and some
+    are shared by several chargers; n % folds != 0 gives a charger two
+    training shapes, fewer rows than folds gives None, and short histories
+    give designs with fewer rows than columns."""
 
     @settings(max_examples=200, deadline=None)
     @given(charger_histories, st.integers(2, 5), st.booleans())
