@@ -655,14 +655,15 @@ def _profile_csv(profiles: dict[str, DailyProfile], resolution: int) -> Iterator
     yield "second_of_day,raw_kw,oracle_kw,rl_kw\n"
     for lo in range(0, len(arrays[0]), _PROFILE_CHUNK_ROWS):
         hi = lo + _PROFILE_CHUNK_ROWS
-        columns = [range(lo * resolution, hi * resolution, resolution)]
+        # every column is already text, so the rows are joined as they are
+        columns = [map(str, range(lo * resolution, hi * resolution, resolution))]
         for a in arrays:
             chunk = a[lo:hi]
             bits = chunk.view(np.int64)
             starts = np.concatenate(([True], bits[1:] != bits[:-1]))
             texts = np.array(list(map(repr, chunk[starts].tolist())), dtype=object)
-            columns.append(texts[np.cumsum(starts) - 1])
-        yield _csv_rows(columns)
+            columns.append(texts[np.cumsum(starts) - 1].tolist())
+        yield "\n".join([*map(",".join, zip(*columns)), ""])
 
 
 def _peak_reduction_lines(profiles: dict[str, DailyProfile]) -> list[str]:

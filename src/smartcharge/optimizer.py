@@ -17,6 +17,13 @@ one-charger search, and each sum reduces its own row, in the same pairwise
 order as a one-charger sum.  Windows are never zero-padded to a common
 length, since padding would change that order.  learn_policy is the
 one-charger case.
+
+A small bucket, where numpy's cost per call outweighs the arithmetic,
+evaluates two tries per call: every step is drawn up front, so the
+candidate of try i and both possible candidates of try i+1 (after try i is
+accepted or rejected) are known before try i is evaluated, and one call on
+three copies of the bucket's rows evaluates all three.  Each row is still
+evaluated on its own, so the results are the same bits either way.
 """
 
 from __future__ import annotations
@@ -158,7 +165,9 @@ def learn_policies(
     Lengths are never padded to match, because padding would change the
     order of numpy's pairwise sums.  Each row draws its own seeded stream
     and every reduction runs along its own row, so a charger's result is
-    bit-identical to searching it alone.
+    bit-identical to searching it alone.  A bucket of at most
+    _SPECULATE_MAX_CELLS sessions runs two tries per evaluation call (see
+    _search), with the same results.
     """
     n = len(histories)
     inits = [None] * n if inits is None else inits
@@ -186,6 +195,13 @@ def learn_policies(
     return results
 
 
+# Buckets of at most this many sessions (rows x window) evaluate two tries
+# per kernel call.  Up to this size numpy's cost per call outweighs the
+# half row more per try that speculation evaluates (three rows per two
+# tries); it is the largest size at which no measured shape got slower.
+_SPECULATE_MAX_CELLS = 512
+
+
 def _search(
     h: HistoryArrays,
     cfg: SearchConfig,
@@ -193,7 +209,17 @@ def _search(
     inits: Sequence[ChargingPolicy | None],
     params: RewardParams,
 ) -> list[LearnedPolicy]:
-    """The lockstep search over equal-length histories (see learn_policies)."""
+    """The lockstep search over equal-length histories (see learn_policies).
+
+    A small bucket runs its tries in pairs, speculatively: with every step
+    drawn up front, try i's candidate A = clip(inc + s_i) fixes try i+1's
+    two possible candidates, B = clip(A + s_i+1) if A is accepted and
+    C = clip(inc + s_i+1) if not.  One call on three copies of the bucket
+    evaluates A, B and C; try i is then applied with A, and try i+1 with B
+    or C per row, picked by try i's acceptance.  Each row is evaluated on
+    its own, with the same operations on the same values, so the result is
+    bit-identical to one try per call.
+    """
     k = len(seeds)
     t_mean = h.plugin.mean(axis=1)
     t_max = h.plugin.max(axis=1)
@@ -219,9 +245,6 @@ def _search(
     np.negative(steps, out=steps, where=u[:, 1::2] >= 0.5)
     upper = np.stack([t_max, np.ones(k)])
 
-    cand = np.empty((3, k))
-    cand_tp, cand_r = cand[:2], cand[2]
-    cand_t, cand_p = cand[0, :, None], cand[1, :, None]
     inc_tp, inc_r = inc[:2], inc[2]
     accept = np.empty(k, dtype=bool)
     better = np.empty(k, dtype=bool)
@@ -229,20 +252,51 @@ def _search(
     reward(e_loss, p_aggr, params, out=inc_r)
     best = inc.copy()
     best_r = best[2]
-    # Equal-reward candidates move the walk (the reward surface has
-    # genuinely flat regions, e.g. wherever the boost cap exceeds every
-    # session's full charge time; drifting across them is the only way
-    # off), while the returned policy is the best point visited.
-    for step in steps:
-        np.add(inc_tp, step, out=cand_tp)
-        np.maximum(cand_tp, 0.0, out=cand_tp)
-        np.minimum(cand_tp, upper, out=cand_tp)
-        e_loss, p_aggr = evaluate_policy_arrays(h, cand_t, cand_p)
-        reward(e_loss, p_aggr, params, out=cand_r)
+
+    def attempt(cand: np.ndarray, cand_r: np.ndarray) -> None:
+        """Apply one try per row, the candidates' rewards already in cand_r:
+        the incumbent moves to a candidate whose reward is at least its own
+        (accept holds that mask afterwards), and the best point to one
+        whose reward is higher than the best so far."""
+        # Equal-reward candidates move the walk (the reward surface has
+        # genuinely flat regions, e.g. wherever the boost cap exceeds every
+        # session's full charge time; drifting across them is the only way
+        # off), while the returned policy is the best point visited.
         np.greater_equal(cand_r, inc_r, out=accept)
         np.copyto(inc, cand, where=accept)
         np.greater(cand_r, best_r, out=better)
         np.copyto(best, cand, where=better)
+
+    pairs = cfg.n_tries // 2 if h.e_target.size <= _SPECULATE_MAX_CELLS else 0
+    if pairs:
+        h3 = HistoryArrays(*(np.tile(x, (3, 1)) for x in (h.e_target, h.plugin, h.p_max_kw)))
+        # columns: A, B and C, k each
+        spec = np.empty((3, 3 * k))
+        spec_t, spec_p, spec_r = spec[0, :, None], spec[1, :, None], spec[2]
+        a, b, c = spec[:, :k], spec[:, k : 2 * k], spec[:, 2 * k :]
+        a_tp, b_tp, c_tp, bc_tp = a[:2], b[:2], c[:2], spec[:2, k:]
+        a_r, c_r = a[2], c[2]
+        upper_bc = np.tile(upper, 2)
+    for i in range(0, 2 * pairs, 2):
+        np.add(inc_tp, steps[i], out=a_tp)
+        _clip(a_tp, upper)
+        np.add(a_tp, steps[i + 1], out=b_tp)
+        np.add(inc_tp, steps[i + 1], out=c_tp)
+        _clip(bc_tp, upper_bc)
+        e_loss, p_aggr = evaluate_policy_arrays(h3, spec_t, spec_p)
+        reward(e_loss, p_aggr, params, out=spec_r)
+        attempt(a, a_r)
+        np.copyto(c, b, where=accept)
+        attempt(c, c_r)
+
+    cand = np.empty((3, k))
+    cand_tp, cand_t, cand_p, cand_r = cand[:2], cand[0, :, None], cand[1, :, None], cand[2]
+    for step in steps[2 * pairs :]:
+        np.add(inc_tp, step, out=cand_tp)
+        _clip(cand_tp, upper)
+        e_loss, p_aggr = evaluate_policy_arrays(h, cand_t, cand_p)
+        reward(e_loss, p_aggr, params, out=cand_r)
+        attempt(cand, cand_r)
 
     # Finite weights give -inf only at or above the loss cap (unless
     # k1 * e_loss overflows a float), so a row whose best reward is -inf
@@ -260,3 +314,9 @@ def _search(
         LearnedPolicy(ChargingPolicy(float(t[j]), float(p[j])), bool(feasible[j]))
         for j in range(k)
     ]
+
+
+def _clip(tp: np.ndarray, upper: np.ndarray) -> None:
+    """Clamp (boost cap, rate) rows in place into [0, upper]."""
+    np.maximum(tp, 0.0, out=tp)
+    np.minimum(tp, upper, out=tp)

@@ -1,6 +1,7 @@
 """Reward function and stochastic policy search."""
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -404,6 +405,13 @@ class TestLockstepEqualsSerial:
         seed=st.integers(0, 2**64 - 1),
     )
     def test_bit_identical(self, specs, n_tries, seed):
+        # every example runs on the one-try path (bound 0) and on the
+        # speculative two-try path (no bucket above the bound)
+        for max_cells in (0, 2**62):
+            with mock.patch.object(optimizer, "_SPECULATE_MAX_CELLS", max_cells):
+                self.check_bit_identical(specs, n_tries, seed)
+
+    def check_bit_identical(self, specs, n_tries, seed):
         params = RewardParams()
         cfg = SearchConfig(n_tries=n_tries)
         windows, p_max, seeds, inits = [], [], [], []
@@ -420,6 +428,16 @@ class TestLockstepEqualsSerial:
             want = serial_learn_policy(rows(window), p, cfg, params, init, row_seed)
             # repr tells -0.0 from 0.0 and shows every bit of each float
             assert repr(got) == repr(want)
+
+    def test_both_paths_at_default_bound(self):
+        # a 32 x 60 bucket runs one try per call, a 1 x 60 bucket two
+        assert 60 <= optimizer._SPECULATE_MAX_CELLS < 32 * 60
+        params, cfg = RewardParams(), SearchConfig(n_tries=41)
+        for k in (32, 1):
+            specs = [
+                (("slack", "tight", "tiny", "gaps")[j % 4], 60, j, None) for j in range(k)
+            ]
+            self.check_bit_identical(specs, cfg.n_tries, k)
 
     def test_corners_occur(self):
         # the generator reaches the raw fallback and the +inf reward
@@ -448,7 +466,9 @@ class TestLockstepEqualsSerial:
 
     def test_evaluations_per_bucket(self, monkeypatch):
         # one evaluation of the start and one per try; a row that falls
-        # back to raw costs one more, for its bucket alone
+        # back to raw costs one more, for its bucket alone.  A bucket of at
+        # most _SPECULATE_MAX_CELLS sessions evaluates each pair of tries in
+        # one call on three copies of its rows, and an odd last try alone.
         calls = []
 
         def counting(*args):
@@ -473,6 +493,20 @@ class TestLockstepEqualsSerial:
         assert calls == [2, 2, 2, 1, 1]
         raw = [ChargingPolicy(max(w.plugin_hours.tolist()), 1.0) for w in (tight, tiny)]
         assert [result.policy == policy for result, policy in zip(learned, raw)] == [True, False]
+
+        cfg = SearchConfig(n_tries=5)
+        calls.clear()
+        learned = learn_policies([tight, tiny], [p_tight, p_tiny], [0, 0], cfg, params)
+        assert calls == [2, 6, 6, 2, 2]
+        assert learned[0].policy == raw[0]
+
+        # 20 x 30 sessions, above the bound: one try per call
+        wide = [lockstep_window("tiny", 30, j) for j in range(20)]
+        assert 20 * 30 > optimizer._SPECULATE_MAX_CELLS
+        calls.clear()
+        learned = learn_policies(*zip(*wide), range(20), cfg, params)
+        assert calls == [20] * 6
+        assert all(result.feasible for result in learned)
 
     def test_one_seed_per_history(self):
         windows = [lockstep_window("slack", n, n)[0] for n in (30, 7)]
