@@ -133,7 +133,9 @@ class ChargePoint:
 
     @property
     def usable(self) -> bool:
-        """False when every session dispensed zero energy (no derivable rate)."""
+        """False when the max power rate is 0 kW, so there is no rate to
+        simulate with: every session dispensed zero energy, or
+        p_max_percentile fell on a zero-energy session's rate."""
         return self.p_max_kw > 0.0
 
 
@@ -434,8 +436,9 @@ def parse_sessions_path(path) -> tuple[Sessions, list[ParseError]]:
 def derive_p_max(cp_sessions: Sessions, percentile: float | None = None) -> float:
     """Maximum observed session-average power of one charge point, in kW.
 
-    0.0 means every session dispensed zero energy; such chargers cannot be
-    simulated (no power rate exists to charge at).
+    0.0 means every session dispensed zero energy, or the percentile fell
+    on a zero-energy session's rate; such chargers cannot be simulated (no
+    power rate exists to charge at).
 
     The observed maximum can be inflated by a single noisy record, so a
     percentile (e.g. 99.0) may be given for sensitivity runs; it caps the

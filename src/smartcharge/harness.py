@@ -4,10 +4,16 @@ Three run modes over a cleaned chargepoint dataset:
 
 offline -- per charge point, learn one policy on the chronologically first
            80% of sessions and replay the last 20% under the raw, ideal and
-           learned strategies; aggregate daily profiles and deficit stats.
+           learned strategies.
 online  -- replay each charge point session by session, charging raw during
            a warmup and re-learning the policy after every session.
 predict -- per-charge-point cross-validated duration regression.
+
+Offline and online reduce each charger to one CpSummary (_summarise) and
+report the same fleet summary from them (SimulatedResults, _summary_lines):
+aggregate daily profiles, deficits, phase hours and relative speed, over
+the test split offline and over every session online.  Per-charger figures
+are in policies.csv offline and outcomes.csv online.
 
 Charge points are the unit of parallel work.  Work is cut into fixed-size
 batches processed in sorted order and folded back in batch order, so every
@@ -218,10 +224,10 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool):
     selection, usable ones only if asked) in clean_sessions' order, and run
     batch_fn(batch, cfg) over their batches.
 
-    Each batch returns its rows and its profiles keyed by (scope, strategy);
-    the rows are concatenated and the profiles summed, both in batch order.
-    Returns the RunResults fields, the rows, and the profiles as
-    {scope: {strategy: profile}}.
+    Each batch returns its rows, its CpSummary list and its profiles keyed
+    by (scope, strategy); the lists are concatenated and the profiles
+    summed, all in batch order.  Returns the RunResults fields, the rows,
+    the summaries, and the profiles as {scope: {strategy: profile}}.
     """
     sessions, parse_errors = parse_sessions_path(cfg.input)
     charge_points, cleaning = clean_sessions(
@@ -237,27 +243,31 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool):
         if missing:
             raise HarnessError(f"charge point(s) not in cleaned dataset: {sorted(missing)}")
         charge_points = [cp for cp in charge_points if cp.cp_id in wanted]
-        empty = [cp.cp_id for cp in charge_points if usable_only and not cp.usable]
-        if empty:
-            raise HarnessError(f"charge point(s) with no energy to simulate: {empty}")
     if usable_only:
+        unusable = [cp for cp in charge_points if not cp.usable]
+        capped = [cp.cp_id for cp in unusable if cp.sessions.energy_kwh.any()]
+        if capped:
+            rule = f"p_max_percentile {cfg.p_max_percentile!r}"
+            raise HarnessError(f"{rule} caps charge point(s) with energy at 0 kW: {capped}")
+        if cfg.cp and unusable:
+            empty = [cp.cp_id for cp in unusable]
+            raise HarnessError(f"charge point(s) with no energy to simulate: {empty}")
         charge_points = [cp for cp in charge_points if cp.usable]
     if not charge_points:
-        raise HarnessError(
-            f"no {'usable ' if usable_only else ''}charge points after cleaning"
-        )
+        raise HarnessError(f"no {'usable ' if usable_only else ''}charge points after cleaning")
 
-    rows: list = []
+    rows, summaries = [], []
     totals: defaultdict[tuple[str, str], DailyProfile] = defaultdict(DailyProfile.zeros)
-    worker = partial(batch_fn, cfg=cfg)
-    for batch_rows, batch_profiles in _map_batches(worker, charge_points, cfg.workers):
+    batches = _map_batches(partial(batch_fn, cfg=cfg), charge_points, cfg.workers)
+    for batch_rows, batch_summaries, batch_profiles in batches:
         rows.extend(batch_rows)
+        summaries.extend(batch_summaries)
         for key, profile in batch_profiles.items():
             totals[key].slots += profile.slots
     profiles: dict[str, dict[str, DailyProfile]] = {}
     for (scope, s), profile in totals.items():
         profiles.setdefault(scope, {})[s] = profile
-    return {"cfg": cfg, "cleaning": cleaning, "parse_errors": parse_errors}, rows, profiles
+    return dict(cfg=cfg, cleaning=cleaning, parse_errors=parse_errors), rows, summaries, profiles
 
 
 def _simulate(
@@ -303,53 +313,64 @@ class RunResults:
     parse_errors: list[ParseError]
 
 
-# ---------------------------------------------------------------------------
-# offline mode
-
-
 @dataclass
-class OfflineCpResult:
-    """Per-charge-point outcome of the offline experiment."""
+class CpSummary:
+    """One charger's totals over the sessions its run's metrics cover."""
 
-    cp_id: str
-    p_max_kw: float
-    t_boost_max_hours: float
-    p_rate: float
-    feasible: bool
-    n_train: int
-    n_test: int
-    target_test_kwh: float
-    delivered_test_kwh: float
-    raw_delivered_test_kwh: float
+    n_sessions: int
+    target_kwh: float
+    delivered_kwh: float
+    raw_delivered_kwh: float
+    n_outcomes: int
     boost_hours_sum: float
     slow_hours_sum: float
-    n_outcomes: int
     rel_speed_sum: float
-    hist_counts: np.ndarray
     raw_effective_hours_sum: float
 
     @property
     def deficit_kwh(self) -> float:
-        return self.target_test_kwh - self.delivered_test_kwh
+        return self.target_kwh - self.delivered_kwh
+
+
+def _summarise(cp: ChargePoint, outcome: SessionOutcome, lo: int, learned):
+    """The charger's CpSummary over its sessions from lo on, and the
+    relative speeds it sums: those of the sessions with energy that learned
+    (a mask over every session, or True) marks, which also give the phase
+    hours.  The raw effective hours cover every session.  Raw charging
+    delivers a session's whole target unless p_max_percentile caps the
+    power below the session's rate."""
+    p_max, e, plugin = cp.p_max_kw, cp.sessions.energy_kwh, cp.sessions.plugin_hours
+    counted = ((e > 0) & learned)[lo:]
+    reported, e_lo, plugin_lo = outcome[lo:], e[lo:], plugin[lo:]
+    rel_speeds = reported.p_eff_kw[counted] / p_max
+    return CpSummary(
+        n_sessions=len(e),
+        target_kwh=_sum(e_lo),
+        delivered_kwh=_sum(reported.e_total_kwh),
+        raw_delivered_kwh=_sum(np.where(e_lo / plugin_lo <= p_max, e_lo, p_max * plugin_lo)),
+        n_outcomes=len(rel_speeds),
+        boost_hours_sum=_sum(reported.t_boost_hours[counted]),
+        slow_hours_sum=_sum(reported.t_slow_hours[counted]),
+        rel_speed_sum=_sum(rel_speeds),
+        raw_effective_hours_sum=_sum(e / p_max),
+    ), rel_speeds
 
 
 @dataclass
-class OfflineResults(RunResults):
-    cp_rows: list[OfflineCpResult]
-    profiles_test: dict[str, DailyProfile]
-    profiles_all: dict[str, DailyProfile]
+class SimulatedResults(RunResults):
+    """An offline or online run's fleet figures: its chargers' summaries,
+    and the daily profiles of the sessions they cover."""
+
+    summaries: list[CpSummary]
+    profiles: dict[str, DailyProfile]
 
     def metrics(self, strategy: str) -> StrategyMetrics:
-        """The oracle is uncapped, so it always delivers its whole target."""
-        delivered = {
-            "raw": "raw_delivered_test_kwh",
-            "oracle": "target_test_kwh",
-            "rl": "delivered_test_kwh",
-        }[strategy]
+        # the oracle is uncapped, so it always delivers its whole target
+        delivered = {"raw": "raw_delivered_kwh", "oracle": "target_kwh", "rl": "delivered_kwh"}
         _, deficit, pct, frac = deficit_stats(
-            (r.target_test_kwh, getattr(r, delivered)) for r in self.cp_rows
+            (s.target_kwh, getattr(s, delivered[strategy])) for s in self.summaries
         )
-        profile = self.profiles_test[strategy]
+        profile = self.profiles[strategy]
         return StrategyMetrics(
             peak_kw=profile.peak_kw(),
             peak_second_of_day=profile.peak_second_of_day(),
@@ -360,14 +381,12 @@ class OfflineResults(RunResults):
         )
 
     def peak_reduction(self, strategy: str) -> float | None:
-        """None when the raw test profile has no peak to reduce."""
-        return aggregation.peak_reduction(
-            self.profiles_test[strategy], self.profiles_test["raw"]
-        )
+        """None when the raw profile has no peak to reduce."""
+        return aggregation.peak_reduction(self.profiles[strategy], self.profiles["raw"])
 
-    def _mean(self, total: str, count=lambda r: r.n_outcomes) -> float:
-        n = sum(count(r) for r in self.cp_rows)
-        return _sum([getattr(r, total) for r in self.cp_rows]) / n if n else 0.0
+    def _mean(self, total: str, count=lambda s: s.n_outcomes) -> float:
+        n = sum(count(s) for s in self.summaries)
+        return _sum([getattr(s, total) for s in self.summaries]) / n if n else 0.0
 
     def mean_boost_hours(self) -> float:
         return self._mean("boost_hours_sum")
@@ -376,10 +395,35 @@ class OfflineResults(RunResults):
         return self._mean("slow_hours_sum")
 
     def mean_raw_effective_hours(self) -> float:
-        return self._mean("raw_effective_hours_sum", lambda r: r.n_train + r.n_test)
+        return self._mean("raw_effective_hours_sum", lambda s: s.n_sessions)
 
     def mean_relative_speed(self) -> float:
         return self._mean("rel_speed_sum")
+
+
+# ---------------------------------------------------------------------------
+# offline mode
+
+
+@dataclass
+class OfflineCpResult:
+    """Per-charge-point policy and split of the offline experiment."""
+
+    cp_id: str
+    t_boost_max_hours: float
+    p_rate: float
+    feasible: bool
+    n_train: int
+    n_test: int
+    hist_counts: np.ndarray  # relative speeds of the test sessions with energy
+
+
+@dataclass
+class OfflineResults(SimulatedResults):
+    """Its summaries and profiles cover the test split."""
+
+    cp_rows: list[OfflineCpResult]
+    profiles_all: dict[str, DailyProfile]
 
     def speed_histogram(self) -> np.ndarray:
         total = np.zeros(aggregation.SPEED_BINS, dtype=np.int64)
@@ -389,53 +433,12 @@ class OfflineResults(RunResults):
         return total / s if s else total.astype(np.float64)
 
 
-def _replay_offline(
-    cp: ChargePoint,
-    n_train: int,
-    policy: ChargingPolicy,
-    feasible: bool,
-    pieces: defaultdict,
-) -> OfflineCpResult:
-    """Simulate the charger's sessions under its policy in one call.
-
-    The sessions after the first n_train are the test split: its pieces go
-    to the "test" pieces and its outcomes into the result row.  Every
-    session's pieces go to the "all" pieces.  Raw charging delivers a
-    session's whole target only when the charger's max power covers it
-    within the session (always, unless p_max_percentile caps that power).
-    """
-    p_max = cp.p_max_kw
-    outcome = _simulate(
-        cp, policy.t_boost_max_hours, policy.p_rate, {"test": n_train, "all": 0}, pieces
-    )
-    e, plugin = cp.sessions.energy_kwh, cp.sessions.plugin_hours
-    test, e_test, plugin_test = outcome[n_train:], e[n_train:], plugin[n_train:]
-    charged = e_test > 0
-    rel_speeds = test.p_eff_kw[charged] / p_max
-    raw_delivered = np.where(e_test / plugin_test <= p_max, e_test, p_max * plugin_test)
-    return OfflineCpResult(
-        cp_id=cp.cp_id,
-        p_max_kw=cp.p_max_kw,
-        t_boost_max_hours=policy.t_boost_max_hours,
-        p_rate=policy.p_rate,
-        feasible=feasible,
-        n_train=n_train,
-        n_test=len(cp.sessions) - n_train,
-        target_test_kwh=_sum(e_test),
-        delivered_test_kwh=_sum(test.e_total_kwh),
-        raw_delivered_test_kwh=_sum(raw_delivered),
-        boost_hours_sum=_sum(test.t_boost_hours[charged]),
-        slow_hours_sum=_sum(test.t_slow_hours[charged]),
-        n_outcomes=len(rel_speeds),
-        rel_speed_sum=_sum(rel_speeds),
-        hist_counts=aggregation.speed_histogram_counts(rel_speeds),
-        raw_effective_hours_sum=_sum(e / p_max),
-    )
-
-
 def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     """Learn each charger's policy on the last `history` sessions with
-    energy among its first ceil(train_fraction * n), then replay it."""
+    energy among its first ceil(train_fraction * n), then simulate all its
+    sessions under it in one call.  The sessions after the first n are the
+    test split: the summary and the "test" profiles cover them, and the
+    "all" profiles every session."""
     splits = [math.ceil(cfg.train_fraction * len(cp.sessions)) for cp in batch]
     trains = [cp.sessions[:n] for cp, n in zip(batch, splits)]
     windows = [rolling_window(t[t.energy_kwh > 0], cfg.history) for t in trains]
@@ -453,22 +456,32 @@ def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
         )
     )
     pieces = defaultdict(list)
-    rows = []
-    for j, cp in enumerate(batch):
+    rows, summaries = [], []
+    for j, (cp, n) in enumerate(zip(batch, splits)):
         if j in learned:
             policy, feasible = learned[j].policy, learned[j].feasible
         else:
             # Nothing to learn from: charge raw rather than guess.
             policy = ChargingPolicy(float(cp.sessions.plugin_hours.max()), 1.0)
             feasible = True
-        rows.append(_replay_offline(cp, splits[j], policy, feasible, pieces))
-    return rows, _fold(pieces)
+        t_boost_max, p_rate = policy.t_boost_max_hours, policy.p_rate
+        outcome = _simulate(cp, t_boost_max, p_rate, {"test": n, "all": 0}, pieces)
+        summary, rel_speeds = _summarise(cp, outcome, n, True)
+        summaries.append(summary)
+        n_test = len(cp.sessions) - n
+        hist = aggregation.speed_histogram_counts(rel_speeds)
+        rows.append(OfflineCpResult(cp.cp_id, t_boost_max, p_rate, feasible, n, n_test, hist))
+    return rows, summaries, _fold(pieces)
 
 
 def run_offline(cfg: ExperimentConfig) -> OfflineResults:
-    common, rows, profiles = _run(_offline_batch, cfg, usable_only=True)
+    common, rows, summaries, profiles = _run(_offline_batch, cfg, usable_only=True)
     return OfflineResults(
-        **common, cp_rows=rows, profiles_test=profiles["test"], profiles_all=profiles["all"]
+        **common,
+        summaries=summaries,
+        profiles=profiles["test"],
+        cp_rows=rows,
+        profiles_all=profiles["all"],
     )
 
 
@@ -487,44 +500,12 @@ class OnlineCpResult:
     policy_t_boost_max: np.ndarray
     policy_p_rate: np.ndarray
 
-    def target_kwh(self) -> float:
-        return _sum(self.cp.sessions.energy_kwh)
-
-    def delivered_kwh(self) -> float:
-        return _sum(self.outcome.e_total_kwh)
-
-    def deficit_kwh(self) -> float:
-        return self.target_kwh() - self.delivered_kwh()
-
-    def deficit_percent(self) -> float:
-        return deficit_stats([(self.target_kwh(), self.delivered_kwh())])[2]
-
-    def _adaptive(self, reduce, values: np.ndarray) -> float:
-        """reduce() of values over the adaptive sessions with energy; 0.0
-        when there are none."""
-        values = values[self.adaptive & (self.cp.sessions.energy_kwh > 0)]
-        return float(reduce(values)) if len(values) else 0.0
-
-    def mean_p_eff_adaptive(self) -> float:
-        return self._adaptive(np.mean, self.outcome.p_eff_kw)
-
-    def mean_relative_speed(self) -> float:
-        return self._adaptive(np.mean, self.outcome.p_eff_kw / self.cp.p_max_kw)
-
-    def median_relative_speed(self) -> float:
-        return self._adaptive(np.median, self.outcome.p_eff_kw / self.cp.p_max_kw)
-
-    def mean_boost_hours(self) -> float:
-        return self._adaptive(np.mean, self.outcome.t_boost_hours)
-
-    def mean_slow_hours(self) -> float:
-        return self._adaptive(np.mean, self.outcome.t_slow_hours)
-
 
 @dataclass
-class OnlineResults(RunResults):
-    cp_results: list[OnlineCpResult]
-    profiles: dict[str, DailyProfile]
+class OnlineResults(SimulatedResults):
+    """Its summaries and profiles cover every session (phase hours and speeds: adaptive ones)."""
+
+    cp_rows: list[OnlineCpResult]
 
 
 def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
@@ -572,16 +553,17 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
             adaptive[j][i + 1] = True
 
     pieces = defaultdict(list)
-    results = [
-        OnlineCpResult(cp, a, _simulate(cp, t, p, {"all": 0}, pieces), t, p)
-        for cp, t, p, a in zip(batch, t_boost_max, p_rate, adaptive)
-    ]
-    return results, _fold(pieces)
+    rows, summaries = [], []
+    for cp, t, p, a in zip(batch, t_boost_max, p_rate, adaptive):
+        outcome = _simulate(cp, t, p, {"all": 0}, pieces)
+        rows.append(OnlineCpResult(cp, a, outcome, t, p))
+        summaries.append(_summarise(cp, outcome, 0, a)[0])
+    return rows, summaries, _fold(pieces)
 
 
 def run_online(cfg: ExperimentConfig) -> OnlineResults:
-    common, results, profiles = _run(_online_batch, cfg, usable_only=True)
-    return OnlineResults(**common, cp_results=results, profiles=profiles["all"])
+    common, rows, summaries, profiles = _run(_online_batch, cfg, usable_only=True)
+    return OnlineResults(**common, summaries=summaries, profiles=profiles["all"], cp_rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -625,11 +607,11 @@ def _predict_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
             cross_validate(histories, include_energy=False),
         )
     ]
-    return rows, {}
+    return rows, [], {}
 
 
 def run_predict(cfg: ExperimentConfig) -> PredictResults:
-    common, rows, _ = _run(_predict_batch, cfg, usable_only=False)
+    common, rows, _, _ = _run(_predict_batch, cfg, usable_only=False)
     return PredictResults(**common, cp_rows=rows)
 
 
@@ -664,15 +646,6 @@ def _profile_csv(profiles: dict[str, DailyProfile], resolution: int) -> Iterator
             texts = np.array(list(map(repr, chunk[starts].tolist())), dtype=object)
             columns.append(texts[np.cumsum(starts) - 1].tolist())
         yield "\n".join([*map(",".join, zip(*columns)), ""])
-
-
-def _peak_reduction_lines(profiles: dict[str, DailyProfile]) -> list[str]:
-    """The peak reduction line, when the raw profile has a peak to reduce."""
-    raw = profiles["raw"]
-    rl, oracle = (aggregation.peak_reduction(profiles[s], raw) for s in ("rl", "oracle"))
-    if rl is None:
-        return []
-    return [f"peak reduction vs raw: rl {rl!r}% | oracle {oracle!r}%"]
 
 
 def _report_head(title: str, cfg: ExperimentConfig) -> list[str]:
@@ -730,61 +703,74 @@ class _Bundle:
         self.write(name, [header + "\n", _csv_rows(columns)])
 
 
-def emit_offline_reports(results: OfflineResults, output_dir: str) -> dict[str, str]:
-    bundle = _Bundle(results, output_dir)
-    cfg = results.cfg
-    bundle.write("profiles.csv", _profile_csv(results.profiles_test, cfg.emit_resolution))
-    bundle.write(
-        "profiles_all_sessions.csv",
-        _profile_csv(results.profiles_all, cfg.emit_resolution),
-    )
-    keys = ("cp_id", "t_boost_max_hours", "p_rate", "deficit_kwh", "n_train", "n_test")
-    bundle.write_csv(
-        "policies.csv", ",".join(keys), [[getattr(r, k) for r in results.cp_rows] for k in keys]
-    )
-    hist = results.speed_histogram()
-    bundle.write_csv(
-        "speed_histogram.csv",
-        "rel_speed_bin_start,fraction",
-        [[i / len(hist) for i in range(len(hist))], hist],
-    )
-
-    text = _report_head("offline experiment report", cfg) + [
-        f"charge points simulated : {len(results.cp_rows)}",
-        f"test sessions           : {sum(r.n_test for r in results.cp_rows)}",
-        "",
-        "aggregate daily profiles (test split)",
+def _summary_lines(results: SimulatedResults, scope: str, learned_label: str) -> list[str]:
+    """metrics.txt's fleet summary: each strategy's aggregate daily profile
+    and deficits over the scope's sessions, the peak reduction when the raw
+    profile has a peak, and the mean phase hours and relative speed of the
+    learned sessions."""
+    text = [
+        f"aggregate daily profiles ({scope})",
         "strategy  peak_kw  peak_second  total_kwh  deficit_kwh  deficit_pct  cp_over_10pct",
     ]
-    for name in ("raw", "oracle", "rl"):
+    for name in STRATEGIES:
         m = results.metrics(name)
         text.append(
             f"{name}  {m.peak_kw!r}  {m.peak_second_of_day}  {m.total_energy_kwh!r}  "
             f"{m.total_deficit_kwh!r}  {m.deficit_percent!r}  "
             f"{m.cp_deficit_over_10pct_fraction!r}"
         )
-    text += ["", *_peak_reduction_lines(results.profiles_test)]
-    text += [
+    text.append("")
+    rl, oracle = results.peak_reduction("rl"), results.peak_reduction("oracle")
+    if rl is not None:
+        text.append(f"peak reduction vs raw: rl {rl!r}% | oracle {oracle!r}%")
+    return text + [
         "",
         "charge phase durations (mean hours)",
         f"boost {results.mean_boost_hours()!r} | slow {results.mean_slow_hours()!r} | "
         f"raw effective {results.mean_raw_effective_hours()!r}",
         "",
-        f"mean relative charging speed (rl test sessions): "
-        f"{results.mean_relative_speed()!r}",
+        f"mean relative charging speed ({learned_label}): {results.mean_relative_speed()!r}",
+    ]
+
+
+def emit_offline_reports(results: OfflineResults, output_dir: str) -> dict[str, str]:
+    bundle = _Bundle(results, output_dir)
+    cfg = results.cfg
+    bundle.write("profiles.csv", _profile_csv(results.profiles, cfg.emit_resolution))
+    bundle.write(
+        "profiles_all_sessions.csv",
+        _profile_csv(results.profiles_all, cfg.emit_resolution),
+    )
+    policies = [
+        (r.cp_id, r.t_boost_max_hours, r.p_rate, s.deficit_kwh, r.n_train, r.n_test)
+        for r, s in zip(results.cp_rows, results.summaries)
+    ]
+    header = "cp_id,t_boost_max_hours,p_rate,deficit_kwh,n_train,n_test"
+    bundle.write_csv("policies.csv", header, zip(*policies))
+    hist = results.speed_histogram()
+    bundle.write_csv(
+        "speed_histogram.csv",
+        "rel_speed_bin_start,fraction",
+        [[i / len(hist) for i in range(len(hist))], hist],
+    )
+    text = _report_head("offline experiment report", cfg) + [
+        f"charge points simulated : {len(results.cp_rows)}",
+        f"test sessions           : {sum(r.n_test for r in results.cp_rows)}",
+        "",
+        *_summary_lines(results, "test split", "rl test sessions"),
     ]
     bundle.write_lines("metrics.txt", text)
     return bundle.paths
 
 
-def _outcome_chunks(cp_results: list[OnlineCpResult]) -> Iterator[str]:
+def _outcome_chunks(cp_rows: list[OnlineCpResult]) -> Iterator[str]:
     """outcomes.csv, one chunk per charger: a row per session."""
     yield (
         "cp_id,session_index,event_id,start,plugin_hours,energy_kwh,mode,"
         "t_boost_hours,t_slow_hours,e_boost_kwh,e_slow_kwh,e_total_kwh,"
         "e_loss_kwh,p_eff_kw,policy_t_boost_max_hours,policy_p_rate\n"
     )
-    for r in cp_results:
+    for r in cp_rows:
         s = r.cp.sessions
         yield _csv_rows(
             [
@@ -804,28 +790,16 @@ def _outcome_chunks(cp_results: list[OnlineCpResult]) -> Iterator[str]:
 
 def emit_online_reports(results: OnlineResults, output_dir: str) -> dict[str, str]:
     bundle = _Bundle(results, output_dir)
+    rows = results.cp_rows
     bundle.write("profiles.csv", _profile_csv(results.profiles, results.cfg.emit_resolution))
-    bundle.write("outcomes.csv", _outcome_chunks(results.cp_results))
-
-    text = _report_head("online learning report", results.cfg)
-    for r in results.cp_results:
-        n_adaptive = int(r.adaptive.sum())
-        text += [
-            f"charge point {r.cp.cp_id}",
-            f"  max power rate        : {r.cp.p_max_kw!r} kW",
-            f"  sessions (warmup raw) : {len(r.adaptive)} ({len(r.adaptive) - n_adaptive})",
-            f"  adaptive sessions     : {n_adaptive}",
-            f"  target energy         : {r.target_kwh()!r} kWh",
-            f"  delivered energy      : {r.delivered_kwh()!r} kWh",
-            f"  energy deficit        : {r.deficit_kwh()!r} kWh ({r.deficit_percent()!r}%)",
-            f"  mean effective speed  : {r.mean_p_eff_adaptive()!r} kW (adaptive sessions)",
-            f"  mean / median relative speed : {r.mean_relative_speed()!r} / "
-            f"{r.median_relative_speed()!r}",
-            f"  mean boost / slow hours      : {r.mean_boost_hours()!r} / "
-            f"{r.mean_slow_hours()!r}",
-            "",
-        ]
-    text += _peak_reduction_lines(results.profiles)
+    bundle.write("outcomes.csv", _outcome_chunks(rows))
+    n_adaptive = sum(int(r.adaptive.sum()) for r in rows)
+    text = _report_head("online learning report", results.cfg) + [
+        f"charge points simulated : {len(rows)}",
+        f"sessions (adaptive)     : {sum(len(r.adaptive) for r in rows)} ({n_adaptive})",
+        "",
+        *_summary_lines(results, "all sessions", "adaptive sessions"),
+    ]
     bundle.write_lines("metrics.txt", text)
     return bundle.paths
 
@@ -870,6 +844,4 @@ def run(cfg: ExperimentConfig) -> dict[str, str]:
         return emit_offline_reports(run_offline(cfg), cfg.out_dir)
     if cfg.mode == "online":
         return emit_online_reports(run_online(cfg), cfg.out_dir)
-    if cfg.mode == "predict":
-        return emit_predict_reports(run_predict(cfg), cfg.out_dir)
-    raise HarnessError(f"unknown mode {cfg.mode!r}")
+    return emit_predict_reports(run_predict(cfg), cfg.out_dir)

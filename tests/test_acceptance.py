@@ -234,11 +234,11 @@ def test_criterion_4_energy_conservation(tmp_path):
     worst = 0.0
     for seed in (4, 5, 6):
         results = _offline_on_synthetic(tmp_path, seed)
-        target = sum(r.target_test_kwh for r in results.cp_rows)
-        delivered = sum(r.delivered_test_kwh for r in results.cp_rows)
-        worst = max(worst, rel_err(results.profiles_test["raw"].total_energy_kwh(), target))
-        worst = max(worst, rel_err(results.profiles_test["oracle"].total_energy_kwh(), target))
-        worst = max(worst, rel_err(results.profiles_test["rl"].total_energy_kwh(), delivered))
+        target = sum(s.target_kwh for s in results.summaries)
+        delivered = sum(s.delivered_kwh for s in results.summaries)
+        worst = max(worst, rel_err(results.profiles["raw"].total_energy_kwh(), target))
+        worst = max(worst, rel_err(results.profiles["oracle"].total_energy_kwh(), target))
+        worst = max(worst, rel_err(results.profiles["rl"].total_energy_kwh(), delivered))
     report(4, worst <= 1e-6, f"profile totals vs delivered, worst rel err {worst:.3g}")
 
 
@@ -398,9 +398,11 @@ def test_criterion_10_online_case_study(tmp_path):
         out_dir=str(tmp_path / "online"),
     )
     results = run_online(cfg)
-    (cp,) = results.cp_results
-    deficit_pct = cp.deficit_percent()
-    mean_speed = cp.mean_p_eff_adaptive()
+    (cp,) = results.cp_rows
+    deficit_pct = results.metrics("rl").deficit_percent
+    # the mean effective speed (kW) of the adaptive sessions with energy
+    speeds = cp.outcome.p_eff_kw[cp.adaptive & (cp.cp.sessions.energy_kwh > 0)]
+    mean_speed = float(np.mean(speeds)) if len(speeds) else 0.0
     ok = abs(deficit_pct - 1.3) <= 1.0 and abs(mean_speed - 18.29) <= 0.20 * 18.29
     report(
         10,

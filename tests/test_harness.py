@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from smartcharge import harness
+from smartcharge.aggregation import deficit_stats
 from smartcharge.cli import build_config, main
 from smartcharge.harness import (
     ExperimentConfig,
@@ -95,17 +96,11 @@ class TestOffline:
     def test_energy_conservation(self, tmp_path, fleet_csv):
         cfg = small_cfg(fleet_csv, str(tmp_path / "out"))
         results = run_offline(cfg)
-        target = sum(r.target_test_kwh for r in results.cp_rows)
-        delivered = sum(r.delivered_test_kwh for r in results.cp_rows)
-        assert results.profiles_test["raw"].total_energy_kwh() == pytest.approx(
-            target, rel=1e-6
-        )
-        assert results.profiles_test["oracle"].total_energy_kwh() == pytest.approx(
-            target, rel=1e-6
-        )
-        assert results.profiles_test["rl"].total_energy_kwh() == pytest.approx(
-            delivered, rel=1e-6
-        )
+        target = sum(s.target_kwh for s in results.summaries)
+        delivered = sum(s.delivered_kwh for s in results.summaries)
+        assert results.profiles["raw"].total_energy_kwh() == pytest.approx(target, rel=1e-6)
+        assert results.profiles["oracle"].total_energy_kwh() == pytest.approx(target, rel=1e-6)
+        assert results.profiles["rl"].total_energy_kwh() == pytest.approx(delivered, rel=1e-6)
 
     def test_unlimited_history_equals_full_count(self, tmp_path, fleet_csv):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -122,7 +117,8 @@ class TestOffline:
         results = run_offline(cfg)
         (row,) = results.cp_rows
         assert row.n_test == 0
-        assert row.deficit_kwh == 0.0
+        (summary,) = results.summaries
+        assert summary.deficit_kwh == 0.0
         # the raw test profile is flat, so there is no peak to reduce
         assert main(["--input", cfg.input, "--min-sessions", "4", "--n-tries", "10"]
                     + ["--out-dir", cfg.out_dir]) == 0
@@ -195,12 +191,13 @@ class TestOffline:
 
         cfg = small_cfg(fleet_csv, str(tmp_path / "out"))
         results = run_offline(cfg)
-        # raw_effective_hours_sum is sum(energy)/p_max per charge point
-        total_from_rows = sum(
-            r.raw_effective_hours_sum * r.p_max_kw for r in results.cp_rows
-        )
         sessions, _ = parse_sessions_path(fleet_csv)
         cps, _ = clean_sessions(sessions, min_sessions=cfg.min_sessions)
+        assert [r.cp_id for r in results.cp_rows] == [cp.cp_id for cp in cps]
+        # raw_effective_hours_sum is sum(energy)/p_max per charge point
+        total_from_rows = sum(
+            s.raw_effective_hours_sum * cp.p_max_kw for s, cp in zip(results.summaries, cps)
+        )
         total_energy = sum(e for cp in cps for e in cp.sessions.energy_kwh.tolist())
         assert total_from_rows == pytest.approx(total_energy, rel=1e-9)
 
@@ -266,10 +263,10 @@ class TestOffline:
         )
         results = run_offline(cfg)
         m = results.metrics("raw")
-        target = sum(r.target_test_kwh for r in results.cp_rows)
+        target = sum(s.target_kwh for s in results.summaries)
         assert m.total_deficit_kwh > 0.05 * target
         assert m.total_deficit_kwh == pytest.approx(
-            target - results.profiles_test["raw"].total_energy_kwh(), rel=1e-9
+            target - results.profiles["raw"].total_energy_kwh(), rel=1e-9
         )
         assert results.metrics("oracle").total_deficit_kwh == 0.0
 
@@ -297,7 +294,7 @@ class TestOnline:
 
     def test_warmup_charges_raw(self, tmp_path):
         results, _ = self.make_results(tmp_path)
-        for r in results.cp_results:
+        for r in results.cp_rows:
             o = r.outcome
             for k in range(10):
                 assert not r.adaptive[k]
@@ -310,21 +307,20 @@ class TestOnline:
         results, cfg = self.make_results(tmp_path)
         paths = emit_online_reports(results, cfg.out_dir)
         lines = open(paths["outcomes.csv"]).read().strip().split("\n")
-        assert len(lines) == 1 + sum(len(r.cp.sessions) for r in results.cp_results)
+        assert len(lines) == 1 + sum(len(r.cp.sessions) for r in results.cp_rows)
         assert os.path.exists(paths["profiles.csv"])
         assert os.path.exists(paths["metrics.txt"])
 
     def test_energy_accounting(self, tmp_path):
         results, _ = self.make_results(tmp_path)
-        for cp in results.cp_results:
+        for summary, cp in zip(results.summaries, results.cp_rows):
+            target = sum(cp.cp.sessions.energy_kwh.tolist())
             delivered = sum(cp.outcome.e_total_kwh.tolist())
-            assert cp.deficit_kwh() == pytest.approx(
-                cp.target_kwh() - delivered, abs=1e-9
-            )
-            assert cp.deficit_kwh() >= -1e-9
+            assert summary.deficit_kwh == pytest.approx(target - delivered, abs=1e-9)
+            assert summary.deficit_kwh >= -1e-9
         total_rl = results.profiles["rl"].total_energy_kwh()
         delivered_all = sum(
-            e for cp in results.cp_results for e in cp.outcome.e_total_kwh.tolist()
+            e for cp in results.cp_rows for e in cp.outcome.e_total_kwh.tolist()
         )
         assert total_rl == pytest.approx(delivered_all, rel=1e-6)
 
@@ -335,7 +331,7 @@ class TestOnline:
             path, str(tmp_path / "o"), mode="online", cp=("CP001",), n_tries=20
         )
         results = run_online(cfg)
-        assert [r.cp.cp_id for r in results.cp_results] == ["CP001"]
+        assert [r.cp.cp_id for r in results.cp_rows] == ["CP001"]
         bad = small_cfg(
             path, str(tmp_path / "o2"), mode="online", cp=("NOPE",), n_tries=20
         )
@@ -349,7 +345,7 @@ class TestOnline:
         def policies(results):
             return [
                 (cp.policy_t_boost_max.tolist(), cp.policy_p_rate.tolist())
-                for cp in results.cp_results
+                for cp in results.cp_rows
             ]
 
         assert policies(warm) != policies(cold)
@@ -404,7 +400,7 @@ class TestOnline:
             write_csv(tmp_path, text), str(tmp_path / "o"), mode="online",
             warmup=warmup, history=5, n_tries=15,
         )
-        for r in run_online(cfg).cp_results:
+        for r in run_online(cfg).cp_rows:
             s, learned, charged, want = r.cp.sessions, None, [], []
             for i, (energy, plugin) in enumerate(
                 zip(s.energy_kwh.tolist(), s.plugin_hours.tolist())
@@ -431,6 +427,50 @@ class TestOnline:
             assert list(map(repr, got)) == list(map(repr, want))
             assert r.adaptive.any() == (warmup < len(s))
 
+    def test_one_charger_summary_pins_the_per_charger_figures(self, tmp_path):
+        # an online --cp run's fleet summary is that charger's own: its rl
+        # deficit bit for bit, and its means within rounding, of the
+        # per-charger formulas metrics.txt was written with before
+        text = synth_fleet_csv(n_cps=3, sessions_per_cp=30, seed=17, zero_energy_prob=0.2)
+        out = str(tmp_path / "o")
+        cfg = small_cfg(
+            write_csv(tmp_path, text), out, mode="online", warmup=8, n_tries=20, cp=("CP001",)
+        )
+        results = run_online(cfg)
+        (r,) = results.cp_rows
+        energy, outcome = r.cp.sessions.energy_kwh, r.outcome
+        deficit_percent = deficit_stats(
+            [(harness._sum(energy), harness._sum(outcome.e_total_kwh))]
+        )[2]
+        counted = r.adaptive & (energy > 0)
+        assert counted.sum() >= 10
+
+        def adaptive_mean(values):
+            values = values[counted]
+            return float(np.mean(values)) if len(values) else 0.0
+
+        reference = {
+            "mean_boost_hours": adaptive_mean(outcome.t_boost_hours),
+            "mean_slow_hours": adaptive_mean(outcome.t_slow_hours),
+            "mean_relative_speed": adaptive_mean(outcome.p_eff_kw / r.cp.p_max_kw),
+        }
+        assert repr(results.metrics("rl").deficit_percent) == repr(deficit_percent)
+        for name, want in reference.items():
+            assert getattr(results, name)() == pytest.approx(want, rel=1e-12, abs=0.0), name
+        metrics = open(emit_online_reports(results, out)["metrics.txt"]).read()
+        assert f"  {deficit_percent!r}  " in metrics
+
+    def test_metrics_length_independent_of_fleet_size(self, tmp_path):
+        path = write_csv(tmp_path, synth_fleet_csv(n_cps=6, sessions_per_cp=16, seed=19))
+        lengths = []
+        for cp in ((), ("CP002",)):
+            out = str(tmp_path / f"cp{len(cp)}")
+            cfg = small_cfg(path, out, mode="online", warmup=8, n_tries=10, cp=cp)
+            results = run_online(cfg)
+            assert len(results.cp_rows) == (len(cp) or 6)
+            lengths.append(len(open(emit_online_reports(results, out)["metrics.txt"]).readlines()))
+        assert lengths[0] == lengths[1]
+
     def test_same_seed_reproducible(self, tmp_path):
         a, _ = self.make_results(tmp_path, seed=5)
         b, _ = self.make_results(tmp_path, seed=5)
@@ -439,7 +479,7 @@ class TestOnline:
             return [
                 [cp.policy_t_boost_max.tolist(), cp.policy_p_rate.tolist()]
                 + [getattr(cp.outcome, f.name).tolist() for f in fields(cp.outcome)]
-                for cp in results.cp_results
+                for cp in results.cp_rows
             ]
 
         assert columns(a) == columns(b)
@@ -522,6 +562,31 @@ def test_cp_without_energy_has_its_own_error(tmp_path, capsys):
         assert main(args + ["--mode", mode]) == 1
         err = capsys.readouterr().err
         assert err == "smartcharge: error: charge point(s) with no energy to simulate: ['CP1']\n"
+    # predict needs no power rate
+    assert main(args + ["--mode", "predict"]) == 0
+
+
+def test_p_max_percentile_that_zeroes_a_charger_with_energy_is_fatal(tmp_path, capsys):
+    # CPB's first 14 of 20 sessions have no energy, so its median session
+    # rate, the 50th-percentile max power, is 0 kW although it has energy
+    rows = [CSV_HEADER]
+    for i in range(20):
+        t = BASE_EPOCH + i * 86400
+        rows.append(csv_row(i, "CPA", t, "6.00", f"{10.0 + i:.1f}"))
+        rows.append(csv_row(100 + i, "CPB", t, "6.00", "0.0" if i < 14 else f"{5.0 + i:.1f}"))
+    path = write_csv(tmp_path, "\n".join(rows) + "\n")
+    args = ["--input", path, "--p-max-percentile", "50", "--n-tries", "10", "--warmup", "5"]
+    args += ["--out-dir", str(tmp_path / "out")]
+    message = (
+        "smartcharge: error: p_max_percentile 50.0 caps charge point(s) with energy "
+        "at 0 kW: ['CPB']\n"
+    )
+    for mode in ("offline", "online"):
+        for cp in ([], ["--cp", "CPB"]):
+            assert main(args + ["--mode", mode] + cp) == 1
+            assert capsys.readouterr().err == message
+        # CPA alone is unaffected
+        assert main(args + ["--mode", mode, "--cp", "CPA"]) == 0
     # predict needs no power rate
     assert main(args + ["--mode", "predict"]) == 0
 

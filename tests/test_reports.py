@@ -63,7 +63,7 @@ def outcomes_csv_reference(results):
         "t_boost_hours,t_slow_hours,e_boost_kwh,e_slow_kwh,e_total_kwh,"
         "e_loss_kwh,p_eff_kw,policy_t_boost_max_hours,policy_p_rate"
     ]
-    for r in results.cp_results:
+    for r in results.cp_rows:
         s = r.cp.sessions
         columns = [
             s.event_id,
@@ -84,8 +84,8 @@ def outcomes_csv_reference(results):
 
 def policies_csv_reference(results):
     lines = ["cp_id,t_boost_max_hours,p_rate,deficit_kwh,n_train,n_test"] + [
-        _csv_line([r.cp_id, r.t_boost_max_hours, r.p_rate, r.deficit_kwh, r.n_train, r.n_test])
-        for r in results.cp_rows
+        _csv_line([r.cp_id, r.t_boost_max_hours, r.p_rate, s.deficit_kwh, r.n_train, r.n_test])
+        for r, s in zip(results.cp_rows, results.summaries)
     ]
     return "\n".join(lines) + "\n"
 
@@ -215,7 +215,7 @@ def test_tables_match_row_by_row_reference(tmp_path):
     assert read(paths, "speed_histogram.csv") == speed_histogram_csv_reference(offline)
 
     online = run_online(cfg("online", warmup=6))
-    assert any(r.adaptive.any() for r in online.cp_results)
+    assert any(r.adaptive.any() for r in online.cp_rows)
     paths = emit_online_reports(online, str(tmp_path / "online"))
     assert read(paths, "outcomes.csv") == outcomes_csv_reference(online)
 
