@@ -6,7 +6,7 @@ slow-rate coefficient (slow power = coefficient * charger max power).
 One kernel charges every session of a HistoryArrays.  evaluate_policy_arrays
 reduces its output to each history's shortfall and aggregate rate, one row
 per charger; simulate_session adds each session's slow phase.  The profile
-builders turn a charger's sessions into one array of power pieces.
+builders turn any sessions, a batch's too, into one array of power pieces.
 """
 
 from __future__ import annotations
@@ -197,15 +197,16 @@ def _pieces(*columns) -> np.ndarray:
     return np.column_stack(np.broadcast_arrays(*columns))
 
 
-def raw_profile(start, e_target, plugin, p_max_kw: float) -> PowerProfile:
+def raw_profile(start, e_target, plugin, p_max_kw: float | np.ndarray) -> PowerProfile:
     """Uncontrolled charging: full rate from plugin until the target is met
     or the session ends, then idle.  One piece per session with energy;
     start holds the plugin instants in absolute seconds, e_target the
-    targets in kWh and plugin the durations in hours."""
-    if p_max_kw <= 0:
+    targets in kWh, plugin the durations in hours and p_max_kw the full rate."""
+    if (np.asarray(p_max_kw) <= 0).any():
         raise ValueError("p_max_kw must be positive")
     charged = e_target > 0
     t0 = np.asarray(start, dtype=np.float64)[charged]
+    p_max_kw = np.broadcast_to(p_max_kw, e_target.shape)[charged]
     duration_s = np.minimum(
         e_target[charged] / p_max_kw * 3600.0, plugin[charged] * 3600.0
     )
@@ -226,11 +227,11 @@ def oracle_profile(start, e_target, plugin) -> PowerProfile:
 
 
 def adaptive_profile(
-    start, outcome: SessionOutcome, p_max_kw: float, p_rate
+    start, outcome: SessionOutcome, p_max_kw: float | np.ndarray, p_rate
 ) -> PowerProfile:
     """Power pieces of simulated sessions: each session's boost piece, then
-    its slow piece at p_rate * p_max (p_rate a scalar or one rate per
-    session).  A phase that does not run has no piece."""
+    its slow piece at p_rate * p_max (p_max_kw and p_rate each a scalar or
+    one value per session).  A phase that does not run has no piece."""
     t0 = np.asarray(start, dtype=np.float64)
     t1 = t0 + outcome.t_boost_hours * 3600.0
     boost = outcome.t_boost_hours > 0

@@ -61,9 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def build_config(argv: list[str] | None = None) -> ExperimentConfig:
     try:
-        args = build_parser().parse_args(argv)
+        # parse_args would exit 2 with the usage on an unknown flag
+        args, unknown_args = build_parser().parse_known_args(argv)
     except argparse.ArgumentError as exc:  # e.g. "argument --workers: invalid int value: 'x'"
         raise ValueError(str(exc)) from None
+    if unknown_args:
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown_args)}")
 
     names = [f.name for f in fields(ExperimentConfig)]
     settings: dict = {}

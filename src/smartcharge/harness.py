@@ -9,7 +9,7 @@ online  -- replay each charge point session by session, charging raw during
            a warmup and re-learning the policy after every session.
 predict -- per-charge-point cross-validated duration regression.
 
-Offline and online reduce each charger to one CpSummary (_summarise) and
+Offline and online reduce each charger to one CpSummary (_simulate) and
 report the same fleet summary from them (SimulatedResults, _summary_lines):
 aggregate daily profiles, deficits, phase hours and relative speed, over
 the test split offline and over every session online.  Per-charger figures
@@ -23,11 +23,10 @@ of the batch's chargers in one call, and online replays the batch in
 lockstep by session index, re-learning after session i every charger that
 needs it in one call.  learn_policies gives each charger the result it
 would get alone, so a charger's reports do not depend on which chargers
-share its batch.  Each charger's sessions are simulated in one call, as
-arrays, and each strategy's pieces of them are built in one call per
-profile they go into.  Each batch then folds each profile's pieces of all
-its chargers into that profile in one aggregation.accumulate call, in
-offline and online mode alike.
+share its batch.  Then, in both modes, _simulate charges all the batch's
+sessions in one call, builds each profile's pieces in one call per
+strategy, folds them in one aggregation.accumulate call, and sums every
+charger's CpSummary fields in one pass.
 
 Reports stream to disk in chunks of text, so the long ones (profiles and
 the online outcome log) never exist whole, as a list of rows or as one
@@ -41,7 +40,6 @@ import contextlib
 import math
 import operator
 import os
-from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial, reduce
@@ -54,7 +52,6 @@ from .aggregation import DailyProfile, StrategyMetrics, deficit_stats
 from .charging import (
     ChargingPolicy,
     HistoryArrays,
-    PowerProfile,
     SessionOutcome,
     adaptive_profile,
     oracle_profile,
@@ -224,10 +221,10 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool):
     selection, usable ones only if asked) in clean_sessions' order, and run
     batch_fn(batch, cfg) over their batches.
 
-    Each batch returns its rows, its CpSummary list and its profiles keyed
-    by (scope, strategy); the lists are concatenated and the profiles
-    summed, all in batch order.  Returns the RunResults fields, the rows,
-    the summaries, and the profiles as {scope: {strategy: profile}}.
+    Each batch returns its rows, its CpSummary list and its daily profiles
+    as {scope: {strategy: profile}}; the lists are concatenated and the
+    profiles summed, all in batch order.  Returns the RunResults fields, the
+    rows, the summaries and the summed profiles.
     """
     sessions, parse_errors = parse_sessions_path(cfg.input)
     charge_points, cleaning = clean_sessions(
@@ -257,45 +254,75 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool):
         raise HarnessError(f"no {'usable ' if usable_only else ''}charge points after cleaning")
 
     rows, summaries = [], []
-    totals: defaultdict[tuple[str, str], DailyProfile] = defaultdict(DailyProfile.zeros)
+    profiles: dict[str, dict[str, DailyProfile]] = {}
     batches = _map_batches(partial(batch_fn, cfg=cfg), charge_points, cfg.workers)
     for batch_rows, batch_summaries, batch_profiles in batches:
         rows.extend(batch_rows)
         summaries.extend(batch_summaries)
-        for key, profile in batch_profiles.items():
-            totals[key].slots += profile.slots
-    profiles: dict[str, dict[str, DailyProfile]] = {}
-    for (scope, s), profile in totals.items():
-        profiles.setdefault(scope, {})[s] = profile
+        for scope, strategies in batch_profiles.items():
+            for s, profile in strategies.items():
+                total = profiles.setdefault(scope, {}).setdefault(s, DailyProfile.zeros())
+                total.slots += profile.slots
     return dict(cfg=cfg, cleaning=cleaning, parse_errors=parse_errors), rows, summaries, profiles
 
 
-def _simulate(
-    cp: ChargePoint, t_boost_max_hours, p_rate, firsts: dict[str, int], pieces: defaultdict
-) -> SessionOutcome:
-    """Simulate the charger's sessions under their policies in one call.
-    Then, for each scope of firsts, append each strategy's pieces of the
-    sessions from firsts[scope] on to pieces[scope, strategy]."""
-    start, e, plugin = cp.sessions.start, cp.sessions.energy_kwh, cp.sessions.plugin_hours
-    outcome = simulate_session(HistoryArrays(e, plugin, cp.p_max_kw), t_boost_max_hours, p_rate)
-    p_rate = np.broadcast_to(p_rate, e.shape)
-    for scope, lo in firsts.items():
+def _simulate(batch: Sequence[ChargePoint], t_boost_max_hours, p_rate, firsts: dict, learned):
+    """Simulate the batch's sessions (each charger's in turn) in one call,
+    each under its policy: the parameters hold one value per session.  For
+    each scope of firsts (each charger's first session in it), fold each
+    strategy's pieces of the scope's sessions into one daily profile.
+
+    Returns the outcomes, each charger's CpSummary over its sessions in the
+    first scope and the relative speeds it sums (of the sessions with energy
+    that learned, a mask or True, marks), and the profiles as {scope:
+    {strategy: profile}}.  The raw effective hours cover every session."""
+    counts = [len(cp.sessions) for cp in batch]
+    offsets = np.cumsum(counts) - counts  # each charger's first session
+    start, e, plugin = (
+        np.concatenate([getattr(cp.sessions, name) for cp in batch])
+        for name in ("start", "energy_kwh", "plugin_hours")
+    )
+    p_max = np.repeat([cp.p_max_kw for cp in batch], counts)
+    outcome = simulate_session(HistoryArrays(e, plugin, p_max), t_boost_max_hours, p_rate)
+    profiles, scopes = {}, []
+    for scope, first in firsts.items():
+        kept = np.arange(len(e)) >= np.repeat(offsets + first, counts)
+        scopes.append(kept)
         built = (
-            raw_profile(start[lo:], e[lo:], plugin[lo:], cp.p_max_kw),
-            oracle_profile(start[lo:], e[lo:], plugin[lo:]),
-            adaptive_profile(start[lo:], outcome[lo:], cp.p_max_kw, p_rate[lo:]),
+            raw_profile(start[kept], e[kept], plugin[kept], p_max[kept]),
+            oracle_profile(start[kept], e[kept], plugin[kept]),
+            adaptive_profile(start[kept], outcome[kept], p_max[kept], p_rate[kept]),
         )
-        for s, profile in zip(STRATEGIES, built):
-            pieces[scope, s].append(profile.pieces)
-    return outcome
+        profiles[scope] = {s: aggregation.accumulate(p) for s, p in zip(STRATEGIES, built)}
+
+    counted = scopes[0] & (e > 0) & learned
+    rel_speeds = outcome.p_eff_kw / p_max
+    # raw charging delivers a session's whole target unless p_max_percentile
+    # capped the power below the session's rate
+    raw_delivered = np.where(e / plugin <= p_max, e, p_max * plugin)
+    phases = [outcome.t_boost_hours, outcome.t_slow_hours, rel_speeds]
+    sums = _segment_sums(
+        [e, outcome.e_total_kwh, raw_delivered, *phases, e / p_max],
+        [scopes[0]] * 3 + [counted] * 3 + [np.ones(len(e), dtype=bool)],
+        counts,
+    )
+    bounds = offsets[1:]
+    speeds = [r[c] for r, c in zip(np.split(rel_speeds, bounds), np.split(counted, bounds))]
+    summaries = [CpSummary(n, len(v), *totals) for n, v, totals in zip(counts, speeds, sums)]
+    return outcome, summaries, speeds, profiles
 
 
-def _fold(pieces: dict[tuple[str, str], list]) -> dict[tuple[str, str], DailyProfile]:
-    """The daily profile of all the pieces collected under each (scope,
-    strategy) key."""
-    return {
-        key: aggregation.accumulate(PowerProfile(np.concatenate(p))) for key, p in pieces.items()
-    }
+def _segment_sums(values, masks, counts: Sequence[int]) -> list[list[float]]:
+    """Each charger's sums of the rows of values (one value per session, the
+    chargers' sessions in turn, counts[j] of charger j) over its sessions
+    that the rows of masks mark, added left to right from 0.0 as _sum adds:
+    one np.cumsum along a zero-padded (rows, chargers, 1 + longest) array.
+    An unmarked session adds +0.0, which changes no sum started from +0.0."""
+    row = np.repeat(np.arange(len(counts)), counts)
+    column = 1 + np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+    padded = np.zeros((len(values), len(counts), 1 + max(counts)))
+    padded[:, row, column] = np.where(masks, values, 0.0)
+    return np.cumsum(padded, axis=2)[:, np.arange(len(counts)), counts].T.tolist()
 
 
 def _sum(values) -> float:
@@ -318,10 +345,10 @@ class CpSummary:
     """One charger's totals over the sessions its run's metrics cover."""
 
     n_sessions: int
+    n_outcomes: int
     target_kwh: float
     delivered_kwh: float
     raw_delivered_kwh: float
-    n_outcomes: int
     boost_hours_sum: float
     slow_hours_sum: float
     rel_speed_sum: float
@@ -330,30 +357,6 @@ class CpSummary:
     @property
     def deficit_kwh(self) -> float:
         return self.target_kwh - self.delivered_kwh
-
-
-def _summarise(cp: ChargePoint, outcome: SessionOutcome, lo: int, learned):
-    """The charger's CpSummary over its sessions from lo on, and the
-    relative speeds it sums: those of the sessions with energy that learned
-    (a mask over every session, or True) marks, which also give the phase
-    hours.  The raw effective hours cover every session.  Raw charging
-    delivers a session's whole target unless p_max_percentile caps the
-    power below the session's rate."""
-    p_max, e, plugin = cp.p_max_kw, cp.sessions.energy_kwh, cp.sessions.plugin_hours
-    counted = ((e > 0) & learned)[lo:]
-    reported, e_lo, plugin_lo = outcome[lo:], e[lo:], plugin[lo:]
-    rel_speeds = reported.p_eff_kw[counted] / p_max
-    return CpSummary(
-        n_sessions=len(e),
-        target_kwh=_sum(e_lo),
-        delivered_kwh=_sum(reported.e_total_kwh),
-        raw_delivered_kwh=_sum(np.where(e_lo / plugin_lo <= p_max, e_lo, p_max * plugin_lo)),
-        n_outcomes=len(rel_speeds),
-        boost_hours_sum=_sum(reported.t_boost_hours[counted]),
-        slow_hours_sum=_sum(reported.t_slow_hours[counted]),
-        rel_speed_sum=_sum(rel_speeds),
-        raw_effective_hours_sum=_sum(e / p_max),
-    ), rel_speeds
 
 
 @dataclass
@@ -435,43 +438,36 @@ class OfflineResults(SimulatedResults):
 
 def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     """Learn each charger's policy on the last `history` sessions with
-    energy among its first ceil(train_fraction * n), then simulate all its
-    sessions under it in one call.  The sessions after the first n are the
-    test split: the summary and the "test" profiles cover them, and the
-    "all" profiles every session."""
+    energy among its first ceil(train_fraction * n), then simulate the
+    batch's sessions, each under its charger's policy.  The sessions after
+    the first n are the test split: the summary and the "test" profiles
+    cover them, and the "all" profiles every session."""
     splits = [math.ceil(cfg.train_fraction * len(cp.sessions)) for cp in batch]
     trains = [cp.sessions[:n] for cp, n in zip(batch, splits)]
     windows = [rolling_window(t[t.energy_kwh > 0], cfg.history) for t in trains]
     learning = [j for j, window in enumerate(windows) if len(window)]
-    learned = dict(
-        zip(
-            learning,
-            learn_policies(
-                [windows[j] for j in learning],
-                [batch[j].p_max_kw for j in learning],
-                [per_cp_seed(cfg.seed, batch[j].cp_id) for j in learning],
-                cfg.search_config(),
-                cfg.reward_params(),
-            ),
-        )
+    learned = learn_policies(
+        [windows[j] for j in learning],
+        [batch[j].p_max_kw for j in learning],
+        [per_cp_seed(cfg.seed, batch[j].cp_id) for j in learning],
+        cfg.search_config(),
+        cfg.reward_params(),
     )
-    pieces = defaultdict(list)
-    rows, summaries = [], []
-    for j, (cp, n) in enumerate(zip(batch, splits)):
-        if j in learned:
-            policy, feasible = learned[j].policy, learned[j].feasible
-        else:
-            # Nothing to learn from: charge raw rather than guess.
-            policy = ChargingPolicy(float(cp.sessions.plugin_hours.max()), 1.0)
-            feasible = True
-        t_boost_max, p_rate = policy.t_boost_max_hours, policy.p_rate
-        outcome = _simulate(cp, t_boost_max, p_rate, {"test": n, "all": 0}, pieces)
-        summary, rel_speeds = _summarise(cp, outcome, n, True)
-        summaries.append(summary)
-        n_test = len(cp.sessions) - n
-        hist = aggregation.speed_histogram_counts(rel_speeds)
-        rows.append(OfflineCpResult(cp.cp_id, t_boost_max, p_rate, feasible, n, n_test, hist))
-    return rows, summaries, _fold(pieces)
+    # each charger's (t_boost_max, p_rate, feasible); with nothing to learn
+    # from, a charger charges raw rather than guess
+    policies = [(float(cp.sessions.plugin_hours.max()), 1.0, True) for cp in batch]
+    for j, result in zip(learning, learned):
+        policies[j] = (result.policy.t_boost_max_hours, result.policy.p_rate, result.feasible)
+    counts = [len(cp.sessions) for cp in batch]
+    t_boost_max, p_rate, _ = (np.repeat(column, counts) for column in zip(*policies))
+    scopes = {"test": splits, "all": 0}
+    _, summaries, speeds, profiles = _simulate(batch, t_boost_max, p_rate, scopes, True)
+    hists = map(aggregation.speed_histogram_counts, speeds)
+    rows = [
+        OfflineCpResult(cp.cp_id, *policy, n, len(cp.sessions) - n, hist)
+        for cp, policy, n, hist in zip(batch, policies, splits, hists)
+    ]
+    return rows, summaries, profiles
 
 
 def run_offline(cfg: ExperimentConfig) -> OfflineResults:
@@ -517,20 +513,24 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     re-learns of one index run as one learn_policies call; each charger
     still gets exactly the policies it would get replayed alone.  Learning
     reads the sessions, never their outcomes, so the replay only records
-    each session's policy, and each charger is simulated once after it.
+    each session's policy, and the batch is simulated once after it.
     """
     sessions = [cp.sessions for cp in batch]
-    # each session's policy: raw (boost for the whole session) unless adaptive
-    t_boost_max = [s.plugin_hours.copy() for s in sessions]
-    p_rate = [np.ones(len(s)) for s in sessions]
-    adaptive = [np.zeros(len(s), dtype=bool) for s in sessions]
+    counts = [len(s) for s in sessions]
+    # each charger's first session in the batch's arrays
+    offsets = (np.cumsum(counts) - counts).tolist()
+    # each session's policy, in batch order: raw (boost for the whole
+    # session) unless adaptive
+    t_boost_max = np.concatenate([s.plugin_hours for s in sessions])
+    p_rate = np.ones(len(t_boost_max))
+    adaptive = np.zeros(len(t_boost_max), dtype=bool)
     # the sessions with energy, and how many of them sessions 0..i include
     charged = [s[s.energy_kwh > 0] for s in sessions]
     n_charged = [np.cumsum(s.energy_kwh > 0).tolist() for s in sessions]
     # after session i, learn the policy session i + 1 charges with; the
     # warmup's sessions charge raw
-    for i in range(max(cfg.warmup - 1, 0), max(map(len, sessions)) - 1):
-        relearn = [j for j, s in enumerate(sessions) if i + 1 < len(s) and n_charged[j][i]]
+    for i in range(max(cfg.warmup - 1, 0), max(counts) - 1):
+        relearn = [j for j, n in enumerate(counts) if i + 1 < n and n_charged[j][i]]
         if not relearn:
             continue
         results = learn_policies(
@@ -541,24 +541,23 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
             cfg.reward_params(),
             [
                 # warm start from the policy learned for session i, if any
-                ChargingPolicy(float(t_boost_max[j][i]), float(p_rate[j][i]))
-                if adaptive[j][i] and not cfg.cold_start
+                ChargingPolicy(float(t_boost_max[k]), float(p_rate[k]))
+                if adaptive[k] and not cfg.cold_start
                 else None
-                for j in relearn
+                for k in (offsets[j] + i for j in relearn)
             ],
         )
-        for j, result in zip(relearn, results):
-            t_boost_max[j][i + 1] = result.policy.t_boost_max_hours
-            p_rate[j][i + 1] = result.policy.p_rate
-            adaptive[j][i + 1] = True
+        following = [offsets[j] + i + 1 for j in relearn]
+        t_boost_max[following] = [r.policy.t_boost_max_hours for r in results]
+        p_rate[following] = [r.policy.p_rate for r in results]
+        adaptive[following] = True
 
-    pieces = defaultdict(list)
-    rows, summaries = [], []
-    for cp, t, p, a in zip(batch, t_boost_max, p_rate, adaptive):
-        outcome = _simulate(cp, t, p, {"all": 0}, pieces)
-        rows.append(OnlineCpResult(cp, a, outcome, t, p))
-        summaries.append(_summarise(cp, outcome, 0, a)[0])
-    return rows, summaries, _fold(pieces)
+    outcome, summaries, _, profiles = _simulate(batch, t_boost_max, p_rate, {"all": 0}, adaptive)
+    rows = [
+        OnlineCpResult(cp, adaptive[s], outcome[s], t_boost_max[s], p_rate[s])
+        for cp, s in zip(batch, map(slice, offsets, np.cumsum(counts).tolist()))
+    ]
+    return rows, summaries, profiles
 
 
 def run_online(cfg: ExperimentConfig) -> OnlineResults:

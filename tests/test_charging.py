@@ -345,6 +345,7 @@ sessions = st.lists(
         st.floats(0.01, 48.0),  # plugin hours
         st.one_of(st.just(0.0), st.floats(0.0, 60.0)),  # t_boost_max
         rates,  # p_rate
+        st.floats(0.5, 60.0),  # p_max of the session's charger
     ),
     min_size=1,
     max_size=30,
@@ -370,11 +371,11 @@ def scalar_pieces(start, e_target, plugin, p_max, t_boost, t_slow, p_rate):
 
 class TestArrayKernel:
     @settings(max_examples=200, deadline=None)
-    @given(p_max=st.floats(0.5, 60.0), rows=sessions)
+    @given(rows=sessions)
     # p_max * p_rate underflows to 0 while the slow phase delivers energy
-    @example(p_max=0.5, rows=[(0, 1.0, 2.0, 0.0, 5e-324)])
-    def test_simulate_matches_transcription(self, p_max, rows):
-        _, e, plugin, t_max, p_rate = (np.array(c) for c in zip(*rows))
+    @example(rows=[(0, 1.0, 2.0, 0.0, 5e-324, 0.5)])
+    def test_simulate_matches_transcription(self, rows):
+        _, e, plugin, t_max, p_rate, p_max = (np.array(c) for c in zip(*rows))
         o = simulate_session(HistoryArrays(e, plugin, p_max), t_max, p_rate)
         got = list(
             zip(
@@ -393,20 +394,24 @@ class TestArrayKernel:
             )
         )
         expected = [
-            transcribed_session_rules(e_i, plugin_i, p_max, t_i, p_i)
-            for _, e_i, plugin_i, t_i, p_i in rows
+            transcribed_session_rules(e_i, plugin_i, p_max_i, t_i, p_i)
+            for _, e_i, plugin_i, t_i, p_i, p_max_i in rows
         ]
         assert repr(got) == repr(expected)
 
     @settings(max_examples=200, deadline=None)
-    @given(p_max=st.floats(0.5, 60.0), rows=sessions)
-    def test_builders_match_scalar_pieces(self, p_max, rows):
-        start, e, plugin, t_max, p_rate = (np.array(c) for c in zip(*rows))
+    @given(rows=sessions, shared=st.booleans())
+    @example(rows=[(0, 5.0, 2.0, 1.0, 0.5, 7.0), (18_000, 0.0, 1.0, 0.0, 1.0, 3.0)], shared=True)
+    def test_builders_match_scalar_pieces(self, rows, shared):
+        # p_max per session, or (shared) the first session's for all, as a scalar
+        start, e, plugin, t_max, p_rate, p_max = (np.array(c) for c in zip(*rows))
+        if shared:
+            p_max = rows[0][5]
         o = simulate_session(HistoryArrays(e, plugin, p_max), t_max, p_rate)
         expected = ([], [], [])
-        for k, (s0, e_i, plugin_i, _, p_i) in enumerate(rows):
+        for k, (s0, e_i, plugin_i, _, p_i, p_max_i) in enumerate(rows):
             per_session = scalar_pieces(
-                s0, e_i, plugin_i, p_max,
+                s0, e_i, plugin_i, p_max if shared else p_max_i,
                 o.t_boost_hours[k].item(), o.t_slow_hours[k].item(), p_i,
             )
             for pieces, more in zip(expected, per_session):
@@ -418,6 +423,12 @@ class TestArrayKernel:
         )
         for profile, pieces in zip(got, expected):
             assert repr(profile.pieces.tolist()) == repr(pieces)
+
+    @pytest.mark.parametrize("p_max", [0.0, np.array([7.0, 0.0])])
+    def test_raw_rejects_non_positive_p_max(self, p_max):
+        start, e, plugin = columns(make_session(), make_session(energy_kwh=0.0))
+        with pytest.raises(ValueError, match="p_max_kw must be positive"):
+            raw_profile(start, e, plugin, p_max)
 
     def test_negative_zero_cap(self):
         o = simulate_session(charger([make_session(energy_kwh=0.0)], 7.0), -0.0, 0.5)

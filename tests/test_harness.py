@@ -8,6 +8,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smartcharge import harness
 from smartcharge.aggregation import deficit_stats
@@ -54,6 +56,30 @@ def small_cfg(input_path, out_dir, **kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+def count_kernel_calls(monkeypatch):
+    """Count the harness's simulate_session calls (the session count of
+    each, in a list) and its calls of each profile builder (a dict)."""
+    simulated = []
+    profiles = {"raw_profile": 0, "oracle_profile": 0, "adaptive_profile": 0}
+    simulate_session = harness.simulate_session
+
+    def simulate(sessions, *args):
+        simulated.append(len(sessions.e_target))
+        return simulate_session(sessions, *args)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            profiles[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapper)
+
+    monkeypatch.setattr(harness, "simulate_session", simulate)
+    for name in profiles:
+        counting(name, getattr(harness, name))
+    return simulated, profiles
 
 
 class TestOffline:
@@ -212,33 +238,16 @@ class TestOffline:
 
     def test_each_session_simulated_once(self, tmp_path, monkeypatch):
         # zero-energy sessions are simulated and profiled like any other
-        text = synth_fleet_csv(n_cps=5, sessions_per_cp=12, seed=8, zero_energy_prob=0.3)
-        cfg = small_cfg(write_csv(tmp_path, text), str(tmp_path / "out"))
-        simulated = []
-        profiles = {"raw_profile": 0, "oracle_profile": 0, "adaptive_profile": 0}
-
-        def simulate(sessions, *args):
-            simulated.append(len(sessions.e_target))
-            return simulate_session(sessions, *args)
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                profiles[name] += 1
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(harness, name, wrapper)
-
-        simulate_session = harness.simulate_session
-        monkeypatch.setattr(harness, "simulate_session", simulate)
-        for name in profiles:
-            counting(name, getattr(harness, name))
+        text = synth_fleet_csv(n_cps=40, sessions_per_cp=8, seed=8, zero_energy_prob=0.3)
+        cfg = small_cfg(write_csv(tmp_path, text), str(tmp_path / "out"), n_tries=20)
+        simulated, profiles = count_kernel_calls(monkeypatch)
         results = run_offline(cfg)
         retained = sum(r.n_train + r.n_test for r in results.cp_rows)
         assert retained == results.cleaning.retained_sessions
-        # one call per charger, and one profile per strategy and scope
-        assert len(simulated) == len(results.cp_rows) == 5
+        # one call per batch, and one profile per strategy and scope per batch
+        assert len(results.cp_rows) == 40 and len(simulated) == 2
         assert sum(simulated) == retained
-        assert profiles == dict.fromkeys(profiles, 2 * len(results.cp_rows))
+        assert profiles == dict.fromkeys(profiles, 2 * 2)
 
     def test_raw_fallback_without_training_energy(self, tmp_path):
         # the 8 training sessions have no energy, so there is no history to
@@ -291,6 +300,18 @@ class TestOnline:
             **kw,
         )
         return run_online(cfg), cfg
+
+    def test_each_session_simulated_once(self, tmp_path, monkeypatch):
+        text = synth_fleet_csv(n_cps=40, sessions_per_cp=8, seed=8, zero_energy_prob=0.3)
+        cfg = small_cfg(
+            write_csv(tmp_path, text), str(tmp_path / "out"), mode="online", warmup=5, n_tries=20
+        )
+        simulated, profiles = count_kernel_calls(monkeypatch)
+        results = run_online(cfg)
+        # one call per batch, and one profile per strategy per batch
+        assert len(results.cp_rows) == 40 and len(simulated) == 2
+        assert sum(simulated) == results.cleaning.retained_sessions
+        assert profiles == dict.fromkeys(profiles, 2)
 
     def test_warmup_charges_raw(self, tmp_path):
         results, _ = self.make_results(tmp_path)
@@ -622,6 +643,44 @@ def test_report_totals_add_left_to_right():
     assert repr(harness._sum([])) == "0.0"
 
 
+# a masked term, as a value and whether the sum takes it; magnitudes stay
+# below 1e300, so no sum of a few terms overflows
+summed_terms = st.tuples(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 1e16, -1e16, 5e-324, -5e-324, 1e300, -1e300]),
+        st.floats(-1e300, 1e300),
+    ),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    segments=st.lists(
+        st.lists(st.tuples(summed_terms, summed_terms), max_size=8), min_size=1, max_size=6
+    )
+)
+@example(
+    segments=[
+        [((1e16, True), (-0.0, True)), ((1.0, True), (-0.0, False)), ((-1e16, True), (0.0, True))],
+        [],
+        [((-0.0, True), (2.0, False))],
+    ]
+)
+def test_segment_sums_add_as_report_totals(segments):
+    # two rows of terms over chargers with segments[j] sessions each
+    flat = [pair for segment in segments for pair in segment]
+    values = np.array([[p[row][0] for p in flat] for row in (0, 1)], dtype=np.float64)
+    masks = np.array([[p[row][1] for p in flat] for row in (0, 1)], dtype=bool)
+    sums = harness._segment_sums(values, masks, [len(segment) for segment in segments])
+    # one [row 0, row 1] pair of sums per charger
+    expected = [
+        [harness._sum([p[row][0] for p in segment if p[row][1]]) for row in (0, 1)]
+        for segment in segments
+    ]
+    assert repr(sums) == repr(expected)
+
+
 class TestCli:
     def test_config_keys(self):
         # each ExperimentConfig field is one option: its config key, and
@@ -701,6 +760,7 @@ class TestCli:
                 "history must be a positive integer or 'unlimited', got '5.5'",
             ),
             (["--max-loss", "0"], {}, "max_loss must be > 0"),
+            (["--bogus", "1"], {}, "unrecognized arguments: --bogus 1"),
         ],
     )
     def test_diagnostic_names_the_option(self, tmp_path, capsys, args, setting, message):
@@ -756,6 +816,12 @@ class TestCli:
     def test_missing_input_is_error(self):
         with pytest.raises(ValueError):
             build_config(["--mode", "offline"])
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: smartcharge")
 
     def test_main_success(self, tmp_path, fleet_csv, capsys):
         rc = main(
