@@ -26,7 +26,8 @@ would get alone, so a charger's reports do not depend on which chargers
 share its batch.  Then, in both modes, _simulate charges all the batch's
 sessions in one call, builds each profile's pieces in one call per
 strategy, folds them in one aggregation.accumulate call, and sums every
-charger's CpSummary fields in one pass.
+charger's CpSummary fields in one pass; offline bins the batch's speeds
+once.  _run adds up the batches' profile slots and speed counts by key.
 
 Reports stream to disk in chunks of text, so the long ones (profiles and
 the online outcome log) never exist whole, as a list of rows or as one
@@ -221,10 +222,10 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool):
     selection, usable ones only if asked) in clean_sessions' order, and run
     batch_fn(batch, cfg) over their batches.
 
-    Each batch returns its rows, its CpSummary list and its daily profiles
-    as {scope: {strategy: profile}}; the lists are concatenated and the
-    profiles summed, all in batch order.  Returns the RunResults fields, the
-    rows, the summaries and the summed profiles.
+    Each batch returns its rows, its CpSummary list and its fleet sums as
+    {key: array}; the lists are concatenated and each key's arrays added,
+    all in batch order.  Returns the RunResults fields, the rows, the
+    summaries and the summed arrays.
     """
     sessions, parse_errors = parse_sessions_path(cfg.input)
     charge_points, cleaning = clean_sessions(
@@ -253,17 +254,19 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool):
     if not charge_points:
         raise HarnessError(f"no {'usable ' if usable_only else ''}charge points after cleaning")
 
-    rows, summaries = [], []
-    profiles: dict[str, dict[str, DailyProfile]] = {}
+    rows, summaries, totals = [], [], {}
     batches = _map_batches(partial(batch_fn, cfg=cfg), charge_points, cfg.workers)
-    for batch_rows, batch_summaries, batch_profiles in batches:
+    for batch_rows, batch_summaries, batch_sums in batches:
         rows.extend(batch_rows)
         summaries.extend(batch_summaries)
-        for scope, strategies in batch_profiles.items():
-            for s, profile in strategies.items():
-                total = profiles.setdefault(scope, {}).setdefault(s, DailyProfile.zeros())
-                total.slots += profile.slots
-    return dict(cfg=cfg, cleaning=cleaning, parse_errors=parse_errors), rows, summaries, profiles
+        for key, array in batch_sums.items():
+            totals[key] = totals.get(key, 0) + array
+    return dict(cfg=cfg, cleaning=cleaning, parse_errors=parse_errors), rows, summaries, totals
+
+
+def _profiles(totals: dict, scope: str) -> dict[str, DailyProfile]:
+    """Each strategy's summed daily profile over the scope's sessions."""
+    return {s: DailyProfile(totals[scope, s]) for s in STRATEGIES}
 
 
 def _simulate(batch: Sequence[ChargePoint], t_boost_max_hours, p_rate, firsts: dict, learned):
@@ -273,9 +276,9 @@ def _simulate(batch: Sequence[ChargePoint], t_boost_max_hours, p_rate, firsts: d
     strategy's pieces of the scope's sessions into one daily profile.
 
     Returns the outcomes, each charger's CpSummary over its sessions in the
-    first scope and the relative speeds it sums (of the sessions with energy
-    that learned, a mask or True, marks), and the profiles as {scope:
-    {strategy: profile}}.  The raw effective hours cover every session."""
+    first scope, the relative speeds they sum (of the sessions with energy
+    that learned, a mask or True, marks), and the profiles' slots by (scope,
+    strategy).  The raw effective hours cover every session."""
     counts = [len(cp.sessions) for cp in batch]
     offsets = np.cumsum(counts) - counts  # each charger's first session
     start, e, plugin = (
@@ -293,7 +296,8 @@ def _simulate(batch: Sequence[ChargePoint], t_boost_max_hours, p_rate, firsts: d
             oracle_profile(start[kept], e[kept], plugin[kept]),
             adaptive_profile(start[kept], outcome[kept], p_max[kept], p_rate[kept]),
         )
-        profiles[scope] = {s: aggregation.accumulate(p) for s, p in zip(STRATEGIES, built)}
+        for s, pieces in zip(STRATEGIES, built):
+            profiles[scope, s] = aggregation.accumulate(pieces).slots
 
     counted = scopes[0] & (e > 0) & learned
     rel_speeds = outcome.p_eff_kw / p_max
@@ -301,15 +305,14 @@ def _simulate(batch: Sequence[ChargePoint], t_boost_max_hours, p_rate, firsts: d
     # capped the power below the session's rate
     raw_delivered = np.where(e / plugin <= p_max, e, p_max * plugin)
     phases = [outcome.t_boost_hours, outcome.t_slow_hours, rel_speeds]
+    # the count of counted sessions leads: an exact integer-valued sum
     sums = _segment_sums(
-        [e, outcome.e_total_kwh, raw_delivered, *phases, e / p_max],
-        [scopes[0]] * 3 + [counted] * 3 + [np.ones(len(e), dtype=bool)],
+        [counted, e, outcome.e_total_kwh, raw_delivered, *phases, e / p_max],
+        [counted] + [scopes[0]] * 3 + [counted] * 3 + [np.ones(len(e), dtype=bool)],
         counts,
     )
-    bounds = offsets[1:]
-    speeds = [r[c] for r, c in zip(np.split(rel_speeds, bounds), np.split(counted, bounds))]
-    summaries = [CpSummary(n, len(v), *totals) for n, v, totals in zip(counts, speeds, sums)]
-    return outcome, summaries, speeds, profiles
+    summaries = [CpSummary(n, int(c), *totals) for n, (c, *totals) in zip(counts, sums)]
+    return outcome, summaries, rel_speeds[counted], profiles
 
 
 def _segment_sums(values, masks, counts: Sequence[int]) -> list[list[float]]:
@@ -418,22 +421,19 @@ class OfflineCpResult:
     feasible: bool
     n_train: int
     n_test: int
-    hist_counts: np.ndarray  # relative speeds of the test sessions with energy
 
 
 @dataclass
 class OfflineResults(SimulatedResults):
-    """Its summaries and profiles cover the test split."""
+    """Its summaries, profiles and speed counts cover the test split."""
 
     cp_rows: list[OfflineCpResult]
     profiles_all: dict[str, DailyProfile]
+    speed_counts: np.ndarray  # relative speeds of the rl sessions with energy
 
     def speed_histogram(self) -> np.ndarray:
-        total = np.zeros(aggregation.SPEED_BINS, dtype=np.int64)
-        for r in self.cp_rows:
-            total += r.hist_counts
-        s = total.sum()
-        return total / s if s else total.astype(np.float64)
+        s = self.speed_counts.sum()
+        return self.speed_counts / s if s else self.speed_counts.astype(np.float64)
 
 
 def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
@@ -461,23 +461,24 @@ def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     counts = [len(cp.sessions) for cp in batch]
     t_boost_max, p_rate, _ = (np.repeat(column, counts) for column in zip(*policies))
     scopes = {"test": splits, "all": 0}
-    _, summaries, speeds, profiles = _simulate(batch, t_boost_max, p_rate, scopes, True)
-    hists = map(aggregation.speed_histogram_counts, speeds)
+    _, summaries, speeds, sums = _simulate(batch, t_boost_max, p_rate, scopes, True)
+    sums["test", "speed"] = aggregation.speed_histogram_counts(speeds)
     rows = [
-        OfflineCpResult(cp.cp_id, *policy, n, len(cp.sessions) - n, hist)
-        for cp, policy, n, hist in zip(batch, policies, splits, hists)
+        OfflineCpResult(cp.cp_id, *policy, n, len(cp.sessions) - n)
+        for cp, policy, n in zip(batch, policies, splits)
     ]
-    return rows, summaries, profiles
+    return rows, summaries, sums
 
 
 def run_offline(cfg: ExperimentConfig) -> OfflineResults:
-    common, rows, summaries, profiles = _run(_offline_batch, cfg, usable_only=True)
+    common, rows, summaries, totals = _run(_offline_batch, cfg, usable_only=True)
     return OfflineResults(
         **common,
         summaries=summaries,
-        profiles=profiles["test"],
+        profiles=_profiles(totals, "test"),
         cp_rows=rows,
-        profiles_all=profiles["all"],
+        profiles_all=_profiles(totals, "all"),
+        speed_counts=totals["test", "speed"],
     )
 
 
@@ -561,8 +562,9 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
 
 
 def run_online(cfg: ExperimentConfig) -> OnlineResults:
-    common, rows, summaries, profiles = _run(_online_batch, cfg, usable_only=True)
-    return OnlineResults(**common, summaries=summaries, profiles=profiles["all"], cp_rows=rows)
+    common, rows, summaries, totals = _run(_online_batch, cfg, usable_only=True)
+    profiles = _profiles(totals, "all")
+    return OnlineResults(**common, summaries=summaries, profiles=profiles, cp_rows=rows)
 
 
 # ---------------------------------------------------------------------------

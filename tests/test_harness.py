@@ -612,6 +612,25 @@ def test_p_max_percentile_that_zeroes_a_charger_with_energy_is_fatal(tmp_path, c
     assert main(args + ["--mode", "predict"]) == 0
 
 
+@pytest.mark.parametrize("mode, per_batch", [("offline", 1), ("online", 0)])
+def test_one_speed_histogram_per_offline_batch(tmp_path, monkeypatch, mode, per_batch):
+    # 40 chargers make two batches; online reports no speed histogram
+    text = synth_fleet_csv(n_cps=40, sessions_per_cp=8, seed=8, zero_energy_prob=0.3)
+    cfg = small_cfg(write_csv(tmp_path, text), str(tmp_path / "out"), mode=mode, n_tries=20)
+    binned = []
+    counts = harness.aggregation.speed_histogram_counts
+
+    def counting(speeds):
+        binned.append(len(speeds))
+        return counts(speeds)
+
+    monkeypatch.setattr(harness.aggregation, "speed_histogram_counts", counting)
+    results = {"offline": run_offline, "online": run_online}[mode](cfg)
+    assert len(results.cp_rows) == 40 and len(binned) == 2 * per_batch
+    if per_batch:
+        assert sum(binned) == sum(s.n_outcomes for s in results.summaries)
+
+
 @pytest.mark.parametrize("workers, n_items, pool_size", [(64, 70, 3), (2, 70, 2), (64, 32, None)])
 def test_pool_no_larger_than_the_batch_count(monkeypatch, workers, n_items, pool_size):
     # a fake executor: it records the pool size asked for and starts no process
