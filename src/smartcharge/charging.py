@@ -31,7 +31,8 @@ class ChargingPolicy:
     p_rate: float
 
     def __post_init__(self):
-        if self.t_boost_max_hours < 0:
+        # stated as what must hold, so a NaN fails it
+        if not self.t_boost_max_hours >= 0:
             raise ValueError("t_boost_max_hours must be >= 0")
         if not 0.0 <= self.p_rate <= 1.0:
             raise ValueError("p_rate must be in [0, 1]")

@@ -86,6 +86,22 @@ def adaptive(s, policy, p_max):
     return adaptive_profile(start, o, p_max, policy.p_rate), simulate_one(s, policy, p_max)
 
 
+@pytest.mark.parametrize(
+    "t_boost_max, p_rate, message",
+    [
+        (-0.5, 0.5, "t_boost_max_hours"),
+        (float("nan"), 0.5, "t_boost_max_hours"),
+        (1.0, float("nan"), "p_rate"),
+        (1.0, -0.1, "p_rate"),
+        (1.0, 1.1, "p_rate"),
+    ],
+    ids=["negative-boost", "nan-boost", "nan-rate", "rate-below-0", "rate-above-1"],
+)
+def test_policy_rejects_invalid_parameters(t_boost_max, p_rate, message):
+    with pytest.raises(ValueError, match=message):
+        ChargingPolicy(t_boost_max, p_rate)
+
+
 class TestSimulateSession:
     def test_long_session_no_loss(self):
         # hand-evaluated with a scalar calculator: boost caps at 0.5 h,
