@@ -123,8 +123,8 @@ def deficit_stats(
 
 def speed_histogram_counts(rel_speeds: Sequence[float]) -> np.ndarray:
     """Raw integer counts of relative speeds in SPEED_BINS equal bins of
-    [0, 1]; summing counts across charge points is exact in any order."""
-    counts, _ = np.histogram(
-        np.asarray(rel_speeds, dtype=np.float64), bins=SPEED_BINS, range=(0.0, 1.0)
-    )
-    return counts
+    [0, 1]; summing batches' counts is exact in any order.  A full-power
+    session can come out one ulp above 1.0, which np.histogram would drop
+    as out of range, so speeds are clamped to 1.0."""
+    speeds = np.minimum(np.asarray(rel_speeds, dtype=np.float64), 1.0)
+    return np.histogram(speeds, bins=SPEED_BINS, range=(0.0, 1.0))[0]

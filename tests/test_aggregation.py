@@ -207,6 +207,12 @@ class TestSpeedHistogram:
         assert counts[-1] == 20
         assert counts[:-1].sum() == 0
 
+    def test_speed_one_ulp_above_full_lands_in_last_bin(self):
+        # the kernel can return an effective power one ulp above p_max
+        counts = speed_histogram_counts([np.nextafter(1.0, 2.0), 0.5])
+        assert counts[-1] == 1 and counts[50] == 1
+        assert counts.sum() == 2
+
     def test_single_outcome_bin(self):
         counts = speed_histogram_counts([3.85 / 7.0])
         assert np.argmax(counts) == 55

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from smartcharge import aggregation, harness
 from smartcharge.aggregation import SECONDS_PER_DAY, DailyProfile
+from smartcharge.charging import HistoryArrays, simulate_session
+from smartcharge.dataset import clean_sessions, parse_sessions_path
 from smartcharge.harness import (
     emit_offline_reports,
     emit_online_reports,
@@ -90,10 +92,26 @@ def policies_csv_reference(results):
     return "\n".join(lines) + "\n"
 
 
-def speed_histogram_csv_reference(results):
-    hist = results.speed_histogram()
+def speed_histogram_csv_reference(cfg, policies_csv):
+    """Each charger's test split simulated on its own under its policy in
+    policies_csv, and the relative speeds of its sessions with energy
+    binned; a speed one ulp above 1.0 counts as 1.0."""
+    sessions, _ = parse_sessions_path(cfg.input)
+    charge_points, _ = clean_sessions(sessions, cfg.min_sessions, cfg.max_hours)
+    policies = {}
+    for line in policies_csv.splitlines()[1:]:
+        cp_id, t_boost_max, p_rate, _, n_train, _ = line.split(",")
+        policies[cp_id] = float(t_boost_max), float(p_rate), int(n_train)
+    counts = np.zeros(aggregation.SPEED_BINS, dtype=np.int64)
+    for cp in charge_points:
+        t_boost_max, p_rate, n_train = policies[cp.cp_id]
+        test = cp.sessions[n_train:]
+        arrays = HistoryArrays(test.energy_kwh, test.plugin_hours, cp.p_max_kw)
+        outcome = simulate_session(arrays, t_boost_max, p_rate)
+        speeds = (outcome.p_eff_kw / cp.p_max_kw)[test.energy_kwh > 0]
+        counts += np.histogram(np.minimum(speeds, 1.0), aggregation.SPEED_BINS, (0.0, 1.0))[0]
     lines = ["rel_speed_bin_start,fraction"] + [
-        _csv_line([i / len(hist), float(frac)]) for i, frac in enumerate(hist)
+        _csv_line([i / len(counts), float(n / counts.sum())]) for i, n in enumerate(counts)
     ]
     return "\n".join(lines) + "\n"
 
@@ -212,7 +230,6 @@ def test_tables_match_row_by_row_reference(tmp_path):
     offline = run_offline(cfg("offline"))
     paths = emit_offline_reports(offline, str(tmp_path / "offline"))
     assert read(paths, "policies.csv") == policies_csv_reference(offline)
-    assert read(paths, "speed_histogram.csv") == speed_histogram_csv_reference(offline)
 
     online = run_online(cfg("online", warmup=6))
     assert any(r.adaptive.any() for r in online.cp_rows)
@@ -223,6 +240,19 @@ def test_tables_match_row_by_row_reference(tmp_path):
     assert predict.skipped == 1
     paths = emit_predict_reports(predict, str(tmp_path / "predict"))
     assert read(paths, "prediction_per_cp.csv") == prediction_csv_reference(predict)
+
+
+def test_speed_histogram_matches_per_charger_reference(tmp_path):
+    # 40 chargers span two batches; some full-power sessions come out one
+    # ulp above p_max
+    path = tmp_path / "data.csv"
+    path.write_text(synth_fleet_csv(n_cps=40, sessions_per_cp=20, seed=0, zero_energy_prob=0.2))
+    cfg = harness.ExperimentConfig(
+        input=str(path), out_dir=str(tmp_path / "out"), min_sessions=5, n_tries=20, history=10
+    )
+    paths = emit_offline_reports(run_offline(cfg), cfg.out_dir)
+    want = speed_histogram_csv_reference(cfg, open(paths["policies.csv"]).read())
+    assert open(paths["speed_histogram.csv"]).read() == want
 
 
 # ---------------------------------------------------------------------------
