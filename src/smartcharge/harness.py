@@ -429,7 +429,7 @@ class OfflineResults(SimulatedResults):
 
     cp_rows: list[OfflineCpResult]
     profiles_all: dict[str, DailyProfile]
-    speed_counts: np.ndarray  # relative speeds of the rl sessions with energy
+    speed_counts: np.ndarray  # binned relative speeds of the sessions with energy
 
     def speed_histogram(self) -> np.ndarray:
         s = self.speed_counts.sum()
