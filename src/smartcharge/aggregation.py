@@ -71,7 +71,11 @@ def accumulate(profile: PowerProfile) -> DailyProfile:
         np.concatenate((run, run + rem)), np.concatenate((rate, -rate)), 2 * SECONDS_PER_DAY
     )
     two_days = np.cumsum(diff)
-    out.slots += two_days[:SECONDS_PER_DAY] + two_days[SECONDS_PER_DAY:] + rate @ days
+    # whole days add to every slot; not rate @ days, whose BLAS dot over more
+    # than about 10k pieces wakes BLAS threads that keep spinning on another
+    # core after the call, a core a run's pool workers need
+    whole_days = (rate * days).sum()
+    out.slots += two_days[:SECONDS_PER_DAY] + two_days[SECONDS_PER_DAY:] + whole_days
     return out
 
 

@@ -25,9 +25,12 @@ needs it in one call.  learn_policies gives each charger the result it
 would get alone, so a charger's reports do not depend on which chargers
 share its batch.  Then, in both modes, _simulate charges all the batch's
 sessions in one call, builds each profile's pieces in one call per
-strategy, folds them in one aggregation.accumulate call, and sums every
-charger's CpSummary fields in one pass; offline bins the batch's speeds
-once.  _run adds up the batches' profile slots and speed counts by key.
+strategy, and sums every charger's CpSummary fields in one pass; offline
+bins the batch's speeds once.  A batch returns its profiles as power
+pieces, not as day-length slot arrays, so its result stays small.  _run
+adds up the batches' speed counts by key, and folds each key's pieces, in
+batch order, into that key's daily profile: one aggregation.accumulate
+call whenever the held pieces reach _FOLD_ROWS rows, and one at the end.
 
 Reports stream to disk in chunks of text, so the long ones (profiles and
 the online outcome log) never exist whole, as a list of rows or as one
@@ -53,6 +56,7 @@ from .aggregation import DailyProfile, StrategyMetrics, deficit_stats
 from .charging import (
     ChargingPolicy,
     HistoryArrays,
+    PowerProfile,
     SessionOutcome,
     adaptive_profile,
     oracle_profile,
@@ -79,6 +83,11 @@ from .optimizer import (
 from .predictor import PredictionMetrics, cross_validate, pool_metrics
 
 BATCH_SIZE = 32
+# the rows of pieces a profile key holds before _run folds them.  A fold
+# pays for its day-length arrays once per this many rows; on a fleet of
+# 309k sessions at 1 worker, the batch stage's resident set peaked at 70 MB
+# with 2**14 and 75 MB with 2**15, against the clean stage's 76 MB
+_FOLD_ROWS = 2**14
 _PROFILE_CHUNK_ROWS = 4096
 STRATEGIES = ("raw", "oracle", "rl")
 # every report a run of some mode writes, besides cleaning_report.txt
@@ -222,10 +231,15 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool):
     selection, usable ones only if asked) in clean_sessions' order, and run
     batch_fn(batch, cfg) over their batches.
 
-    Each batch returns its rows, its CpSummary list and its fleet sums as
-    {key: array}; the lists are concatenated and each key's arrays added,
-    all in batch order.  Returns the RunResults fields, the rows, the
-    summaries and the summed arrays.
+    Each batch returns its rows, its CpSummary list, its fleet sums as
+    {key: array} and its profiles' power pieces as {key: (n, 3) array}; the
+    lists are concatenated and each key's sums added, all in batch order.
+    A key's pieces are held in batch order and folded into its running
+    daily profile by one aggregation.accumulate call whenever they reach
+    _FOLD_ROWS rows, and once at the end, so the folds, like the batches,
+    do not depend on the worker count.  Returns the RunResults fields, the
+    rows, the summaries and the summed arrays (the profiles' slots among
+    them).
     """
     sessions, parse_errors = parse_sessions_path(cfg.input)
     charge_points, cleaning = clean_sessions(
@@ -255,12 +269,24 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool):
         raise HarnessError(f"no {'usable ' if usable_only else ''}charge points after cleaning")
 
     rows, summaries, totals = [], [], {}
+    held = {}  # each key's pieces not yet folded, in batch order
+
+    def fold(key):
+        profile = aggregation.accumulate(PowerProfile(np.concatenate(held.pop(key))))
+        totals[key] = totals.get(key, 0) + profile.slots
+
     batches = _map_batches(partial(batch_fn, cfg=cfg), charge_points, cfg.workers)
-    for batch_rows, batch_summaries, batch_sums in batches:
+    for batch_rows, batch_summaries, batch_sums, batch_pieces in batches:
         rows.extend(batch_rows)
         summaries.extend(batch_summaries)
         for key, array in batch_sums.items():
             totals[key] = totals.get(key, 0) + array
+        for key, pieces in batch_pieces.items():
+            held.setdefault(key, []).append(pieces)
+            if sum(map(len, held[key])) >= _FOLD_ROWS:
+                fold(key)
+    for key in list(held):
+        fold(key)
     return dict(cfg=cfg, cleaning=cleaning, parse_errors=parse_errors), rows, summaries, totals
 
 
@@ -272,12 +298,12 @@ def _profiles(totals: dict, scope: str) -> dict[str, DailyProfile]:
 def _simulate(batch: Sequence[ChargePoint], t_boost_max_hours, p_rate, firsts: dict, learned):
     """Simulate the batch's sessions (each charger's in turn) in one call,
     each under its policy: the parameters hold one value per session.  For
-    each scope of firsts (each charger's first session in it), fold each
-    strategy's pieces of the scope's sessions into one daily profile.
+    each scope of firsts (each charger's first session in it), build each
+    strategy's pieces of the scope's sessions.
 
     Returns the outcomes, each charger's CpSummary over its sessions in the
     first scope, the relative speeds they sum (of the sessions with energy
-    that learned, a mask or True, marks), and the profiles' slots by (scope,
+    that learned, a mask or True, marks), and the pieces by (scope,
     strategy).  The raw effective hours cover every session."""
     counts = [len(cp.sessions) for cp in batch]
     offsets = np.cumsum(counts) - counts  # each charger's first session
@@ -287,7 +313,7 @@ def _simulate(batch: Sequence[ChargePoint], t_boost_max_hours, p_rate, firsts: d
     )
     p_max = np.repeat([cp.p_max_kw for cp in batch], counts)
     outcome = simulate_session(HistoryArrays(e, plugin, p_max), t_boost_max_hours, p_rate)
-    profiles, scopes = {}, []
+    pieces, scopes = {}, []
     for scope, first in firsts.items():
         kept = np.arange(len(e)) >= np.repeat(offsets + first, counts)
         scopes.append(kept)
@@ -296,8 +322,8 @@ def _simulate(batch: Sequence[ChargePoint], t_boost_max_hours, p_rate, firsts: d
             oracle_profile(start[kept], e[kept], plugin[kept]),
             adaptive_profile(start[kept], outcome[kept], p_max[kept], p_rate[kept]),
         )
-        for s, pieces in zip(STRATEGIES, built):
-            profiles[scope, s] = aggregation.accumulate(pieces).slots
+        for s, profile in zip(STRATEGIES, built):
+            pieces[scope, s] = profile.pieces
 
     counted = scopes[0] & (e > 0) & learned
     rel_speeds = outcome.p_eff_kw / p_max
@@ -312,7 +338,7 @@ def _simulate(batch: Sequence[ChargePoint], t_boost_max_hours, p_rate, firsts: d
         counts,
     )
     summaries = [CpSummary(n, int(c), *totals) for n, (c, *totals) in zip(counts, sums)]
-    return outcome, summaries, rel_speeds[counted], profiles
+    return outcome, summaries, rel_speeds[counted], pieces
 
 
 def _segment_sums(values, masks, counts: Sequence[int]) -> list[list[float]]:
@@ -461,13 +487,12 @@ def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     counts = [len(cp.sessions) for cp in batch]
     t_boost_max, p_rate, _ = (np.repeat(column, counts) for column in zip(*policies))
     scopes = {"test": splits, "all": 0}
-    _, summaries, speeds, sums = _simulate(batch, t_boost_max, p_rate, scopes, True)
-    sums["test", "speed"] = aggregation.speed_histogram_counts(speeds)
+    _, summaries, speeds, pieces = _simulate(batch, t_boost_max, p_rate, scopes, True)
     rows = [
         OfflineCpResult(cp.cp_id, *policy, n, len(cp.sessions) - n)
         for cp, policy, n in zip(batch, policies, splits)
     ]
-    return rows, summaries, sums
+    return rows, summaries, {("test", "speed"): aggregation.speed_histogram_counts(speeds)}, pieces
 
 
 def run_offline(cfg: ExperimentConfig) -> OfflineResults:
@@ -553,12 +578,12 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
         p_rate[following] = [r.policy.p_rate for r in results]
         adaptive[following] = True
 
-    outcome, summaries, _, profiles = _simulate(batch, t_boost_max, p_rate, {"all": 0}, adaptive)
+    outcome, summaries, _, pieces = _simulate(batch, t_boost_max, p_rate, {"all": 0}, adaptive)
     rows = [
         OnlineCpResult(cp, adaptive[s], outcome[s], t_boost_max[s], p_rate[s])
         for cp, s in zip(batch, map(slice, offsets, np.cumsum(counts).tolist()))
     ]
-    return rows, summaries, profiles
+    return rows, summaries, {}, pieces
 
 
 def run_online(cfg: ExperimentConfig) -> OnlineResults:
@@ -608,7 +633,7 @@ def _predict_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
             cross_validate(histories, include_energy=False),
         )
     ]
-    return rows, [], {}
+    return rows, [], {}, {}
 
 
 def run_predict(cfg: ExperimentConfig) -> PredictResults:

@@ -1,5 +1,6 @@
 """Shared builders for synthetic sessions and chargepoint CSV files."""
 
+import math
 from collections import namedtuple
 from dataclasses import fields
 from datetime import datetime, timedelta
@@ -7,6 +8,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from smartcharge.aggregation import SECONDS_PER_DAY
 from smartcharge.dataset import Sessions
 
 EPOCH = datetime(1970, 1, 1)
@@ -93,6 +95,18 @@ def synth_fleet_csv(
             event_id += 1
             t += round(plugin * 3600) + int(rng.uniform(0.5, 30.0) * 3600)
     return "\n".join(lines) + "\n"
+
+
+def brute_force_profile(pieces):
+    """Each piece's overlap with every second it touches, added second by
+    second: the layout oracle accumulate() must match."""
+    slots = np.zeros(SECONDS_PER_DAY)
+    for t0, t1, kw in pieces:
+        s = np.arange(math.floor(t0), math.ceil(t1))
+        overlap = np.minimum(t1, s + 1.0) - np.maximum(t0, s)
+        # add.at adds repeated slots one at a time, in order
+        np.add.at(slots, s % SECONDS_PER_DAY, kw * overlap / 3600.0)
+    return slots
 
 
 @pytest.fixture

@@ -1,7 +1,5 @@
 """Daily profile accumulation, merging and strategy statistics."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,19 +15,7 @@ from smartcharge.aggregation import (
 )
 from smartcharge.charging import PowerProfile
 
-from conftest import BASE_EPOCH
-
-
-def brute_force_profile(pieces):
-    """Each piece's overlap with every second it touches, added second by
-    second: the layout oracle accumulate() must match."""
-    slots = np.zeros(SECONDS_PER_DAY)
-    for t0, t1, kw in pieces:
-        s = np.arange(math.floor(t0), math.ceil(t1))
-        overlap = np.minimum(t1, s + 1.0) - np.maximum(t0, s)
-        # add.at adds repeated slots one at a time, in order
-        np.add.at(slots, s % SECONDS_PER_DAY, kw * overlap / 3600.0)
-    return slots
+from conftest import BASE_EPOCH, brute_force_profile
 
 
 def day_offset(seconds):
@@ -144,8 +130,10 @@ class TestAccumulateAgainstOracle:
 
 
 class TestMerge:
-    """Per-batch profiles merged into a total by adding slots, the fold the
-    offline and online runs apply to their batches."""
+    """Profiles of groups of pieces merged into a running total by adding
+    slots, the fold harness._run applies to the pieces the offline and
+    online batches return: a key's held pieces are folded in one call
+    whenever they pass a row bound, so the groups follow the batches."""
 
     def test_many_merges_match_one_pass(self):
         rng = np.random.default_rng(14)
@@ -158,6 +146,21 @@ class TestMerge:
             merged.slots += accumulate(PowerProfile((piece,))).slots
         one_pass = accumulate(PowerProfile(tuple(all_pieces)))
         assert np.allclose(merged.slots, one_pass.slots, atol=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(piece_starts, piece_lengths, piece_powers), max_size=40),
+        st.lists(st.integers(0, 40), max_size=8),
+    )
+    def test_folding_groups_matches_one_call(self, drawn, splits):
+        pieces = np.array(
+            [(day_offset(t), day_offset(t) + dur, kw) for t, dur, kw in drawn]
+        ).reshape(-1, 3)
+        total = 0
+        for group in np.split(pieces, sorted(min(i, len(pieces)) for i in splits)):
+            total = total + accumulate(PowerProfile(group)).slots
+        one_call = accumulate(PowerProfile(pieces)).slots
+        assert np.abs(total - one_call).max() <= 1e-12 * one_call.max()
 
 
 class TestPeakReduction:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smartcharge import harness
-from smartcharge.aggregation import deficit_stats
+from smartcharge.aggregation import SECONDS_PER_DAY, deficit_stats
 from smartcharge.cli import build_config, main
 from smartcharge.harness import (
     ExperimentConfig,
@@ -26,7 +26,7 @@ from smartcharge.harness import (
 )
 from smartcharge.optimizer import learn_policy, per_cp_seed
 
-from conftest import CSV_HEADER, csv_row, synth_fleet_csv, BASE_EPOCH
+from conftest import CSV_HEADER, csv_row, synth_fleet_csv, BASE_EPOCH, brute_force_profile
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -80,6 +80,20 @@ def count_kernel_calls(monkeypatch):
     for name in profiles:
         counting(name, getattr(harness, name))
     return simulated, profiles
+
+
+def count_folds(monkeypatch):
+    """Record the piece count of each aggregation.accumulate call made in
+    this process."""
+    calls = []
+    accumulate = harness.aggregation.accumulate
+
+    def counting(profile):
+        calls.append(len(profile.pieces))
+        return accumulate(profile)
+
+    monkeypatch.setattr(harness.aggregation, "accumulate", counting)
+    return calls
 
 
 class TestOffline:
@@ -196,7 +210,7 @@ class TestOffline:
         with pytest.raises(HarnessError):
             run_offline(cfg)
 
-    def test_deterministic_across_workers(self, tmp_path):
+    def bundles_by_workers(self, tmp_path):
         # enough charge points for multiple batches, so workers=2 really runs
         # in a process pool
         text = synth_fleet_csv(n_cps=40, sessions_per_cp=8, seed=9)
@@ -210,7 +224,21 @@ class TestOffline:
                 name: open(os.path.join(out, name), "rb").read()
                 for name in os.listdir(out)
             }
+        return outputs
+
+    def test_deterministic_across_workers(self, tmp_path):
+        outputs = self.bundles_by_workers(tmp_path)
         assert outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("fold_rows, folds", [(1, 12), (2**62, 6)])
+    def test_deterministic_at_any_fold_bound(self, tmp_path, monkeypatch, fold_rows, folds):
+        # bound 1 folds each of the 6 profile keys after both batches, 2**62
+        # once at the end; at 2 workers too every fold runs in this process
+        monkeypatch.setattr(harness, "_FOLD_ROWS", fold_rows)
+        calls = count_folds(monkeypatch)
+        outputs = self.bundles_by_workers(tmp_path)
+        assert outputs[1] == outputs[2]
+        assert len(calls) == 2 * folds
 
     def test_per_cp_energy_sums_to_dataset_total(self, tmp_path, fleet_csv):
         from smartcharge.dataset import clean_sessions, parse_sessions_path
@@ -395,6 +423,18 @@ class TestOnline:
             for workers in (1, 2)
         ]
         assert bundles[0] == bundles[1]
+
+    @pytest.mark.parametrize("fold_rows, folds", [(1, 6), (2**62, 3)])
+    def test_deterministic_at_any_fold_bound(self, tmp_path, monkeypatch, fold_rows, folds):
+        monkeypatch.setattr(harness, "_FOLD_ROWS", fold_rows)
+        calls = count_folds(monkeypatch)
+        path = self.lockstep_fleet(tmp_path)
+        bundles = [
+            self.online_bundle(path, str(tmp_path / f"w{workers}"), workers=workers)
+            for workers in (1, 2)
+        ]
+        assert bundles[0] == bundles[1]
+        assert len(calls) == 2 * folds
 
     def test_charger_alone_equals_charger_in_fleet(self, tmp_path):
         path = self.lockstep_fleet(tmp_path)
@@ -631,6 +671,50 @@ def test_one_speed_histogram_per_offline_batch(tmp_path, monkeypatch, mode, per_
     assert len(results.cp_rows) == 40 and len(binned) == 2 * per_batch
     if per_batch:
         assert results.speed_counts.sum() == sum(s.n_outcomes for s in results.summaries)
+
+
+@pytest.mark.parametrize(
+    "batch_fn, scopes",
+    [(harness._offline_batch, ("test", "all")), (harness._online_batch, ("all",))],
+    ids=("offline", "online"),
+)
+def test_a_batch_ships_pieces_not_slots(tmp_path, batch_fn, scopes):
+    # a full batch's fleet arrays stay far smaller than one daily profile
+    text = synth_fleet_csv(n_cps=harness.BATCH_SIZE, sessions_per_cp=8, seed=9)
+    cfg = small_cfg(write_csv(tmp_path, text), str(tmp_path / "out"), n_tries=20, warmup=4)
+    sessions, _ = harness.parse_sessions_path(cfg.input)
+    batch, _ = harness.clean_sessions(sessions, min_sessions=cfg.min_sessions)
+    assert len(batch) == harness.BATCH_SIZE
+    _, _, sums, pieces = batch_fn(batch, cfg)
+    assert all(np.size(a) < SECONDS_PER_DAY for a in [*sums.values(), *pieces.values()])
+    assert set(pieces) == {(scope, s) for scope in scopes for s in harness.STRATEGIES}
+    for array in pieces.values():
+        assert array.ndim == 2 and array.shape[1] == 3 and len(array)
+
+
+@pytest.mark.parametrize("fold_rows", [1, 2**62])
+def test_folded_profiles_match_the_per_second_oracle(tmp_path, monkeypatch, fold_rows):
+    # two batches' pieces, folded after each batch or once at the end,
+    # give the profiles the per-second oracle makes of them all
+    text = synth_fleet_csv(n_cps=40, sessions_per_cp=8, seed=9)
+    cfg = small_cfg(write_csv(tmp_path, text), str(tmp_path / "out"), n_tries=20)
+    shipped = {}
+    offline_batch = harness._offline_batch
+
+    def recording(batch, cfg):
+        result = offline_batch(batch, cfg)
+        for key, pieces in result[3].items():
+            shipped.setdefault(key, []).append(pieces)
+        return result
+
+    monkeypatch.setattr(harness, "_offline_batch", recording)
+    monkeypatch.setattr(harness, "_FOLD_ROWS", fold_rows)
+    results = run_offline(cfg)
+    for scope, profiles in (("test", results.profiles), ("all", results.profiles_all)):
+        for s in harness.STRATEGIES:
+            assert len(shipped[scope, s]) == 2
+            want = brute_force_profile(np.concatenate(shipped[scope, s]))
+            assert np.abs(profiles[s].slots - want).max() <= 1e-9 * want.max()
 
 
 @pytest.mark.parametrize("workers, n_items, pool_size", [(64, 70, 3), (2, 70, 2), (64, 32, None)])
