@@ -7,10 +7,11 @@ plugin duration; the end-start timestamps are kept for placing sessions on
 the calendar and for a consistency check against the Duration column.
 
 The parse reads the file in chunks of records.  Each chunk's columns are
-converted and checked in bulk: numbers through int() and float() in one pass
-per column, clocks as ASCII digits, each distinct date and CPID once.  Rows
-those checks do not clear go through _row_values, the one statement of the
-parsing rules, which accepts them or gives the reason it rejects them.
+converted in bulk: numbers through int() and float() in one pass per column,
+clocks as ASCII digits, each distinct date and CPID once; a text the bulk
+form misses is read again stripped, on its own.  _parse_chunk states each
+parsing rule once, as a mask over the chunk with its reason, and a rejected
+row gets the reason of the first rule it fails.
 Cleaning orders, caps and de-overlaps the sessions as one index and gathers
 each column once through it.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import math
 import re
 from array import array
 from dataclasses import dataclass, fields
@@ -62,9 +62,10 @@ _CSV_SPECIALS = frozenset(',"\r\n')
 _CHUNK_RECORDS = 128
 # the day number of a date text _epoch_day rejects; outside date()'s range
 _NO_DAY = -(2**40)
-# stands in for a record of another field count: its empty EventID fails
-# the bulk checks, and its clocks keep the chunk's clock columns regular
-_NO_ROW = ["", "", "", "00:00:00", "", "00:00:00", "", ""]
+# stands in for a record of another field count, which the field-count
+# rule rejects; its numbers and clocks keep the chunk's columns on their
+# bulk conversions
+_NO_ROW = ["0", "", "", "00:00:00", "", "00:00:00", "0", "0"]
 # a clock of two-digit ASCII fields in range ([0-9], as \d matches any
 # Unicode digit), and any number of them back to back
 _CLOCK_PATTERN = "(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]"
@@ -190,71 +191,12 @@ def _epoch_day(date_text: str) -> int:
     return date(int(year), int(month), int(day)).toordinal() - _EPOCH_ORDINAL
 
 
-def _parse_instant(date_text: str, time_text: str) -> int:
-    """DD/MM/YYYY + HH:MM:SS -> naive epoch seconds."""
-    hh, mm, ss = map(int, time_text.split(":"))
+def _clock(text: str) -> int:
+    """HH:MM:SS -> seconds into the day; each field is read by int()."""
+    hh, mm, ss = map(int, text.split(":"))
     if not (0 <= hh < 24 and 0 <= mm < 60 and 0 <= ss < 60):
-        raise ValueError(f"time out of range: {time_text!r}")
-    return _epoch_day(date_text) * 86400 + hh * 3600 + mm * 60 + ss
-
-
-def _cp_id_ok(cp_id: str) -> bool:
-    """A stripped CPID is usable when it is not empty and the reports,
-    which write ids unquoted, can hold it as one CSV field."""
-    return bool(cp_id) and _CSV_SPECIALS.isdisjoint(cp_id)
-
-
-class _Rejected(Exception):
-    """A record the parsing rules reject; the message is the reason."""
-
-
-def _row_values(row: list[str]) -> tuple | None:
-    """The parsing rules for one CSV record: its (event_id, cp_id, start,
-    end, energy_kwh, plugin_hours), or None for a blank record.  A record
-    that breaks a rule raises _Rejected with the reason.
-
-    The bulk checks of _parse_chunk clear most rows without this function;
-    every row they do not clear comes here, so it is the one statement of
-    what is accepted, and of why a row is not.
-    """
-    if not row:
-        return None
-    if len(row) != 8:
-        raise _Rejected(f"expected 8 fields, got {len(row)}")
-    evt, cp_id, sd, st, ed, et, energy_text, duration_text = (f.strip() for f in row)
-    try:
-        event_id = int(evt)
-        if not -(2**63) <= event_id < 2**63:  # does not fit the int64 column
-            raise ValueError
-    except ValueError:
-        raise _Rejected(f"bad EventID {evt!r}") from None
-    if not _cp_id_ok(cp_id):
-        raise _Rejected(f"bad CPID {cp_id!r}")
-    try:
-        start = _parse_instant(sd, st)
-        end = _parse_instant(ed, et)
-    except (ValueError, OverflowError):
-        raise _Rejected(f"bad date/time {sd!r} {st!r} / {ed!r} {et!r}") from None
-    try:
-        energy_kwh = float(energy_text)
-        plugin_hours = float(duration_text)
-    except ValueError:
-        raise _Rejected(f"bad Energy/Duration {energy_text!r}/{duration_text!r}") from None
-    if not (math.isfinite(energy_kwh) and math.isfinite(plugin_hours)):
-        raise _Rejected("non-finite Energy/Duration")
-    if energy_kwh < 0:
-        raise _Rejected(f"negative energy {energy_kwh}")
-    if end <= start:
-        raise _Rejected("end instant not after start")
-    if plugin_hours <= 0:
-        raise _Rejected(f"non-positive duration {plugin_hours}")
-    if abs(plugin_hours - (end - start) / 3600.0) > DURATION_TOLERANCE_HOURS:
-        raise _Rejected(
-            f"Duration {plugin_hours} disagrees with end-start "
-            f"{(end - start) / 3600.0:.4f} h"
-        )
-    # -0.0 passes the sign check; + 0.0 stores it as 0.0
-    return event_id, cp_id, start, end, energy_kwh + 0.0, plugin_hours
+        raise ValueError(f"time out of range: {text!r}")
+    return hh * 3600 + mm * 60 + ss
 
 
 def _chunks(reader, lines, size: int):
@@ -280,10 +222,11 @@ def _chunks(reader, lines, size: int):
             yield rows, [first, *(first + n for n in ends[:-1])]
 
 
-def _numbers(convert, texts: list[str], dtype) -> tuple[np.ndarray, np.ndarray]:
+def _numbers(convert, texts: Sequence[str], dtype) -> tuple[np.ndarray, np.ndarray]:
     """convert (int or float) over texts as an array of dtype, and a mask
-    of the texts it converted.  A text it raises on, or whose value dtype
-    cannot hold, is left out of the mask, row by row."""
+    of the texts it converted.  When some text fails, each is converted
+    stripped, row by row, and one that raises, or whose value dtype cannot
+    hold, is left out of the mask."""
     n = len(texts)
     try:
         return np.fromiter(map(convert, texts), dtype, n), np.ones(n, dtype=bool)
@@ -292,27 +235,33 @@ def _numbers(convert, texts: list[str], dtype) -> tuple[np.ndarray, np.ndarray]:
     values, ok = np.zeros(n, dtype), np.ones(n, dtype=bool)
     for i, text in enumerate(texts):
         try:
-            values[i] = convert(text)
+            values[i] = convert(text.strip())
         except (ValueError, OverflowError):
             ok[i] = False
     return values, ok
 
 
-def _clock_seconds(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Seconds into the day of each HH:MM:SS text of two-digit ASCII
-    fields in range, and a mask of those texts; the row validator decides
-    any other text."""
-    data = "".join(texts)
+def _clock_seconds(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Seconds into the day of each clock text, and a mask of the texts
+    read.  Texts of two-digit ASCII fields in range are read as digits in
+    bulk; any other text goes to _clock, stripped."""
+    data, missed = "".join(texts), []
     # with every text 8 characters long, the texts are the pattern's units
     if set(map(len, texts)) == {8} and _CLOCKS.fullmatch(data):
         ok = np.ones(len(texts), dtype=bool)
     else:
         ok = np.fromiter((_CLOCK.fullmatch(t) is not None for t in texts), bool, len(texts))
+        missed = np.flatnonzero(~ok).tolist()
         data = "".join([t if good else "00:00:00" for t, good in zip(texts, ok.tolist())])
-    chars = np.frombuffer(data.encode(), dtype=np.uint8).reshape(-1, 8)
-    digits = chars.astype(np.int64) - ord("0")
-    hh, mm, ss = (digits[:, k] * 10 + digits[:, k + 1] for k in (0, 3, 6))
-    return hh * 3600 + mm * 60 + ss, ok
+    digits = np.frombuffer(data.encode(), dtype=np.uint8).reshape(-1, 8).astype(np.int64) - ord("0")
+    # each digit's worth in seconds; the colons' is 0
+    seconds = digits @ np.array([36000, 3600, 0, 600, 60, 0, 10, 1])
+    for i in missed:
+        try:
+            seconds[i], ok[i] = _clock(texts[i].strip()), True
+        except ValueError:
+            pass
+    return seconds, ok
 
 
 def _day_number(text: str) -> int:
@@ -335,53 +284,64 @@ def _parse_chunk(
     id.  text_codes caches each CPID field text's code, -1 for a text that
     is no usable id.  Each rejection is appended to errors.
 
-    The columns are converted and checked in bulk; a row the checks do not
-    clear goes through _row_values, which may accept it (`+5`, `1:2:3`) or
-    reject it with the reason.
+    The columns are converted in bulk, and the parsing rules are stated
+    once, as masks over the chunk with their reasons, in the order they
+    apply.  A row is kept when it passes every rule; a rejected row gets
+    the reason of the first rule it fails, filled in from its stripped
+    fields (named as in the header) and its values.  A blank record is
+    skipped.
     """
     n = len(rows)
+    sizes = np.fromiter(map(len, rows), np.intp, n)
     table = rows
-    if set(map(len, rows)) != {8}:
-        # a blank record or a wrong field count fails the bulk checks
+    if (sizes != 8).any():
         table = [row if len(row) == 8 else _NO_ROW for row in rows]
-    evt, cp, sd, st, ed, et, energy_text, duration_text = (
-        [row[k] for row in table] for k in range(8)
-    )
-    event_id, ok = _numbers(int, evt, np.int64)
+    evt, cp, sd, st, ed, et, energy_text, duration_text = zip(*table)
+    event_id, ok_event_id = _numbers(int, evt, np.int64)
     energy, ok_energy = _numbers(float, energy_text, np.float64)
     plugin, ok_plugin = _numbers(float, duration_text, np.float64)
 
     for text in set(cp).difference(text_codes):
+        # a stripped id is usable when it is not empty and the reports,
+        # which write ids unquoted, can hold it as one CSV field
         cp_id = text.strip()
-        text_codes[text] = cp_codes.setdefault(cp_id, len(cp_codes)) if _cp_id_ok(cp_id) else -1
+        usable = cp_id and _CSV_SPECIALS.isdisjoint(cp_id)
+        text_codes[text] = cp_codes.setdefault(cp_id, len(cp_codes)) if usable else -1
     codes = np.fromiter(map(text_codes.__getitem__, cp), np.intc, n)
 
-    day_of = {text: _day_number(text) for text in {*sd, *ed}}
-    instants = []
+    day_of = {text: _day_number(text.strip()) for text in {*sd, *ed}}
+    instants, ok_instants = [], np.ones(n, dtype=bool)
     for dates, clocks in ((sd, st), (ed, et)):
         days = np.fromiter(map(day_of.__getitem__, dates), np.int64, n)
         seconds, ok_clock = _clock_seconds(clocks)
         instants.append(days * 86400 + seconds)
-        ok &= ok_clock & (days != _NO_DAY)
+        ok_instants &= ok_clock & (days != _NO_DAY)
     start, end = instants
+    hours = (end - start) / 3600.0
 
-    ok &= ok_energy & ok_plugin & (codes >= 0)
-    # the masks are the numeric rules of _row_values; nan fails them all
+    # nan fails every comparison
     with np.errstate(invalid="ignore"):
-        ok &= np.isfinite(energy) & np.isfinite(plugin) & (energy >= 0)
-        ok &= (end > start) & (plugin > 0)
-        ok &= np.abs(plugin - (end - start) / 3600.0) <= DURATION_TOLERANCE_HOURS
-
-    for i in np.flatnonzero(~ok).tolist():
-        try:
-            values = _row_values(rows[i])
-        except _Rejected as exc:
-            errors.append(ParseError(first_lines[i], str(exc)))
-            continue
-        if values is not None:
-            event_id[i], cp_id, start[i], end[i], energy[i], plugin[i] = values
-            codes[i] = cp_codes.setdefault(cp_id, len(cp_codes))
-            ok[i] = True
+        rules = [
+            (sizes == 8, "expected 8 fields, got {size}"),
+            (ok_event_id, "bad EventID {EventID!r}"),
+            (codes >= 0, "bad CPID {CPID!r}"),
+            (ok_instants, "bad date/time {StartDate!r} {StartTime!r} / {EndDate!r} {EndTime!r}"),
+            (ok_energy & ok_plugin, "bad Energy/Duration {Energy!r}/{Duration!r}"),
+            (np.isfinite(energy) & np.isfinite(plugin), "non-finite Energy/Duration"),
+            (energy >= 0, "negative energy {energy}"),
+            (end > start, "end instant not after start"),
+            (plugin > 0, "non-positive duration {plugin}"),
+            (
+                np.abs(plugin - hours) <= DURATION_TOLERANCE_HOURS,
+                "Duration {plugin} disagrees with end-start {hours:.4f} h",
+            ),
+        ]
+    ok = np.logical_and.reduce([mask for mask, _ in rules])
+    for i in np.flatnonzero(~ok & (sizes > 0)).tolist():
+        reason = next(reason for mask, reason in rules if not mask[i])
+        values = dict(zip(EXPECTED_HEADER, map(str.strip, rows[i])), size=len(rows[i]))
+        values.update(energy=float(energy[i]), plugin=float(plugin[i]), hours=float(hours[i]))
+        errors.append(ParseError(first_lines[i], reason.format_map(values)))
     # -0.0 passes the sign check; + 0.0 stores it as 0.0
     return event_id[ok], codes[ok], start[ok], end[ok], energy[ok] + 0.0, plugin[ok]
 
@@ -391,19 +351,12 @@ def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
 
     Malformed rows are collected with a reason, never silently dropped.
     A missing or wrong header is fatal (ValueError): nothing downstream can
-    be trusted if the columns are not what they claim.
+    be trusted if the columns are not what they claim.  So is text the csv
+    module cannot read as records, such as a quote that is never closed;
+    the ValueError names the lines it could not read.
     """
     source, lines = tee(stream)
     reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty input: expected header row") from None
-    if [h.strip() for h in header] != EXPECTED_HEADER:
-        raise ValueError(
-            f"unexpected header {header!r}; expected {','.join(EXPECTED_HEADER)}"
-        )
-
     # accepted rows, appended chunk by chunk to compact columns; a row's
     # charger is the position of its id in cp_codes, so each id string is
     # stored once
@@ -411,10 +364,21 @@ def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
     cp_codes: dict[str, int] = {}
     text_codes: dict[str, int] = {}
     errors: list[ParseError] = []
-    for rows, first_lines in _chunks(reader, lines, _CHUNK_RECORDS):
-        accepted = _parse_chunk(rows, first_lines, cp_codes, text_codes, errors)
-        for column, values in zip(columns, accepted):
-            column.frombytes(values.tobytes())
+    parsed = 0  # the last line of the records parsed so far
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty input: expected header row")
+        if [h.strip() for h in header] != EXPECTED_HEADER:
+            raise ValueError(f"unexpected header {header!r}; expected {','.join(EXPECTED_HEADER)}")
+        parsed = reader.line_num
+        for rows, first_lines in _chunks(reader, lines, _CHUNK_RECORDS):
+            accepted = _parse_chunk(rows, first_lines, cp_codes, text_codes, errors)
+            for column, values in zip(columns, accepted):
+                column.frombytes(values.tobytes())
+            parsed = reader.line_num
+    except csv.Error as exc:
+        raise ValueError(f"unreadable CSV in lines {parsed + 1}-{reader.line_num}: {exc}") from None
     sessions = Sessions(
         event_id=np.frombuffer(event_ids, dtype=np.int64),
         cp_id=np.array(list(cp_codes), dtype=object)[np.frombuffer(cps, dtype=np.intc)],

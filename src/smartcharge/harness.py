@@ -238,8 +238,8 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool):
     daily profile by one aggregation.accumulate call whenever they reach
     _FOLD_ROWS rows, and once at the end, so the folds, like the batches,
     do not depend on the worker count.  Returns the RunResults fields, the
-    rows, the summaries and the summed arrays (the profiles' slots among
-    them).
+    chargers run, the rows, the summaries and the summed arrays (the
+    profiles' slots among them).
     """
     sessions, parse_errors = parse_sessions_path(cfg.input)
     charge_points, cleaning = clean_sessions(
@@ -287,7 +287,8 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool):
                 fold(key)
     for key in list(held):
         fold(key)
-    return dict(cfg=cfg, cleaning=cleaning, parse_errors=parse_errors), rows, summaries, totals
+    common = dict(cfg=cfg, cleaning=cleaning, parse_errors=parse_errors)
+    return common, charge_points, rows, summaries, totals
 
 
 def _profiles(totals: dict, scope: str) -> dict[str, DailyProfile]:
@@ -496,7 +497,7 @@ def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
 
 
 def run_offline(cfg: ExperimentConfig) -> OfflineResults:
-    common, rows, summaries, totals = _run(_offline_batch, cfg, usable_only=True)
+    common, _, rows, summaries, totals = _run(_offline_batch, cfg, usable_only=True)
     return OfflineResults(
         **common,
         summaries=summaries,
@@ -579,17 +580,19 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
         adaptive[following] = True
 
     outcome, summaries, _, pieces = _simulate(batch, t_boost_max, p_rate, {"all": 0}, adaptive)
+    # each charger's OnlineCpResult fields but cp: the parent has the chargers
     rows = [
-        OnlineCpResult(cp, adaptive[s], outcome[s], t_boost_max[s], p_rate[s])
-        for cp, s in zip(batch, map(slice, offsets, np.cumsum(counts).tolist()))
+        (adaptive[s], outcome[s], t_boost_max[s], p_rate[s])
+        for s in map(slice, offsets, np.cumsum(counts).tolist())
     ]
     return rows, summaries, {}, pieces
 
 
 def run_online(cfg: ExperimentConfig) -> OnlineResults:
-    common, rows, summaries, totals = _run(_online_batch, cfg, usable_only=True)
+    common, charge_points, rows, summaries, totals = _run(_online_batch, cfg, usable_only=True)
+    cp_rows = [OnlineCpResult(cp, *row) for cp, row in zip(charge_points, rows)]
     profiles = _profiles(totals, "all")
-    return OnlineResults(**common, summaries=summaries, profiles=profiles, cp_rows=rows)
+    return OnlineResults(**common, summaries=summaries, profiles=profiles, cp_rows=cp_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +640,7 @@ def _predict_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
 
 
 def run_predict(cfg: ExperimentConfig) -> PredictResults:
-    common, rows, _, _ = _run(_predict_batch, cfg, usable_only=False)
+    common, _, rows, _, _ = _run(_predict_batch, cfg, usable_only=False)
     return PredictResults(**common, cp_rows=rows)
 
 

@@ -69,14 +69,12 @@ def _ranks(sv: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.count_nonzero(sv > tol, axis=-1)
 
 
-def _lstsq(a: np.ndarray, y: np.ndarray) -> tuple[bool, np.ndarray]:
-    """One SVD of a: whether a has full column rank, by matrix_rank's
-    tolerance, and the least-squares solution of a @ beta = y over the
-    singular values above that tolerance."""
+def _lstsq(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The least-squares solution of a @ beta = y, from one SVD of a, over
+    the singular values above matrix_rank's tolerance."""
     u, sv, vt = np.linalg.svd(a, full_matrices=False)
     rank = int(_ranks(sv, a.shape))
-    beta = vt[:rank].T @ (u[:, :rank].T @ y / sv[:rank])
-    return rank == a.shape[1], beta
+    return vt[:rank].T @ (u[:, :rank].T @ y / sv[:rank])
 
 
 def _greedy_beta(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -87,7 +85,7 @@ def _greedy_beta(a: np.ndarray, y: np.ndarray) -> np.ndarray:
         if np.linalg.matrix_rank(a[:, kept + [j]]) > len(kept):
             kept.append(j)
     beta = np.zeros(a.shape[1])
-    beta[kept] = _lstsq(a[:, kept], y)[1]
+    beta[kept] = _lstsq(a[:, kept], y)
     return beta
 
 

@@ -19,7 +19,9 @@ from smartcharge.dataset import (
     EXPECTED_HEADER,
     CleaningReport,
     Sessions,
-    _parse_instant,
+    _clock,
+    _clock_seconds,
+    _epoch_day,
     clean_sessions,
     derive_p_max,
     parse_sessions,
@@ -99,6 +101,14 @@ class TestParse:
         assert "disagrees" in reasons
         assert "non-finite Energy/Duration" in reasons
         assert "non-positive duration -2.0" in reasons
+
+    def test_unreadable_csv_is_value_error(self):
+        # row 2 opens a quote that is never closed: its field runs past the
+        # csv module's field size limit
+        rows = [CSV_HEADER, '1,"AN1,01/06/2017,10:00:00,01/06/2017,12:00:00,5.0,2.0']
+        rows += [f"{i},AN1,01/06/2017,10:00:00,01/06/2017,12:00:00,5.0,2.0" for i in range(3000)]
+        with pytest.raises(ValueError, match="^unreadable CSV in lines 2-"):
+            parse_text("\n".join(rows) + "\n")
 
     def test_duration_within_tolerance_kept(self):
         # 2h01m against a 2.0 Duration column: 0.0167 h gap, inside 0.02
@@ -373,7 +383,8 @@ class TestParseColumns:
 
 
 def parse_instant_reference(date_text, time_text):
-    """The datetime formula _parse_instant replaced: its reference."""
+    """DD/MM/YYYY + HH:MM:SS -> naive epoch seconds, by the datetime
+    formula: the reference for the parse's day and clock reads."""
     day, month, year = date_text.split("/")
     hh, mm, ss = time_text.split(":")
     dt = datetime(int(year), int(month), int(day), int(hh), int(mm), int(ss))
@@ -411,14 +422,36 @@ _time_texts = st.one_of(
 @example(date_text="01/06/2017", time_text="12:60:00")
 @example(date_text="01/06/2017", time_text="12:00:60")
 def test_parse_instant_matches_datetime_formula(date_text, time_text):
-    got = instant_or_rejected(_parse_instant, date_text, time_text)
+    def instant(d, t):
+        return _epoch_day(d) * 86400 + _clock(t)
+
+    got = instant_or_rejected(instant, date_text, time_text)
     assert got == instant_or_rejected(parse_instant_reference, date_text, time_text)
+
+
+def test_clock_seconds_reads_every_second_of_the_day():
+    texts = [f"{t // 3600:02d}:{t // 60 % 60:02d}:{t % 60:02d}" for t in range(86400)]
+    seconds, ok = _clock_seconds(texts)
+    assert ok.all()
+    assert seconds.tolist() == list(map(_clock, texts)) == list(range(86400))
+
+
+@pytest.mark.parametrize("missed", ["1:2:3", " 10:00:00", "+1:00:00", "١٠:00:00", "9:59:59"])
+@pytest.mark.parametrize("where", [0, 3, 6])
+def test_clock_seconds_reads_a_missed_text_with_clock(missed, where):
+    # one text misses the two-digit pattern; _clock reads each alike
+    texts = ["00:00:00", "23:59:59", "09:05:07", "12:00:00", "00:00:59", "01:00:00", "19:30:00"]
+    texts[where] = missed
+    seconds, ok = _clock_seconds(texts)
+    assert ok.all()
+    assert seconds.tolist() == list(map(_clock, texts))
 
 
 # ---------------------------------------------------------------------------
 # Reference: the parse as one loop over records, as it was before the parse
 # went by chunks, kept word for word but for its rejections, which are
-# (line number, reason) pairs.  The chunked parse must reproduce it exactly.
+# (line number, reason) pairs, and its instants, which parse_instant_reference
+# reads.  The chunked parse must reproduce it exactly.
 
 _CSV_SPECIALS = frozenset(',"\r\n')
 
@@ -468,8 +501,8 @@ def reference_parse_sessions(stream):
             reject(line_number, f"bad CPID {cp_id!r}", row)
             continue
         try:
-            start = _parse_instant(sd, st)
-            end = _parse_instant(ed, et)
+            start = parse_instant_reference(sd, st)
+            end = parse_instant_reference(ed, et)
         except (ValueError, OverflowError):
             reject(line_number, f"bad date/time {sd!r} {st!r} / {ed!r} {et!r}", row)
             continue
@@ -610,6 +643,11 @@ _NEAR_TEN = ["09:60:00", "09:59:60", "10:00;00", "10;00:00", "10:00:0A", "0::00:
                   ["3", "A\r\n1", *_TIMES, "5", "2"], ["x", "AN1", *_TIMES, "5", "2"],
                   ["4", " 7 ", *_TIMES, "5", "2"], ["5", "AN1", *_TIMES, "5"]],
          newline="")
+# a row that breaks two rules, whose first rule gives the reason; then a
+# wrong field count, a blank record and a clock of one-digit fields together
+@example(records=[["x", "AN1", *_TIMES, "-1", "2"], ["1", "AN1", *_TIMES, "5"], [],
+                  ["2", "AN1", "01/06/2017", "1:2:3", "01/06/2017", "03:02:03", "5", "2"]],
+         newline="\n")
 def test_parse_matches_reference_loop(chunk, records, newline):
     # newline "" splits lines at \r too, as parse_sessions_path's files do
     text = _csv_text(records)

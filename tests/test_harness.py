@@ -1,7 +1,9 @@
 """End-to-end experiment runs, report emission and the CLI."""
 
+import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import fields
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from smartcharge import harness
 from smartcharge.aggregation import SECONDS_PER_DAY, deficit_stats
 from smartcharge.cli import build_config, main
+from smartcharge.dataset import ChargePoint, Sessions
 from smartcharge.harness import (
     ExperimentConfig,
     HarnessError,
@@ -692,6 +695,24 @@ def test_a_batch_ships_pieces_not_slots(tmp_path, batch_fn, scopes):
         assert array.ndim == 2 and array.shape[1] == 3 and len(array)
 
 
+def test_an_online_batch_sends_no_charger_back(tmp_path):
+    # the parent pairs each row with its own charger, so a batch's result
+    # pickles no ChargePoint and no Sessions
+    text = synth_fleet_csv(n_cps=harness.BATCH_SIZE, sessions_per_cp=8, seed=9)
+    cfg = small_cfg(write_csv(tmp_path, text), str(tmp_path / "out"), n_tries=20, warmup=4)
+    sessions, _ = harness.parse_sessions_path(cfg.input)
+    batch, _ = harness.clean_sessions(sessions, min_sessions=cfg.min_sessions)
+    pickled = []
+
+    class Recording(pickle.Pickler):
+        def persistent_id(self, obj):
+            pickled.append(type(obj))
+
+    Recording(io.BytesIO()).dump(harness._online_batch(batch, cfg))
+    assert harness.OnlineCpResult not in pickled
+    assert not {ChargePoint, Sessions} & set(pickled)
+
+
 @pytest.mark.parametrize("fold_rows", [1, 2**62])
 def test_folded_profiles_match_the_per_second_oracle(tmp_path, monkeypatch, fold_rows):
     # two batches' pieces, folded after each batch or once at the end,
@@ -948,6 +969,21 @@ class TestCli:
         rc = main(["--input", str(tmp_path / "missing.csv")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_unreadable_csv_exits_1_with_one_line(self, tmp_path):
+        # row 2 opens a quote that is never closed, so the csv module
+        # stops on a field past its size limit
+        row = "01/06/2017,10:00:00,01/06/2017,12:00:00,5.0,2.0"
+        rows = [CSV_HEADER, f'1,"AN1,{row}'] + [f"{i},AN1,{row}" for i in range(3000)]
+        path = write_csv(tmp_path, "\n".join(rows) + "\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "smartcharge.cli", "--input", path,
+             "--out-dir", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("smartcharge: error: ")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
 
     def test_main_unknown_cp_nonzero(self, tmp_path, fleet_csv, capsys):
         rc = main(

@@ -152,7 +152,7 @@ def greedy_fit(x, y):
         if np.linalg.matrix_rank(a[:, kept + [j]]) > len(kept):
             kept.append(j)
     beta = np.zeros(a.shape[1])
-    beta[kept] = _lstsq(a[:, kept], y)[1]
+    beta[kept] = _lstsq(a[:, kept], y)
     return RegressionModel(float(beta[0]), tuple(beta[1:]))
 
 
