@@ -8,8 +8,10 @@ equal to the delivered energy (coarser slots visibly distort the totals).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -101,27 +103,25 @@ class StrategyMetrics:
     cp_deficit_over_10pct_fraction: float
 
 
-def deficit_stats(
-    cp_energy: Iterable[tuple[float, float]],
-) -> tuple[float, float, float, float]:
-    """Per-charge-point (target, delivered) totals -> dataset deficit stats.
+def total(values) -> float:
+    """Left-to-right sum from 0.0, the order every report total is added in
+    (np.sum adds pairwise, and builtin sum() compensates from Python 3.12
+    on)."""
+    return reduce(operator.add, np.asarray(values, dtype=np.float64).tolist(), 0.0)
+
+
+def deficit_stats(target, delivered) -> tuple[float, float, float, float]:
+    """Each charge point's target and delivered kWh -> dataset deficit stats.
 
     Returns (total target kWh, total deficit kWh, deficit percent of target,
     fraction of charge points whose own deficit exceeds 10% of their target).
     """
-    total_target = 0.0
-    total_deficit = 0.0
-    n_cp = 0
-    n_over = 0
-    for target, delivered in cp_energy:
-        n_cp += 1
-        deficit = target - delivered
-        total_target += target
-        total_deficit += deficit
-        if target > 0 and deficit > 0.10 * target:
-            n_over += 1
+    target = np.asarray(target, dtype=np.float64)
+    deficit = target - delivered
+    total_target, total_deficit = total(target), total(deficit)
+    n_over = int(np.count_nonzero((target > 0) & (deficit > 0.10 * target)))
     pct = 100.0 * total_deficit / total_target if total_target > 0 else 0.0
-    frac = n_over / n_cp if n_cp else 0.0
+    frac = n_over / len(target) if len(target) else 0.0
     return total_target, total_deficit, pct, frac
 
 

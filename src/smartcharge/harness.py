@@ -9,11 +9,12 @@ online  -- replay each charge point session by session, charging raw during
            a warmup and re-learning the policy after every session.
 predict -- per-charge-point cross-validated duration regression.
 
-Offline and online reduce each charger to one CpSummary (_simulate) and
-report the same fleet summary from them (SimulatedResults, _summary_lines):
-aggregate daily profiles, deficits, phase hours and relative speed, over
-the test split offline and over every session online.  Per-charger figures
-are in policies.csv offline and outcomes.csv online.
+Offline and online reduce each charger to one row of SUMMARY_COLUMNS
+(_simulate) and report the same fleet summary from these columns
+(SimulatedResults, _summary_lines): aggregate daily profiles, deficits,
+phase hours and relative speed, over the test split offline and over every
+session online.  Per-charger figures are in policies.csv offline and
+outcomes.csv online.
 
 Charge points are the unit of parallel work.  Work is cut into fixed-size
 batches processed in sorted order and folded back in batch order, so every
@@ -25,34 +26,33 @@ needs it in one call.  learn_policies gives each charger the result it
 would get alone, so a charger's reports do not depend on which chargers
 share its batch.  Then, in both modes, _simulate charges all the batch's
 sessions in one call, builds each profile's pieces in one call per
-strategy, and sums every charger's CpSummary fields in one pass; offline
+strategy, and sums every charger's summary columns in one pass; offline
 bins the batch's speeds once.  A batch returns its profiles as power
 pieces, not as day-length slot arrays, so its result stays small.  _run
 adds up the batches' speed counts by key, and folds each key's pieces, in
 batch order, into that key's daily profile: one aggregation.accumulate
 call whenever the held pieces reach _FOLD_ROWS rows, and one at the end.
 
-Reports stream to disk in chunks of text, so the long ones (profiles and
-the online outcome log) never exist whole, as a list of rows or as one
-string.  A profile is formatted once per run of equal values, and a table
-a column at a time.
+Each mode maps its report names to chunks of text for _write_reports, so
+the long reports (profiles and the online outcome log) stream to disk and
+never exist whole, as a list of rows or as one string.  A profile is
+formatted once per run of equal values, and a table a column at a time.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial, reduce
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import aggregation
-from .aggregation import DailyProfile, StrategyMetrics, deficit_stats
+from .aggregation import DailyProfile, StrategyMetrics, deficit_stats, total
 from .charging import (
     ChargingPolicy,
     HistoryArrays,
@@ -96,6 +96,12 @@ REPORTS = (
     + ("profiles_all_sessions.csv", "policies.csv", "speed_histogram.csv")  # offline
     + ("outcomes.csv",)  # online
     + ("prediction_per_cp.csv", "prediction_report.txt")  # predict
+)
+# a simulated run's summary columns: each charger's session count and its
+# count of counted sessions (see _simulate), then its sums over them
+SUMMARY_COLUMNS = (
+    "n_sessions", "n_outcomes", "target_kwh", "delivered_kwh", "raw_delivered_kwh",
+    "boost_hours_sum", "slow_hours_sum", "rel_speed_sum", "raw_effective_hours_sum",
 )
 # the types an ExperimentConfig field accepts, by its annotation
 _FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
@@ -231,15 +237,16 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool):
     selection, usable ones only if asked) in clean_sessions' order, and run
     batch_fn(batch, cfg) over their batches.
 
-    Each batch returns its rows, its CpSummary list, its fleet sums as
-    {key: array} and its profiles' power pieces as {key: (n, 3) array}; the
-    lists are concatenated and each key's sums added, all in batch order.
+    Each batch returns its rows, its SUMMARY_COLUMNS as one array (a row
+    per charger), its fleet sums as {key: array} and its profiles' power
+    pieces as {key: (n, 3) array}; rows and summaries are concatenated and
+    each key's sums added, all in batch order.
     A key's pieces are held in batch order and folded into its running
     daily profile by one aggregation.accumulate call whenever they reach
     _FOLD_ROWS rows, and once at the end, so the folds, like the batches,
     do not depend on the worker count.  Returns the RunResults fields, the
-    chargers run, the rows, the summaries and the summed arrays (the
-    profiles' slots among them).
+    chargers run, the rows, the summary columns by name and the summed
+    arrays (the profiles' slots among them).
     """
     sessions, parse_errors = parse_sessions_path(cfg.input)
     charge_points, cleaning = clean_sessions(
@@ -278,7 +285,7 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool):
     batches = _map_batches(partial(batch_fn, cfg=cfg), charge_points, cfg.workers)
     for batch_rows, batch_summaries, batch_sums, batch_pieces in batches:
         rows.extend(batch_rows)
-        summaries.extend(batch_summaries)
+        summaries.append(batch_summaries)
         for key, array in batch_sums.items():
             totals[key] = totals.get(key, 0) + array
         for key, pieces in batch_pieces.items():
@@ -288,7 +295,8 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool):
     for key in list(held):
         fold(key)
     common = dict(cfg=cfg, cleaning=cleaning, parse_errors=parse_errors)
-    return common, charge_points, rows, summaries, totals
+    columns = dict(zip(SUMMARY_COLUMNS, np.concatenate(summaries).T))
+    return common, charge_points, rows, columns, totals
 
 
 def _profiles(totals: dict, scope: str) -> dict[str, DailyProfile]:
@@ -302,10 +310,11 @@ def _simulate(batch: Sequence[ChargePoint], t_boost_max_hours, p_rate, firsts: d
     each scope of firsts (each charger's first session in it), build each
     strategy's pieces of the scope's sessions.
 
-    Returns the outcomes, each charger's CpSummary over its sessions in the
-    first scope, the relative speeds they sum (of the sessions with energy
-    that learned, a mask or True, marks), and the pieces by (scope,
-    strategy).  The raw effective hours cover every session."""
+    Returns the outcomes, each charger's SUMMARY_COLUMNS row over its
+    sessions in the first scope, the relative speeds it sums (of the
+    sessions with energy that learned, a mask or True, marks), and the
+    pieces by (scope, strategy).  n_sessions and the raw effective hours
+    cover every session."""
     counts = [len(cp.sessions) for cp in batch]
     offsets = np.cumsum(counts) - counts  # each charger's first session
     start, e, plugin = (
@@ -338,27 +347,21 @@ def _simulate(batch: Sequence[ChargePoint], t_boost_max_hours, p_rate, firsts: d
         [counted] + [scopes[0]] * 3 + [counted] * 3 + [np.ones(len(e), dtype=bool)],
         counts,
     )
-    summaries = [CpSummary(n, int(c), *totals) for n, (c, *totals) in zip(counts, sums)]
-    return outcome, summaries, rel_speeds[counted], pieces
+    return outcome, np.column_stack((counts, sums)), rel_speeds[counted], pieces
 
 
-def _segment_sums(values, masks, counts: Sequence[int]) -> list[list[float]]:
-    """Each charger's sums of the rows of values (one value per session, the
-    chargers' sessions in turn, counts[j] of charger j) over its sessions
-    that the rows of masks mark, added left to right from 0.0 as _sum adds:
-    one np.cumsum along a zero-padded (rows, chargers, 1 + longest) array.
-    An unmarked session adds +0.0, which changes no sum started from +0.0."""
+def _segment_sums(values, masks, counts: Sequence[int]) -> np.ndarray:
+    """(chargers, rows): each charger's sums of the rows of values (one
+    value per session, counts[j] sessions of charger j in turn) over its
+    sessions that the rows of masks mark, added left to right from 0.0 as
+    aggregation.total adds: one np.cumsum along a zero-padded (rows,
+    chargers, 1 + longest) array.  An unmarked session adds +0.0, which
+    changes no sum started from +0.0."""
     row = np.repeat(np.arange(len(counts)), counts)
     column = 1 + np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
     padded = np.zeros((len(values), len(counts), 1 + max(counts)))
     padded[:, row, column] = np.where(masks, values, 0.0)
-    return np.cumsum(padded, axis=2)[:, np.arange(len(counts)), counts].T.tolist()
-
-
-def _sum(values) -> float:
-    """Left-to-right sum, the order every report total is added in (np.sum
-    adds pairwise, and builtin sum() compensates from Python 3.12 on)."""
-    return reduce(operator.add, np.asarray(values, dtype=np.float64).tolist(), 0.0)
+    return np.cumsum(padded, axis=2)[:, np.arange(len(counts)), counts].T
 
 
 @dataclass
@@ -371,38 +374,18 @@ class RunResults:
 
 
 @dataclass
-class CpSummary:
-    """One charger's totals over the sessions its run's metrics cover."""
-
-    n_sessions: int
-    n_outcomes: int
-    target_kwh: float
-    delivered_kwh: float
-    raw_delivered_kwh: float
-    boost_hours_sum: float
-    slow_hours_sum: float
-    rel_speed_sum: float
-    raw_effective_hours_sum: float
-
-    @property
-    def deficit_kwh(self) -> float:
-        return self.target_kwh - self.delivered_kwh
-
-
-@dataclass
 class SimulatedResults(RunResults):
-    """An offline or online run's fleet figures: its chargers' summaries,
-    and the daily profiles of the sessions they cover."""
+    """An offline or online run's fleet figures: its chargers' summary
+    columns, and the daily profiles of the sessions they cover."""
 
-    summaries: list[CpSummary]
+    summaries: dict[str, np.ndarray]  # by SUMMARY_COLUMNS name, a row per charger
     profiles: dict[str, DailyProfile]
 
     def metrics(self, strategy: str) -> StrategyMetrics:
         # the oracle is uncapped, so it always delivers its whole target
         delivered = {"raw": "raw_delivered_kwh", "oracle": "target_kwh", "rl": "delivered_kwh"}
-        _, deficit, pct, frac = deficit_stats(
-            (s.target_kwh, getattr(s, delivered[strategy])) for s in self.summaries
-        )
+        s = self.summaries
+        _, deficit, pct, frac = deficit_stats(s["target_kwh"], s[delivered[strategy]])
         profile = self.profiles[strategy]
         return StrategyMetrics(
             peak_kw=profile.peak_kw(),
@@ -417,9 +400,9 @@ class SimulatedResults(RunResults):
         """None when the raw profile has no peak to reduce."""
         return aggregation.peak_reduction(self.profiles[strategy], self.profiles["raw"])
 
-    def _mean(self, total: str, count=lambda s: s.n_outcomes) -> float:
-        n = sum(count(s) for s in self.summaries)
-        return _sum([getattr(s, total) for s in self.summaries]) / n if n else 0.0
+    def _mean(self, column: str, count: str = "n_outcomes") -> float:
+        n = total(self.summaries[count])
+        return total(self.summaries[column]) / n if n else 0.0
 
     def mean_boost_hours(self) -> float:
         return self._mean("boost_hours_sum")
@@ -428,7 +411,7 @@ class SimulatedResults(RunResults):
         return self._mean("slow_hours_sum")
 
     def mean_raw_effective_hours(self) -> float:
-        return self._mean("raw_effective_hours_sum", lambda s: s.n_sessions)
+        return self._mean("raw_effective_hours_sum", "n_sessions")
 
     def mean_relative_speed(self) -> float:
         return self._mean("rel_speed_sum")
@@ -636,7 +619,7 @@ def _predict_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
             cross_validate(histories, include_energy=False),
         )
     ]
-    return rows, [], {}, {}
+    return rows, np.empty((0, len(SUMMARY_COLUMNS))), {}, {}
 
 
 def run_predict(cfg: ExperimentConfig) -> PredictResults:
@@ -677,59 +660,41 @@ def _profile_csv(profiles: dict[str, DailyProfile], resolution: int) -> Iterator
         yield "\n".join([*map(",".join, zip(*columns)), ""])
 
 
-def _report_head(title: str, cfg: ExperimentConfig) -> list[str]:
-    """A text report's first lines: its underlined title and the run's
-    configuration, then a blank line."""
+def _text_report(title: str, cfg: ExperimentConfig, lines: list[str]) -> list[str]:
+    """A text report's chunks: its underlined title and the run's
+    configuration, then a blank line and the lines."""
     history = "unlimited" if cfg.history is None else str(cfg.history)
-    return [
-        title,
-        "=" * len(title),
+    config = (
         f"mode={cfg.mode} history={history} seed={cfg.seed} n_tries={cfg.n_tries} "
         f"k1={cfg.k1!r} k2={cfg.k2!r} e_max_loss={cfg.max_loss!r} "
         f"min_sessions={cfg.min_sessions} train_fraction={cfg.train_fraction!r} "
-        f"warmup={cfg.warmup}",
-        "",
-    ]
+        f"warmup={cfg.warmup}"
+    )
+    return ["\n".join([title, "=" * len(title), config, "", *lines]) + "\n"]
 
 
-class _Bundle:
-    """A run's report bundle in output_dir.
+def _write_reports(results: RunResults, output_dir: str, reports: dict) -> dict[str, str]:
+    """Write a run's report bundle to output_dir; returns each report's path.
 
-    Opening it removes every report an earlier run of any mode may have left
+    First remove every report an earlier run of any mode may have left
     there, so no old file stays beside the new ones, not even when this run
-    fails halfway; then it writes the cleaning report and the rejected input
-    rows.  Each report is written atomically, chunk by chunk as its text is
-    made.
+    fails halfway.  Then write the cleaning report, the rejected input rows
+    if there are any, and each {name: chunks} entry of reports in order,
+    each atomically, chunk by chunk as its text is made.
     """
-
-    def __init__(self, results: RunResults, output_dir: str):
-        os.makedirs(output_dir, exist_ok=True)
-        self.output_dir = output_dir
-        self.paths: dict[str, str] = {}
-        for name in REPORTS:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(output_dir, name))
-        self.write("cleaning_report.txt", [results.cleaning.to_text()])
-        if results.parse_errors:
-            self.write_lines(
-                "parse_errors.csv",
-                ["line_number,reason"]
-                + [
-                    f"{e.line_number},{e.reason.replace(',', ';')}"
-                    for e in results.parse_errors
-                ],
-            )
-
-    def write(self, name: str, chunks: Iterable[str]) -> None:
-        path = os.path.join(self.output_dir, name)
-        _atomic_write(path, chunks)
-        self.paths[name] = path
-
-    def write_lines(self, name: str, lines: list[str]) -> None:
-        self.write(name, ["\n".join(lines) + "\n"])
-
-    def write_csv(self, name: str, header: str, columns: Iterable[Iterable]) -> None:
-        self.write(name, [header + "\n", _csv_rows(columns)])
+    os.makedirs(output_dir, exist_ok=True)
+    for name in REPORTS:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(output_dir, name))
+    rejected = [f"{e.line_number},{e.reason.replace(',', ';')}\n" for e in results.parse_errors]
+    reports = {
+        "cleaning_report.txt": [results.cleaning.to_text()],
+        **({"parse_errors.csv": ["line_number,reason\n", *rejected]} if rejected else {}),
+        **reports,
+    }
+    for name, chunks in reports.items():
+        _atomic_write(os.path.join(output_dir, name), chunks)
+    return {name: os.path.join(output_dir, name) for name in reports}
 
 
 def _summary_lines(results: SimulatedResults, scope: str, learned_label: str) -> list[str]:
@@ -763,33 +728,32 @@ def _summary_lines(results: SimulatedResults, scope: str, learned_label: str) ->
 
 
 def emit_offline_reports(results: OfflineResults, output_dir: str) -> dict[str, str]:
-    bundle = _Bundle(results, output_dir)
-    cfg = results.cfg
-    bundle.write("profiles.csv", _profile_csv(results.profiles, cfg.emit_resolution))
-    bundle.write(
-        "profiles_all_sessions.csv",
-        _profile_csv(results.profiles_all, cfg.emit_resolution),
-    )
+    cfg, s = results.cfg, results.summaries
+    deficits = (s["target_kwh"] - s["delivered_kwh"]).tolist()
     policies = [
-        (r.cp_id, r.t_boost_max_hours, r.p_rate, s.deficit_kwh, r.n_train, r.n_test)
-        for r, s in zip(results.cp_rows, results.summaries)
+        (r.cp_id, r.t_boost_max_hours, r.p_rate, deficit, r.n_train, r.n_test)
+        for r, deficit in zip(results.cp_rows, deficits)
     ]
-    header = "cp_id,t_boost_max_hours,p_rate,deficit_kwh,n_train,n_test"
-    bundle.write_csv("policies.csv", header, zip(*policies))
     hist = results.speed_histogram()
-    bundle.write_csv(
-        "speed_histogram.csv",
-        "rel_speed_bin_start,fraction",
-        [[i / len(hist) for i in range(len(hist))], hist],
-    )
-    text = _report_head("offline experiment report", cfg) + [
+    text = [
         f"charge points simulated : {len(results.cp_rows)}",
         f"test sessions           : {sum(r.n_test for r in results.cp_rows)}",
         "",
         *_summary_lines(results, "test split", "rl test sessions"),
     ]
-    bundle.write_lines("metrics.txt", text)
-    return bundle.paths
+    return _write_reports(results, output_dir, {
+        "profiles.csv": _profile_csv(results.profiles, cfg.emit_resolution),
+        "profiles_all_sessions.csv": _profile_csv(results.profiles_all, cfg.emit_resolution),
+        "policies.csv": [
+            "cp_id,t_boost_max_hours,p_rate,deficit_kwh,n_train,n_test\n",
+            _csv_rows(zip(*policies)),
+        ],
+        "speed_histogram.csv": [
+            "rel_speed_bin_start,fraction\n",
+            _csv_rows([[i / len(hist) for i in range(len(hist))], hist]),
+        ],
+        "metrics.txt": _text_report("offline experiment report", cfg, text),
+    })
 
 
 def _outcome_chunks(cp_rows: list[OnlineCpResult]) -> Iterator[str]:
@@ -818,37 +782,29 @@ def _outcome_chunks(cp_rows: list[OnlineCpResult]) -> Iterator[str]:
 
 
 def emit_online_reports(results: OnlineResults, output_dir: str) -> dict[str, str]:
-    bundle = _Bundle(results, output_dir)
     rows = results.cp_rows
-    bundle.write("profiles.csv", _profile_csv(results.profiles, results.cfg.emit_resolution))
-    bundle.write("outcomes.csv", _outcome_chunks(rows))
     n_adaptive = sum(int(r.adaptive.sum()) for r in rows)
-    text = _report_head("online learning report", results.cfg) + [
+    text = [
         f"charge points simulated : {len(rows)}",
         f"sessions (adaptive)     : {sum(len(r.adaptive) for r in rows)} ({n_adaptive})",
         "",
         *_summary_lines(results, "all sessions", "adaptive sessions"),
     ]
-    bundle.write_lines("metrics.txt", text)
-    return bundle.paths
+    return _write_reports(results, output_dir, {
+        "profiles.csv": _profile_csv(results.profiles, results.cfg.emit_resolution),
+        "outcomes.csv": _outcome_chunks(rows),
+        "metrics.txt": _text_report("online learning report", results.cfg, text),
+    })
 
 
 def emit_predict_reports(results: PredictResults, output_dir: str) -> dict[str, str]:
-    bundle = _Bundle(results, output_dir)
     rows = []
     for r in results.cp_rows:
         w, wo = r.with_energy, r.without_energy
         metrics = ("",) * 6 if w is None else (w.mae, w.mape, w.mse, wo.mae, wo.mape, wo.mse)
         rows.append((r.cp_id, r.n_rows, *metrics))
-    bundle.write_csv(
-        "prediction_per_cp.csv",
-        "cp_id,n_rows,mae_with_energy,mape_with_energy,mse_with_energy,"
-        "mae_without_energy,mape_without_energy,mse_without_energy",
-        zip(*rows),
-    )
-
     usable = [r for r in results.cp_rows if r.with_energy is not None]
-    text = _report_head("session duration prediction report", results.cfg) + [
+    text = [
         f"charge points evaluated : {len(usable)}",
         f"charge points skipped (too few rows) : {results.skipped}",
         "",
@@ -863,8 +819,16 @@ def emit_predict_reports(results: PredictResults, output_dir: str) -> dict[str, 
                 text.append(
                     f"  (rows excluded from MAPE for near-zero duration: {m.mape_excluded})"
                 )
-    bundle.write_lines("prediction_report.txt", text)
-    return bundle.paths
+    return _write_reports(results, output_dir, {
+        "prediction_per_cp.csv": [
+            "cp_id,n_rows,mae_with_energy,mape_with_energy,mse_with_energy,"
+            "mae_without_energy,mape_without_energy,mse_without_energy\n",
+            _csv_rows(zip(*rows)),
+        ],
+        "prediction_report.txt": _text_report(
+            "session duration prediction report", results.cfg, text
+        ),
+    })
 
 
 def run(cfg: ExperimentConfig) -> dict[str, str]:

@@ -234,8 +234,8 @@ def test_criterion_4_energy_conservation(tmp_path):
     worst = 0.0
     for seed in (4, 5, 6):
         results = _offline_on_synthetic(tmp_path, seed)
-        target = sum(s.target_kwh for s in results.summaries)
-        delivered = sum(s.delivered_kwh for s in results.summaries)
+        target = results.summaries["target_kwh"].sum()
+        delivered = results.summaries["delivered_kwh"].sum()
         worst = max(worst, rel_err(results.profiles["raw"].total_energy_kwh(), target))
         worst = max(worst, rel_err(results.profiles["oracle"].total_energy_kwh(), target))
         worst = max(worst, rel_err(results.profiles["rl"].total_energy_kwh(), delivered))

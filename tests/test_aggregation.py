@@ -185,19 +185,20 @@ class TestPeakReduction:
 
 class TestDeficitStats:
     def test_all_delivered(self):
-        target, deficit, pct, frac = deficit_stats([(10.0, 10.0), (5.0, 5.0)])
+        target, deficit, pct, frac = deficit_stats([10.0, 5.0], np.array([10.0, 5.0]))
         assert (deficit, pct, frac) == (0.0, 0.0, 0.0)
         assert target == 15.0
 
     def test_one_cp_over_threshold(self):
-        rows = [(100.0, 85.0)] + [(50.0, 50.0)] * 9
-        _, deficit, pct, frac = deficit_stats(rows)
+        target = np.array([100.0] + [50.0] * 9)
+        delivered = np.array([85.0] + [50.0] * 9)
+        _, deficit, pct, frac = deficit_stats(target, delivered)
         assert deficit == 15.0
         assert frac == pytest.approx(0.1)
         assert pct == pytest.approx(100.0 * 15.0 / 550.0)
 
     def test_exactly_ten_percent_not_counted(self):
-        _, _, _, frac = deficit_stats([(100.0, 90.0)])
+        _, _, _, frac = deficit_stats(np.array([100.0]), np.array([90.0]))
         assert frac == 0.0
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smartcharge import harness
-from smartcharge.aggregation import SECONDS_PER_DAY, deficit_stats
+from smartcharge.aggregation import SECONDS_PER_DAY, deficit_stats, total
 from smartcharge.cli import build_config, main
 from smartcharge.dataset import ChargePoint, Sessions
 from smartcharge.harness import (
@@ -139,8 +139,8 @@ class TestOffline:
     def test_energy_conservation(self, tmp_path, fleet_csv):
         cfg = small_cfg(fleet_csv, str(tmp_path / "out"))
         results = run_offline(cfg)
-        target = sum(s.target_kwh for s in results.summaries)
-        delivered = sum(s.delivered_kwh for s in results.summaries)
+        target = results.summaries["target_kwh"].sum()
+        delivered = results.summaries["delivered_kwh"].sum()
         assert results.profiles["raw"].total_energy_kwh() == pytest.approx(target, rel=1e-6)
         assert results.profiles["oracle"].total_energy_kwh() == pytest.approx(target, rel=1e-6)
         assert results.profiles["rl"].total_energy_kwh() == pytest.approx(delivered, rel=1e-6)
@@ -160,8 +160,8 @@ class TestOffline:
         results = run_offline(cfg)
         (row,) = results.cp_rows
         assert row.n_test == 0
-        (summary,) = results.summaries
-        assert summary.deficit_kwh == 0.0
+        summary = results.summaries
+        assert (summary["target_kwh"] - summary["delivered_kwh"]).tolist() == [0.0]
         # the raw test profile is flat, so there is no peak to reduce
         assert main(["--input", cfg.input, "--min-sessions", "4", "--n-tries", "10"]
                     + ["--out-dir", cfg.out_dir]) == 0
@@ -252,9 +252,8 @@ class TestOffline:
         cps, _ = clean_sessions(sessions, min_sessions=cfg.min_sessions)
         assert [r.cp_id for r in results.cp_rows] == [cp.cp_id for cp in cps]
         # raw_effective_hours_sum is sum(energy)/p_max per charge point
-        total_from_rows = sum(
-            s.raw_effective_hours_sum * cp.p_max_kw for s, cp in zip(results.summaries, cps)
-        )
+        p_max = np.array([cp.p_max_kw for cp in cps])
+        total_from_rows = (results.summaries["raw_effective_hours_sum"] * p_max).sum()
         total_energy = sum(e for cp in cps for e in cp.sessions.energy_kwh.tolist())
         assert total_from_rows == pytest.approx(total_energy, rel=1e-9)
 
@@ -303,7 +302,7 @@ class TestOffline:
         )
         results = run_offline(cfg)
         m = results.metrics("raw")
-        target = sum(s.target_kwh for s in results.summaries)
+        target = results.summaries["target_kwh"].sum()
         assert m.total_deficit_kwh > 0.05 * target
         assert m.total_deficit_kwh == pytest.approx(
             target - results.profiles["raw"].total_energy_kwh(), rel=1e-9
@@ -365,11 +364,14 @@ class TestOnline:
 
     def test_energy_accounting(self, tmp_path):
         results, _ = self.make_results(tmp_path)
-        for summary, cp in zip(results.summaries, results.cp_rows):
+        summary = results.summaries
+        deficits = summary["target_kwh"] - summary["delivered_kwh"]
+        assert len(deficits) == len(results.cp_rows)
+        for deficit, cp in zip(deficits.tolist(), results.cp_rows):
             target = sum(cp.cp.sessions.energy_kwh.tolist())
             delivered = sum(cp.outcome.e_total_kwh.tolist())
-            assert summary.deficit_kwh == pytest.approx(target - delivered, abs=1e-9)
-            assert summary.deficit_kwh >= -1e-9
+            assert deficit == pytest.approx(target - delivered, abs=1e-9)
+            assert deficit >= -1e-9
         total_rl = results.profiles["rl"].total_energy_kwh()
         delivered_all = sum(
             e for cp in results.cp_rows for e in cp.outcome.e_total_kwh.tolist()
@@ -503,9 +505,7 @@ class TestOnline:
         results = run_online(cfg)
         (r,) = results.cp_rows
         energy, outcome = r.cp.sessions.energy_kwh, r.outcome
-        deficit_percent = deficit_stats(
-            [(harness._sum(energy), harness._sum(outcome.e_total_kwh))]
-        )[2]
+        deficit_percent = deficit_stats([total(energy)], [total(outcome.e_total_kwh)])[2]
         counted = r.adaptive & (energy > 0)
         assert counted.sum() >= 10
 
@@ -673,7 +673,7 @@ def test_one_speed_histogram_per_offline_batch(tmp_path, monkeypatch, mode, per_
     results = {"offline": run_offline, "online": run_online}[mode](cfg)
     assert len(results.cp_rows) == 40 and len(binned) == 2 * per_batch
     if per_batch:
-        assert results.speed_counts.sum() == sum(s.n_outcomes for s in results.summaries)
+        assert results.speed_counts.sum() == results.summaries["n_outcomes"].sum()
 
 
 @pytest.mark.parametrize(
@@ -764,9 +764,9 @@ def test_pool_no_larger_than_the_batch_count(monkeypatch, workers, n_items, pool
 
 def test_report_totals_add_left_to_right():
     # builtin sum() compensates from Python 3.12 on and would give 1.0
-    assert repr(harness._sum([1e16, 1.0, -1e16])) == "0.0"
-    assert repr(harness._sum(np.array([1e16, 1.0, -1e16]))) == "0.0"
-    assert repr(harness._sum([])) == "0.0"
+    assert repr(total([1e16, 1.0, -1e16])) == "0.0"
+    assert repr(total(np.array([1e16, 1.0, -1e16]))) == "0.0"
+    assert repr(total([])) == "0.0"
 
 
 # a masked term, as a value and whether the sum takes it; magnitudes stay
@@ -801,10 +801,11 @@ def test_segment_sums_add_as_report_totals(segments):
     sums = harness._segment_sums(values, masks, [len(segment) for segment in segments])
     # one [row 0, row 1] pair of sums per charger
     expected = [
-        [harness._sum([p[row][0] for p in segment if p[row][1]]) for row in (0, 1)]
+        [total([p[row][0] for p in segment if p[row][1]]) for row in (0, 1)]
         for segment in segments
     ]
-    assert repr(sums) == repr(expected)
+    assert sums.shape == (len(segments), 2)
+    assert repr(sums.tolist()) == repr(expected)
 
 
 class TestCli:

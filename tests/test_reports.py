@@ -85,9 +85,12 @@ def outcomes_csv_reference(results):
 
 
 def policies_csv_reference(results):
+    s = results.summaries
     lines = ["cp_id,t_boost_max_hours,p_rate,deficit_kwh,n_train,n_test"] + [
-        _csv_line([r.cp_id, r.t_boost_max_hours, r.p_rate, s.deficit_kwh, r.n_train, r.n_test])
-        for r, s in zip(results.cp_rows, results.summaries)
+        _csv_line([r.cp_id, r.t_boost_max_hours, r.p_rate, target - delivered, r.n_train, r.n_test])
+        for r, target, delivered in zip(
+            results.cp_rows, s["target_kwh"].tolist(), s["delivered_kwh"].tolist(), strict=True
+        )
     ]
     return "\n".join(lines) + "\n"
 
