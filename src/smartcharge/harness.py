@@ -341,9 +341,11 @@ def _simulate(batch: Sequence[ChargePoint], t_boost_max_hours, p_rate, firsts: d
     # capped the power below the session's rate
     raw_delivered = np.where(e / plugin <= p_max, e, p_max * plugin)
     phases = [outcome.t_boost_hours, outcome.t_slow_hours, rel_speeds]
+    # raw charging runs at p_max until the target is met or the session ends
+    raw_hours = np.minimum(e / p_max, plugin)
     # the count of counted sessions leads: an exact integer-valued sum
     sums = _segment_sums(
-        [counted, e, outcome.e_total_kwh, raw_delivered, *phases, e / p_max],
+        [counted, e, outcome.e_total_kwh, raw_delivered, *phases, raw_hours],
         [counted] + [scopes[0]] * 3 + [counted] * 3 + [np.ones(len(e), dtype=bool)],
         counts,
     )

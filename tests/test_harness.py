@@ -251,7 +251,8 @@ class TestOffline:
         sessions, _ = parse_sessions_path(fleet_csv)
         cps, _ = clean_sessions(sessions, min_sessions=cfg.min_sessions)
         assert [r.cp_id for r in results.cp_rows] == [cp.cp_id for cp in cps]
-        # raw_effective_hours_sum is sum(energy)/p_max per charge point
+        # with p_max uncapped, raw_effective_hours_sum is sum(energy)/p_max per
+        # charge point
         p_max = np.array([cp.p_max_kw for cp in cps])
         total_from_rows = (results.summaries["raw_effective_hours_sum"] * p_max).sum()
         total_energy = sum(e for cp in cps for e in cp.sessions.energy_kwh.tolist())
@@ -308,6 +309,23 @@ class TestOffline:
             target - results.profiles["raw"].total_energy_kwh(), rel=1e-9
         )
         assert results.metrics("oracle").total_deficit_kwh == 0.0
+        # raw charging stops when the session ends, and so do its hours
+        sessions, _ = harness.parse_sessions_path(cfg.input)
+        cps, _ = harness.clean_sessions(
+            sessions, min_sessions=cfg.min_sessions, p_max_percentile=50.0
+        )
+        cps = [cp for cp in cps if cp.usable]
+        pieces = np.concatenate(
+            [
+                harness.raw_profile(
+                    cp.sessions.start, cp.sessions.energy_kwh, cp.sessions.plugin_hours, cp.p_max_kw
+                ).pieces
+                for cp in cps
+            ]
+        )
+        hours = (pieces[:, 1] - pieces[:, 0]).sum() / 3600.0
+        n_sessions = sum(len(cp.sessions) for cp in cps)
+        assert results.mean_raw_effective_hours() == pytest.approx(hours / n_sessions, rel=1e-9)
 
     def test_emit_resolution_downsamples(self, tmp_path, fleet_csv):
         out = str(tmp_path / "out")
