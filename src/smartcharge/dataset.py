@@ -206,20 +206,33 @@ def _chunks(reader, lines, size: int):
     lines is a tee of the reader's source.  After each chunk it holds that
     chunk's lines, which are read again, to number the records, only when
     some record spans several lines (a quoted field holding a line break).
+
+    The csv module ends a quoted field that is never closed at the end of
+    the input, with every later line in it; that is a ValueError here,
+    naming the lines of the record.
     """
     numbered = reader.line_num
     # level the tee with the reader (itertools' consume recipe)
     next(islice(lines, numbered, numbered), None)
+    last = []  # the last record's lines
     while rows := list(islice(reader, size)):
         first, count = numbered + 1, reader.line_num - numbered
         numbered = reader.line_num
         if count == len(rows):  # one line per record
-            next(islice(lines, count, count), None)
+            next(islice(lines, count - 1, count - 1), None)
+            last = [next(lines)]
             yield rows, range(first, first + count)
         else:
-            again = csv.reader(list(islice(lines, count)))
-            ends = [again.line_num for _ in again]
-            yield rows, [first, *(first + n for n in ends[:-1])]
+            chunk = list(islice(lines, count))
+            again = csv.reader(chunk)
+            starts = [0, *(again.line_num for _ in again)][:-1]
+            last = chunk[starts[-1] :]
+            yield rows, [first + n for n in starts]
+    # a line holding one quote closes an open quoted field, and is a record
+    # of its own after a closed one
+    if last and len(list(csv.reader([*last, '"']))) == 1:
+        line = numbered - len(last) + 1
+        raise ValueError(f"unreadable CSV in lines {line}-{numbered}: a quote is never closed")
 
 
 def _numbers(convert, texts: Sequence[str], dtype) -> tuple[np.ndarray, np.ndarray]:

@@ -110,6 +110,34 @@ class TestParse:
         with pytest.raises(ValueError, match="^unreadable CSV in lines 2-"):
             parse_text("\n".join(rows) + "\n")
 
+    @pytest.mark.parametrize("chunk", [1, 3, 128])
+    @pytest.mark.parametrize("end", ["\n", ""])
+    @pytest.mark.parametrize("opened", [5, 8])
+    def test_quote_open_at_the_end_is_value_error(self, chunk, end, opened):
+        # the quote opened in line `opened` takes in every later line; the
+        # error names the lines of that record, from where it starts
+        times = "01/06/2017,10:00:00,01/06/2017,12:00:00,5.0,2.0"
+        rows = [CSV_HEADER] + [f"{i},AN1,{times}" for i in range(7)]
+        rows[opened - 1] = f'9,"AN1,{times}'
+        with mock.patch.object(dataset, "_CHUNK_RECORDS", chunk):
+            with pytest.raises(ValueError) as caught:
+                parse_text("\n".join(rows) + end)
+        assert str(caught.value) == f"unreadable CSV in lines {opened}-8: a quote is never closed"
+
+    @pytest.mark.parametrize("chunk", [1, 3, 128])
+    @pytest.mark.parametrize("end", ["\n", ""])
+    def test_closed_quotes_at_the_end_still_parse(self, chunk, end):
+        # a quoted field holding a line break is one field, and text after
+        # a closing quote joins the field, also in the input's last record
+        times = "01/06/2017,10:00:00,01/06/2017,12:00:00,5.0,2.0"
+        rows = [CSV_HEADER, f'1,"AN1"x,{times}', f'2,"AN\n2",{times}', f'3,"AN3"x,{times}']
+        with mock.patch.object(dataset, "_CHUNK_RECORDS", chunk):
+            sessions, errors = parse_text("\n".join(rows) + end)
+        assert sessions.cp_id.tolist() == ["AN1x", "AN3x"]
+        assert [(e.line_number, e.reason) for e in errors] == [(3, "bad CPID 'AN\\n2'")]
+        sessions, errors = parse_text("\n".join(rows[:3]) + end)
+        assert sessions.cp_id.tolist() == ["AN1x"] and len(errors) == 1
+
     def test_duration_within_tolerance_kept(self):
         # 2h01m against a 2.0 Duration column: 0.0167 h gap, inside 0.02
         row = "1,CP1,01/06/2017,10:00:00,01/06/2017,12:01:00,5.0,2.0"

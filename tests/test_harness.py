@@ -1004,6 +1004,18 @@ class TestCli:
         assert result.stderr.startswith("smartcharge: error: ")
         assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
 
+    def test_quote_open_at_the_end_exits_1_naming_its_record(self, tmp_path, capsys):
+        # a quote opened in line 403's CPID would take in the 1,998 rows
+        # after it, well within the csv module's field size limit
+        lines = synth_fleet_csv(n_cps=6, sessions_per_cp=400, seed=1).splitlines()
+        event_id, cp_id, rest = lines[402].split(",", 2)
+        lines[402] = f'{event_id},"{cp_id},{rest}'
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        assert main(["--input", path, "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "smartcharge: error: unreadable CSV in lines 403-2401: a quote is never closed\n"
+        )
+
     def test_main_unknown_cp_nonzero(self, tmp_path, fleet_csv, capsys):
         rc = main(
             [
