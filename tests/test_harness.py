@@ -1053,6 +1053,17 @@ class TestCli:
         assert main(["--input", fleet_csv] + args) == 0
         assert not (out / "parse_errors.csv").exists()
 
+    @pytest.mark.parametrize("mode", ["offline", "online", "predict"])
+    def test_reports_lists_every_file_a_mode_writes(self, tmp_path, fleet_csv, mode):
+        # a rerun removes the reports REPORTS names, so a report missing
+        # there would outlive the run that wrote it
+        bad = write_csv(tmp_path, open(fleet_csv).read() + "1,CP9,bad,row\n", "bad.csv")
+        cfg = small_cfg(bad, str(tmp_path / "out"), mode=mode, warmup=5, n_tries=10)
+        paths = harness.run(cfg)
+        assert "parse_errors.csv" in paths
+        assert set(paths) - {"cleaning_report.txt"} <= set(harness.REPORTS)
+        assert sorted(os.listdir(cfg.out_dir)) == sorted(paths)
+
     @pytest.mark.parametrize(
         "setting",
         [
