@@ -29,11 +29,12 @@ day = 86_400
 # policy cannot fully serve
 sessions = Sessions(
     event_id=[1, 2],
-    cp_id=["AN00001", "AN00001"],
+    cp_code=[0, 0],
     start=[start, start + day],
     end=[start + 10 * 3600, start + day + 2 * 3600],
     energy_kwh=[7.0, 14.0],
     plugin_hours=[10.0, 2.0],
+    cp_ids=["AN00001"],
 )
 p_max = 7.0
 

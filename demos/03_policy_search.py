@@ -33,10 +33,10 @@ for i in range(25):
         plugin = float(rng.uniform(8.0, 16.0))
         energy = charger_kw * plugin * float(rng.uniform(0.05, 0.2))
     end = t + round(plugin * 3600)
-    rows.append((i, "CP", t, end, energy, plugin))
+    rows.append((i, 0, t, end, energy, plugin))
     t = end + 3600 * 8
-# the rows transposed: one column per Sessions field
-sessions = Sessions(*zip(*rows))
+# the rows transposed: one column per Sessions column, charger code 0 naming "CP"
+sessions = Sessions(*zip(*rows), cp_ids=["CP"])
 
 p_max = derive_p_max(sessions)
 params = RewardParams(k1=0.1, k2=10.0, e_max_loss_kwh=10.0)

@@ -34,9 +34,9 @@ for day in range(60):
     arrival = base + day * 86400 + int(rng.normal(18.5, 1.5) * 3600)
     plugin = float(rng.uniform(8.0, 14.0))
     energy = float(rng.uniform(4.0, 7.0 * 2.5))
-    rows.append((day, "CP", arrival, arrival + round(plugin * 3600), energy, plugin))
-# the rows transposed: one column per Sessions field
-sessions = Sessions(*zip(*rows))
+    rows.append((day, 0, arrival, arrival + round(plugin * 3600), energy, plugin))
+# the rows transposed: one column per Sessions column, charger code 0 naming "CP"
+sessions = Sessions(*zip(*rows), cp_ids=["CP"])
 
 # the charger's sessions as arrays: one simulation, one profile per strategy
 charger = HistoryArrays(sessions.energy_kwh, sessions.plugin_hours, p_max)

@@ -25,10 +25,10 @@ def charger(noise_hours):
         plugin = max(0.5, 11.0 + float(rng.normal(0, noise_hours)))
         energy = float(rng.uniform(3, 20))
         end = t + round(plugin * 3600)
-        rows.append((i, "CP", t, end, energy, plugin))
+        rows.append((i, 0, t, end, energy, plugin))
         t = end
-    # the rows transposed: one column per Sessions field
-    return Sessions(*zip(*rows))
+    # the rows transposed: one column per Sessions column, charger code 0 naming "CP"
+    return Sessions(*zip(*rows), cp_ids=["CP"])
 
 
 # one charger per noise level, cross-validated together as one batch

@@ -51,7 +51,9 @@ def accumulate(profile: PowerProfile) -> DailyProfile:
     Fractional piece boundaries are prorated exactly: a piece covering part
     of a second contributes power * overlap / 3600 kWh to that slot.  The
     whole seconds between a piece's first and last second add its rate as
-    a run, and the run's whole days add it to every slot.
+    a run, and the run's whole days add it to every slot.  The runs' two-day
+    difference array is summed and folded onto one day in place, so the
+    only day-length arrays besides the result are the three bincounts.
     """
     pieces = profile.pieces
     t0, t1, kw = pieces[(pieces[:, 1] > pieces[:, 0]) & (pieces[:, 2] != 0.0)].T
@@ -66,18 +68,22 @@ def accumulate(profile: PowerProfile) -> DailyProfile:
     out.slots += np.bincount(first, head, SECONDS_PER_DAY)
     out.slots += np.bincount(s1.astype(np.int64) % SECONDS_PER_DAY, tail, SECONDS_PER_DAY)
     # the run starts a second after the first and may cross one midnight:
-    # +rate at its start and -rate past its end on a two-day difference array
+    # +rate at its start and -rate past its end on a two-day difference
+    # array, summed in place and folded onto its first day
     days, rem = np.divmod(np.maximum(s1 - s0 - 1, 0).astype(np.int64), SECONDS_PER_DAY)
     run = first + 1
     diff = np.bincount(
         np.concatenate((run, run + rem)), np.concatenate((rate, -rate)), 2 * SECONDS_PER_DAY
-    )
-    two_days = np.cumsum(diff)
+    ).astype(np.float64, copy=False)
+    np.cumsum(diff, out=diff)
     # whole days add to every slot; not rate @ days, whose BLAS dot over more
     # than about 10k pieces wakes BLAS threads that keep spinning on another
     # core after the call, a core a run's pool workers need
     whole_days = (rate * days).sum()
-    out.slots += two_days[:SECONDS_PER_DAY] + two_days[SECONDS_PER_DAY:] + whole_days
+    today = diff[:SECONDS_PER_DAY]
+    today += diff[SECONDS_PER_DAY:]
+    today += whole_days
+    out.slots += today
     return out
 
 

@@ -12,17 +12,20 @@ clocks as ASCII digits, each distinct date and CPID once; a text the bulk
 form misses is read again stripped, on its own.  _parse_chunk states each
 parsing rule once, as a mask over the chunk with its reason, and a rejected
 row gets the reason of the first rule it fails.
-Cleaning orders, caps and de-overlaps the sessions as one index and gathers
-each column once through it.
+Sessions name their charger by an integer code into a table of ids, so each
+id string is stored once.  Cleaning sorts that table, remaps the codes with
+one take, orders, caps and de-overlaps the sessions as one index and gathers
+each column once through it, releasing the parsed column before the next.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import operator
 import re
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import date
 from itertools import islice, tee
 from typing import Sequence, TextIO
@@ -73,28 +76,31 @@ _CLOCK = re.compile(_CLOCK_PATTERN)
 _CLOCKS = re.compile(f"(?:{_CLOCK_PATTERN})*")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Sessions:
     """Charging events as columns, one entry per session; any sequences
     given become arrays of the column's dtype (_DTYPES).
 
     start/end are naive seconds since 1970-01-01 00:00:00 (no timezone; the
     source data carries none).  plugin_hours comes from the Duration column
-    and is the authoritative session length.  cp_id holds str objects; the
-    parser stores each distinct id once and every row refers to it.
+    and is the authoritative session length.  cp_code is each session's
+    charger as a position in cp_ids, a table of distinct ids: the parser's
+    lists every id it met, and a cleaned charger's holds its own id alone,
+    with every code 0.
     """
 
     event_id: np.ndarray
-    cp_id: np.ndarray
+    cp_code: np.ndarray
     start: np.ndarray
     end: np.ndarray
     energy_kwh: np.ndarray
     plugin_hours: np.ndarray
+    cp_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for f in fields(self):
-            column = np.asarray(getattr(self, f.name), dtype=_DTYPES[f.name])
-            object.__setattr__(self, f.name, column)
+        for name, dtype in _DTYPES.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        self.cp_ids = tuple(self.cp_ids)
 
     def __len__(self) -> int:
         return len(self.start)
@@ -103,12 +109,13 @@ class Sessions:
         """The sessions key selects (a slice or a mask), in every column.
         An integer selects one session as 0-d columns, which is what
         iterating over a table yields."""
-        return Sessions(*(getattr(self, f.name)[key] for f in fields(self)))
+        return Sessions(*(getattr(self, name)[key] for name in _DTYPES), self.cp_ids)
 
 
+# the columns, in field order
 _DTYPES = {
     "event_id": np.int64,
-    "cp_id": object,
+    "cp_code": np.intc,
     "start": np.int64,
     "end": np.int64,
     "energy_kwh": np.float64,
@@ -371,8 +378,7 @@ def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
     source, lines = tee(stream)
     reader = csv.reader(source)
     # accepted rows, appended chunk by chunk to compact columns; a row's
-    # charger is the position of its id in cp_codes, so each id string is
-    # stored once
+    # charger is the position of its id in cp_codes
     columns = event_ids, cps, starts, ends, energies, plugins = tuple(map(array, "qiqqdd"))
     cp_codes: dict[str, int] = {}
     text_codes: dict[str, int] = {}
@@ -394,11 +400,12 @@ def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
         raise ValueError(f"unreadable CSV in lines {parsed + 1}-{reader.line_num}: {exc}") from None
     sessions = Sessions(
         event_id=np.frombuffer(event_ids, dtype=np.int64),
-        cp_id=np.array(list(cp_codes), dtype=object)[np.frombuffer(cps, dtype=np.intc)],
+        cp_code=np.frombuffer(cps, dtype=np.intc),
         start=np.frombuffer(starts, dtype=np.int64),
         end=np.frombuffer(ends, dtype=np.int64),
         energy_kwh=np.frombuffer(energies, dtype=np.float64),
         plugin_hours=np.frombuffer(plugins, dtype=np.float64),
+        cp_ids=cp_codes,
     )
     return sessions, errors
 
@@ -457,6 +464,24 @@ def _overlap_free(cp: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndar
     return keep
 
 
+def _pop(sessions: Sessions, name: str) -> np.ndarray:
+    """The column name of sessions, which is left holding an empty one."""
+    column = getattr(sessions, name)
+    setattr(sessions, name, np.empty(0, column.dtype))
+    return column
+
+
+def _kept_order(sessions: Sessions, cp: np.ndarray, over: np.ndarray) -> np.ndarray:
+    """The rows clean_sessions keeps, in (charger, start, event_id) order,
+    ties in input order: the rows not over max_hours, less the overlap
+    conflicts.  cp holds each row's charger rank and over marks the rows
+    over max_hours."""
+    # rows over max_hours sort last and are cut off; the sort is stable
+    order = np.lexsort((sessions.event_id, sessions.start, cp, over))
+    order = order[: len(order) - int(over.sum())]
+    return order[_overlap_free(cp[order], sessions.start[order], sessions.end[order])]
+
+
 def clean_sessions(
     sessions: Sessions,
     min_sessions: int = MIN_SESSIONS,
@@ -470,6 +495,11 @@ def clean_sessions(
     min_sessions.  Total cleaning: every input session lands in exactly one
     report bucket.  Chargers come in sorted() order of id, each one's
     sessions in (start, event_id) order, ties in input order.
+
+    clean_sessions takes the rows of sessions, which it leaves empty: it
+    gathers each column by the kept order and replaces that column by an
+    empty one before it gathers the next, so the input table and the
+    cleaned one are never both whole.
     """
     report = CleaningReport(
         total_records=len(sessions), max_hours=max_hours, min_sessions=min_sessions
@@ -477,28 +507,29 @@ def clean_sessions(
     over = sessions.plugin_hours > max_hours
     report.removed_over_max_hours = int(over.sum())
 
-    ids = sorted(set(sessions.cp_id))
+    # the id table sorted, and each row's charger rank in it by one take
+    ids = sorted(sessions.cp_ids)
     rank = dict(zip(ids, range(len(ids))))
-    cp = np.fromiter(map(rank.__getitem__, sessions.cp_id), dtype=np.intp, count=len(sessions))
-    # rows over max_hours sort last and are cut off; the rest go in
-    # (charger, start, event_id) order, ties in input order (stable)
-    order = np.lexsort((sessions.event_id, sessions.start, cp, over))
-    order = order[: len(order) - report.removed_over_max_hours]
-    keep = _overlap_free(cp[order], sessions.start[order], sessions.end[order])
-    report.removed_overlapping = len(keep) - int(keep.sum())
-    index = order[keep]
-    sessions, cp = sessions[index], cp[index]
+    ranks = np.fromiter(map(rank.__getitem__, sessions.cp_ids), np.intc, len(ids))
+    cp = ranks[_pop(sessions, "cp_code")]
+    index = _kept_order(sessions, cp, over)
+    report.removed_overlapping = len(over) - report.removed_over_max_hours - len(index)
+    cp = cp[index]
+    columns = {name: _pop(sessions, name)[index] for name in _DTYPES if name != "cp_code"}
+    edges = np.searchsorted(cp, np.arange(len(ids) + 1)).tolist()
+    # each charger's table names its own id alone, so its codes are 0s
+    zeros = np.zeros(max(map(operator.sub, edges[1:], edges), default=0), np.intc)
 
     charge_points: list[ChargePoint] = []
-    edges = np.searchsorted(cp, np.arange(len(ids) + 1)).tolist()
     for cp_id, lo, hi in zip(ids, edges, edges[1:]):
-        if lo == hi:  # every session of the charger is over max_hours
+        if lo == hi:  # every session of the charger was over max_hours or rejected
             continue
         if hi - lo < min_sessions:
             report.removed_small_cp_points += 1
             report.removed_small_cp_sessions += hi - lo
             continue
-        kept = sessions[lo:hi]
+        kept = Sessions(**{name: column[lo:hi] for name, column in columns.items()},
+                        cp_code=zeros[: hi - lo], cp_ids=(cp_id,))
         charge_points.append(ChargePoint(cp_id, derive_p_max(kept, p_max_percentile), kept))
         report.retained_sessions += hi - lo
 

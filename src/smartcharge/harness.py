@@ -255,7 +255,6 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool):
         max_hours=cfg.max_hours,
         p_max_percentile=cfg.p_max_percentile,
     )
-    del sessions  # the chargers hold their own copies
     if cfg.cp:
         wanted = set(cfg.cp)
         missing = wanted - {cp.cp_id for cp in charge_points}

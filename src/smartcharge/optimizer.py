@@ -28,7 +28,6 @@ evaluated on its own, so the results are the same bits either way.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -125,6 +124,10 @@ def rolling_window(history: Sessions, h: int | None) -> Sessions:
 def per_cp_seed(seed: int, key: str) -> int:
     """Stable 64-bit sub-seed for one charge point (or any string key), so
     per-charger results do not depend on scheduling order."""
+    # imported here: hashlib maps OpenSSL, which a process that draws no
+    # seed (a predict run, the parent of a pooled run) need not load
+    import hashlib
+
     digest = hashlib.sha256(f"{seed}:{key}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -2,7 +2,6 @@
 
 import math
 from collections import namedtuple
-from dataclasses import fields
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -16,8 +15,8 @@ EPOCH = datetime(1970, 1, 1)
 BASE_EPOCH = int((datetime(2017, 1, 1) - EPOCH).total_seconds())
 
 
-# one session as a row, with the fields of a Sessions column
-Row = namedtuple("Row", [f.name for f in fields(Sessions)])
+# one session as a row: the Sessions columns, with the charger as its id
+Row = namedtuple("Row", ["event_id", "cp_id", "start", "end", "energy_kwh", "plugin_hours"])
 
 
 def make_session(
@@ -40,13 +39,24 @@ def make_session(
 
 
 def table(rows):
-    """Session rows, in order, as one Sessions table."""
-    return Sessions(*(list(zip(*rows)) or [()] * len(Row._fields)))
+    """Session rows, in order, as one Sessions table whose id table lists
+    each id once."""
+    columns = dict(zip(Row._fields, map(list, zip(*rows)))) or dict.fromkeys(Row._fields, [])
+    ids = list(dict.fromkeys(columns["cp_id"]))
+    code = {cp_id: i for i, cp_id in enumerate(ids)}
+    columns["cp_code"] = [code[cp_id] for cp_id in columns.pop("cp_id")]
+    return Sessions(**columns, cp_ids=ids)
+
+
+def cp_ids(sessions):
+    """Each session's charger id."""
+    return [sessions.cp_ids[code] for code in sessions.cp_code.tolist()]
 
 
 def rows(sessions):
     """A Sessions table as a list of rows of Python scalars."""
-    return [Row(*r) for r in zip(*(getattr(sessions, f).tolist() for f in Row._fields))]
+    columns = (cp_ids(sessions) if f == "cp_id" else getattr(sessions, f).tolist() for f in Row._fields)
+    return [Row(*r) for r in zip(*columns)]
 
 
 def csv_row(event_id, cp_id, start_epoch, duration_text, energy_text):

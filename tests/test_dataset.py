@@ -3,8 +3,8 @@
 import csv
 import io
 import math
+import weakref
 from array import array
-from dataclasses import fields
 from datetime import datetime, timedelta
 from unittest import mock
 
@@ -28,7 +28,9 @@ from smartcharge.dataset import (
     parse_sessions_path,
 )
 
-from conftest import BASE_EPOCH, CSV_HEADER, EPOCH, Row, make_session, rows, table
+from conftest import (
+    BASE_EPOCH, CSV_HEADER, EPOCH, Row, cp_ids, make_session, rows, synth_fleet_csv, table,
+)
 
 SAMPLE = """EventID,CPID,StartDate,StartTime,EndDate,EndTime,Energy,Duration
 3177742,AN21771,31/12/2017,23:59:23,01/01/2018,18:20:23,8.8,18.35
@@ -133,10 +135,10 @@ class TestParse:
         rows = [CSV_HEADER, f'1,"AN1"x,{times}', f'2,"AN\n2",{times}', f'3,"AN3"x,{times}']
         with mock.patch.object(dataset, "_CHUNK_RECORDS", chunk):
             sessions, errors = parse_text("\n".join(rows) + end)
-        assert sessions.cp_id.tolist() == ["AN1x", "AN3x"]
+        assert cp_ids(sessions) == ["AN1x", "AN3x"]
         assert [(e.line_number, e.reason) for e in errors] == [(3, "bad CPID 'AN\\n2'")]
         sessions, errors = parse_text("\n".join(rows[:3]) + end)
-        assert sessions.cp_id.tolist() == ["AN1x"] and len(errors) == 1
+        assert cp_ids(sessions) == ["AN1x"] and len(errors) == 1
 
     def test_duration_within_tolerance_kept(self):
         # 2h01m against a 2.0 Duration column: 0.0167 h gap, inside 0.02
@@ -365,7 +367,7 @@ class TestParseColumns:
             f'7,"AN\n1",{times}',
         ]
         sessions, errors = parse_text("\n".join(rows) + "\n")
-        assert sessions.cp_id.tolist() == ["AN 1"]
+        assert cp_ids(sessions) == ["AN 1"]
         assert [(e.line_number, e.reason) for e in errors] == [
             (2, "bad CPID ''"),
             (3, "bad CPID ''"),
@@ -387,9 +389,8 @@ class TestParseColumns:
 
     def test_each_cp_id_stored_once(self):
         sessions, _ = parse_text(SAMPLE + SAMPLE.split("\n", 1)[1])
-        ids = sessions.cp_id.tolist()
-        assert ids == ["AN21771", "AN04715", "AN04849"] * 2
-        assert all(a is b for a, b in zip(ids[:3], ids[3:]))
+        assert sorted(sessions.cp_ids) == ["AN04715", "AN04849", "AN21771"]
+        assert cp_ids(sessions) == ["AN21771", "AN04715", "AN04849"] * 2
 
     def test_byte_order_mark_skipped(self, tmp_path):
         # spreadsheet exports start the file with one; ids may be non-ASCII
@@ -398,9 +399,8 @@ class TestParseColumns:
         plain.write_bytes(text.encode("utf-8"))
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
         (a, a_errors), (b, b_errors) = map(parse_sessions_path, (plain, marked))
-        for f in fields(a):
-            assert getattr(a, f.name).tolist() == getattr(b, f.name).tolist()
-        assert a.cp_id.tolist()[1] == "ANé0003"
+        assert rows(a) == rows(b)
+        assert rows(a)[1].cp_id == "ANé0003"
         assert a_errors == b_errors and len(a_errors) == 1
 
     def test_date_too_large_for_a_calendar_rejected(self):
@@ -569,11 +569,12 @@ def reference_parse_sessions(stream):
         plugins.append(plugin_hours)
     sessions = Sessions(
         event_id=np.frombuffer(event_ids, dtype=np.int64),
-        cp_id=np.array(list(cp_codes), dtype=object)[np.frombuffer(cps, dtype=np.intc)],
+        cp_code=np.frombuffer(cps, dtype=np.intc),
         start=np.frombuffer(starts, dtype=np.int64),
         end=np.frombuffer(ends, dtype=np.int64),
         energy_kwh=np.frombuffer(energies, dtype=np.float64),
         plugin_hours=np.frombuffer(plugins, dtype=np.float64),
+        cp_ids=cp_codes,
     )
     return sessions, errors
 
@@ -682,13 +683,13 @@ def test_parse_matches_reference_loop(chunk, records, newline):
     with mock.patch.object(dataset, "_CHUNK_RECORDS", chunk):
         sessions, errors = parse_sessions(io.StringIO(text, newline=newline))
     ref_sessions, ref_errors = reference_parse_sessions(io.StringIO(text, newline=newline))
-    for f in fields(Sessions):
-        got, want = getattr(sessions, f.name), getattr(ref_sessions, f.name)
-        assert got.dtype == want.dtype, f.name
-        if want.dtype == object:
-            assert got.tolist() == want.tolist(), f.name
-        else:
-            assert got.tobytes() == want.tobytes(), f.name
+    # the codes may number the ids in any order
+    assert cp_ids(sessions) == cp_ids(ref_sessions)
+    assert sessions.cp_code.dtype == ref_sessions.cp_code.dtype
+    for name in ("event_id", "start", "end", "energy_kwh", "plugin_hours"):
+        got, want = getattr(sessions, name), getattr(ref_sessions, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
     assert [(e.line_number, e.reason) for e in errors] == ref_errors
 
 
@@ -811,3 +812,53 @@ class TestCleanAgainstReference:
         want = [(cp_id, repr(p), list(map(repr, kept))) for cp_id, p, kept in ref_cps]
         assert got == want
         assert repr(report) == repr(ref_report)
+
+
+# CPID texts: padded, the same id padded differently, non-ASCII, and ids
+# the parser rejects (empty, or holding a character the reports cannot
+# write unquoted)
+_CPID_TEXTS = ["AN1", " AN1", "AN1 ", "AN2", "é", " é", "Ω9", "a", "A", "", "  ", "A,1", 'A"1']
+
+
+class TestChargerCodes:
+    @pytest.mark.parametrize("chunk", [2, 128])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_CPID_TEXTS),
+                st.integers(0, 30).map(lambda k: 1_496_275_200 + k * 1800),
+                st.sampled_from([1800, 7200, 36000, 50 * 3600]),
+                st.sampled_from([0.0, 1.5, 7.25]),
+            ),
+            max_size=40,
+        ),
+        st.integers(1, 3),
+    )
+    def test_parse_and_clean_match_string_ids(self, chunk, records, min_sessions):
+        """Parse then clean, on charger codes, gives the chargers and
+        sessions a clean of the same rows with id strings gives."""
+        texts, expected = [], []
+        for event_id, (cp_text, start, span, energy) in enumerate(records):
+            hours = repr(span / 3600)
+            texts.append([str(event_id), cp_text, *_instant_texts(start),
+                          *_instant_texts(start + span), repr(energy), hours])
+            cp_id = cp_text.strip()
+            if cp_id and _CSV_SPECIALS.isdisjoint(cp_id):
+                expected.append(Row(event_id, cp_id, start, start + span, energy, span / 3600))
+        with mock.patch.object(dataset, "_CHUNK_RECORDS", chunk):
+            sessions, _ = parse_sessions(io.StringIO(_csv_text(texts)))
+        cps, report = clean_sessions(sessions, min_sessions)
+        ref_cps, ref_report = reference_clean_sessions(expected, min_sessions)
+        got = [(cp.cp_id, repr(cp.p_max_kw), list(map(repr, rows(cp.sessions)))) for cp in cps]
+        want = [(cp_id, repr(p), list(map(repr, kept))) for cp_id, p, kept in ref_cps]
+        assert got == want
+        assert repr(report) == repr(ref_report)
+        assert [cp.cp_id for cp in cps] == sorted(cp.cp_id for cp in cps)
+
+    def test_clean_releases_every_parsed_column(self):
+        sessions, _ = parse_text(synth_fleet_csv())
+        parsed = [weakref.ref(getattr(sessions, name)) for name in dataset._DTYPES]
+        cps, _ = clean_sessions(sessions, min_sessions=5)
+        assert len(cps) == 6 and len(sessions) == 0
+        assert [ref() for ref in parsed] == [None] * len(parsed)

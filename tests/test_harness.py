@@ -624,6 +624,27 @@ class TestPredict:
         report = open(paths["prediction_report.txt"]).read()
         assert "with energy" in report and "without energy" in report
 
+    def test_run_loads_no_openssl(self, tmp_path, fleet_csv):
+        # per_cp_seed imports hashlib, which maps OpenSSL (about 3.6 MB
+        # resident), on first use; a predict run draws no seed
+        out = str(tmp_path / "out")
+        code = (
+            "import sys\n"
+            "import numpy\n"
+            "before = '_hashlib' in sys.modules\n"
+            "from smartcharge import cli\n"
+            f"rc = cli.main(['--input', {fleet_csv!r}, '--mode', 'predict', '--out-dir', {out!r}])\n"
+            "print(rc, before, '_hashlib' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(harness.__file__))}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        rc, before, after = result.stdout.split()[-3:]
+        if before == "True":
+            pytest.skip("numpy loads _hashlib (numpy 1.x does, through numpy.random)")
+        assert (rc, after) == ("0", "False")
+
 
 @pytest.mark.parametrize("mode", ["offline", "online", "predict"])
 def test_missing_charge_points_reported_sorted(tmp_path, fleet_csv, mode):
