@@ -208,7 +208,8 @@ def _clock(text: str) -> int:
 
 def _chunks(reader, lines, size: int):
     """Yield the reader's remaining records in lists of up to size, each
-    with its records' first line numbers.
+    with its records' first line numbers and then the number of the line
+    after its last record, so record i spans lines [starts[i], starts[i+1]).
 
     lines is a tee of the reader's source.  After each chunk it holds that
     chunk's lines, which are read again, to number the records, only when
@@ -228,13 +229,13 @@ def _chunks(reader, lines, size: int):
         if count == len(rows):  # one line per record
             next(islice(lines, count - 1, count - 1), None)
             last = [next(lines)]
-            yield rows, range(first, first + count)
+            yield rows, range(first, first + count + 1)
         else:
             chunk = list(islice(lines, count))
             again = csv.reader(chunk)
             starts = [0, *(again.line_num for _ in again)][:-1]
             last = chunk[starts[-1] :]
-            yield rows, [first + n for n in starts]
+            yield rows, [*(first + n for n in starts), numbered + 1]
     # a line holding one quote closes an open quoted field, and is a record
     # of its own after a closed one
     if last and len(list(csv.reader([*last, '"']))) == 1:
@@ -294,7 +295,7 @@ def _day_number(text: str) -> int:
 
 def _parse_chunk(
     rows: list[list[str]],
-    first_lines: Sequence[int],
+    line_starts: Sequence[int],
     cp_codes: dict[str, int],
     text_codes: dict[str, int],
     errors: list[ParseError],
@@ -308,8 +309,10 @@ def _parse_chunk(
     once, as masks over the chunk with their reasons, in the order they
     apply.  A row is kept when it passes every rule; a rejected row gets
     the reason of the first rule it fails, filled in from its stripped
-    fields (named as in the header) and its values.  A blank record is
-    skipped.
+    fields (named as in the header) and its values, and is numbered by its
+    first line; line_starts holds each record's, then the line after the
+    last record.  The reason of a record that spans lines names them.  A
+    blank record is skipped.
     """
     n = len(rows)
     sizes = np.fromiter(map(len, rows), np.intp, n)
@@ -361,7 +364,11 @@ def _parse_chunk(
         reason = next(reason for mask, reason in rules if not mask[i])
         values = dict(zip(EXPECTED_HEADER, map(str.strip, rows[i])), size=len(rows[i]))
         values.update(energy=float(energy[i]), plugin=float(plugin[i]), hours=float(hours[i]))
-        errors.append(ParseError(first_lines[i], reason.format_map(values)))
+        reason = reason.format_map(values)
+        first, last = line_starts[i], line_starts[i + 1] - 1
+        if last > first:  # a quoted field took in line breaks
+            reason += f" (record spans lines {first}-{last})"
+        errors.append(ParseError(first, reason))
     # -0.0 passes the sign check; + 0.0 stores it as 0.0
     return event_id[ok], codes[ok], start[ok], end[ok], energy[ok] + 0.0, plugin[ok]
 
@@ -391,8 +398,8 @@ def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
         if [h.strip() for h in header] != EXPECTED_HEADER:
             raise ValueError(f"unexpected header {header!r}; expected {','.join(EXPECTED_HEADER)}")
         parsed = reader.line_num
-        for rows, first_lines in _chunks(reader, lines, _CHUNK_RECORDS):
-            accepted = _parse_chunk(rows, first_lines, cp_codes, text_codes, errors)
+        for rows, line_starts in _chunks(reader, lines, _CHUNK_RECORDS):
+            accepted = _parse_chunk(rows, line_starts, cp_codes, text_codes, errors)
             for column, values in zip(columns, accepted):
                 column.frombytes(values.tobytes())
             parsed = reader.line_num

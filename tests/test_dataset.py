@@ -136,7 +136,9 @@ class TestParse:
         with mock.patch.object(dataset, "_CHUNK_RECORDS", chunk):
             sessions, errors = parse_text("\n".join(rows) + end)
         assert cp_ids(sessions) == ["AN1x", "AN3x"]
-        assert [(e.line_number, e.reason) for e in errors] == [(3, "bad CPID 'AN\\n2'")]
+        assert [(e.line_number, e.reason) for e in errors] == [
+            (3, "bad CPID 'AN\\n2' (record spans lines 3-4)")
+        ]
         sessions, errors = parse_text("\n".join(rows[:3]) + end)
         assert cp_ids(sessions) == ["AN1x"] and len(errors) == 1
 
@@ -374,7 +376,7 @@ class TestParseColumns:
             (4, "bad CPID 'AN,1'"),
             (5, "bad CPID 'AN\"1'"),
             (6, "bad CPID 'AN\\r1'"),
-            (8, "bad CPID 'AN\\n1'"),
+            (8, "bad CPID 'AN\\n1' (record spans lines 8-9)"),
         ]
 
     def test_line_numbers_count_lines_not_records(self):
@@ -383,9 +385,25 @@ class TestParseColumns:
         rows = [CSV_HEADER, f'1,"AN\n1",{times}', f"bad,AN2,{times}"]
         _, errors = parse_text("\n".join(rows) + "\n")
         assert [(e.line_number, e.reason) for e in errors] == [
-            (2, "bad CPID 'AN\\n1'"),
+            (2, "bad CPID 'AN\\n1' (record spans lines 2-3)"),
             (4, "bad EventID 'bad'"),
         ]
+
+    @pytest.mark.parametrize("chunk", [7, 128])
+    def test_a_record_that_swallows_lines_names_them(self, chunk):
+        # a quote opened at the start of the CPID field of line 403 runs to
+        # the quote opened at the start of line 900's: one record of 498
+        # lines, numbered by its first line
+        lines = synth_fleet_csv(6, 400, 1).split("\n")
+        for number in (403, 900):
+            evt, rest = lines[number - 1].split(",", 1)
+            lines[number - 1] = f'{evt},"{rest}'
+        with mock.patch.object(dataset, "_CHUNK_RECORDS", chunk):
+            sessions, errors = parse_text("\n".join(lines))
+        assert len(sessions) == 2400 - 498
+        ((line, reason),) = [(e.line_number, e.reason) for e in errors]
+        assert line == 403
+        assert reason.startswith("bad CPID 'CP001,") and reason.endswith(" (record spans lines 403-900)")
 
     def test_each_cp_id_stored_once(self):
         sessions, _ = parse_text(SAMPLE + SAMPLE.split("\n", 1)[1])
@@ -503,6 +521,9 @@ def reference_parse_sessions(stream):
     errors = []
 
     def reject(line_number: int, reason: str, row: list[str]) -> None:
+        # a record that spans lines is named by them
+        if reader.line_num > line_number:
+            reason += f" (record spans lines {line_number}-{reader.line_num})"
         errors.append((line_number, reason))
 
     next_line = reader.line_num + 1
