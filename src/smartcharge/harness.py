@@ -701,8 +701,10 @@ def _write_reports(results: RunResults, output_dir: str, reports: dict) -> dict[
 def _summary_lines(results: SimulatedResults, scope: str, learned_label: str) -> list[str]:
     """metrics.txt's fleet summary: each strategy's aggregate daily profile
     and deficits over the scope's sessions, the peak reduction when the raw
-    profile has a peak, and the mean phase hours and relative speed of the
-    learned sessions."""
+    profile has a peak, the mean phase hours and relative speed of the
+    learned sessions with energy, and the mean raw effective hours of every
+    session of each charger, each figure labelled with the sessions it
+    covers."""
     text = [
         f"aggregate daily profiles ({scope})",
         "strategy  peak_kw  peak_second  total_kwh  deficit_kwh  deficit_pct  cp_over_10pct",
@@ -721,8 +723,9 @@ def _summary_lines(results: SimulatedResults, scope: str, learned_label: str) ->
     return text + [
         "",
         "charge phase durations (mean hours)",
-        f"boost {results.mean_boost_hours()!r} | slow {results.mean_slow_hours()!r} | "
-        f"raw effective {results.mean_raw_effective_hours()!r}",
+        f"boost {results.mean_boost_hours()!r} | slow {results.mean_slow_hours()!r} "
+        f"({learned_label})",
+        f"raw effective {results.mean_raw_effective_hours()!r} (all sessions of each charger)",
         "",
         f"mean relative charging speed ({learned_label}): {results.mean_relative_speed()!r}",
     ]

@@ -646,6 +646,24 @@ class TestPredict:
         assert (rc, after) == ("0", "False")
 
 
+@pytest.mark.parametrize(
+    "run_mode, emit, learned",
+    [(run_offline, emit_offline_reports, "rl test sessions"),
+     (run_online, emit_online_reports, "adaptive sessions")],
+    ids=["offline", "online"],
+)
+def test_phase_hours_name_the_sessions_they_cover(tmp_path, fleet_csv, run_mode, emit, learned):
+    # boost and slow hours cover the learned sessions with energy (offline,
+    # the test split's); raw effective hours cover every session
+    results = run_mode(small_cfg(fleet_csv, str(tmp_path / "out"), n_tries=10, warmup=5))
+    lines = open(emit(results, str(tmp_path / "out"))["metrics.txt"]).read().split("\n")
+    block = lines[lines.index("charge phase durations (mean hours)") + 1 :][:2]
+    assert block == [
+        f"boost {results.mean_boost_hours()!r} | slow {results.mean_slow_hours()!r} ({learned})",
+        f"raw effective {results.mean_raw_effective_hours()!r} (all sessions of each charger)",
+    ]
+
+
 @pytest.mark.parametrize("mode", ["offline", "online", "predict"])
 def test_missing_charge_points_reported_sorted(tmp_path, fleet_csv, mode):
     cfg = small_cfg(fleet_csv, str(tmp_path / "o"), mode=mode, cp=("ZZ", "AA", "CP001"))
