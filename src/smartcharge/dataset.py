@@ -412,7 +412,7 @@ def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
         end=np.frombuffer(ends, dtype=np.int64),
         energy_kwh=np.frombuffer(energies, dtype=np.float64),
         plugin_hours=np.frombuffer(plugins, dtype=np.float64),
-        cp_ids=cp_codes,
+        cp_ids=tuple(cp_codes),
     )
     return sessions, errors
 
@@ -482,7 +482,8 @@ def _kept_order(sessions: Sessions, cp: np.ndarray, over: np.ndarray) -> np.ndar
     """The rows clean_sessions keeps, in (charger, start, event_id) order,
     ties in input order: the rows not over max_hours, less the overlap
     conflicts.  cp holds each row's charger rank and over marks the rows
-    over max_hours."""
+    over max_hours.  The sort's temporaries are freed on return, before
+    clean_sessions gathers the columns."""
     # rows over max_hours sort last and are cut off; the sort is stable
     order = np.lexsort((sessions.event_id, sessions.start, cp, over))
     order = order[: len(order) - int(over.sum())]
@@ -524,7 +525,8 @@ def clean_sessions(
     cp = cp[index]
     columns = {name: _pop(sessions, name)[index] for name in _DTYPES if name != "cp_code"}
     edges = np.searchsorted(cp, np.arange(len(ids) + 1)).tolist()
-    # each charger's table names its own id alone, so its codes are 0s
+    # each charger's table names its own id alone: its codes are a view of
+    # one column of 0s
     zeros = np.zeros(max(map(operator.sub, edges[1:], edges), default=0), np.intc)
 
     charge_points: list[ChargePoint] = []
@@ -535,8 +537,11 @@ def clean_sessions(
             report.removed_small_cp_points += 1
             report.removed_small_cp_sessions += hi - lo
             continue
-        kept = Sessions(**{name: column[lo:hi] for name, column in columns.items()},
-                        cp_code=zeros[: hi - lo], cp_ids=(cp_id,))
+        kept = Sessions(
+            **{name: column[lo:hi] for name, column in columns.items()},
+            cp_code=zeros[: hi - lo],
+            cp_ids=(cp_id,),
+        )
         charge_points.append(ChargePoint(cp_id, derive_p_max(kept, p_max_percentile), kept))
         report.retained_sessions += hi - lo
 

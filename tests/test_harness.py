@@ -640,6 +640,7 @@ class TestPredict:
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
+        assert result.returncode == 0, result.stderr
         rc, before, after = result.stdout.split()[-3:]
         if before == "True":
             pytest.skip("numpy loads _hashlib (numpy 1.x does, through numpy.random)")
@@ -657,8 +658,8 @@ def test_phase_hours_name_the_sessions_they_cover(tmp_path, fleet_csv, run_mode,
     # the test split's); raw effective hours cover every session
     results = run_mode(small_cfg(fleet_csv, str(tmp_path / "out"), n_tries=10, warmup=5))
     lines = open(emit(results, str(tmp_path / "out"))["metrics.txt"]).read().split("\n")
-    block = lines[lines.index("charge phase durations (mean hours)") + 1 :][:2]
-    assert block == [
+    heading = lines.index("charge phase durations (mean hours)")
+    assert lines[heading + 1 : heading + 3] == [
         f"boost {results.mean_boost_hours()!r} | slow {results.mean_slow_hours()!r} ({learned})",
         f"raw effective {results.mean_raw_effective_hours()!r} (all sessions of each charger)",
     ]
