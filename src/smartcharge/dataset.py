@@ -13,22 +13,38 @@ form misses is read again stripped, on its own.  _parse_chunk states each
 parsing rule once, as a mask over the chunk with its reason, and a rejected
 row gets the reason of the first rule it fails.
 Sessions name their charger by an integer code into a table of ids, so each
-id string is stored once.  Cleaning sorts that table, remaps the codes with
-one take, orders, caps and de-overlaps the sessions as one index and gathers
-each column once through it, releasing the parsed column before the next.
+id string is stored once, numbered in order of first appearance.  Cleaning
+sorts that table, remaps the codes with one take, orders, caps and
+de-overlaps the sessions as one index and gathers each column once through
+it, releasing the parsed column before the next.
+
+With several workers, parse_sessions_path parses a file in byte ranges
+when every line of it is one record: it holds no quote and no CR that is
+not followed by LF.  One scan in bounded blocks checks that, counts the
+lines and cuts the bytes after the header at line ends, into a multiple of
+the worker count of ranges of at most about _RANGE_BYTES each.  Each range
+is streamed through the same chunks and rules, numbering lines from its
+first, and writes its columns and id table to a file of its own.  Then the
+ranges are merged in order: each file is read straight into its rows of
+the table's columns, and its codes are remapped into one id table.  The
+result equals the serial parse's; any other file, and any range that
+raises, takes the serial parse.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import operator
+import os
 import re
+import tempfile
 from array import array
 from dataclasses import dataclass
 from datetime import date
-from itertools import islice, tee
-from typing import Sequence, TextIO
+from itertools import islice, starmap, tee
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -63,6 +79,11 @@ _CSV_SPECIALS = frozenset(',"\r\n')
 # 74.5 at 65,536; parse throughput is flat from 128 records up and falls
 # by a third at 64.
 _CHUNK_RECORDS = 128
+# bytes per read of the scan that cuts a file into byte ranges
+_SCAN_BLOCK = 1 << 16
+# the most bytes of a range, about; the worker parsing it holds its
+# columns, about 44 bytes of each 70 of input, until it writes them out
+_RANGE_BYTES = 1 << 25
 # the day number of a date text _epoch_day rejects; outside date()'s range
 _NO_DAY = -(2**40)
 # stands in for a record of another field count, which the field-count
@@ -206,10 +227,11 @@ def _clock(text: str) -> int:
     return hh * 3600 + mm * 60 + ss
 
 
-def _chunks(reader, lines, size: int):
+def _chunks(reader, lines, size: int, offset: int):
     """Yield the reader's remaining records in lists of up to size, each
     with its records' first line numbers and then the number of the line
-    after its last record, so record i spans lines [starts[i], starts[i+1]).
+    after its last record, so record i spans lines [starts[i], starts[i+1]);
+    the reader's first line is line offset + 1.
 
     lines is a tee of the reader's source.  After each chunk it holds that
     chunk's lines, which are read again, to number the records, only when
@@ -229,18 +251,18 @@ def _chunks(reader, lines, size: int):
         if count == len(rows):  # one line per record
             next(islice(lines, count - 1, count - 1), None)
             last = [next(lines)]
-            yield rows, range(first, first + count + 1)
+            yield rows, range(offset + first, offset + first + count + 1)
         else:
             chunk = list(islice(lines, count))
             again = csv.reader(chunk)
             starts = [0, *(again.line_num for _ in again)][:-1]
             last = chunk[starts[-1] :]
-            yield rows, [*(first + n for n in starts), numbered + 1]
+            yield rows, [*(offset + first + n for n in starts), offset + numbered + 1]
     # a line holding one quote closes an open quoted field, and is a record
     # of its own after a closed one
     if last and len(list(csv.reader([*last, '"']))) == 1:
-        line = numbered - len(last) + 1
-        raise ValueError(f"unreadable CSV in lines {line}-{numbered}: a quote is never closed")
+        lines_named = f"{offset + numbered - len(last) + 1}-{offset + numbered}"
+        raise ValueError(f"unreadable CSV in lines {lines_named}: a quote is never closed")
 
 
 def _numbers(convert, texts: Sequence[str], dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -302,8 +324,9 @@ def _parse_chunk(
 ) -> tuple[np.ndarray, ...]:
     """One chunk's accepted rows, in input order, as one array per Sessions
     column; cp_id as codes into cp_codes (id -> code), which gains any new
-    id.  text_codes caches each CPID field text's code, -1 for a text that
-    is no usable id.  Each rejection is appended to errors.
+    id, numbered in order of first appearance.  text_codes caches each CPID
+    field text's code, -1 for a text that is no usable id.  Each rejection
+    is appended to errors.
 
     The columns are converted in bulk, and the parsing rules are stated
     once, as masks over the chunk with their reasons, in the order they
@@ -324,7 +347,9 @@ def _parse_chunk(
     energy, ok_energy = _numbers(float, energy_text, np.float64)
     plugin, ok_plugin = _numbers(float, duration_text, np.float64)
 
-    for text in set(cp).difference(text_codes):
+    # new texts in order of first appearance, so the codes number the ids
+    # in that order whatever the hash seed
+    for text in [t for t in dict.fromkeys(cp) if t not in text_codes]:
         # a stripped id is usable when it is not empty and the reports,
         # which write ids unquoted, can hold it as one CSV field
         cp_id = text.strip()
@@ -373,6 +398,39 @@ def _parse_chunk(
     return event_id[ok], codes[ok], start[ok], end[ok], energy[ok] + 0.0, plugin[ok]
 
 
+def _check_header(header: list[str] | None) -> None:
+    """A missing or wrong header is fatal: nothing downstream can be
+    trusted if the columns are not what they claim."""
+    if header is None:
+        raise ValueError("empty input: expected header row")
+    if [h.strip() for h in header] != EXPECTED_HEADER:
+        raise ValueError(f"unexpected header {header!r}; expected {','.join(EXPECTED_HEADER)}")
+
+
+def _parse_records(reader, lines, offset: int):
+    """Parse the reader's remaining records, whose first line is line
+    offset + 1; lines is a tee of the reader's source.  Returns the
+    accepted rows' columns, in _DTYPES order, as compact arrays whose codes
+    index the returned id table, and the rejections."""
+    # accepted rows, appended chunk by chunk; a row's charger is the
+    # position of its id in cp_codes
+    columns = tuple(map(array, "qiqqdd"))
+    cp_codes: dict[str, int] = {}
+    text_codes: dict[str, int] = {}
+    errors: list[ParseError] = []
+    parsed = reader.line_num  # the last line of the records parsed so far
+    try:
+        for rows, line_starts in _chunks(reader, lines, _CHUNK_RECORDS, offset):
+            accepted = _parse_chunk(rows, line_starts, cp_codes, text_codes, errors)
+            for column, values in zip(columns, accepted):
+                column.frombytes(values.tobytes())
+            parsed = reader.line_num
+    except csv.Error as exc:
+        lines_named = f"{offset + parsed + 1}-{offset + reader.line_num}"
+        raise ValueError(f"unreadable CSV in lines {lines_named}: {exc}") from None
+    return columns, tuple(cp_codes), errors
+
+
 def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
     """Parse the chargepoint CSV into sessions plus a list of rejected rows.
 
@@ -384,42 +442,130 @@ def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
     """
     source, lines = tee(stream)
     reader = csv.reader(source)
-    # accepted rows, appended chunk by chunk to compact columns; a row's
-    # charger is the position of its id in cp_codes
-    columns = event_ids, cps, starts, ends, energies, plugins = tuple(map(array, "qiqqdd"))
-    cp_codes: dict[str, int] = {}
-    text_codes: dict[str, int] = {}
-    errors: list[ParseError] = []
-    parsed = 0  # the last line of the records parsed so far
     try:
         header = next(reader, None)
-        if header is None:
-            raise ValueError("empty input: expected header row")
-        if [h.strip() for h in header] != EXPECTED_HEADER:
-            raise ValueError(f"unexpected header {header!r}; expected {','.join(EXPECTED_HEADER)}")
-        parsed = reader.line_num
-        for rows, line_starts in _chunks(reader, lines, _CHUNK_RECORDS):
-            accepted = _parse_chunk(rows, line_starts, cp_codes, text_codes, errors)
-            for column, values in zip(columns, accepted):
-                column.frombytes(values.tobytes())
-            parsed = reader.line_num
     except csv.Error as exc:
-        raise ValueError(f"unreadable CSV in lines {parsed + 1}-{reader.line_num}: {exc}") from None
-    sessions = Sessions(
-        event_id=np.frombuffer(event_ids, dtype=np.int64),
-        cp_code=np.frombuffer(cps, dtype=np.intc),
-        start=np.frombuffer(starts, dtype=np.int64),
-        end=np.frombuffer(ends, dtype=np.int64),
-        energy_kwh=np.frombuffer(energies, dtype=np.float64),
-        plugin_hours=np.frombuffer(plugins, dtype=np.float64),
-        cp_ids=tuple(cp_codes),
-    )
-    return sessions, errors
+        raise ValueError(f"unreadable CSV in lines 1-{reader.line_num}: {exc}") from None
+    _check_header(header)
+    columns, cp_ids, errors = _parse_records(reader, lines, 0)
+    arrays = (np.frombuffer(column, dtype) for column, dtype in zip(columns, _DTYPES.values()))
+    return Sessions(*arrays, cp_ids=cp_ids), errors
 
 
-def parse_sessions_path(path) -> tuple[Sessions, list[ParseError]]:
+def _line_ranges(path, workers: int) -> list[tuple[int, int, int]] | None:
+    """Ranges of the lines after the header, of about equal bytes, as
+    (first byte, line count, lines before): up to the least multiple of
+    workers that keeps a range within about _RANGE_BYTES.  None when a line
+    need not be one record (the file holds a quote, or a CR not followed by
+    LF), the header is not the expected one or not one block long, or no
+    line follows it.  One scan of the file in blocks of _SCAN_BLOCK bytes."""
+    size = os.path.getsize(path)
+    with open(path, "rb") as fh:
+        block = fh.read(_SCAN_BLOCK)
+        first = len(codecs.BOM_UTF8) if block.startswith(codecs.BOM_UTF8) else 0
+        body = block.find(b"\n", first) + 1
+        if not 0 < body < size:
+            return None
+        try:
+            _check_header(next(csv.reader([block[first:body].decode()]), None))
+        except (ValueError, csv.Error):
+            return None
+        n = workers * -(-(size - body) // (workers * _RANGE_BYTES))
+        targets = [body + (size - body) * k // n for k in range(1, n)]
+        # each range's first byte and the lines before it
+        cuts, newlines, pos = [(body, 1)], 0, 0
+        while block:
+            if block.endswith(b"\r"):
+                block += fh.read(1)
+            if b'"' in block or block.count(b"\r") != block.count(b"\r\n"):
+                return None
+            while targets and targets[0] < pos + len(block):
+                i = block.find(b"\n", max(targets[0] - pos, 0))
+                if i < 0:
+                    break
+                cuts.append((pos + i + 1, newlines + block.count(b"\n", 0, i + 1)))
+                targets = [t for t in targets if t > pos + i]
+            newlines += block.count(b"\n")
+            pos += len(block)
+            last = block[-1:]
+            block = fh.read(_SCAN_BLOCK)
+    # a last line without a line break is a line too
+    cuts.append((pos, newlines + (last != b"\n")))
+    return [
+        (lo, hi_lines - lo_lines, lo_lines)
+        for (lo, lo_lines), (hi, hi_lines) in zip(cuts, cuts[1:])
+        if hi > lo
+    ]
+
+
+def _parse_range(path, first_byte: int, count: int, offset: int, out_path: str):
+    """_parse_records over count lines of the file from first_byte on,
+    which follow offset lines, each line read and decoded on its own.
+
+    The columns, back to back in _DTYPES order, then the id table, each id
+    ended by a line break (no usable id holds one), go to the file
+    out_path: a process pool's parent would receive them in its result
+    thread, whose freed memory its other threads cannot reuse.  Returns the
+    number of rows, the id table's size in bytes and the rejections."""
+    with open(path, "rb") as fh:
+        fh.seek(first_byte)
+        source, lines = tee(map(bytes.decode, islice(fh, count)))
+        columns, cp_ids, errors = _parse_records(csv.reader(source), lines, offset)
+    ids = "".join(f"{cp_id}\n" for cp_id in cp_ids).encode()
+    with open(out_path, "wb") as out:
+        for column in columns:
+            column.tofile(out)
+        out.write(ids)
+    return len(columns[0]), len(ids), errors
+
+
+def _merge(parts: Iterable, out_paths: Sequence[str]) -> tuple[Sessions, list[ParseError]]:
+    """One table of the ranges' rows, in range order, and their rejections,
+    from the ranges' _parse_range results and files.  Once every range is
+    parsed, each range's file is read straight into its rows of the table's
+    columns, then its codes are remapped from its own id table to the
+    merged one, which lists each id once, in order of first appearance."""
+    parts = list(parts)
+    columns = {name: np.empty(sum(p[0] for p in parts), dtype) for name, dtype in _DTYPES.items()}
+    ids: dict[str, int] = {}
+    lo = 0
+    for (rows, ids_size, _), out_path in zip(parts, out_paths):
+        with open(out_path, "rb") as fh:
+            for column in columns.values():
+                fh.readinto(memoryview(column[lo : lo + rows]).cast("B"))
+            part_ids = fh.read(ids_size).decode().split("\n")[:-1]
+        os.remove(out_path)
+        remap = np.array([ids.setdefault(cp_id, len(ids)) for cp_id in part_ids], np.intc)
+        codes = columns["cp_code"][lo : lo + rows]
+        codes[:] = remap[codes]
+        lo += rows
+    errors = [error for _, _, part_errors in parts for error in part_errors]
+    return Sessions(**columns, cp_ids=tuple(ids)), errors
+
+
+def parse_sessions_path(
+    path, map_ranges=starmap, workers: int = 1
+) -> tuple[Sessions, list[ParseError]]:
     """parse_sessions on a UTF-8 file, whatever the locale; a byte-order
-    mark, as spreadsheet exports write, is skipped."""
+    mark, as spreadsheet exports write, is skipped.
+
+    With workers > 1, a file whose every line is one record is parsed in
+    byte ranges through map_ranges, which has itertools.starmap's contract
+    (such as a map over a process pool that keeps the results in order),
+    and merged, with the serial parse's result; each range's parsed rows
+    pass through a file in a temporary directory, about 44 bytes a row.
+    Any other file, and a range that raises, is parsed serially, which
+    raises what the serial parse raises.
+    """
+    cuts = _line_ranges(path, workers) if workers > 1 else None
+    if cuts:
+        try:
+            with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
+                out_paths = [os.path.join(tmp, str(k)) for k in range(len(cuts))]
+                calls = [(path, *cut, out) for cut, out in zip(cuts, out_paths)]
+                return _merge(map_ranges(_parse_range, calls), out_paths)
+        except (ValueError, OSError):
+            pass  # the serial parse below raises the error it meets first
     with open(path, newline="", encoding="utf-8-sig") as fh:
         return parse_sessions(fh)
 

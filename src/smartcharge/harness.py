@@ -37,6 +37,15 @@ Each mode maps its report names to chunks of text for _write_reports, so
 the long reports (profiles and the online outcome log) stream to disk and
 never exist whole, as a list of rows or as one string.  A profile is
 formatted once per run of equal values, and a table a column at a time.
+
+run starts one worker pool for the whole run when --workers is above 1:
+min(--workers, usable CPUs) processes, shut down after the last report is
+written or when a stage raises.  Three stages use it: the parse (byte
+ranges of the input, dataset.parse_sessions_path), the batches and the
+profile CSVs' chunks, which the parent writes in order with at most two per
+worker in flight.  Clean, the folds and the other reports stay in the
+parent.  With one worker there is no pool, and each stage maps the same
+functions in this process.
 """
 
 from __future__ import annotations
@@ -44,9 +53,11 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
+from itertools import starmap
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -219,23 +230,66 @@ def _csv_rows(columns: Iterable[Iterable]) -> str:
     return "\n".join([*map(",".join, rows), ""])
 
 
-def _map_batches(fn, items: Sequence, workers: int):
-    """Apply fn to fixed-size batches of items, yielding results in batch
-    order regardless of worker count (the determinism contract)."""
-    batches = [items[i : i + BATCH_SIZE] for i in range(0, len(items), BATCH_SIZE)]
-    if workers <= 1 or len(batches) <= 1:
-        yield from map(fn, batches)
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_size(workers: int) -> int:
+    """A run's worker count: --workers, at most one per usable CPU."""
+    return min(workers, _usable_cpus())
+
+
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """A process pool of _pool_size(workers) workers, or None when that is
+    1.  On exit the pool cancels its queued calls and shuts down, waiting
+    for its workers, whether the block ended or raised."""
+    size = _pool_size(workers)
+    if size <= 1:
+        yield None
         return
-    # the pool may start all its workers up front: ask for no more than
-    # there are batches
-    with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
-        yield from pool.map(fn, batches)
+    pool = ProcessPoolExecutor(max_workers=size)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool):
+def _ordered_map(pool, fn, calls: Iterable[tuple], in_flight: int) -> Iterator:
+    """fn(*args) for each args of calls, in order: in this process without
+    a pool, else on it with at most in_flight calls submitted and not yet
+    taken.  Executor.map would submit every call at once and hold every
+    finished result here."""
+    if pool is None:
+        yield from starmap(fn, calls)
+        return
+    pending = deque()
+    for args in calls:
+        pending.append(pool.submit(fn, *args))
+        if len(pending) >= in_flight:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+def _map_batches(fn, items: Sequence, pool):
+    """Apply fn to fixed-size batches of items, in this process or on the
+    pool, yielding results in batch order regardless of worker count (the
+    determinism contract)."""
+    batches = [items[i : i + BATCH_SIZE] for i in range(0, len(items), BATCH_SIZE)]
+    return (map if pool is None else pool.map)(fn, batches)
+
+
+def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool, pool):
     """Parse and clean the input, keep the chargers the run covers (the --cp
     selection, usable ones only if asked) in clean_sessions' order, and run
-    batch_fn(batch, cfg) over their batches.
+    batch_fn(batch, cfg) over their batches.  Parse and the batches use the
+    pool; without one, a run of several workers starts its own.
 
     Each batch returns its rows, its SUMMARY_COLUMNS as one array (a row
     per charger), its fleet sums as {key: array} and its profiles' power
@@ -248,7 +302,12 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool):
     chargers run, the rows, the summary columns by name and the summed
     arrays (the profiles' slots among them).
     """
-    sessions, parse_errors = parse_sessions_path(cfg.input)
+    workers = _pool_size(cfg.workers)
+    if pool is None and workers > 1:
+        with _worker_pool(cfg.workers) as pool:
+            return _run(batch_fn, cfg, usable_only, pool)
+    map_ranges = partial(_ordered_map, pool, in_flight=2 * workers)
+    sessions, parse_errors = parse_sessions_path(cfg.input, map_ranges, workers)
     charge_points, cleaning = clean_sessions(
         sessions,
         min_sessions=cfg.min_sessions,
@@ -281,7 +340,7 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool):
         profile = aggregation.accumulate(PowerProfile(np.concatenate(held.pop(key))))
         totals[key] = totals.get(key, 0) + profile.slots
 
-    batches = _map_batches(partial(batch_fn, cfg=cfg), charge_points, cfg.workers)
+    batches = _map_batches(partial(batch_fn, cfg=cfg), charge_points, pool)
     for batch_rows, batch_summaries, batch_sums, batch_pieces in batches:
         rows.extend(batch_rows)
         summaries.append(batch_summaries)
@@ -480,8 +539,8 @@ def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     return rows, summaries, {("test", "speed"): aggregation.speed_histogram_counts(speeds)}, pieces
 
 
-def run_offline(cfg: ExperimentConfig) -> OfflineResults:
-    common, _, rows, summaries, totals = _run(_offline_batch, cfg, usable_only=True)
+def run_offline(cfg: ExperimentConfig, pool=None) -> OfflineResults:
+    common, _, rows, summaries, totals = _run(_offline_batch, cfg, True, pool)
     return OfflineResults(
         **common,
         summaries=summaries,
@@ -572,8 +631,8 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     return rows, summaries, {}, pieces
 
 
-def run_online(cfg: ExperimentConfig) -> OnlineResults:
-    common, charge_points, rows, summaries, totals = _run(_online_batch, cfg, usable_only=True)
+def run_online(cfg: ExperimentConfig, pool=None) -> OnlineResults:
+    common, charge_points, rows, summaries, totals = _run(_online_batch, cfg, True, pool)
     cp_rows = [OnlineCpResult(cp, *row) for cp, row in zip(charge_points, rows)]
     profiles = _profiles(totals, "all")
     return OnlineResults(**common, summaries=summaries, profiles=profiles, cp_rows=cp_rows)
@@ -623,8 +682,8 @@ def _predict_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     return rows, np.empty((0, len(SUMMARY_COLUMNS))), {}, {}
 
 
-def run_predict(cfg: ExperimentConfig) -> PredictResults:
-    common, _, rows, _, _ = _run(_predict_batch, cfg, usable_only=False)
+def run_predict(cfg: ExperimentConfig, pool=None) -> PredictResults:
+    common, _, rows, _, _ = _run(_predict_batch, cfg, False, pool)
     return PredictResults(**common, cp_rows=rows)
 
 
@@ -632,15 +691,14 @@ def run_predict(cfg: ExperimentConfig) -> PredictResults:
 # report emission
 
 
-def _profile_csv(profiles: dict[str, DailyProfile], resolution: int) -> Iterator[str]:
-    """second_of_day,raw_kw,oracle_kw,rl_kw rows, as chunks of text;
-    coarser resolutions emit the average power over each bucket.
-
-    A profile is piecewise constant (accumulate sums runs of equal rate),
-    so within a chunk each column's value is formatted once per run of
-    equal bit patterns (0.0 and -0.0 stay apart), and each row picks up its
-    run's text.  Only one chunk's texts exist at a time.
-    """
+def _profile_csv(
+    profiles: dict[str, DailyProfile], resolution: int, pool=None, workers: int = 1
+) -> Iterator[str]:
+    """second_of_day,raw_kw,oracle_kw,rl_kw rows, as chunks of text of
+    _PROFILE_CHUNK_ROWS rows each; coarser resolutions emit the average
+    power over each bucket.  _profile_rows formats each chunk, on the pool
+    of that many workers if there is one, with at most two chunks per
+    worker in flight."""
     arrays = [profiles[s].power_kw() for s in STRATEGIES]
     if resolution > 1:
         arrays = [
@@ -648,17 +706,30 @@ def _profile_csv(profiles: dict[str, DailyProfile], resolution: int) -> Iterator
             for a in arrays
         ]
     yield "second_of_day,raw_kw,oracle_kw,rl_kw\n"
-    for lo in range(0, len(arrays[0]), _PROFILE_CHUNK_ROWS):
-        hi = lo + _PROFILE_CHUNK_ROWS
-        # every column is already text, so the rows are joined as they are
-        columns = [map(str, range(lo * resolution, hi * resolution, resolution))]
-        for a in arrays:
-            chunk = a[lo:hi]
-            bits = chunk.view(np.int64)
-            starts = np.concatenate(([True], bits[1:] != bits[:-1]))
-            texts = np.array(list(map(repr, chunk[starts].tolist())), dtype=object)
-            columns.append(texts[np.cumsum(starts) - 1].tolist())
-        yield "\n".join([*map(",".join, zip(*columns)), ""])
+    calls = (
+        (lo * resolution, resolution, [a[lo : lo + _PROFILE_CHUNK_ROWS] for a in arrays])
+        for lo in range(0, len(arrays[0]), _PROFILE_CHUNK_ROWS)
+    )
+    yield from _ordered_map(pool, _profile_rows, calls, 2 * workers)
+
+
+def _profile_rows(first_second: int, resolution: int, columns: list[np.ndarray]) -> str:
+    """The CSV rows of one chunk of the profile columns, the first at
+    first_second, one per resolution seconds.
+
+    A profile is piecewise constant (accumulate sums runs of equal rate),
+    so each column's value is formatted once per run of equal bit patterns
+    (0.0 and -0.0 stay apart), and each row picks up its run's text.
+    """
+    end = first_second + len(columns[0]) * resolution
+    # every column is already text, so the rows are joined as they are
+    texts = [map(str, range(first_second, end, resolution))]
+    for chunk in columns:
+        bits = chunk.view(np.int64)
+        starts = np.concatenate(([True], bits[1:] != bits[:-1]))
+        runs = np.array(list(map(repr, chunk[starts].tolist())), dtype=object)
+        texts.append(runs[np.cumsum(starts) - 1].tolist())
+    return "\n".join([*map(",".join, zip(*texts)), ""])
 
 
 def _text_report(title: str, cfg: ExperimentConfig, lines: list[str]) -> list[str]:
@@ -731,8 +802,9 @@ def _summary_lines(results: SimulatedResults, scope: str, learned_label: str) ->
     ]
 
 
-def emit_offline_reports(results: OfflineResults, output_dir: str) -> dict[str, str]:
+def emit_offline_reports(results: OfflineResults, output_dir: str, pool=None) -> dict[str, str]:
     cfg, s = results.cfg, results.summaries
+    workers = _pool_size(cfg.workers)
     deficits = (s["target_kwh"] - s["delivered_kwh"]).tolist()
     policies = [
         (r.cp_id, r.t_boost_max_hours, r.p_rate, deficit, r.n_train, r.n_test)
@@ -746,8 +818,10 @@ def emit_offline_reports(results: OfflineResults, output_dir: str) -> dict[str, 
         *_summary_lines(results, "test split", "rl test sessions"),
     ]
     return _write_reports(results, output_dir, {
-        "profiles.csv": _profile_csv(results.profiles, cfg.emit_resolution),
-        "profiles_all_sessions.csv": _profile_csv(results.profiles_all, cfg.emit_resolution),
+        "profiles.csv": _profile_csv(results.profiles, cfg.emit_resolution, pool, workers),
+        "profiles_all_sessions.csv": _profile_csv(
+            results.profiles_all, cfg.emit_resolution, pool, workers
+        ),
         "policies.csv": [
             "cp_id,t_boost_max_hours,p_rate,deficit_kwh,n_train,n_test\n",
             _csv_rows(zip(*policies)),
@@ -785,8 +859,8 @@ def _outcome_chunks(cp_rows: list[OnlineCpResult]) -> Iterator[str]:
         )
 
 
-def emit_online_reports(results: OnlineResults, output_dir: str) -> dict[str, str]:
-    rows = results.cp_rows
+def emit_online_reports(results: OnlineResults, output_dir: str, pool=None) -> dict[str, str]:
+    rows, cfg = results.cp_rows, results.cfg
     n_adaptive = sum(int(r.adaptive.sum()) for r in rows)
     text = [
         f"charge points simulated : {len(rows)}",
@@ -795,9 +869,11 @@ def emit_online_reports(results: OnlineResults, output_dir: str) -> dict[str, st
         *_summary_lines(results, "all sessions", "adaptive sessions"),
     ]
     return _write_reports(results, output_dir, {
-        "profiles.csv": _profile_csv(results.profiles, results.cfg.emit_resolution),
+        "profiles.csv": _profile_csv(
+            results.profiles, cfg.emit_resolution, pool, _pool_size(cfg.workers)
+        ),
         "outcomes.csv": _outcome_chunks(rows),
-        "metrics.txt": _text_report("online learning report", results.cfg, text),
+        "metrics.txt": _text_report("online learning report", cfg, text),
     })
 
 
@@ -836,9 +912,11 @@ def emit_predict_reports(results: PredictResults, output_dir: str) -> dict[str, 
 
 
 def run(cfg: ExperimentConfig) -> dict[str, str]:
-    """Run the configured experiment and emit its report bundle."""
-    if cfg.mode == "offline":
-        return emit_offline_reports(run_offline(cfg), cfg.out_dir)
-    if cfg.mode == "online":
-        return emit_online_reports(run_online(cfg), cfg.out_dir)
-    return emit_predict_reports(run_predict(cfg), cfg.out_dir)
+    """Run the configured experiment and emit its report bundle, with one
+    worker pool for the whole run (none at one worker)."""
+    with _worker_pool(cfg.workers) as pool:
+        if cfg.mode == "offline":
+            return emit_offline_reports(run_offline(cfg, pool), cfg.out_dir, pool)
+        if cfg.mode == "online":
+            return emit_online_reports(run_online(cfg, pool), cfg.out_dir, pool)
+        return emit_predict_reports(run_predict(cfg, pool), cfg.out_dir)

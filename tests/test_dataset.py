@@ -3,6 +3,10 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+import tempfile
 import weakref
 from array import array
 from datetime import datetime, timedelta
@@ -881,3 +885,152 @@ class TestChargerCodes:
         cps, _ = clean_sessions(sessions, min_sessions=5)
         assert len(cps) == 6 and len(sessions) == 0
         assert [ref() for ref in parsed] == [None] * len(parsed)
+
+
+# ---------------------------------------------------------------------------
+# Byte-range parse: a file whose every line is one record, parsed in ranges
+# of lines and merged, gives the serial parse's result.
+
+
+def assert_same_parse(got, want):
+    (sessions, errors), (ref_sessions, ref_errors) = got, want
+    assert sessions.cp_ids == ref_sessions.cp_ids
+    for name in dataset._DTYPES:
+        a, b = getattr(sessions, name), getattr(ref_sessions, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert errors == ref_errors
+
+
+def _unquoted(record):
+    # a field the CSV would have to quote becomes plain text
+    return ["".join("x" if c in _CSV_SPECIALS else c for c in field) for field in record]
+
+
+def _range_file_bytes(records, endings, bom, last_ending):
+    lines = [",".join(r) for r in [EXPECTED_HEADER, *map(_unquoted, records)]]
+    text = "".join(line + ending for line, ending in zip(lines, [*endings, "\n"] * len(lines)))
+    if not last_ending:
+        text = text.rstrip("\r\n")
+    return (b"\xef\xbb\xbf" if bom else b"") + text.encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    records=st.lists(_records(), max_size=30),
+    endings=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=1, max_size=31),
+    bom=st.booleans(),
+    last_ending=st.booleans(),
+    chunk=st.integers(1, 5),
+    workers=st.integers(2, 4),
+    range_bytes=st.sampled_from([1, 60, 400, dataset._RANGE_BYTES]),
+    cuts=st.lists(st.integers(0, 31), max_size=6),
+)
+# rejected rows on both sides of each range edge
+@example(
+    records=[["x", "AN1", *_TIMES, "5", "2"], ["1", "AN1", *_TIMES, "-1", "2"]] * 3,
+    endings=["\n"], bom=False, last_ending=True, chunk=2, workers=3, range_bytes=60,
+    cuts=[1, 2, 3, 4],
+)
+def test_byte_ranges_match_the_serial_parse(
+    records, endings, bom, last_ending, chunk, workers, range_bytes, cuts
+):
+    data = _range_file_bytes(records, endings, bom, last_ending)
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        mock.patch.object(dataset, "_CHUNK_RECORDS", chunk),
+        mock.patch.object(dataset, "_RANGE_BYTES", range_bytes),
+    ):
+        path = os.path.join(tmp, "fleet.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        serial = parse_sessions_path(path)
+        planned = dataset._line_ranges(path, workers)
+        # a file with a byte after the header's line takes the range path
+        assert (planned is None) == (data.split(b"\n", 1)[1:] in ([], [b""]))
+        assert_same_parse(parse_sessions_path(path, workers=workers), serial)
+        if planned is None:
+            return
+        # each range holds a line at least, and ends at the first line end
+        # after a cut that is at most range_bytes from the one before
+        lengths = [b - a for (a, _, _), (b, _, _) in zip(planned, planned[1:])]
+        assert all(count >= 1 for _, count, _ in planned)
+        assert max(lengths, default=0) <= range_bytes + max(map(len, data.split(b"\n"))) + 1
+        # ranges cut at drawn lines: the header is line 1, and a range after
+        # line k starts at byte ends[k - 1]
+        ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        total = planned[-1][1] + planned[-1][2]
+        edges = sorted({1, total, *(min(max(c, 1), total) for c in cuts)})
+        out_paths = [os.path.join(tmp, f"range-{lo}") for lo in edges[:-1]]
+        parts = [
+            dataset._parse_range(path, ends[lo - 1], hi - lo, lo, out)
+            for lo, hi, out in zip(edges, edges[1:], out_paths)
+        ]
+        assert_same_parse(dataset._merge(parts, out_paths), serial)
+        assert not any(map(os.path.exists, out_paths))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("where", [2, 3, 9])
+def test_byte_ranges_name_a_field_past_the_limit_as_the_serial_parse(tmp_path, workers, where):
+    # the range holding the long field raises, and the serial parse then
+    # raises its own error
+    lines = synth_fleet_csv(2, 5, 1).splitlines()
+    lines[where - 1] = lines[where - 1].replace("CP", "CP" + "9" * 60, 1)
+    path = tmp_path / "fleet.csv"
+    path.write_text("\n".join(lines) + "\n")
+    limit = csv.field_size_limit(50)
+    try:
+        with pytest.raises(ValueError) as serial:
+            parse_sessions_path(path)
+        with pytest.raises(ValueError) as ranged:
+            parse_sessions_path(path, workers=workers)
+    finally:
+        csv.field_size_limit(limit)
+    assert str(serial.value).startswith("unreadable CSV in lines ")
+    assert str(ranged.value) == str(serial.value)
+
+
+@pytest.mark.parametrize(
+    "text, ranged",
+    [
+        ("\n".join([CSV_HEADER, *SAMPLE.splitlines()[1:]]) + "\n", True),
+        (SAMPLE.replace("\n", "\r\n"), True),
+        (SAMPLE.replace("AN04715", '"AN04715"'), False),  # a quote
+        (SAMPLE.replace("\n", "\r", 2), False),  # a CR alone
+        (SAMPLE + "\r", False),  # a CR at the end
+        (SAMPLE.split("\n", 1)[0] + "\n", False),  # no line after the header
+        (SAMPLE.replace("Energy", "Energie"), False),  # a header the parse rejects
+        ("", False),
+    ],
+    ids=["lf", "crlf", "quote", "cr", "cr-at-end", "header-only", "bad-header", "empty"],
+)
+def test_which_files_are_parsed_in_ranges(tmp_path, text, ranged):
+    path = tmp_path / "fleet.csv"
+    path.write_bytes(text.encode())
+    assert (dataset._line_ranges(path, 2) is not None) == ranged
+
+
+def test_charger_codes_do_not_depend_on_the_hash_seed(tmp_path):
+    # 200 distinct ids in a shuffled order, many to a chunk
+    ids = [f"CP{i:03d}" for i in np.random.default_rng(3).permutation(200)]
+    times = "01/06/2017,10:00:00,01/06/2017,12:00:00,5.0,2.0"
+    path = tmp_path / "fleet.csv"
+    path.write_text("\n".join([CSV_HEADER, *(f"{i},{cp},{times}" for i, cp in enumerate(ids * 2))]))
+    code = (
+        "import sys\n"
+        "from smartcharge.dataset import parse_sessions_path\n"
+        "sessions, _ = parse_sessions_path(sys.argv[1])\n"
+        "print(list(sessions.cp_ids), sessions.cp_code.tolist())\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code, str(path)],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    # in order of first appearance
+    assert outputs[0] == f"{ids!r} {list(range(200)) * 2!r}\n"

@@ -2,6 +2,7 @@
 
 import io
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -796,28 +797,120 @@ def test_folded_profiles_match_the_per_second_oracle(tmp_path, monkeypatch, fold
             assert np.abs(profiles[s].slots - want).max() <= 1e-9 * want.max()
 
 
-@pytest.mark.parametrize("workers, n_items, pool_size", [(64, 70, 3), (2, 70, 2), (64, 32, None)])
-def test_pool_no_larger_than_the_batch_count(monkeypatch, workers, n_items, pool_size):
-    # a fake executor: it records the pool size asked for and starts no process
-    sizes = []
+class FakePool:
+    """An executor that records the pool size asked for and how it was shut
+    down, maps in this process and starts no process."""
 
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdowns.append((wait, cancel_futures))
 
-        def __exit__(self, *exc):
-            return False
+    map = staticmethod(map)
 
-        map = staticmethod(map)
 
+@pytest.fixture
+def fake_pool(monkeypatch):
+    monkeypatch.setattr(FakePool, "sizes", [], raising=False)
+    monkeypatch.setattr(FakePool, "shutdowns", [], raising=False)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
-    batches = list(harness._map_batches(len, list(range(n_items)), workers))
-    size = harness.BATCH_SIZE
-    assert batches == [min(size, n_items - lo) for lo in range(0, n_items, size)]
-    assert sizes == ([] if pool_size is None else [pool_size])
+    return FakePool
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, pool_size", [(64, 3, 3), (2, 3, 2), (3, 3, 3), (1, 3, None), (64, 1, None)]
+)
+def test_pool_capped_at_the_usable_cpus(monkeypatch, fake_pool, workers, cpus, pool_size):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    with harness._worker_pool(workers) as pool:
+        assert (pool is None) == (pool_size is None)
+        batches = list(harness._map_batches(len, list(range(70)), pool))
+    assert batches == [32, 32, 6]
+    assert FakePool.sizes == ([] if pool_size is None else [pool_size])
+    # shut down once, waiting for the workers, with queued calls cancelled
+    assert FakePool.shutdowns == ([] if pool_size is None else [(True, True)])
+
+
+def test_pool_shut_down_when_a_stage_raises(monkeypatch, fake_pool):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    with pytest.raises(HarnessError):
+        with harness._worker_pool(2):
+            raise HarnessError("a stage failed")
+    assert FakePool.shutdowns == [(True, True)]
+
+
+@pytest.mark.parametrize("source", ["process_cpu_count", "sched_getaffinity", "cpu_count"])
+def test_usable_cpus_source(monkeypatch, source):
+    # process_cpu_count (Python 3.13+) first, then the affinity mask, then
+    # the machine's count
+    counts = {
+        "process_cpu_count": lambda: 5,
+        "sched_getaffinity": lambda pid: {0, 1, 2},
+        "cpu_count": lambda: 7,
+    }
+    for name in counts:
+        monkeypatch.delattr(os, name, raising=False)
+    order = list(counts)
+    for name in order[order.index(source):]:
+        monkeypatch.setattr(os, name, counts[name], raising=False)
+    expected = {"process_cpu_count": 5, "sched_getaffinity": 3, "cpu_count": 7}
+    assert harness._usable_cpus() == expected[source]
+
+
+class CountingPool(harness.ProcessPoolExecutor):
+    """A process pool that counts the calls submitted to it."""
+
+    submitted = 0
+
+    def submit(self, *args, **kwargs):
+        CountingPool.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cp, rc", [([], 0), (["--cp", "NOPE"], 1)], ids=["ran", "raised"])
+def test_no_worker_outlives_a_run(tmp_path, monkeypatch, cp, rc):
+    # the unknown charger raises HarnessError after clean, when the parse
+    # has already used the pool
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(CountingPool, "submitted", 0)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    path = write_csv(tmp_path, synth_fleet_csv(n_cps=40, sessions_per_cp=8, seed=9))
+    args = ["--input", path, "--workers", "2", "--n-tries", "10", "--min-sessions", "5"]
+    assert main(args + ["--out-dir", str(tmp_path / "out"), *cp]) == rc
+    assert CountingPool.submitted > 0
+    assert multiprocessing.active_children() == []
+
+
+def test_spawned_workers_give_the_one_worker_bundles(tmp_path):
+    """Workers that inherit nothing through fork (spawn; forkserver is the
+    default on Linux from Python 3.14) give the bundles of one worker."""
+    path = write_csv(tmp_path, synth_fleet_csv(n_cps=40, sessions_per_cp=8, seed=9))
+    modes = {"offline": [], "online": ["--warmup", "4"]}
+
+    def args(mode, workers):
+        return ["--input", path, "--mode", mode, "--workers", str(workers), "--n-tries", "10",
+                "--min-sessions", "5", "--history", "5", *modes[mode],
+                "--out-dir", str(tmp_path / f"{mode}-w{workers}")]
+
+    code = (
+        "import multiprocessing, sys\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "from smartcharge import cli, harness\n"
+        "harness._usable_cpus = lambda: 2\n"
+        f"sys.exit(max(cli.main(a) for a in {[args(mode, 2) for mode in modes]!r}))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    for mode in modes:
+        assert main(args(mode, 1)) == 0
+        bundles = [
+            {f.name: f.read_bytes() for f in (tmp_path / f"{mode}-w{w}").iterdir()} for w in (1, 2)
+        ]
+        assert len(bundles[0]) >= 4 and bundles[0] == bundles[1], mode
 
 
 def test_report_totals_add_left_to_right():

@@ -3,6 +3,7 @@ column-wise tables, each pinned to the row-by-row formatting it replaced,
 and the atomic, umask-honouring file writes."""
 
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from itertools import zip_longest
 
@@ -206,6 +207,49 @@ def test_profile_csv_matches_row_by_row_reference(resolution, raw, oracle, rl):
     # a header, then one chunk per block of rows
     rows = SECONDS_PER_DAY // resolution
     assert len(chunks) == 1 + -(-rows // harness._PROFILE_CHUNK_ROWS)
+
+
+class RecordingPool:
+    """An executor that runs each call in this process when it is
+    submitted, and records the most calls submitted and not yet taken."""
+
+    def __init__(self):
+        self.in_flight = self.most = 0
+
+    def submit(self, fn, *args):
+        self.in_flight += 1
+        self.most = max(self.most, self.in_flight)
+        return _Finished(fn(*args), self)
+
+
+class _Finished:
+    """A call's result, which leaves its pool's count when taken."""
+
+    def __init__(self, value, pool):
+        self.value, self.pool = value, pool
+
+    def result(self):
+        self.pool.in_flight -= 1
+        return self.value
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("resolution", [1, 60, 86400])
+def test_profile_chunks_on_a_pool_keep_two_per_worker_in_flight(workers, resolution):
+    rng = np.random.default_rng(5)
+    profiles = {s: DailyProfile(rng.standard_normal(SECONDS_PER_DAY)) for s in harness.STRATEGIES}
+    pool = RecordingPool()
+    chunks = list(harness._profile_csv(profiles, resolution, pool, workers))
+    assert chunks == list(harness._profile_csv(profiles, resolution))
+    assert pool.most == min(2 * workers, len(chunks) - 1)
+
+
+def test_profile_chunks_formatted_in_worker_processes():
+    rng = np.random.default_rng(6)
+    profiles = {s: DailyProfile(rng.standard_normal(SECONDS_PER_DAY)) for s in harness.STRATEGIES}
+    with ProcessPoolExecutor(2) as pool:
+        chunks = list(harness._profile_csv(profiles, 1, pool, 2))
+    assert chunks == list(harness._profile_csv(profiles, 1))
 
 
 # ---------------------------------------------------------------------------
