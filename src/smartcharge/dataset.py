@@ -6,34 +6,41 @@ duration in decimal hours.  The Duration column is authoritative for the
 plugin duration; the end-start timestamps are kept for placing sessions on
 the calendar and for a consistency check against the Duration column.
 
-The parse reads the file in chunks of records.  Each chunk's columns are
-converted in bulk: numbers through int() and float() in one pass per column,
-clocks as ASCII digits, each distinct date and CPID once; a text the bulk
-form misses is read again stripped, on its own.  _parse_chunk states each
-parsing rule once, as a mask over the chunk with its reason, and a rejected
-row gets the reason of the first rule it fails.
+A file whose every line is one record (it holds no quote, and no CR that
+is not followed by LF) is parsed as bytes, in blocks of whole lines of
+about 64 KiB, at any worker count.  A line of 8 fields whose every field
+has a strict ASCII form is converted with numpy, each field straight from
+the block's bytes, with no string made per field (_parse_block, through
+the readers of bytefields).  Every other line, and every line of any other file, goes
+through the csv module to _parse_chunk, which converts a chunk's columns in
+bulk (numbers through int() and float(), clocks as ASCII digits, each
+distinct date and CPID once; a text the bulk form misses is read again
+stripped, on its own) and states each parsing rule once, as a mask over the
+chunk with its reason: a rejected row gets the reason of the first rule it
+fails.  The rules on a row's values are the same masks in both parses
+(_value_rules), and the rows of both merge in line order.
 Sessions name their charger by an integer code into a table of ids, so each
 id string is stored once, numbered in order of first appearance.  Cleaning
 sorts that table, remaps the codes with one take, orders, caps and
 de-overlaps the sessions as one index and gathers each column once through
 it, releasing the parsed column before the next.
 
-With several workers, parse_sessions_path parses a file in byte ranges
-when every line of it is one record: it holds no quote and no CR that is
-not followed by LF.  One scan in bounded blocks checks that, counts the
-lines and cuts the bytes after the header at line ends, into a multiple of
-the worker count of ranges of at most about _RANGE_BYTES each.  Each range
-is streamed through the same chunks and rules, numbering lines from its
-first, and writes its columns and id table to a file of its own.  Then the
-ranges are merged in order: each file is read straight into its rows of
-the table's columns, and its codes are remapped into one id table.  The
-result equals the serial parse's; any other file, and any range that
-raises, takes the serial parse.
+With several workers, parse_sessions_path parses such a file in byte
+ranges.  One scan in bounded blocks checks that every line is one record,
+counts the lines and cuts the bytes after the header at line ends, into a
+multiple of the worker count of ranges of at most about _RANGE_BYTES each.
+Each range is parsed in blocks, numbering lines from its first, and writes
+its columns and id table to a file of its own.  Then the ranges are merged
+in order: each file is read straight into its rows of the table's columns,
+and its codes are remapped into one id table.  The result equals the csv
+parse's; any other file, and any parse in blocks that raises, takes the
+csv parse, which raises what it meets first.
 """
 
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import functools
 import operator
@@ -47,6 +54,8 @@ from itertools import islice, starmap, tee
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
+
+from . import bytefields
 
 EXPECTED_HEADER = [
     "EventID",
@@ -95,6 +104,9 @@ _NO_ROW = ["0", "", "", "00:00:00", "", "00:00:00", "0", "0"]
 _CLOCK_PATTERN = "(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]"
 _CLOCK = re.compile(_CLOCK_PATTERN)
 _CLOCKS = re.compile(f"(?:{_CLOCK_PATTERN})*")
+# the most blocks the lines _parse_lines gathers for _parse_chunk span
+_HELD_BLOCKS = 8
+
 
 
 @dataclass(eq=False)
@@ -229,35 +241,48 @@ def _clock(text: str) -> int:
 
 def _chunks(reader, lines, size: int, offset: int):
     """Yield the reader's remaining records in lists of up to size, each
-    with its records' first line numbers and then the number of the line
-    after its last record, so record i spans lines [starts[i], starts[i+1]);
-    the reader's first line is line offset + 1.
+    with its records' first line numbers and their last ones; the reader's
+    first line is line offset + 1.
 
     lines is a tee of the reader's source.  After each chunk it holds that
     chunk's lines, which are read again, to number the records, only when
-    some record spans several lines (a quoted field holding a line break).
+    some record spans several lines (a quoted field holding a line break),
+    or when a record is unreadable (such as one with a field past the csv
+    module's size limit): that is a ValueError naming the record's lines.
 
     The csv module ends a quoted field that is never closed at the end of
-    the input, with every later line in it; that is a ValueError here,
+    the input, with every later line in it; that is a ValueError too,
     naming the lines of the record.
     """
     numbered = reader.line_num
     # level the tee with the reader (itertools' consume recipe)
     next(islice(lines, numbered, numbered), None)
     last = []  # the last record's lines
-    while rows := list(islice(reader, size)):
-        first, count = numbered + 1, reader.line_num - numbered
+    while True:
+        try:
+            rows = list(islice(reader, size))
+        except csv.Error as exc:
+            # the chunk's lines read again, up to the record that failed
+            again, read = csv.reader(list(islice(lines, reader.line_num - numbered))), 0
+            with contextlib.suppress(csv.Error):
+                for _ in again:
+                    read = again.line_num
+            lines_named = f"{offset + numbered + read + 1}-{offset + reader.line_num}"
+            raise ValueError(f"unreadable CSV in lines {lines_named}: {exc}") from None
+        if not rows:
+            break
+        first, count = offset + numbered + 1, reader.line_num - numbered
         numbered = reader.line_num
         if count == len(rows):  # one line per record
             next(islice(lines, count - 1, count - 1), None)
             last = [next(lines)]
-            yield rows, range(offset + first, offset + first + count + 1)
+            yield rows, range(first, first + count), range(first, first + count)
         else:
             chunk = list(islice(lines, count))
             again = csv.reader(chunk)
-            starts = [0, *(again.line_num for _ in again)][:-1]
-            last = chunk[starts[-1] :]
-            yield rows, [*(offset + first + n for n in starts), offset + numbered + 1]
+            starts = [0, *(again.line_num for _ in again)]
+            last = chunk[starts[-2] :]
+            yield rows, [first + n for n in starts[:-1]], [first + n - 1 for n in starts[1:]]
     # a line holding one quote closes an open quoted field, and is a record
     # of its own after a closed one
     if last and len(list(csv.reader([*last, '"']))) == 1:
@@ -297,8 +322,7 @@ def _clock_seconds(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         missed = np.flatnonzero(~ok).tolist()
         data = "".join([t if good else "00:00:00" for t, good in zip(texts, ok.tolist())])
     digits = np.frombuffer(data.encode(), dtype=np.uint8).reshape(-1, 8).astype(np.int64) - ord("0")
-    # each digit's worth in seconds; the colons' is 0
-    seconds = digits @ np.array([36000, 3600, 0, 600, 60, 0, 10, 1])
+    seconds = digits @ bytefields.CLOCK_WEIGHTS
     for i in missed:
         try:
             seconds[i], ok[i] = _clock(texts[i].strip()), True
@@ -315,27 +339,100 @@ def _day_number(text: str) -> int:
         return _NO_DAY
 
 
+class _Ids:
+    """The charger ids a parse meets, each numbered by its first appearance.
+
+    codes maps each usable id to its code.  text_codes maps each CPID field
+    text met to its id's code, or to -1 for a text that is no usable id: a
+    stripped id is usable when it is not empty and the reports, which write
+    ids unquoted, can hold it as one CSV field.  The block parse looks CPID
+    texts of 8 printable ASCII bytes at most up in bulk, each as the 64-bit
+    word of its bytes padded with NUL bytes: keys holds those it met,
+    sorted, and key_codes their codes.
+    """
+
+    def __init__(self):
+        self.codes: dict[str, int] = {}
+        self.text_codes: dict[str, int] = {}
+        # the empty text, no usable id, keeps keys from being empty
+        self.keys = np.zeros(1, np.uint64)
+        self.key_codes = np.full(1, -1, np.intc)
+
+    def code(self, text: str) -> int:
+        """The code of a CPID field text; an id met for the first time
+        takes the next code."""
+        code = self.text_codes.get(text)
+        if code is None:
+            cp_id = text.strip()
+            usable = cp_id and _CSV_SPECIALS.isdisjoint(cp_id)
+            code = self.codes.setdefault(cp_id, len(self.codes)) if usable else -1
+            self.text_codes[text] = code
+        return code
+
+    def field_codes(self, buf: np.ndarray, begins, ends, printable: np.ndarray) -> np.ndarray:
+        """The codes of the UTF-8 field texts buf[begins[i]:ends[i]], as
+        code() gives them for each text in turn; printable marks texts of
+        bytes from "!" to "~".  Those of at most 8 bytes are looked up in
+        keys in bulk, and join it when not found; the others are coded one
+        by one."""
+        lengths = ends - begins
+        bulk = printable & (lengths <= 8)
+        keys = bytefields.id_words(buf, begins, lengths)
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        found = bulk & (self.keys[at] == keys)
+        codes = self.key_codes[at]
+        new: dict[int, int] = {}
+        for i in np.flatnonzero(~found).tolist():
+            codes[i] = self.code(buf[begins[i] : ends[i]].tobytes().decode())
+            if bulk[i]:
+                new[int(keys[i])] = codes[i]
+        if new:
+            new_keys, new_codes = zip(*sorted(new.items()))
+            at = np.searchsorted(self.keys, np.array(new_keys, np.uint64))
+            self.keys = np.insert(self.keys, at, new_keys)
+            self.key_codes = np.insert(self.key_codes, at, new_codes)
+        return codes
+
+
+def _value_rules(start, end, energy, plugin) -> tuple[np.ndarray, list]:
+    """The hours from start to end, and the parsing rules on a row's
+    values as (mask, reason) pairs, in the order they apply.  They follow
+    the rules on its fields (_parse_chunk), so a row they test has numbers
+    in every field."""
+    hours = (end - start) / 3600.0
+    # nan fails every comparison
+    with np.errstate(invalid="ignore"):
+        return hours, [
+            (np.isfinite(energy) & np.isfinite(plugin), "non-finite Energy/Duration"),
+            (energy >= 0, "negative energy {energy}"),
+            (end > start, "end instant not after start"),
+            (plugin > 0, "non-positive duration {plugin}"),
+            (
+                np.abs(plugin - hours) <= DURATION_TOLERANCE_HOURS,
+                "Duration {plugin} disagrees with end-start {hours:.4f} h",
+            ),
+        ]
+
+
 def _parse_chunk(
     rows: list[list[str]],
-    line_starts: Sequence[int],
-    cp_codes: dict[str, int],
-    text_codes: dict[str, int],
+    firsts: Sequence[int],
+    lasts: Sequence[int],
+    ids: _Ids,
     errors: list[ParseError],
-) -> tuple[np.ndarray, ...]:
-    """One chunk's accepted rows, in input order, as one array per Sessions
-    column; cp_id as codes into cp_codes (id -> code), which gains any new
-    id, numbered in order of first appearance.  text_codes caches each CPID
-    field text's code, -1 for a text that is no usable id.  Each rejection
-    is appended to errors.
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The positions in rows of one chunk's accepted rows, and those rows,
+    in input order, as one array per Sessions column; cp_id as codes into
+    ids, which gains any new id.  Each rejection is appended to errors.
 
     The columns are converted in bulk, and the parsing rules are stated
     once, as masks over the chunk with their reasons, in the order they
     apply.  A row is kept when it passes every rule; a rejected row gets
     the reason of the first rule it fails, filled in from its stripped
     fields (named as in the header) and its values, and is numbered by its
-    first line; line_starts holds each record's, then the line after the
-    last record.  The reason of a record that spans lines names them.  A
-    blank record is skipped.
+    first line; firsts and lasts hold each record's first and last line.
+    The reason of a record that spans lines names them.  A blank record is
+    skipped.
     """
     n = len(rows)
     sizes = np.fromiter(map(len, rows), np.intp, n)
@@ -349,13 +446,9 @@ def _parse_chunk(
 
     # new texts in order of first appearance, so the codes number the ids
     # in that order whatever the hash seed
-    for text in [t for t in dict.fromkeys(cp) if t not in text_codes]:
-        # a stripped id is usable when it is not empty and the reports,
-        # which write ids unquoted, can hold it as one CSV field
-        cp_id = text.strip()
-        usable = cp_id and _CSV_SPECIALS.isdisjoint(cp_id)
-        text_codes[text] = cp_codes.setdefault(cp_id, len(cp_codes)) if usable else -1
-    codes = np.fromiter(map(text_codes.__getitem__, cp), np.intc, n)
+    for text in [t for t in dict.fromkeys(cp) if t not in ids.text_codes]:
+        ids.code(text)
+    codes = np.fromiter(map(ids.text_codes.__getitem__, cp), np.intc, n)
 
     day_of = {text: _day_number(text.strip()) for text in {*sd, *ed}}
     instants, ok_instants = [], np.ones(n, dtype=bool)
@@ -365,37 +458,105 @@ def _parse_chunk(
         instants.append(days * 86400 + seconds)
         ok_instants &= ok_clock & (days != _NO_DAY)
     start, end = instants
-    hours = (end - start) / 3600.0
+    hours, value_rules = _value_rules(start, end, energy, plugin)
 
-    # nan fails every comparison
-    with np.errstate(invalid="ignore"):
-        rules = [
-            (sizes == 8, "expected 8 fields, got {size}"),
-            (ok_event_id, "bad EventID {EventID!r}"),
-            (codes >= 0, "bad CPID {CPID!r}"),
-            (ok_instants, "bad date/time {StartDate!r} {StartTime!r} / {EndDate!r} {EndTime!r}"),
-            (ok_energy & ok_plugin, "bad Energy/Duration {Energy!r}/{Duration!r}"),
-            (np.isfinite(energy) & np.isfinite(plugin), "non-finite Energy/Duration"),
-            (energy >= 0, "negative energy {energy}"),
-            (end > start, "end instant not after start"),
-            (plugin > 0, "non-positive duration {plugin}"),
-            (
-                np.abs(plugin - hours) <= DURATION_TOLERANCE_HOURS,
-                "Duration {plugin} disagrees with end-start {hours:.4f} h",
-            ),
-        ]
+    rules = [
+        (sizes == 8, "expected 8 fields, got {size}"),
+        (ok_event_id, "bad EventID {EventID!r}"),
+        (codes >= 0, "bad CPID {CPID!r}"),
+        (ok_instants, "bad date/time {StartDate!r} {StartTime!r} / {EndDate!r} {EndTime!r}"),
+        (ok_energy & ok_plugin, "bad Energy/Duration {Energy!r}/{Duration!r}"),
+        *value_rules,
+    ]
     ok = np.logical_and.reduce([mask for mask, _ in rules])
     for i in np.flatnonzero(~ok & (sizes > 0)).tolist():
         reason = next(reason for mask, reason in rules if not mask[i])
         values = dict(zip(EXPECTED_HEADER, map(str.strip, rows[i])), size=len(rows[i]))
         values.update(energy=float(energy[i]), plugin=float(plugin[i]), hours=float(hours[i]))
         reason = reason.format_map(values)
-        first, last = line_starts[i], line_starts[i + 1] - 1
-        if last > first:  # a quoted field took in line breaks
-            reason += f" (record spans lines {first}-{last})"
-        errors.append(ParseError(first, reason))
+        if lasts[i] > firsts[i]:  # a quoted field took in line breaks
+            reason += f" (record spans lines {firsts[i]}-{lasts[i]})"
+        errors.append(ParseError(firsts[i], reason))
+    kept = np.flatnonzero(ok)
     # -0.0 passes the sign check; + 0.0 stores it as 0.0
-    return event_id[ok], codes[ok], start[ok], end[ok], energy[ok] + 0.0, plugin[ok]
+    columns = (event_id, codes, start, end, energy + 0.0, plugin)
+    return kept, tuple(column[kept] for column in columns)
+
+
+def _parse_block(block: bytes, first_line: int, ids: _Ids, limit: int):
+    """The lines of block, whose first is line first_line, when each line
+    is one record: their count, the line numbers and the rows of the lines
+    read in bulk, as one array per Sessions column, and the other lines, as
+    (line number, text) pairs, for _parse_chunk.
+
+    The CPID of each line of 8 fields gets its code first, so ids number
+    the ids in order of first appearance.  A line of 8 fields is read in
+    bulk when each field has its strict form and is no longer than the csv
+    module's field size limit, and its values pass _value_rules: EventID
+    1 to 18 digits, CPID bytes from "!" to "~", the dates DD/MM/YYYY and
+    the clocks _CLOCK's form, all in ASCII digits, and Energy and Duration
+    bytefields.decimals' form.  _parse_chunk rejects every other line, or
+    reads what the strict forms leave out (padding, signs, exponents,
+    longer numbers, non-ASCII text).
+    """
+    data = bytefields.PAD + block + bytefields.PAD
+    buf = np.frombuffer(data, np.uint8)
+    view = bytefields.windows(buf)
+    breaks = np.flatnonzero(buf == ord("\n"))
+    if not block.endswith(b"\n"):  # the file's last line, without a break
+        breaks = np.append(breaks, len(bytefields.PAD) + len(block))
+    starts = np.concatenate(([len(bytefields.PAD)], breaks[:-1] + 1))
+    # each line's end, before its LF or CR LF
+    stops = breaks - (buf[breaks - 1] == ord("\r"))
+    commas = np.flatnonzero(buf == ord(","))
+    # the commas before each line's end; a line of 7 has 8 fields
+    upto = np.searchsorted(commas, stops)
+    rows = np.flatnonzero(np.diff(upto, prepend=0) == 7)
+    cuts = commas[(upto[rows] - 7)[:, None] + np.arange(7)].T
+    begins, ends = [starts[rows], *(cuts + 1)], [*cuts, stops[rows]]
+    lengths = np.subtract(ends, begins)
+
+    # the bytes no CPID of the strict form holds, line breaks among them
+    odd = np.flatnonzero((buf <= ord(" ")) | (buf > ord("~")))
+    ok_cp = (lengths[1] > 0) & (np.searchsorted(odd, begins[1]) == np.searchsorted(odd, ends[1]))
+    codes = ids.field_codes(buf, begins[1], ends[1], ok_cp)
+    event_id, ok_event_id = bytefields.event_ids(view, ends[0], lengths[0])
+    start, end, ok_instants = bytefields.instants(view, begins[2])
+    numbers, ok_numbers = bytefields.decimals(view, np.concatenate(ends[6:]), lengths[6:].ravel())
+    (energy, plugin), ok_numbers = numbers.reshape(2, -1), ok_numbers.reshape(2, -1).all(axis=0)
+    _, value_rules = _value_rules(start, end, energy, plugin)
+    fast = np.logical_and.reduce(
+        [ok_event_id, ok_cp, ok_instants, ok_numbers,
+         lengths.max(axis=0) <= limit, *(mask for mask, _ in value_rules)]
+    )
+
+    others = np.ones(len(starts), dtype=bool)
+    others[rows[fast]] = False
+    others = np.flatnonzero(others)
+    texts = [data[a:b].decode() for a, b in zip(starts[others].tolist(), stops[others].tolist())]
+    return (
+        len(starts),
+        rows[fast] + first_line,
+        tuple(column[fast] for column in (event_id, codes, start, end, energy, plugin)),
+        list(zip((others + first_line).tolist(), texts)),
+    )
+
+
+def _insert_others(columns, start: int, numbers: list, others: list, ids: _Ids, errors: list[ParseError]):
+    """Parse others, (line number, text) pairs, through _parse_chunk, and put
+    the rows it accepts among the rows of columns from start on, whose line
+    numbers numbers holds, in line order."""
+    if not others:
+        return
+    lines, texts = zip(*others)
+    kept, slow = _parse_chunk(list(csv.reader(texts)), lines, lines, ids, errors)
+    if not len(kept):
+        return
+    at = np.searchsorted(np.concatenate(numbers), np.asarray(lines)[kept])
+    for column, new, dtype in zip(columns, slow, _DTYPES.values()):
+        tail = np.insert(np.frombuffer(column, dtype)[start:], at, new)
+        del column[start:]
+        column.frombytes(memoryview(tail).cast("B"))
 
 
 def _check_header(header: list[str] | None) -> None:
@@ -407,28 +568,75 @@ def _check_header(header: list[str] | None) -> None:
         raise ValueError(f"unexpected header {header!r}; expected {','.join(EXPECTED_HEADER)}")
 
 
+def _table(columns: Sequence[array], cp_ids: Sequence[str]) -> Sessions:
+    """A Sessions table over the compact columns, in _DTYPES order."""
+    arrays = (np.frombuffer(column, dtype) for column, dtype in zip(columns, _DTYPES.values()))
+    return Sessions(*arrays, cp_ids=cp_ids)
+
+
 def _parse_records(reader, lines, offset: int):
     """Parse the reader's remaining records, whose first line is line
     offset + 1; lines is a tee of the reader's source.  Returns the
     accepted rows' columns, in _DTYPES order, as compact arrays whose codes
     index the returned id table, and the rejections."""
-    # accepted rows, appended chunk by chunk; a row's charger is the
-    # position of its id in cp_codes
+    # accepted rows, appended chunk by chunk
     columns = tuple(map(array, "qiqqdd"))
-    cp_codes: dict[str, int] = {}
-    text_codes: dict[str, int] = {}
-    errors: list[ParseError] = []
-    parsed = reader.line_num  # the last line of the records parsed so far
+    ids, errors = _Ids(), []
+    for rows, firsts, lasts in _chunks(reader, lines, _CHUNK_RECORDS, offset):
+        _append(columns, _parse_chunk(rows, firsts, lasts, ids, errors)[1])
+    return columns, tuple(ids.codes), errors
+
+
+def _append(columns: Sequence[array], values: Iterable[np.ndarray]) -> None:
+    """Append each array of values to its compact column."""
+    for column, part in zip(columns, values):
+        column.frombytes(memoryview(part).cast("B"))
+
+
+def _parse_lines(fh, offset: int, count: int | None = None):
+    """_parse_records over count lines of the binary file fh from its
+    position on, or over every line to its end when count is None; they
+    follow offset lines.  Read in blocks, each parsed by _parse_block; a
+    ValueError when a line need not be one record.
+
+    _parse_chunk takes about as long for one line as for a hundred, so the
+    lines _parse_block leaves are passed to it together, once
+    _CHUNK_RECORDS of them are gathered or they span _HELD_BLOCKS blocks;
+    any row it accepts is then put among the rows read in bulk meanwhile."""
+    # accepted rows, appended block by block
+    columns = tuple(map(array, "qiqqdd"))
+    ids, errors = _Ids(), []
+    limit = csv.field_size_limit()
+    line = offset + 1
+    # the lines gathered for _parse_chunk, the line numbers of the rows read
+    # in bulk since the block of the first, by block, and the rows before it
+    others, numbers, start = [], [], 0
+    for block in bytefields.line_blocks(fh, count):
+        lines, read, accepted, block_others = _parse_block(block, line, ids, limit)
+        line += lines
+        if not others:
+            numbers, start = [], len(columns[0])
+        _append(columns, accepted)
+        numbers.append(read)
+        others += block_others
+        if len(others) >= _CHUNK_RECORDS or len(numbers) >= _HELD_BLOCKS:
+            _insert_others(columns, start, numbers, others, ids, errors)
+            others = []
+    _insert_others(columns, start, numbers, others, ids, errors)
+    return columns, tuple(ids.codes), errors
+
+
+def _body_start(block: bytes) -> int:
+    """The offset, in a file's first bytes, of the line after its header
+    when the header is the expected one and ends within them; else 0.  A
+    byte-order mark before the header is skipped."""
+    first = len(codecs.BOM_UTF8) if block.startswith(codecs.BOM_UTF8) else 0
+    body = block.find(b"\n", first) + 1
     try:
-        for rows, line_starts in _chunks(reader, lines, _CHUNK_RECORDS, offset):
-            accepted = _parse_chunk(rows, line_starts, cp_codes, text_codes, errors)
-            for column, values in zip(columns, accepted):
-                column.frombytes(values.tobytes())
-            parsed = reader.line_num
-    except csv.Error as exc:
-        lines_named = f"{offset + parsed + 1}-{offset + reader.line_num}"
-        raise ValueError(f"unreadable CSV in lines {lines_named}: {exc}") from None
-    return columns, tuple(cp_codes), errors
+        _check_header(next(csv.reader([block[first:body].decode()]), None))
+    except (ValueError, csv.Error):
+        return 0
+    return body
 
 
 def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
@@ -448,8 +656,7 @@ def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
         raise ValueError(f"unreadable CSV in lines 1-{reader.line_num}: {exc}") from None
     _check_header(header)
     columns, cp_ids, errors = _parse_records(reader, lines, 0)
-    arrays = (np.frombuffer(column, dtype) for column, dtype in zip(columns, _DTYPES.values()))
-    return Sessions(*arrays, cp_ids=cp_ids), errors
+    return _table(columns, cp_ids), errors
 
 
 def _line_ranges(path, workers: int) -> list[tuple[int, int, int]] | None:
@@ -462,13 +669,8 @@ def _line_ranges(path, workers: int) -> list[tuple[int, int, int]] | None:
     size = os.path.getsize(path)
     with open(path, "rb") as fh:
         block = fh.read(_SCAN_BLOCK)
-        first = len(codecs.BOM_UTF8) if block.startswith(codecs.BOM_UTF8) else 0
-        body = block.find(b"\n", first) + 1
+        body = _body_start(block)
         if not 0 < body < size:
-            return None
-        try:
-            _check_header(next(csv.reader([block[first:body].decode()]), None))
-        except (ValueError, csv.Error):
             return None
         n = workers * -(-(size - body) // (workers * _RANGE_BYTES))
         targets = [body + (size - body) * k // n for k in range(1, n)]
@@ -477,7 +679,7 @@ def _line_ranges(path, workers: int) -> list[tuple[int, int, int]] | None:
         while block:
             if block.endswith(b"\r"):
                 block += fh.read(1)
-            if b'"' in block or block.count(b"\r") != block.count(b"\r\n"):
+            if not bytefields.one_record_a_line(block):
                 return None
             while targets and targets[0] < pos + len(block):
                 i = block.find(b"\n", max(targets[0] - pos, 0))
@@ -499,8 +701,8 @@ def _line_ranges(path, workers: int) -> list[tuple[int, int, int]] | None:
 
 
 def _parse_range(path, first_byte: int, count: int, offset: int, out_path: str):
-    """_parse_records over count lines of the file from first_byte on,
-    which follow offset lines, each line read and decoded on its own.
+    """_parse_lines over count lines of the file from first_byte on, which
+    follow offset lines.
 
     The columns, back to back in _DTYPES order, then the id table, each id
     ended by a line break (no usable id holds one), go to the file
@@ -509,8 +711,7 @@ def _parse_range(path, first_byte: int, count: int, offset: int, out_path: str):
     number of rows, the id table's size in bytes and the rejections."""
     with open(path, "rb") as fh:
         fh.seek(first_byte)
-        source, lines = tee(map(bytes.decode, islice(fh, count)))
-        columns, cp_ids, errors = _parse_records(csv.reader(source), lines, offset)
+        columns, cp_ids, errors = _parse_lines(fh, offset, count)
     ids = "".join(f"{cp_id}\n" for cp_id in cp_ids).encode()
     with open(out_path, "wb") as out:
         for column in columns:
@@ -549,23 +750,30 @@ def parse_sessions_path(
     """parse_sessions on a UTF-8 file, whatever the locale; a byte-order
     mark, as spreadsheet exports write, is skipped.
 
-    With workers > 1, a file whose every line is one record is parsed in
-    byte ranges through map_ranges, which has itertools.starmap's contract
-    (such as a map over a process pool that keeps the results in order),
-    and merged, with the serial parse's result; each range's parsed rows
-    pass through a file in a temporary directory, about 44 bytes a row.
-    Any other file, and a range that raises, is parsed serially, which
+    A file whose every line is one record is read as bytes, in blocks
+    (_parse_block).  With workers > 1 it is parsed in byte ranges through
+    map_ranges, which has itertools.starmap's contract (such as a map over
+    a process pool that keeps the results in order), and merged; each
+    range's parsed rows pass through a file in a temporary directory, about
+    44 bytes a row.  Either gives the serial parse's result.  Any other
+    file, and one whose block parse raises, is parsed serially, which
     raises what the serial parse raises.
     """
     cuts = _line_ranges(path, workers) if workers > 1 else None
-    if cuts:
-        try:
+    try:
+        if cuts:
             with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
                 out_paths = [os.path.join(tmp, str(k)) for k in range(len(cuts))]
                 calls = [(path, *cut, out) for cut, out in zip(cuts, out_paths)]
                 return _merge(map_ranges(_parse_range, calls), out_paths)
-        except (ValueError, OSError):
-            pass  # the serial parse below raises the error it meets first
+        if workers == 1:
+            with open(path, "rb") as fh:
+                if body := _body_start(fh.read(_SCAN_BLOCK)):
+                    fh.seek(body)
+                    columns, cp_ids, errors = _parse_lines(fh, 1)
+                    return _table(columns, cp_ids), errors
+    except (ValueError, OSError, csv.Error):
+        pass  # the serial parse below raises the error it meets first
     with open(path, newline="", encoding="utf-8-sig") as fh:
         return parse_sessions(fh)
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smartcharge import dataset
+from smartcharge import bytefields, dataset
 from smartcharge.dataset import (
     DURATION_TOLERANCE_HOURS,
     EXPECTED_HEADER,
@@ -608,23 +608,28 @@ def reference_parse_sessions(stream):
 # (a start, a length, a Duration near it) and swaps some fields for these:
 # padding (str.strip() strips \x1c, int() and float() do not), signs, digit
 # separators and non-ASCII digits, which the bulk checks pass to the row
-# validator; values at the edges of each rule; and CPIDs the CSV must quote,
-# some holding line breaks, so records span lines.
+# validator; values at the edges of each rule, and of the block parse's
+# strict forms (18 digits, 15 digits, ids of 8 bytes); and CPIDs the CSV
+# must quote, some holding line breaks, so records span lines.
 _AWKWARD = {
     "evt": [" 5", "5 ", "+5", "5_0", "٥", "\x1c5", "5.0", "x", "", "-0",
-            str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1)],
+            str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1),
+            "0", "9" * 18, "1" + "0" * 18, "0" * 20 + "7"],
     "cp": [" AN1", "AN1 ", "\x1cAN1", "AN,1", 'AN"1', "AN\r1", "AN\n1", "AN\r\n1",
-           "", "  ", "\xe9", "AN 1"],
+           "", "  ", "\xe9", "AN 1", "AN\t1", "AN1\x7f", "!~", "AN345678", "AN3456789", "A" * 40],
     "date": [" 01/06/2017", "01/06/2017 ", "1/6/2017", "29/02/2017", "29/02/2016",
              "31/13/2017", "00/06/2017", "٠١/06/2017", "01-06-2017", "x", "",
-             "01/06/99999999999999999999"],
+             "01/06/99999999999999999999", "31/04/2017", "29/02/1900", "29/02/2000",
+             "01/06/0000", "32/05/2017", "01/06/02017"],
     "time": ["1:2:3", "24:00:00", "23:59:60", "09:60:00", "09:59:60", "10:00;00", "10;00:00",
              "10:00:0A", "0::00:00", "9:59:59", "1O:00:00", " 10:00:00", "10:00:00 ",
              "+1:00:00", "-0:00:00", "١٠:00:00", "10:00", "10:00:00:00",
-             "1000000:", "\x1c0:00:00", "ab:cd:ef", "", "x"],
+             "1000000:", "\x1c0:00:00", "ab:cd:ef", "", "x", "20:00:00", "29:00:00", "010:00:00"],
     "energy": ["-0.0", "0", "-1", "nan", "inf", "-inf", "1e400", " 5", "+5", "5_0",
-               "٥", "\x1c5", "x", ""],
-    "duration": ["0", "-0.0", "-2", "nan", "inf", "1e400", " 2", "+2", "2_0", "x", ""],
+               "٥", "\x1c5", "x", "", "007.50", "5.", ".5", "1.2.3", "0.0", "1e1",
+               "123456789012345", "1234567890123456", "12345678901234.5", "1.000000000000000"],
+    "duration": ["0", "-0.0", "-2", "nan", "inf", "1e400", " 2", "+2", "2_0", "x", "",
+                 "2.", ".5", "02.000", "0.0", "2.0000000000000001"],
 }
 _CLOCK_STARTS = [0, 59, 3599, 36000, 86399]
 _SPANS = [0, 60, 3600, 7200, 86400, 3 * 86400 + 1]
@@ -921,29 +926,44 @@ def _range_file_bytes(records, endings, bom, last_ending):
     bom=st.booleans(),
     last_ending=st.booleans(),
     chunk=st.integers(1, 5),
-    workers=st.integers(2, 4),
+    block=st.sampled_from([7, 300, bytefields.PARSE_BLOCK]),
+    held=st.integers(1, 3),
+    workers=st.integers(1, 4),
     range_bytes=st.sampled_from([1, 60, 400, dataset._RANGE_BYTES]),
     cuts=st.lists(st.integers(0, 31), max_size=6),
 )
 # rejected rows on both sides of each range edge
 @example(
     records=[["x", "AN1", *_TIMES, "5", "2"], ["1", "AN1", *_TIMES, "-1", "2"]] * 3,
-    endings=["\n"], bom=False, last_ending=True, chunk=2, workers=3, range_bytes=60,
-    cuts=[1, 2, 3, 4],
+    endings=["\n"], bom=False, last_ending=True, chunk=2, block=64, held=1, workers=3,
+    range_bytes=60, cuts=[1, 2, 3, 4],
+)
+# an id first met on a line the csv module reads, before one first met on
+# a line read in bulk; then rows of both kinds accepted, in one block
+@example(
+    records=[["x", "AN2", *_TIMES, "5", "2"], ["1", "AN1", *_TIMES, "5", "2"],
+             ["2", " AN3", *_TIMES, "5", "2"], ["3", "AN3", *_TIMES, "+5", "2"]],
+    endings=["\n"], bom=False, last_ending=True, chunk=5, block=bytefields.PARSE_BLOCK,
+    held=1, workers=1, range_bytes=dataset._RANGE_BYTES, cuts=[],
 )
 def test_byte_ranges_match_the_serial_parse(
-    records, endings, bom, last_ending, chunk, workers, range_bytes, cuts
+    records, endings, bom, last_ending, chunk, block, held, workers, range_bytes, cuts
 ):
+    # the csv parse is the reference: the block parse, at one worker or in
+    # ranges, gives its result
     data = _range_file_bytes(records, endings, bom, last_ending)
     with (
         tempfile.TemporaryDirectory() as tmp,
         mock.patch.object(dataset, "_CHUNK_RECORDS", chunk),
+        mock.patch.object(bytefields, "PARSE_BLOCK", block),
+        mock.patch.object(dataset, "_HELD_BLOCKS", held),
         mock.patch.object(dataset, "_RANGE_BYTES", range_bytes),
     ):
         path = os.path.join(tmp, "fleet.csv")
         with open(path, "wb") as fh:
             fh.write(data)
-        serial = parse_sessions_path(path)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            serial = parse_sessions(fh)
         planned = dataset._line_ranges(path, workers)
         # a file with a byte after the header's line takes the range path
         assert (planned is None) == (data.split(b"\n", 1)[1:] in ([], [b""]))
@@ -988,6 +1008,61 @@ def test_byte_ranges_name_a_field_past_the_limit_as_the_serial_parse(tmp_path, w
         csv.field_size_limit(limit)
     assert str(serial.value).startswith("unreadable CSV in lines ")
     assert str(ranged.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 128])
+@pytest.mark.parametrize(
+    "line, named",
+    [("9,CP{},01/06/2017,10:00:00,01/06/2017,12:00:00,5,2", "9-9"),
+     ('9,"CP\n{}",01/06/2017,10:00:00,01/06/2017,12:00:00,5,2', "9-10")],
+    ids=["one-line", "two-lines"],
+)
+def test_an_unreadable_record_is_named_by_its_own_lines(chunk, line, named):
+    # a field past the csv module's size limit on line 9 of 11, in a record
+    # of one line or of two
+    records = [f"{i},CP1,01/06/2017,10:00:00,01/06/2017,12:00:00,5,2" for i in range(7)]
+    text = "\n".join([CSV_HEADER, *records, line.format("9" * 60), *records[:2]]) + "\n"
+    limit = csv.field_size_limit(50)
+    try:
+        with mock.patch.object(dataset, "_CHUNK_RECORDS", chunk), pytest.raises(ValueError) as raised:
+            parse_sessions(io.StringIO(text, newline=""))
+    finally:
+        csv.field_size_limit(limit)
+    assert str(raised.value) == f"unreadable CSV in lines {named}: field larger than field limit (50)"
+
+
+@pytest.mark.parametrize("where", [3, 700])
+@pytest.mark.parametrize("spoiler", ['"AN1"', "AN\r1"], ids=["quote", "cr"])
+def test_a_line_that_need_not_be_one_record_takes_the_csv_parse(tmp_path, where, spoiler):
+    # one line, in the first block or well past it, holds a quote or a CR
+    # alone: the block parse gives way to the csv parse, whose result stands
+    lines = [f"{i},AN{i % 7},01/06/2017,10:00:00,01/06/2017,12:00:00,5,2" for i in range(1000)]
+    lines[where] = lines[where].replace(f"AN{where % 7}", spoiler)
+    path = tmp_path / "fleet.csv"
+    path.write_bytes("\n".join([CSV_HEADER, *lines]).encode() + b"\n")
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        want = parse_sessions(fh)
+    for workers in (1, 2):
+        with (
+            mock.patch.object(bytefields, "PARSE_BLOCK", 4096),
+            mock.patch.object(dataset, "parse_sessions", wraps=dataset.parse_sessions) as csv_parse,
+        ):
+            assert_same_parse(parse_sessions_path(path, workers=workers), want)
+        assert csv_parse.call_count == 1
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_every_line_of_a_clean_file_is_read_in_bulk(tmp_path, newline):
+    path = tmp_path / "fleet.csv"
+    path.write_bytes(synth_fleet_csv().replace("\n", newline).encode())
+    for workers in (1, 2):
+        with (
+            mock.patch.object(dataset, "parse_sessions") as csv_parse,
+            mock.patch.object(dataset, "_parse_chunk") as chunk_parse,
+        ):
+            sessions, errors = parse_sessions_path(path, workers=workers)
+        assert len(sessions) and not errors
+        assert not csv_parse.called and not chunk_parse.called
 
 
 @pytest.mark.parametrize(
