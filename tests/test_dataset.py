@@ -1051,6 +1051,24 @@ def test_a_line_that_need_not_be_one_record_takes_the_csv_parse(tmp_path, where,
         assert csv_parse.call_count == 1
 
 
+@pytest.mark.parametrize("where", [3, 700])
+def test_an_undecodable_byte_raises_as_the_csv_parse(tmp_path, where):
+    # a byte no UTF-8 text holds, in a CPID in the first block or past it:
+    # the block parse falls back, and the csv parse raises its own error
+    lines = [f"{i},AN{i % 7},01/06/2017,10:00:00,01/06/2017,12:00:00,5,2" for i in range(1000)]
+    data = bytearray("\n".join([CSV_HEADER, *lines]).encode() + b"\n")
+    at = data.index(f"{where},AN".encode()) + len(f"{where},AN")
+    data[at] = 0xFF
+    path = tmp_path / "fleet.csv"
+    path.write_bytes(bytes(data))
+    with pytest.raises(UnicodeDecodeError) as want, open(path, newline="", encoding="utf-8-sig") as fh:
+        parse_sessions(fh)
+    for workers in (1, 2):
+        with mock.patch.object(bytefields, "PARSE_BLOCK", 4096), pytest.raises(UnicodeDecodeError) as got:
+            parse_sessions_path(path, workers=workers)
+        assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 def test_every_line_of_a_clean_file_is_read_in_bulk(tmp_path, newline):
     path = tmp_path / "fleet.csv"
