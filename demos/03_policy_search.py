@@ -5,6 +5,12 @@ The reward prefers low aggregate charging rates but turns to -inf once the
 total energy shortfall reaches 10 kWh, so the search settles on the gentlest
 policy that still (nearly) meets demand.  A brute-force grid search over the
 same candidate space shows how close the 200-step search gets.
+
+A search from scratch accepts many of its tries; a re-learn warm-started
+from the learned policy, as online mode runs one after every session,
+accepts few.  The search evaluates a run of tries per kernel call and moves
+to the first one accepted, so the fewer tries it accepts, the fewer calls it
+makes; the demo counts both.
 """
 
 import numpy as np
@@ -17,6 +23,7 @@ from smartcharge import (
     evaluate_policy_arrays,
     history_arrays,
     learn_policy,
+    optimizer,
     reward,
 )
 
@@ -74,3 +81,43 @@ print(
 
 raw = reward(*evaluate_policy_arrays(history, 24.0, 1.0), params).item()
 print(f"raw-equivalent policy reward: {raw:.3f}")
+
+
+def accepted_tries(cfg, init, seed):
+    """How many tries the search accepts: the same search one try at a
+    time, with the same draws (dx, sign, dy, sign per try)."""
+    t_mean, t_max = sessions.plugin_hours.mean(), sessions.plugin_hours.max()
+    t, p = (t_mean, 0.5) if init is None else (init.t_boost_max_hours, init.p_rate)
+    r = reward(*evaluate_policy_arrays(history, t, p), params).item()
+    rng, accepted = np.random.default_rng(seed), 0
+    for _ in range(cfg.n_tries):
+        dx = t_mean * rng.uniform(cfg.dx_min, cfg.dx_max) * (1.0 if rng.random() < 0.5 else -1.0)
+        dy = rng.uniform(cfg.dy_min, cfg.dy_max) * (1.0 if rng.random() < 0.5 else -1.0)
+        t_try, p_try = min(max(t + dx, 0.0), t_max), min(max(p + dy, 0.0), 1.0)
+        r_try = reward(*evaluate_policy_arrays(history, t_try, p_try), params).item()
+        if r_try >= r:
+            t, p, r, accepted = t_try, p_try, r_try, accepted + 1
+    return accepted
+
+
+# count the search's kernel calls where it looks the kernel up
+calls = 0
+
+
+def counted(*args):
+    global calls
+    calls += 1
+    return evaluate_policy_arrays(*args)
+
+
+optimizer.evaluate_policy_arrays = counted
+cfg = SearchConfig(n_tries=200)
+for label, init, seed in (("from scratch", None, 1), ("warm-started", learned.policy, 2)):
+    calls = 0
+    learn_policy(sessions, p_max, cfg, params, init=init, seed=seed)
+    accepted = accepted_tries(cfg, init, seed)
+    print(
+        f"search {label}: accepted {accepted} of {cfg.n_tries} tries "
+        f"({100 * accepted / cfg.n_tries:.1f}%) in {calls} kernel calls"
+    )
+optimizer.evaluate_policy_arrays = evaluate_policy_arrays

@@ -81,22 +81,37 @@ class HistoryArrays:
     no policy changes, and scratch space the evaluations reuse."""
 
     def __init__(self, e_target: np.ndarray, plugin: np.ndarray, p_max_kw):
-        self.e_target = e_target
-        self.plugin = plugin
+        arrays = np.empty((10,) + e_target.shape)
+        arrays[0] = e_target
+        arrays[1] = plugin
         # stored full width: an operand broadcast from a column costs more
         # per call than a full-width one
-        self.p_max_kw = np.broadcast_to(p_max_kw, e_target.shape).copy()
+        arrays[2] = p_max_kw
         # min(e_target / p_max, plugin), the part of the boost cap no policy
         # changes; min returns one of its operands, so applying the policy's
         # cap last gives the same value
-        self.boost_cap = np.minimum(e_target / self.p_max_kw, plugin)
-        self.charged = e_target > 0
-        self._t_boost = np.empty_like(e_target)
-        self._e_boost = np.empty_like(e_target)
+        np.minimum(e_target / arrays[2], plugin, out=arrays[3])
+        self._hold(arrays, e_target > 0)
+
+    def _hold(self, arrays: np.ndarray, charged: np.ndarray) -> None:
+        """Use arrays' rows: the four per-session columns, then scratch."""
+        self._columns = arrays[:4]
+        self.e_target, self.plugin, self.p_max_kw, self.boost_cap = self._columns
+        self.charged = charged
+        self._t_boost, self._e_boost, self._p_eff = arrays[4:7]
+        self._p_eff.fill(0.0)
         # rows reduced together: shortfall, delivered energy, p_eff * delivered
         # (the kernel uses the last row as scratch before it holds its term)
-        self._terms = np.empty((3,) + e_target.shape)
-        self._p_eff = np.zeros_like(e_target)
+        self._terms = arrays[7:]
+
+    def take_rows(self, rows: np.ndarray) -> HistoryArrays:
+        """The given rows of this (k, L) block, repeats allowed, as a new
+        HistoryArrays, with no column computed again."""
+        arrays = np.empty((10, len(rows)) + self.e_target.shape[1:])
+        self._columns.take(rows, axis=1, out=arrays[:4], mode="clip")
+        taken = HistoryArrays.__new__(HistoryArrays)
+        taken._hold(arrays, self.charged.take(rows, axis=0))
+        return taken
 
 
 def history_arrays(

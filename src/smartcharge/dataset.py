@@ -512,22 +512,31 @@ def _parse_block(block: bytes, first_line: int, ids: _Ids, limit: int):
     # the commas before each line's end; a line of 7 has 8 fields
     upto = np.searchsorted(commas, stops)
     rows = np.flatnonzero(np.diff(upto, prepend=0) == 7)
+    # each such line's field bounds: a comma's place before its start, its
+    # 7 commas and its end; field f runs from bounds[f] + 1 to bounds[f + 1]
     cuts = commas[(upto[rows] - 7)[:, None] + np.arange(7)].T
-    begins, ends = [starts[rows], *(cuts + 1)], [*cuts, stops[rows]]
-    lengths = np.subtract(ends, begins)
+    bounds = np.vstack([starts[rows] - 1, cuts, stops[rows]])
+    del commas, upto, cuts
+    short = np.diff(bounds, axis=0).max(axis=0) <= limit + 1
+    # the bounds and lengths the readers take, as arrays of their own, so
+    # that the rest is gone before the readers make their copies
+    (event_end, cp_end), number_ends = bounds[1:3].copy(), np.concatenate(bounds[7:])
+    cp_begin, date_begin = event_end + 1, cp_end + 1
+    event_length, cp_length = np.diff(bounds[:3], axis=0) - 1
+    number_lengths = (np.diff(bounds[6:], axis=0) - 1).ravel()
+    del bounds
 
     # the bytes no CPID of the strict form holds, line breaks among them
     odd = np.flatnonzero((buf <= ord(" ")) | (buf > ord("~")))
-    ok_cp = (lengths[1] > 0) & (np.searchsorted(odd, begins[1]) == np.searchsorted(odd, ends[1]))
-    codes = ids.field_codes(buf, begins[1], ends[1], ok_cp)
-    event_id, ok_event_id = bytefields.event_ids(view, ends[0], lengths[0])
-    start, end, ok_instants = bytefields.instants(view, begins[2])
-    numbers, ok_numbers = bytefields.decimals(view, np.concatenate(ends[6:]), lengths[6:].ravel())
+    ok_cp = (cp_length > 0) & (np.searchsorted(odd, cp_begin) == np.searchsorted(odd, cp_end))
+    codes = ids.field_codes(buf, cp_begin, cp_end, ok_cp)
+    event_id, ok_event_id = bytefields.event_ids(view, event_end, event_length)
+    start, end, ok_instants = bytefields.instants(view, date_begin)
+    numbers, ok_numbers = bytefields.decimals(view, number_ends, number_lengths)
     (energy, plugin), ok_numbers = numbers.reshape(2, -1), ok_numbers.reshape(2, -1).all(axis=0)
     _, value_rules = _value_rules(start, end, energy, plugin)
     fast = np.logical_and.reduce(
-        [ok_event_id, ok_cp, ok_instants, ok_numbers,
-         lengths.max(axis=0) <= limit, *(mask for mask, _ in value_rules)]
+        [ok_event_id, ok_cp, ok_instants, ok_numbers, short, *(mask for mask, _ in value_rules)]
     )
 
     others = np.ones(len(starts), dtype=bool)

@@ -8,22 +8,25 @@ wide range so the search can escape local optima of the non-concave reward
 surface.
 
 learn_policies runs the search for many chargers at once.  Chargers whose
-windows have the same length form a bucket, and each iteration evaluates
-one candidate per charger of the bucket on a (chargers, window) array;
-acceptance and best-point updates are masked per row.  A charger's result
-does not depend on its neighbours in the bucket: its random draws come from
-its own seeded generator, every elementwise operation is the same as in a
-one-charger search, and each sum reduces its own row, in the same pairwise
-order as a one-charger sum.  Windows are never zero-padded to a common
-length, since padding would change that order.  learn_policy is the
-one-charger case.
+windows have the same length form a bucket, evaluated on a (chargers,
+window) array.  A charger's result does not depend on its neighbours in
+the bucket: its random draws come from its own seeded generator, every
+elementwise operation is the same as in a one-charger search, and each sum
+reduces its own row, in the same pairwise order as a one-charger sum.
+Windows are never zero-padded to a common length, since padding would
+change that order.  learn_policy is the one-charger case.
 
-A small bucket, where numpy's cost per call outweighs the arithmetic,
-evaluates two tries per call: every step is drawn up front, so the
-candidate of try i and both possible candidates of try i+1 (after try i is
-accepted or rejected) are known before try i is evaluated, and one call on
-three copies of the bucket's rows evaluates all three.  Each row is still
-evaluated on its own, so the results are the same bits either way.
+A bucket's rows start in lockstep, each call evaluating every row's next
+try, until _LOCKSTEP_QUIET_CALLS calls in a row see no row accept.  Then
+each call evaluates every unfinished row's next run of tries, all from its
+incumbent (the steps are drawn up front), and the row moves to the run's
+first accepted try, or past the run if none was accepted: a rejected try
+changes neither the incumbent nor the best point (whose reward is always
+the incumbent's), so each row walks the one-try-at-a-time path, bit for
+bit.  A run doubles after a run with no acceptance and drops to one try
+after an acceptance.  Warm-started re-learns reject almost every try, so
+they take few calls; while some row accepts at every call, a bucket needs
+a call per try anyway, and lockstep makes it with no per-row bookkeeping.
 """
 
 from __future__ import annotations
@@ -34,12 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charging import (
-    ChargingPolicy,
-    HistoryArrays,
-    evaluate_policy_arrays,
-    history_arrays,
-)
+from .charging import ChargingPolicy, HistoryArrays, evaluate_policy_arrays, history_arrays
 from .dataset import Sessions
 
 
@@ -161,17 +159,10 @@ def learn_policies(
     params: RewardParams,
     inits: Sequence[ChargingPolicy | None] | None = None,
 ) -> list[LearnedPolicy]:
-    """learn_policy for many chargers at once, one result per history.
-
-    Histories of one length are searched in lockstep: every iteration
-    evaluates one candidate per charger on a (chargers, window) array.
-    Lengths are never padded to match, because padding would change the
-    order of numpy's pairwise sums.  Each row draws its own seeded stream
-    and every reduction runs along its own row, so a charger's result is
-    bit-identical to searching it alone.  A bucket of at most
-    _SPECULATE_MAX_CELLS sessions runs two tries per evaluation call (see
-    _search), with the same results.
-    """
+    """learn_policy for many chargers at once, one result per history, each
+    bit-identical to searching that charger alone: histories of one length
+    are searched together, in lockstep and then in runs of tries (see the
+    module docstring)."""
     n = len(histories)
     inits = [None] * n if inits is None else inits
     if not len(p_max_kw) == len(seeds) == len(inits) == n:
@@ -198,11 +189,13 @@ def learn_policies(
     return results
 
 
-# Buckets of at most this many sessions (rows x window) evaluate two tries
-# per kernel call.  Up to this size numpy's cost per call outweighs the
-# half row more per try that speculation evaluates (three rows per two
-# tries); it is the largest size at which no measured shape got slower.
-_SPECULATE_MAX_CELLS = 512
+# The most sessions (rows x window) a call of the runs covers, if one try
+# per unfinished row fits; its arrays then fit a 2 MB L2 cache.  16,384 ran
+# online re-learns 10% faster on a quiet 2-core host, 25-35% slower on a busy one.
+_RUN_MAX_CELLS = 8192
+# Ending lockstep after one quiet call made 32-charger offline buckets of
+# cold starts, which accept in bursts, 8% slower; after three, no slower.
+_LOCKSTEP_QUIET_CALLS = 3
 
 
 def _search(
@@ -212,101 +205,108 @@ def _search(
     inits: Sequence[ChargingPolicy | None],
     params: RewardParams,
 ) -> list[LearnedPolicy]:
-    """The lockstep search over equal-length histories (see learn_policies).
+    """The search over a bucket of equal-length histories, in lockstep and
+    then in runs of tries (see the module docstring)."""
+    k, n = len(seeds), cfg.n_tries
+    t_mean, t_max = h.plugin.mean(axis=1), h.plugin.max(axis=1)
 
-    A small bucket runs its tries in pairs, speculatively: with every step
-    drawn up front, try i's candidate A = clip(inc + s_i) fixes try i+1's
-    two possible candidates, B = clip(A + s_i+1) if A is accepted and
-    C = clip(inc + s_i+1) if not.  One call on three copies of the bucket
-    evaluates A, B and C; try i is then applied with A, and try i+1 with B
-    or C per row, picked by try i's acceptance.  Each row is evaluated on
-    its own, with the same operations on the same values, so the result is
-    bit-identical to one try per call.
-    """
-    k = len(seeds)
-    t_mean = h.plugin.mean(axis=1)
-    t_max = h.plugin.max(axis=1)
-
-    # Rows 0-2 of each state: boost cap, rate, reward.
-    inc = np.empty((3, k))
+    # Rows of the state, one column per charger: the incumbent's boost cap,
+    # rate and reward, the upper bounds of boost cap and rate, a row for a
+    # call's candidate rewards, and the best point visited.
+    state = np.empty((8, k))
     for j, init in enumerate(inits):
         if init is None:
-            inc[0, j], inc[1, j] = t_mean[j], 0.5
+            state[:2, j] = t_mean[j], 0.5
         else:
-            inc[0, j] = min(max(init.t_boost_max_hours, 0.0), float(t_max[j]))
-            inc[1, j] = min(max(init.p_rate, 0.0), 1.0)
+            state[0, j] = min(max(init.t_boost_max_hours, 0.0), float(t_max[j]))
+            state[1, j] = min(max(init.p_rate, 0.0), 1.0)
+    state[3], state[4] = t_max, 1.0
 
     # Each row's draws come up front, in the order a scalar loop takes them
     # from its generator (dx, sign of dx, dy, sign of dy per try);
     # low + (high - low) * u is exactly how Generator.uniform maps a draw.
-    u = np.stack(
-        [np.random.default_rng(seed).random((cfg.n_tries, 4)) for seed in seeds], axis=-1
-    )
-    steps = np.empty((cfg.n_tries, 2, k))
+    u = np.stack([np.random.default_rng(seed).random((n, 4)) for seed in seeds], axis=-1)
+    steps = np.empty((n, 2, k))
     steps[:, 0] = t_mean * (cfg.dx_min + (cfg.dx_max - cfg.dx_min) * u[:, 0])
     steps[:, 1] = cfg.dy_min + (cfg.dy_max - cfg.dy_min) * u[:, 2]
     np.negative(steps, out=steps, where=u[:, 1::2] >= 0.5)
-    upper = np.stack([t_max, np.ones(k)])
 
-    inc_tp, inc_r = inc[:2], inc[2]
-    accept = np.empty(k, dtype=bool)
-    better = np.empty(k, dtype=bool)
-    e_loss, p_aggr = evaluate_policy_arrays(h, inc[0, :, None], inc[1, :, None])
-    reward(e_loss, p_aggr, params, out=inc_r)
-    best = inc.copy()
-    best_r = best[2]
-
-    def attempt(cand: np.ndarray, cand_r: np.ndarray) -> None:
-        """Apply one try per row, the candidates' rewards already in cand_r:
-        the incumbent moves to a candidate whose reward is at least its own
-        (accept holds that mask afterwards), and the best point to one
-        whose reward is higher than the best so far."""
-        # Equal-reward candidates move the walk (the reward surface has
-        # genuinely flat regions, e.g. wherever the boost cap exceeds every
-        # session's full charge time; drifting across them is the only way
-        # off), while the returned policy is the best point visited.
-        np.greater_equal(cand_r, inc_r, out=accept)
-        np.copyto(inc, cand, where=accept)
-        np.greater(cand_r, best_r, out=better)
-        np.copyto(best, cand, where=better)
-
-    pairs = cfg.n_tries // 2 if h.e_target.size <= _SPECULATE_MAX_CELLS else 0
-    if pairs:
-        h3 = HistoryArrays(*(np.tile(x, (3, 1)) for x in (h.e_target, h.plugin, h.p_max_kw)))
-        # columns: A, B and C, k each
-        spec = np.empty((3, 3 * k))
-        spec_t, spec_p, spec_r = spec[0, :, None], spec[1, :, None], spec[2]
-        a, b, c = spec[:, :k], spec[:, k : 2 * k], spec[:, 2 * k :]
-        a_tp, b_tp, c_tp, bc_tp = a[:2], b[:2], c[:2], spec[:2, k:]
-        a_r, c_r = a[2], c[2]
-        upper_bc = np.tile(upper, 2)
-    for i in range(0, 2 * pairs, 2):
-        np.add(inc_tp, steps[i], out=a_tp)
-        _clip(a_tp, upper)
-        np.add(a_tp, steps[i + 1], out=b_tp)
-        np.add(inc_tp, steps[i + 1], out=c_tp)
-        _clip(bc_tp, upper_bc)
-        e_loss, p_aggr = evaluate_policy_arrays(h3, spec_t, spec_p)
-        reward(e_loss, p_aggr, params, out=spec_r)
-        attempt(a, a_r)
-        np.copyto(c, b, where=accept)
-        attempt(c, c_r)
-
+    e_loss, p_aggr = evaluate_policy_arrays(h, state[0, :, None], state[1, :, None])
+    reward(e_loss, p_aggr, params, out=state[2])
+    state[6:] = state[:2]
+    # Equal-reward candidates move the walk (the reward surface has genuinely
+    # flat regions, e.g. wherever the boost cap exceeds every session's full
+    # charge time; drifting across them is the only way off), while the
+    # returned policy is the best point visited.
+    inc, inc_tp, inc_r, upper, best = state[:3], state[:2], state[2], state[3:5], state[6:]
     cand = np.empty((3, k))
-    cand_tp, cand_t, cand_p, cand_r = cand[:2], cand[0, :, None], cand[1, :, None], cand[2]
-    for step in steps[2 * pairs :]:
+    cand_tp, cand_r, cand_t, cand_p = cand[:2], cand[2], cand[0, :, None], cand[1, :, None]
+    accepted, better = np.empty((2, k), dtype=bool)
+    quiet = 0  # calls in a row in which no row accepted
+    for i, step in enumerate(steps):
         np.add(inc_tp, step, out=cand_tp)
         _clip(cand_tp, upper)
         e_loss, p_aggr = evaluate_policy_arrays(h, cand_t, cand_p)
         reward(e_loss, p_aggr, params, out=cand_r)
-        attempt(cand, cand_r)
+        np.greater(cand_r, inc_r, out=better)
+        np.copyto(best, cand_tp, where=better)
+        np.greater_equal(cand_r, inc_r, out=accepted)
+        np.copyto(inc, cand, where=accepted)
+        quiet = 0 if np.count_nonzero(accepted) else quiet + 1
+        if quiet == _LOCKSTEP_QUIET_CALLS:
+            break
+
+    # the rows with tries left: their state (written back to state when they
+    # end), and their chargers, next tries, ends of tries (charger j's try i
+    # is column j * n + i) and run lengths
+    live = state
+    rows = np.arange(k)
+    pos = np.stack([rows, rows * n + i + 1, rows * n + n, np.full(k, 2)])
+    rows, nxt, stop, run = pos
+    steps = steps.transpose(1, 2, 0).reshape(2, k * n)
+    while True:
+        left = stop - nxt
+        if np.count_nonzero(left) < rows.size:
+            keep = left > 0
+            state[:, rows[~keep]] = live[:, ~keep]
+            live, pos, left = live[:, keep], pos[:, keep], left[keep]
+            rows, nxt, stop, run = pos
+            if not rows.size:
+                break
+        size = np.minimum(run, left, out=left)
+        np.minimum(size, max(1, _RUN_MAX_CELLS // (rows.size * h.plugin.shape[1])), out=size)
+        # the call's slots: each row's run of tries in a block
+        ends = np.add.accumulate(size)
+        firsts = ends - size
+        index = np.arange(ends[-1])
+        slot_step = (nxt - firsts).repeat(size) + index
+        cand = live[:6].repeat(size, axis=1)
+        cand[:2] += steps.take(slot_step, axis=1)
+        _clip(cand[:2], cand[3:5])
+        # no name holds the taken rows, so that they go before the next call's
+        e_loss, p_aggr = evaluate_policy_arrays(
+            h.take_rows(rows.repeat(size)), cand[0, :, None], cand[1, :, None]
+        )
+        reward(e_loss, p_aggr, params, out=cand[5])
+        # each row's last try: its run's first accepted one, or its last
+        hit = np.where(cand[5] >= cand[2], index, index.size)
+        last = np.minimum(np.minimum.reduceat(hit, firsts), ends - 1)
+        picked = cand.take(last, axis=1)
+        accepted = picked[5] >= picked[2]
+        better = picked[5] > picked[2]
+        picked[2] = picked[5]
+        np.copyto(live[:3], picked[:3], where=accepted)
+        np.copyto(live[6:], picked[:2], where=better)
+        np.add(slot_step.take(last), 1, out=nxt)
+        np.multiply(size, 2, out=run)
+        np.copyto(run, 1, where=accepted)
 
     # Finite weights give -inf only at or above the loss cap (unless
     # k1 * e_loss overflows a float), so a row whose best reward is -inf
     # visited no feasible point: it charges raw rather than undercharge, and
     # only then is the bucket evaluated again, to tell if raw is feasible.
-    t, p = best[0], best[1]
-    fallback = best_r == -np.inf
+    t, p = state[6:]
+    fallback = state[2] == -np.inf
     feasible = ~fallback
     if fallback.any():
         t = np.where(fallback, t_max, t)

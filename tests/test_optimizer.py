@@ -306,7 +306,11 @@ def serial_reward(e_loss, p_aggr, params):
     return -params.k1 * e_loss + params.k2 / p_aggr
 
 
-def serial_learn_policy(history, p_max_kw, cfg, params, init=None, seed=0):
+def serial_learn_policy(history, p_max_kw, cfg, params, init=None, seed=0, trace=None):
+    """The search.  A trace dict, when given, gets "tries", each try's
+    (candidate reward, incumbent reward) in order, and "fallback", whether
+    the search fell back to raw."""
+    tries = []
     e_target, plugin = serial_history_arrays(history)
     t_mean = float(plugin.mean())
     t_max = float(plugin.max())
@@ -338,6 +342,7 @@ def serial_learn_policy(history, p_max_kw, cfg, params, init=None, seed=0):
             e_target, plugin, cand_t, cand_p, p_max_kw
         )
         cand_reward = serial_reward(*cand_eval, params)
+        tries.append((cand_reward, inc_reward))
         if cand_reward >= inc_reward:
             inc_t, inc_p = cand_t, cand_p
             inc_eval, inc_reward = cand_eval, cand_reward
@@ -345,16 +350,50 @@ def serial_learn_policy(history, p_max_kw, cfg, params, init=None, seed=0):
             best_t, best_p = cand_t, cand_p
             best_eval, best_reward = cand_eval, cand_reward
 
-    if best_eval[0] >= params.e_max_loss_kwh:
+    fallback = best_eval[0] >= params.e_max_loss_kwh
+    if fallback:
         best_t, best_p = t_max, 1.0
         best_eval = serial_evaluate_policy_arrays(
             e_target, plugin, best_t, best_p, p_max_kw
         )
+    if trace is not None:
+        trace.update(tries=tries, fallback=fallback)
 
     return LearnedPolicy(
         policy=ChargingPolicy(best_t, best_p),
         feasible=best_eval[0] < params.e_max_loss_kwh,
     )
+
+
+def run_schedule(accepted, n_tries, width, max_cells, quiet_calls):
+    """The evaluation calls a bucket's search makes after the start point's,
+    from each row's accept flags: every row's next try per call until
+    quiet_calls calls in a row in which no row accepts, then each unfinished
+    row's next run, doubled after a run with no acceptance, one try after an
+    acceptance, and cut to max(1, max_cells // (rows * width)) tries.
+    Returns the tries each call evaluates and every run as (row, first try,
+    tries, accepted try or None)."""
+    k = len(accepted)
+    calls, runs = [], []
+    i = quiet = 0
+    while i < n_tries and quiet < quiet_calls:
+        calls.append(k)
+        quiet = 0 if any(flags[i] for flags in accepted) else quiet + 1
+        i += 1
+    start, run = [i] * k, [2] * k
+    while True:
+        rows = [r for r in range(k) if start[r] < n_tries]
+        if not rows:
+            return calls, runs
+        limit = max(1, max_cells // (len(rows) * width))
+        calls.append(0)
+        for r in rows:
+            size = min(run[r], n_tries - start[r], limit)
+            tries = range(start[r], start[r] + size)
+            hit = next((j for j in tries if accepted[r][j]), None)
+            runs.append((r, start[r], size, hit))
+            calls[-1] += size
+            start[r], run[r] = (start[r] + size, 2 * size) if hit is None else (hit + 1, 1)
 
 
 def lockstep_window(kind, n, seed):
@@ -405,13 +444,18 @@ class TestLockstepEqualsSerial:
         seed=st.integers(0, 2**64 - 1),
     )
     def test_bit_identical(self, specs, n_tries, seed):
-        # every example runs on the one-try path (bound 0) and on the
-        # speculative two-try path (no bucket above the bound)
-        for max_cells in (0, 2**62):
-            with mock.patch.object(optimizer, "_SPECULATE_MAX_CELLS", max_cells):
-                self.check_bit_identical(specs, n_tries, seed)
+        # every example runs one try per row and call (a 1-cell cap), with
+        # runs cut short by a cap of a few windows, and with no cap
+        for max_cells in (1, 200, 2**62):
+            self.check_bit_identical(specs, n_tries, seed, max_cells)
 
-    def check_bit_identical(self, specs, n_tries, seed):
+    def check_bit_identical(self, specs, n_tries, seed, max_cells):
+        """Search the windows specs describe with the given cell cap: every
+        result must equal the serial search's bit for bit, and each bucket
+        must make the start's evaluation call, the calls run_schedule
+        derives from the serial acceptances and, if a row falls back to
+        raw, one more.  Returns the rows of each call, each bucket's runs
+        and the serial traces."""
         params = RewardParams()
         cfg = SearchConfig(n_tries=n_tries)
         windows, p_max, seeds, inits = [], [], [], []
@@ -423,21 +467,116 @@ class TestLockstepEqualsSerial:
             if init is not None:
                 init = SimpleNamespace(t_boost_max_hours=init[0], p_rate=init[1])
             inits.append(init)
-        lockstep = learn_policies(windows, p_max, seeds, cfg, params, inits)
+        calls = []
+
+        def counting(h, *args):
+            calls.append(len(h.e_target))
+            return evaluate_policy_arrays(h, *args)
+
+        with mock.patch.object(optimizer, "_RUN_MAX_CELLS", max_cells):
+            with mock.patch.object(optimizer, "evaluate_policy_arrays", counting):
+                lockstep = learn_policies(windows, p_max, seeds, cfg, params, inits)
+        traces = []
         for got, window, p, row_seed, init in zip(lockstep, windows, p_max, seeds, inits):
-            want = serial_learn_policy(rows(window), p, cfg, params, init, row_seed)
+            traces.append({})
+            want = serial_learn_policy(rows(window), p, cfg, params, init, row_seed, traces[-1])
             # repr tells -0.0 from 0.0 and shows every bit of each float
             assert repr(got) == repr(want)
+        buckets: dict[int, list[int]] = {}
+        for j, window in enumerate(windows):
+            buckets.setdefault(len(window), []).append(j)
+        want_calls, runs = [], []
+        for width, members in buckets.items():
+            accepted = [[c >= inc for c, inc in traces[j]["tries"]] for j in members]
+            bucket_calls, bucket_runs = run_schedule(
+                accepted, n_tries, width, max_cells, optimizer._LOCKSTEP_QUIET_CALLS
+            )
+            fallback = any(traces[j]["fallback"] for j in members)
+            want_calls += [len(members), *bucket_calls] + [len(members)] * fallback
+            runs.append(bucket_runs)
+        assert calls == want_calls
+        return calls, runs, traces
 
-    def test_both_paths_at_default_bound(self):
-        # a 32 x 60 bucket runs one try per call, a 1 x 60 bucket two
-        assert 60 <= optimizer._SPECULATE_MAX_CELLS < 32 * 60
-        params, cfg = RewardParams(), SearchConfig(n_tries=41)
-        for k in (32, 1):
-            specs = [
-                (("slack", "tight", "tiny", "gaps")[j % 4], 60, j, None) for j in range(k)
-            ]
-            self.check_bit_identical(specs, cfg.n_tries, k)
+    @pytest.mark.parametrize(
+        "specs, n_tries, seed, cases",
+        [
+            (
+                [("slack", 14, 1647882547, None), ("slack", 14, 1979643162, None)],
+                32,
+                9046609236427661983,
+                {"first try", "ends at n_tries", "equal rewards"},
+            ),
+            (
+                [("slack", 13, 998034090, None), ("slack", 13, 3834058320, None)],
+                19,
+                8518062250938876020,
+                {"last try", "ends at n_tries"},
+            ),
+            (
+                [("tiny", 8, s, None) for s in (1760183476, 1891405477, 2036721456)],
+                37,
+                4610725069307408665,
+                {"+inf", "equal rewards"},
+            ),
+            (
+                [
+                    ("slack", 34, 1158725112, (1.2292057180858407, 0.016527635528529094)),
+                    ("slack", 34, 752767291, (27.382667318331652, 0.6066357757671799)),
+                ],
+                25,
+                6728418181561535778,
+                {"all -inf", "equal rewards"},
+            ),
+        ],
+    )
+    def test_run_corners(self, specs, n_tries, seed, cases):
+        # each example is checked at every cap; with no cap, it must show
+        # the cases it stands for, so that no change to the windows drops
+        # one unnoticed: an acceptance on a run's first and on its last try
+        # (runs longer than one try), a run whose last try is the last one,
+        # a flat reward (an accepted try as good as the incumbent), a
+        # window whose every point rates -inf (the raw fallback) and one
+        # whose best point rates +inf
+        for max_cells in (1, 200):
+            self.check_bit_identical(specs, n_tries, seed, max_cells)
+        _, runs, traces = self.check_bit_identical(specs, n_tries, seed, 2**62)
+        seen = set()
+        for row, first, size, hit in (run for bucket in runs for run in bucket):
+            if size > 1 and hit == first:
+                seen.add("first try")
+            if size > 1 and hit == first + size - 1:
+                seen.add("last try")
+            if first + size == n_tries and hit is None:
+                seen.add("ends at n_tries")
+        for trace in traces:
+            rewards = [c for c, _ in trace["tries"]]
+            if any(c == inc > -np.inf for c, inc in trace["tries"]):
+                seen.add("equal rewards")
+            if trace["fallback"] and all(r == -np.inf for r in rewards):
+                seen.add("all -inf")
+            if np.inf in rewards:
+                seen.add("+inf")
+        assert cases <= seen
+
+    def test_calls_at_default_cap(self):
+        # the shape of an online re-learn, six windows of 60 sessions: a
+        # cold search, whose rows accept in bursts, then a re-learn
+        # warm-started from its results, which rejects almost every try and
+        # so takes its 200 tries in a few calls of long runs
+        cap = optimizer._RUN_MAX_CELLS
+        specs = [("slack", 60, j, None) for j in range(6)]
+        calls, _, _ = self.check_bit_identical(specs, 200, 0, cap)
+        assert len(calls) == 94
+        windows, p_max = zip(*(lockstep_window(*spec[:3]) for spec in specs))
+        seeds = [per_cp_seed(0, str(j)) for j in range(6)]
+        cold = learn_policies(windows, p_max, seeds, SearchConfig(), RewardParams())
+        specs = [
+            (*spec[:3], (result.policy.t_boost_max_hours, result.policy.p_rate))
+            for spec, result in zip(specs, cold)
+        ]
+        calls, _, _ = self.check_bit_identical(specs, 200, 1, cap)
+        assert len(calls) == 28
+        assert max(calls) * 60 <= cap
 
     def test_corners_occur(self):
         # the generator reaches the raw fallback and the +inf reward
@@ -463,50 +602,6 @@ class TestLockstepEqualsSerial:
         assert learn_policies([], [], [], cfg, params) == []
         with pytest.raises(ValueError):
             learn_policies(windows, p_max[:3], range(4), cfg, params)
-
-    def test_evaluations_per_bucket(self, monkeypatch):
-        # one evaluation of the start and one per try; a row that falls
-        # back to raw costs one more, for its bucket alone.  A bucket of at
-        # most _SPECULATE_MAX_CELLS sessions evaluates each pair of tries in
-        # one call on three copies of its rows, and an odd last try alone.
-        calls = []
-
-        def counting(*args):
-            calls.append(len(args[0].e_target))
-            return evaluate_policy_arrays(*args)
-
-        monkeypatch.setattr(optimizer, "evaluate_policy_arrays", counting)
-        params, cfg = RewardParams(), SearchConfig(n_tries=1)
-        # the tight window falls back, the tiny and slack ones do not
-        tight, p_tight = lockstep_window("tight", 40, 1)
-        tiny, p_tiny = lockstep_window("tiny", 40, 1)
-        slack, p_slack = lockstep_window("slack", 30, 3)
-
-        learned = learn_policies([tiny, slack], [p_tiny, p_slack], [0, 0], cfg, params)
-        assert calls == [1, 1, 1, 1]
-        assert all(result.feasible for result in learned)
-
-        calls.clear()
-        learned = learn_policies(
-            [tight, tiny, slack], [p_tight, p_tiny, p_slack], [0, 0, 0], cfg, params
-        )
-        assert calls == [2, 2, 2, 1, 1]
-        raw = [ChargingPolicy(max(w.plugin_hours.tolist()), 1.0) for w in (tight, tiny)]
-        assert [result.policy == policy for result, policy in zip(learned, raw)] == [True, False]
-
-        cfg = SearchConfig(n_tries=5)
-        calls.clear()
-        learned = learn_policies([tight, tiny], [p_tight, p_tiny], [0, 0], cfg, params)
-        assert calls == [2, 6, 6, 2, 2]
-        assert learned[0].policy == raw[0]
-
-        # 20 x 30 sessions, above the bound: one try per call
-        wide = [lockstep_window("tiny", 30, j) for j in range(20)]
-        assert 20 * 30 > optimizer._SPECULATE_MAX_CELLS
-        calls.clear()
-        learned = learn_policies(*zip(*wide), range(20), cfg, params)
-        assert calls == [20] * 6
-        assert all(result.feasible for result in learned)
 
     def test_one_seed_per_history(self):
         windows = [lockstep_window("slack", n, n)[0] for n in (30, 7)]
