@@ -578,6 +578,66 @@ class TestLockstepEqualsSerial:
         assert len(calls) == 28
         assert max(calls) * 60 <= cap
 
+    def test_evaluations_per_bucket(self, monkeypatch):
+        # each bucket evaluates its start, then every row's next try per
+        # call until _LOCKSTEP_QUIET_CALLS calls in a row accept nothing,
+        # then runs of tries; a row that falls back to raw costs one more
+        # call, for its bucket alone.  Each entry is a call's tries.
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[0].e_target))
+            return evaluate_policy_arrays(*args)
+
+        monkeypatch.setattr(optimizer, "evaluate_policy_arrays", counting)
+        params, cfg = RewardParams(), SearchConfig(n_tries=1)
+        # the tight window falls back, the tiny and slack ones do not
+        tight, p_tight = lockstep_window("tight", 40, 1)
+        tiny, p_tiny = lockstep_window("tiny", 40, 1)
+        slack, p_slack = lockstep_window("slack", 30, 3)
+
+        learned = learn_policies([tiny, slack], [p_tiny, p_slack], [0, 0], cfg, params)
+        assert calls == [1, 1, 1, 1]
+        assert all(result.feasible for result in learned)
+
+        calls.clear()
+        learned = learn_policies(
+            [tight, tiny, slack], [p_tight, p_tiny, p_slack], [0, 0, 0], cfg, params
+        )
+        assert calls == [2, 2, 2, 1, 1]
+        raw = [ChargingPolicy(max(w.plugin_hours.tolist()), 1.0) for w in (tight, tiny)]
+        assert [result.policy == policy for result, policy in zip(learned, raw)] == [True, False]
+
+        calls.clear()
+        cfg = SearchConfig(n_tries=5)
+        learned = learn_policies([tight, tiny], [p_tight, p_tiny], [0, 0], cfg, params)
+        assert calls == [2] * 7
+        assert learned[0].policy == raw[0]
+
+        # tiny windows accept often, so 20 rows never leave one try a call
+        wide = [lockstep_window("tiny", 30, j) for j in range(20)]
+        calls.clear()
+        learned = learn_policies(*zip(*wide), range(20), cfg, params)
+        assert calls == [20] * 6
+        assert all(result.feasible for result in learned)
+
+        # a warm re-learn rejects in a row, and its rows go on in runs; a
+        # cap of one try per row and call keeps every call at one try a row
+        cfg = SearchConfig(n_tries=20)
+        other, p_other = lockstep_window("slack", 30, 4)
+        pair = [slack, other], [p_slack, p_other]
+        calls.clear()
+        cold = learn_policies(*pair, [0, 1], cfg, params)
+        assert calls == [2] * 14 + [4, 8, 2]
+        starts = [result.policy for result in cold]
+        calls.clear()
+        warm = learn_policies(*pair, [2, 3], cfg, params, starts)
+        assert calls == [2, 2, 2, 2, 4, 8, 9, 5, 4, 5]
+        monkeypatch.setattr(optimizer, "_RUN_MAX_CELLS", 2 * 30)
+        calls.clear()
+        assert learn_policies(*pair, [2, 3], cfg, params, starts) == warm
+        assert calls == [2] * 21
+
     def test_corners_occur(self):
         # the generator reaches the raw fallback and the +inf reward
         params = RewardParams()
