@@ -35,8 +35,10 @@ call whenever the held pieces reach _FOLD_ROWS rows, and one at the end.
 
 Each mode maps its report names to chunks of text for _write_reports, so
 the long reports (profiles and the online outcome log) stream to disk and
-never exist whole, as a list of rows or as one string.  A profile is
-formatted once per run of equal values, and a table a column at a time.
+never exist whole, as a list of rows or as one string.  A chunk of a
+profile costs one repr per run of equal values in a column and one string
+operation per run of equal rows; at paper scale nearly every second
+differs, so the reprs dominate.  A table is formatted a column at a time.
 
 run starts one worker pool for the whole run when --workers is above 1:
 min(--workers, usable CPUs) processes, shut down after the last report is
@@ -57,7 +59,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import starmap
+from itertools import repeat, starmap
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -718,18 +720,40 @@ def _profile_rows(first_second: int, resolution: int, columns: list[np.ndarray])
     first_second, one per resolution seconds.
 
     A profile is piecewise constant (accumulate sums runs of equal rate),
-    so each column's value is formatted once per run of equal bit patterns
-    (0.0 and -0.0 stay apart), and each row picks up its run's text.
+    so the Python work is done once per run: one repr per run of equal bit
+    patterns in a column (0.0 and -0.0 stay apart), and one str.replace per
+    run of equal rows, which puts the run's ",raw,oracle,rl" text in place
+    of the "," after each of its seconds.  numpy writes the seconds as
+    ASCII digits.  At paper scale nearly every second differs, so the reprs
+    dominate.
     """
-    end = first_second + len(columns[0]) * resolution
-    # every column is already text, so the rows are joined as they are
-    texts = [map(str, range(first_second, end, resolution))]
-    for chunk in columns:
-        bits = chunk.view(np.int64)
-        starts = np.concatenate(([True], bits[1:] != bits[:-1]))
-        runs = np.array(list(map(repr, chunk[starts].tolist())), dtype=object)
-        texts.append(runs[np.cumsum(starts) - 1].tolist())
-    return "\n".join([*map(",".join, zip(*texts)), ""])
+    n = len(columns[0])
+    bits = [chunk.view(np.int64) for chunk in columns]
+    starts = np.ones((len(bits), n), bool)
+    starts[:, 1:] = [b[1:] != b[:-1] for b in bits]
+    rows = np.flatnonzero(starts.any(axis=0))
+    texts = []
+    for chunk, column_starts in zip(columns, starts):
+        runs = list(map(repr, chunk[column_starts].tolist()))
+        if len(runs) < len(rows):  # a run of this column spans runs of rows
+            runs = np.array(runs, dtype=object)[np.cumsum(column_starts)[rows] - 1].tolist()
+        texts.append(runs)
+    suffixes = list(map(",".join, zip(repeat(""), *texts)))
+    del texts  # the suffixes hold copies of the reprs
+
+    # one column per row: five digits, ",", a newline and a NUL, of which
+    # keep picks the written ones; each decimal place is one contiguous pass
+    seconds = np.arange(first_second, first_second + n * resolution, resolution, np.int32)
+    text = np.empty((8, n), np.uint8)
+    keep = np.zeros((8, n), bool)
+    for i, place in enumerate((10_000, 1_000, 100, 10, 1)):
+        text[i] = seconds // place % 10 + ord("0")
+        keep[i] = seconds >= place
+    text[5:] = np.frombuffer(b",\n\0", np.uint8)[:, None]
+    keep[4:7] = True  # the units digit, 0 too, "," and the newline
+    keep[7, rows[1:] - 1] = True  # a NUL after each run of rows but the last
+    runs_of_seconds = text.T[keep.T].tobytes().decode("ascii").split("\0")
+    return "".join(map(str.replace, runs_of_seconds, repeat(","), suffixes))
 
 
 def _text_report(title: str, cfg: ExperimentConfig, lines: list[str]) -> list[str]:

@@ -186,6 +186,31 @@ def chunk_crossing_run():
     return slots
 
 
+def chunk_edge_runs():
+    # runs ending at the first chunk's last row (4,095), one of them a
+    # single row, and a single-row run at the next chunk's first (4,096)
+    slots = np.full(SECONDS_PER_DAY, 1.5)
+    slots[4095] = 2.5
+    slots[4096] = 3.5
+    slots[4097:8192] = 4.5
+    return slots
+
+
+def signed_zeros():
+    # -0.0 beside 0.0: runs that differ only in the sign bit
+    slots = np.zeros(SECONDS_PER_DAY)
+    slots[100:300] = -0.0
+    slots[4095:4097] = -0.0
+    slots[::997] = -0.0
+    return slots
+
+
+def exponents():
+    # values whose repr has an exponent, in runs of 1 to 40 seconds
+    values = np.array([1e16, 5e-324, 1e22, 1.5e-7, np.inf, 3.0])
+    return np.resize(np.repeat(values, [1, 7, 40, 13, 2, 5]), SECONDS_PER_DAY)
+
+
 # values near 1e300 overflow to inf in power_kw() and in the buckets' means,
 # in both formatters alike
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -200,6 +225,21 @@ def chunk_crossing_run():
     oracle=np.full(SECONDS_PER_DAY, -0.0),
     rl=chunk_crossing_run(),
 )
+# one run per chunk
+@example(
+    raw=np.full(SECONDS_PER_DAY, 0.5),
+    oracle=np.full(SECONDS_PER_DAY, 1e-3),
+    rl=np.full(SECONDS_PER_DAY, 7.25),
+)
+# runs of rows that only one column starts
+@example(
+    raw=np.full(SECONDS_PER_DAY, 2.0),
+    oracle=np.repeat(np.arange(1440) / 3.0, 60),
+    rl=np.zeros(SECONDS_PER_DAY),
+)
+@example(raw=chunk_edge_runs(), oracle=chunk_edge_runs()[::-1], rl=np.ones(SECONDS_PER_DAY))
+@example(raw=np.ones(SECONDS_PER_DAY), oracle=signed_zeros(), rl=np.ones(SECONDS_PER_DAY))
+@example(raw=exponents(), oracle=np.roll(exponents(), 3), rl=np.full(SECONDS_PER_DAY, np.inf))
 def test_profile_csv_matches_row_by_row_reference(resolution, raw, oracle, rl):
     profiles = {s: DailyProfile(a) for s, a in zip(harness.STRATEGIES, (raw, oracle, rl))}
     chunks = list(harness._profile_csv(profiles, resolution))
@@ -207,6 +247,33 @@ def test_profile_csv_matches_row_by_row_reference(resolution, raw, oracle, rl):
     # a header, then one chunk per block of rows
     rows = SECONDS_PER_DAY // resolution
     assert len(chunks) == 1 + -(-rows // harness._PROFILE_CHUNK_ROWS)
+
+
+@pytest.mark.parametrize("resolution", [1, 900])
+def test_profile_csv_does_not_depend_on_chunk_size(monkeypatch, resolution):
+    # runs that cross every chunk size's edges, and runs that end on them
+    raw = chunk_crossing_run()
+    oracle = np.repeat(np.arange(SECONDS_PER_DAY // 7 + 1) % 5 / 4.0, 7)[:SECONDS_PER_DAY]
+    profiles = {
+        s: DailyProfile(a) for s, a in zip(harness.STRATEGIES, (raw, oracle, chunk_edge_runs()))
+    }
+    want = profile_csv_reference(profiles, resolution)
+    for rows in (1, 7, 4096, SECONDS_PER_DAY):
+        monkeypatch.setattr(harness, "_PROFILE_CHUNK_ROWS", rows)
+        assert_same_lines("".join(harness._profile_csv(profiles, resolution)), want)
+
+
+@pytest.mark.parametrize("resolution", [1, 60, 900, 86400])
+@pytest.mark.parametrize("first_second", [1, 9, 99, 999, 9999, 86399])
+def test_profile_rows_seconds_across_digit_widths(first_second, resolution):
+    # the chunk's seconds cross 9/10, 99/100, 999/1000 and 9999/10000 from
+    # first_second on, up to 86,399
+    seconds = range(first_second, SECONDS_PER_DAY, resolution)[:12_000]
+    n = len(seconds)
+    columns = [np.repeat([0.5, -0.0, 2.0], -(-n // 3))[:n], np.full(n, 1e16), np.arange(n) / 3]
+    text = harness._profile_rows(first_second, resolution, columns)
+    values = [c.tolist() for c in columns]
+    assert text == "".join(f"{t},{a!r},{b!r},{c!r}\n" for t, a, b, c in zip(seconds, *values))
 
 
 class RecordingPool:
