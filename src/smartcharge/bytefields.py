@@ -19,7 +19,6 @@ of windows(): the WINDOW bytes from one position on.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 
 import numpy as np
@@ -69,25 +68,21 @@ def one_record_a_line(block: bytes) -> bool:
     return b'"' not in block and (b"\r" not in block or block.count(b"\r") == block.count(b"\r\n"))
 
 
-def line_blocks(fh, count: int | None):
-    """The next count lines of the binary file fh, or every line to its end
-    when count is None, in blocks of whole lines of about PARSE_BLOCK
+def line_blocks(fh, size: int):
+    """The next size bytes of the binary file fh, which end at a line end
+    or at the file's end, in blocks of whole lines of about PARSE_BLOCK
     bytes; the file's last line may lack its line break.  A ValueError
     when a line need not be one record."""
-    left = math.inf if count is None else count
     pieces: list[bytes] = []  # the start of a line, read before its end
-    while left > 0:
-        data = fh.read(PARSE_BLOCK)
+    while True:
+        data = fh.read(min(PARSE_BLOCK, size))
+        size -= len(data)
         end = data.rfind(b"\n") + 1
         if data and not end:
             pieces.append(data)
             continue
-        lines = data.count(b"\n", 0, end)
-        if lines > left:  # the last line wanted ends within data
-            breaks = np.flatnonzero(np.frombuffer(data, np.uint8, end) == ord("\n"))
-            end, lines = int(breaks[left - 1]) + 1, left
-        # at the end of the file, its last line
-        block = b"".join([*pieces, data[:end]]) if data else b"".join(pieces)
+        # at the end of the bytes, their last line
+        block = b"".join([*pieces, data[:end]])
         if not one_record_a_line(block):
             raise ValueError("a line of the file need not be one record")
         if block:
@@ -95,7 +90,6 @@ def line_blocks(fh, count: int | None):
         if not data:
             return
         pieces = [data[end:]]
-        left -= lines
 
 
 def windows(buf: np.ndarray) -> np.ndarray:

@@ -26,15 +26,16 @@ de-overlaps the sessions as one index and gathers each column once through
 it, releasing the parsed column before the next.
 
 With several workers, parse_sessions_path parses such a file in byte
-ranges.  One scan in bounded blocks checks that every line is one record,
-counts the lines and cuts the bytes after the header at line ends, into a
-multiple of the worker count of ranges of at most about _RANGE_BYTES each.
-Each range is parsed in blocks, numbering lines from its first, and writes
-its columns and id table to a file of its own.  Then the ranges are merged
-in order: each file is read straight into its rows of the table's columns,
-and its codes are remapped into one id table.  The result equals the csv
-parse's; any other file, and any parse in blocks that raises, takes the
-csv parse, which raises what it meets first.
+ranges.  It reads only the header: the bytes after it are cut at about
+equal byte targets, each moved past the next line break, into a multiple
+of the worker count of ranges of at most about _RANGE_BYTES each.  Each
+range is parsed in blocks, which check that each line is one record,
+numbering lines from its first, and writes its columns and id table to a
+file of its own.  Then the ranges are merged in order: each file is read
+straight into its rows of the table's columns, its codes are remapped into
+one id table, and its rejections' line numbers gain the lines before it.
+The result equals the csv parse's; any other file, and any parse in blocks
+that raises, takes the csv parse, which raises what it meets first.
 """
 
 from __future__ import annotations
@@ -88,8 +89,6 @@ _CSV_SPECIALS = frozenset(',"\r\n')
 # 74.5 at 65,536; parse throughput is flat from 128 records up and falls
 # by a third at 64.
 _CHUNK_RECORDS = 128
-# bytes per read of the scan that cuts a file into byte ranges
-_SCAN_BLOCK = 1 << 16
 # the most bytes of a range, about; the worker parsing it holds its
 # columns, about 44 bytes of each 70 of input, until it writes them out
 _RANGE_BYTES = 1 << 25
@@ -239,10 +238,9 @@ def _clock(text: str) -> int:
     return hh * 3600 + mm * 60 + ss
 
 
-def _chunks(reader, lines, size: int, offset: int):
+def _chunks(reader, lines, size: int):
     """Yield the reader's remaining records in lists of up to size, each
-    with its records' first line numbers and their last ones; the reader's
-    first line is line offset + 1.
+    with its records' first line numbers and their last ones.
 
     lines is a tee of the reader's source.  After each chunk it holds that
     chunk's lines, which are read again, to number the records, only when
@@ -267,11 +265,11 @@ def _chunks(reader, lines, size: int, offset: int):
             with contextlib.suppress(csv.Error):
                 for _ in again:
                     read = again.line_num
-            lines_named = f"{offset + numbered + read + 1}-{offset + reader.line_num}"
+            lines_named = f"{numbered + read + 1}-{reader.line_num}"
             raise ValueError(f"unreadable CSV in lines {lines_named}: {exc}") from None
         if not rows:
             break
-        first, count = offset + numbered + 1, reader.line_num - numbered
+        first, count = numbered + 1, reader.line_num - numbered
         numbered = reader.line_num
         if count == len(rows):  # one line per record
             next(islice(lines, count - 1, count - 1), None)
@@ -286,7 +284,7 @@ def _chunks(reader, lines, size: int, offset: int):
     # a line holding one quote closes an open quoted field, and is a record
     # of its own after a closed one
     if last and len(list(csv.reader([*last, '"']))) == 1:
-        lines_named = f"{offset + numbered - len(last) + 1}-{offset + numbered}"
+        lines_named = f"{numbered - len(last) + 1}-{numbered}"
         raise ValueError(f"unreadable CSV in lines {lines_named}: a quote is never closed")
 
 
@@ -583,15 +581,14 @@ def _table(columns: Sequence[array], cp_ids: Sequence[str]) -> Sessions:
     return Sessions(*arrays, cp_ids=cp_ids)
 
 
-def _parse_records(reader, lines, offset: int):
-    """Parse the reader's remaining records, whose first line is line
-    offset + 1; lines is a tee of the reader's source.  Returns the
-    accepted rows' columns, in _DTYPES order, as compact arrays whose codes
-    index the returned id table, and the rejections."""
+def _parse_records(reader, lines):
+    """The reader's remaining records (lines is a tee of its source) parsed:
+    the accepted rows' columns, in _DTYPES order, as compact arrays whose
+    codes index the returned id table, and the rejections."""
     # accepted rows, appended chunk by chunk
     columns = tuple(map(array, "qiqqdd"))
     ids, errors = _Ids(), []
-    for rows, firsts, lasts in _chunks(reader, lines, _CHUNK_RECORDS, offset):
+    for rows, firsts, lasts in _chunks(reader, lines, _CHUNK_RECORDS):
         _append(columns, _parse_chunk(rows, firsts, lasts, ids, errors)[1])
     return columns, tuple(ids.codes), errors
 
@@ -602,11 +599,11 @@ def _append(columns: Sequence[array], values: Iterable[np.ndarray]) -> None:
         column.frombytes(memoryview(part).cast("B"))
 
 
-def _parse_lines(fh, offset: int, count: int | None = None):
-    """_parse_records over count lines of the binary file fh from its
-    position on, or over every line to its end when count is None; they
-    follow offset lines.  Read in blocks, each parsed by _parse_block; a
-    ValueError when a line need not be one record.
+def _parse_lines(fh, first_line: int, size: int):
+    """_parse_records over the lines of the next size bytes of the binary
+    file fh, the first being line first_line, and their count.  Read in
+    blocks, each parsed by _parse_block; a ValueError when a line need not
+    be one record.
 
     _parse_chunk takes about as long for one line as for a hundred, so the
     lines _parse_block leaves are passed to it together, once
@@ -616,11 +613,11 @@ def _parse_lines(fh, offset: int, count: int | None = None):
     columns = tuple(map(array, "qiqqdd"))
     ids, errors = _Ids(), []
     limit = csv.field_size_limit()
-    line = offset + 1
+    line = first_line
     # the lines gathered for _parse_chunk, the line numbers of the rows read
     # in bulk since the block of the first, by block, and the rows before it
     others, numbers, start = [], [], 0
-    for block in bytefields.line_blocks(fh, count):
+    for block in bytefields.line_blocks(fh, size):
         lines, read, accepted, block_others = _parse_block(block, line, ids, limit)
         line += lines
         if not others:
@@ -632,20 +629,7 @@ def _parse_lines(fh, offset: int, count: int | None = None):
             _insert_others(columns, start, numbers, others, ids, errors)
             others = []
     _insert_others(columns, start, numbers, others, ids, errors)
-    return columns, tuple(ids.codes), errors
-
-
-def _body_start(block: bytes) -> int:
-    """The offset, in a file's first bytes, of the line after its header
-    when the header is the expected one and ends within them; else 0.  A
-    byte-order mark before the header is skipped."""
-    first = len(codecs.BOM_UTF8) if block.startswith(codecs.BOM_UTF8) else 0
-    body = block.find(b"\n", first) + 1
-    try:
-        _check_header(next(csv.reader([block[first:body].decode()]), None))
-    except (ValueError, csv.Error):
-        return 0
-    return body
+    return columns, tuple(ids.codes), errors, line - first_line
 
 
 def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
@@ -664,69 +648,29 @@ def parse_sessions(stream: TextIO) -> tuple[Sessions, list[ParseError]]:
     except csv.Error as exc:
         raise ValueError(f"unreadable CSV in lines 1-{reader.line_num}: {exc}") from None
     _check_header(header)
-    columns, cp_ids, errors = _parse_records(reader, lines, 0)
+    columns, cp_ids, errors = _parse_records(reader, lines)
     return _table(columns, cp_ids), errors
 
 
-def _line_ranges(path, workers: int) -> list[tuple[int, int, int]] | None:
-    """Ranges of the lines after the header, of about equal bytes, as
-    (first byte, line count, lines before): up to the least multiple of
-    workers that keeps a range within about _RANGE_BYTES.  None when a line
-    need not be one record (the file holds a quote, or a CR not followed by
-    LF), the header is not the expected one or not one block long, or no
-    line follows it.  One scan of the file in blocks of _SCAN_BLOCK bytes."""
-    size = os.path.getsize(path)
-    with open(path, "rb") as fh:
-        block = fh.read(_SCAN_BLOCK)
-        body = _body_start(block)
-        if not 0 < body < size:
-            return None
-        n = workers * -(-(size - body) // (workers * _RANGE_BYTES))
-        targets = [body + (size - body) * k // n for k in range(1, n)]
-        # each range's first byte and the lines before it
-        cuts, newlines, pos = [(body, 1)], 0, 0
-        while block:
-            if block.endswith(b"\r"):
-                block += fh.read(1)
-            if not bytefields.one_record_a_line(block):
-                return None
-            while targets and targets[0] < pos + len(block):
-                i = block.find(b"\n", max(targets[0] - pos, 0))
-                if i < 0:
-                    break
-                cuts.append((pos + i + 1, newlines + block.count(b"\n", 0, i + 1)))
-                targets = [t for t in targets if t > pos + i]
-            newlines += block.count(b"\n")
-            pos += len(block)
-            last = block[-1:]
-            block = fh.read(_SCAN_BLOCK)
-    # a last line without a line break is a line too
-    cuts.append((pos, newlines + (last != b"\n")))
-    return [
-        (lo, hi_lines - lo_lines, lo_lines)
-        for (lo, lo_lines), (hi, hi_lines) in zip(cuts, cuts[1:])
-        if hi > lo
-    ]
-
-
-def _parse_range(path, first_byte: int, count: int, offset: int, out_path: str):
-    """_parse_lines over count lines of the file from first_byte on, which
-    follow offset lines.
+def _parse_range(path, first_byte: int, size: int, out_path: str):
+    """_parse_lines over the size bytes of the file from first_byte on,
+    numbering lines from the first of them.
 
     The columns, back to back in _DTYPES order, then the id table, each id
     ended by a line break (no usable id holds one), go to the file
     out_path: a process pool's parent would receive them in its result
     thread, whose freed memory its other threads cannot reuse.  Returns the
-    number of rows, the id table's size in bytes and the rejections."""
+    number of rows, the id table's size in bytes, the rejections and the
+    number of lines."""
     with open(path, "rb") as fh:
         fh.seek(first_byte)
-        columns, cp_ids, errors = _parse_lines(fh, offset, count)
+        columns, cp_ids, errors, lines = _parse_lines(fh, 1, size)
     ids = "".join(f"{cp_id}\n" for cp_id in cp_ids).encode()
     with open(out_path, "wb") as out:
         for column in columns:
             column.tofile(out)
         out.write(ids)
-    return len(columns[0]), len(ids), errors
+    return len(columns[0]), len(ids), errors, lines
 
 
 def _merge(parts: Iterable, out_paths: Sequence[str]) -> tuple[Sessions, list[ParseError]]:
@@ -734,12 +678,14 @@ def _merge(parts: Iterable, out_paths: Sequence[str]) -> tuple[Sessions, list[Pa
     from the ranges' _parse_range results and files.  Once every range is
     parsed, each range's file is read straight into its rows of the table's
     columns, then its codes are remapped from its own id table to the
-    merged one, which lists each id once, in order of first appearance."""
+    merged one, which lists each id once, in order of first appearance, and
+    its rejections' line numbers gain the lines before it, the header's
+    among them."""
     parts = list(parts)
     columns = {name: np.empty(sum(p[0] for p in parts), dtype) for name, dtype in _DTYPES.items()}
     ids: dict[str, int] = {}
-    lo = 0
-    for (rows, ids_size, _), out_path in zip(parts, out_paths):
+    errors, lo, before = [], 0, 1
+    for (rows, ids_size, part_errors, lines), out_path in zip(parts, out_paths):
         with open(out_path, "rb") as fh:
             for column in columns.values():
                 fh.readinto(memoryview(column[lo : lo + rows]).cast("B"))
@@ -748,8 +694,8 @@ def _merge(parts: Iterable, out_paths: Sequence[str]) -> tuple[Sessions, list[Pa
         remap = np.array([ids.setdefault(cp_id, len(ids)) for cp_id in part_ids], np.intc)
         codes = columns["cp_code"][lo : lo + rows]
         codes[:] = remap[codes]
-        lo += rows
-    errors = [error for _, _, part_errors in parts for error in part_errors]
+        errors += [ParseError(e.line_number + before, e.reason) for e in part_errors]
+        lo, before = lo + rows, before + lines
     return Sessions(**columns, cp_ids=tuple(ids)), errors
 
 
@@ -764,23 +710,35 @@ def parse_sessions_path(
     map_ranges, which has itertools.starmap's contract (such as a map over
     a process pool that keeps the results in order), and merged; each
     range's parsed rows pass through a file in a temporary directory, about
-    44 bytes a row.  Either gives the serial parse's result.  Any other
-    file, and one whose block parse raises, is parsed serially, which
-    raises what the serial parse raises.
+    44 bytes a row.  The ranges are cut here, reading only the header: the
+    bytes after it are split at about equal byte targets, each moved past
+    the next line break, into the least multiple of workers of ranges within
+    about _RANGE_BYTES, and an empty range is dropped.  Either gives the
+    serial parse's result.  Any other file, and one whose block parse
+    raises, is parsed serially, which raises what the serial parse raises.
     """
-    cuts = _line_ranges(path, workers) if workers > 1 else None
     try:
-        if cuts:
-            with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
-                out_paths = [os.path.join(tmp, str(k)) for k in range(len(cuts))]
-                calls = [(path, *cut, out) for cut, out in zip(cuts, out_paths)]
-                return _merge(map_ranges(_parse_range, calls), out_paths)
-        if workers == 1:
-            with open(path, "rb") as fh:
-                if body := _body_start(fh.read(_SCAN_BLOCK)):
-                    fh.seek(body)
-                    columns, cp_ids, errors = _parse_lines(fh, 1)
-                    return _table(columns, cp_ids), errors
+        with open(path, "rb") as fh:
+            # read whole, as the csv parse would read it; a quote in it may
+            # open a field that takes in the lines after it
+            header = fh.readline().removeprefix(codecs.BOM_UTF8)
+            if not bytefields.one_record_a_line(header):
+                raise ValueError("the header need not be one record")
+            _check_header(next(csv.reader([header.decode()]), None))
+            body = fh.tell()
+            size = fh.seek(0, os.SEEK_END) - body
+            if workers == 1:
+                fh.seek(body)
+                # the line after the header is line 2
+                columns, cp_ids, errors, _ = _parse_lines(fh, 2, size)
+                return _table(columns, cp_ids), errors
+            n = workers * -(-size // (workers * _RANGE_BYTES))
+            targets = (body + size * k // n for k in range(1, n))
+            cuts = [body, *(fh.seek(t) + len(fh.readline()) for t in targets), body + size]
+        with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
+            ranges = [(lo, hi - lo) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+            calls = [(path, *cut, os.path.join(tmp, str(k))) for k, cut in enumerate(ranges)]
+            return _merge(map_ranges(_parse_range, calls), [call[-1] for call in calls])
     except (ValueError, OSError, csv.Error):
         pass  # the serial parse below raises the error it meets first
     with open(path, newline="", encoding="utf-8-sig") as fh:

@@ -56,7 +56,7 @@ import contextlib
 import math
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import repeat, starmap
@@ -266,17 +266,24 @@ def _ordered_map(pool, fn, calls: Iterable[tuple], in_flight: int) -> Iterator:
     """fn(*args) for each args of calls, in order: in this process without
     a pool, else on it with at most in_flight calls submitted and not yet
     taken.  Executor.map would submit every call at once and hold every
-    finished result here."""
+    finished result here.  When a call raises, or the generator is closed
+    early, the calls still queued are cancelled and the running ones waited
+    for."""
     if pool is None:
         yield from starmap(fn, calls)
         return
     pending = deque()
-    for args in calls:
-        pending.append(pool.submit(fn, *args))
-        if len(pending) >= in_flight:
+    try:
+        for args in calls:
+            pending.append(pool.submit(fn, *args))
+            if len(pending) >= in_flight:
+                yield pending.popleft().result()
+        while pending:
             yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
 
 
 def _map_batches(fn, items: Sequence, pool):

@@ -10,6 +10,7 @@ import tempfile
 import weakref
 from array import array
 from datetime import datetime, timedelta
+from itertools import starmap
 from unittest import mock
 
 import numpy as np
@@ -919,6 +920,9 @@ def _range_file_bytes(records, endings, bom, last_ending):
     return (b"\xef\xbb\xbf" if bom else b"") + text.encode()
 
 
+_ROW = ["1", "AN1", *_TIMES, "5", "2"]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     records=st.lists(_records(), max_size=30),
@@ -946,12 +950,45 @@ def _range_file_bytes(records, endings, bom, last_ending):
     endings=["\n"], bom=False, last_ending=True, chunk=5, block=bytefields.PARSE_BLOCK,
     held=1, workers=1, range_bytes=dataset._RANGE_BYTES, cuts=[],
 )
+# the cut rule: the target, halfway through four lines of 50 bytes, is the
+# third line's start, and the cut moves past that line
+@example(
+    records=[_ROW] * 4, endings=["\n"], bom=False, last_ending=True, chunk=5, block=300,
+    held=1, workers=2, range_bytes=dataset._RANGE_BYTES, cuts=[],
+)
+# the target, byte 53 of 55 + 51, is the first line's CR before its LF
+# (the drawn endings alternate with LF, from the header's on)
+@example(
+    records=[["12345", *_ROW[1:]], ["12", *_ROW[1:]]], endings=["\n", "\r\n"], bom=False,
+    last_ending=True, chunk=5, block=300, held=1, workers=2, range_bytes=dataset._RANGE_BYTES,
+    cuts=[],
+)
+# the target, byte 53 of 50 + 57, is within the last line, which has no
+# line break: the second range is empty and dropped
+@example(
+    records=[_ROW, ["123456789", *_ROW[1:]]], endings=["\n"], bom=True, last_ending=False,
+    chunk=5, block=300, held=1, workers=2, range_bytes=dataset._RANGE_BYTES, cuts=[],
+)
+# lines of 50, 197 and 50 bytes in six ranges: the first target is the
+# first line's LF, and the next three are within the second line, whose
+# range then holds it alone
+@example(
+    records=[_ROW, ["1", "AN" + "1" * 148, *_ROW[2:]], _ROW], endings=["\n"], bom=False,
+    last_ending=True, chunk=5, block=300, held=1, workers=2, range_bytes=60, cuts=[],
+)
 def test_byte_ranges_match_the_serial_parse(
     records, endings, bom, last_ending, chunk, block, held, workers, range_bytes, cuts
 ):
     # the csv parse is the reference: the block parse, at one worker or in
     # ranges, gives its result
     data = _range_file_bytes(records, endings, bom, last_ending)
+    ranges = []  # (first byte, size) of each range parsed
+
+    def map_ranges(fn, calls):
+        calls = list(calls)
+        ranges.extend((first, size) for _, first, size, _ in calls)
+        return starmap(fn, calls)
+
     with (
         tempfile.TemporaryDirectory() as tmp,
         mock.patch.object(dataset, "_CHUNK_RECORDS", chunk),
@@ -964,25 +1001,25 @@ def test_byte_ranges_match_the_serial_parse(
             fh.write(data)
         with open(path, newline="", encoding="utf-8-sig") as fh:
             serial = parse_sessions(fh)
-        planned = dataset._line_ranges(path, workers)
-        # a file with a byte after the header's line takes the range path
-        assert (planned is None) == (data.split(b"\n", 1)[1:] in ([], [b""]))
-        assert_same_parse(parse_sessions_path(path, workers=workers), serial)
-        if planned is None:
-            return
-        # each range holds a line at least, and ends at the first line end
-        # after a cut that is at most range_bytes from the one before
-        lengths = [b - a for (a, _, _), (b, _, _) in zip(planned, planned[1:])]
-        assert all(count >= 1 for _, count, _ in planned)
-        assert max(lengths, default=0) <= range_bytes + max(map(len, data.split(b"\n"))) + 1
+        assert_same_parse(parse_sessions_path(path, map_ranges, workers), serial)
+        # with several workers, the ranges tile the bytes after the header;
+        # each starts at a line start, holds a line at least, and ends at the
+        # first line end after a target at most range_bytes from the last
+        body = data.find(b"\n") + 1 or len(data)
+        edges = [body, *(first + size for first, size in ranges)]
+        assert [first for first, _ in ranges] == edges[:-1]
+        assert edges[-1] == (len(data) if workers > 1 else body)
+        assert all(size > 0 and data[first - 1] == ord("\n") for first, size in ranges)
+        longest = max(map(len, data.split(b"\n")))
+        assert max((size for _, size in ranges), default=0) <= range_bytes + longest + 1
         # ranges cut at drawn lines: the header is line 1, and a range after
-        # line k starts at byte ends[k - 1]
-        ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
-        total = planned[-1][1] + planned[-1][2]
+        # line k starts at byte bounds[k - 1]
+        bounds = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")] + [len(data)]
+        total = data.count(b"\n") + (not data.endswith(b"\n"))
         edges = sorted({1, total, *(min(max(c, 1), total) for c in cuts)})
         out_paths = [os.path.join(tmp, f"range-{lo}") for lo in edges[:-1]]
         parts = [
-            dataset._parse_range(path, ends[lo - 1], hi - lo, lo, out)
+            dataset._parse_range(path, bounds[lo - 1], bounds[hi - 1] - bounds[lo - 1], out)
             for lo, hi, out in zip(edges, edges[1:], out_paths)
         ]
         assert_same_parse(dataset._merge(parts, out_paths), serial)
@@ -1083,24 +1120,48 @@ def test_every_line_of_a_clean_file_is_read_in_bulk(tmp_path, newline):
         assert not csv_parse.called and not chunk_parse.called
 
 
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        return repr(exc)
+
+
 @pytest.mark.parametrize(
-    "text, ranged",
+    "text, by_csv",
     [
-        ("\n".join([CSV_HEADER, *SAMPLE.splitlines()[1:]]) + "\n", True),
-        (SAMPLE.replace("\n", "\r\n"), True),
-        (SAMPLE.replace("AN04715", '"AN04715"'), False),  # a quote
-        (SAMPLE.replace("\n", "\r", 2), False),  # a CR alone
-        (SAMPLE + "\r", False),  # a CR at the end
+        ("\n".join([CSV_HEADER, *SAMPLE.splitlines()[1:]]) + "\n", False),
+        (SAMPLE.replace("\n", "\r\n"), False),
+        (SAMPLE.replace("AN04715", '"AN04715"'), True),  # a quote
+        (SAMPLE.replace("\n", "\r", 2), True),  # a CR alone
+        (SAMPLE + "\r", True),  # a CR at the end
         (SAMPLE.split("\n", 1)[0] + "\n", False),  # no line after the header
-        (SAMPLE.replace("Energy", "Energie"), False),  # a header the parse rejects
-        ("", False),
+        (SAMPLE.replace("Energy", "Energie"), True),  # a header the parse rejects
+        # a quote in the header's line that no later line closes
+        (SAMPLE.replace("Duration", '"Duration'), True),
+        ("", True),
     ],
-    ids=["lf", "crlf", "quote", "cr", "cr-at-end", "header-only", "bad-header", "empty"],
+    ids=["lf", "crlf", "quote", "cr", "cr-at-end", "header-only", "bad-header",
+         "quoted-header", "empty"],
 )
-def test_which_files_are_parsed_in_ranges(tmp_path, text, ranged):
+def test_which_files_are_parsed_in_ranges(tmp_path, text, by_csv):
+    # at two workers, a file whose header is the expected one and whose every
+    # line is one record is parsed in ranges (none, for a header alone), and
+    # at one worker in blocks; every other file reaches the csv parse, whose
+    # result or error stands
     path = tmp_path / "fleet.csv"
     path.write_bytes(text.encode())
-    assert (dataset._line_ranges(path, 2) is not None) == ranged
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        want = _outcome(parse_sessions, fh)
+    for workers in (1, 2):
+        with mock.patch.object(dataset, "parse_sessions", wraps=dataset.parse_sessions) as csv_parse:
+            got = _outcome(parse_sessions_path, path, starmap, workers)
+        assert csv_parse.called == by_csv
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_parse(got, want)
+            assert len(got[0]) == (0 if text.count("\n") == 1 else 3)
 
 
 def test_charger_codes_do_not_depend_on_the_hash_seed(tmp_path):

@@ -7,6 +7,8 @@ import os
 import pickle
 import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -838,6 +840,39 @@ def test_pool_shut_down_when_a_stage_raises(monkeypatch, fake_pool):
         with harness._worker_pool(2):
             raise HarnessError("a stage failed")
     assert FakePool.shutdowns == [(True, True)]
+
+
+class _RecordingThreads(ThreadPoolExecutor):
+    """A thread pool that keeps each future it hands out."""
+
+    def submit(self, fn, /, *args):
+        future = super().submit(fn, *args)
+        self.futures.append(future)
+        return future
+
+
+def _slow_after_first(k, fail):
+    if k == 0 and fail:
+        raise ValueError("the first call fails")
+    time.sleep(0.2 * (k > 0))
+    return k
+
+
+@pytest.mark.parametrize("stop", ["a call raises", "closed early"])
+def test_ordered_map_leaves_no_call_running_when_its_consumer_stops(stop):
+    with _RecordingThreads(2) as pool:
+        pool.futures = []
+        calls = [(k, stop == "a call raises") for k in range(8)]
+        mapped = harness._ordered_map(pool, _slow_after_first, calls, 4)
+        if stop == "a call raises":
+            with pytest.raises(ValueError, match="the first call fails"):
+                list(mapped)
+        else:
+            assert next(mapped) == 0
+            mapped.close()
+        # every call submitted has finished, or was cancelled before it began
+        assert len(pool.futures) == 4
+        assert all(future.done() for future in pool.futures)
 
 
 @pytest.mark.parametrize("source", ["process_cpu_count", "sched_getaffinity", "cpu_count"])
