@@ -184,7 +184,8 @@ def simulate_session(
     session charges at p_rate * p_max.  Delivered energy is capped at the
     session's target.
     """
-    if (sessions.p_max_kw <= 0).any():
+    # stated as what must hold, so a NaN fails it
+    if not (sessions.p_max_kw > 0).all():
         raise ValueError("p_max_kw must be positive")
     _charge(sessions, t_boost_max_hours, p_rate)
     e_total = sessions._terms[1].copy()
@@ -218,7 +219,8 @@ def raw_profile(start, e_target, plugin, p_max_kw: float | np.ndarray) -> PowerP
     or the session ends, then idle.  One piece per session with energy;
     start holds the plugin instants in absolute seconds, e_target the
     targets in kWh, plugin the durations in hours and p_max_kw the full rate."""
-    if (np.asarray(p_max_kw) <= 0).any():
+    # stated as what must hold, so a NaN fails it
+    if not (np.asarray(p_max_kw) > 0).all():
         raise ValueError("p_max_kw must be positive")
     charged = e_target > 0
     t0 = np.asarray(start, dtype=np.float64)[charged]
@@ -234,7 +236,8 @@ def oracle_profile(start, e_target, plugin) -> PowerProfile:
     whole session.  Requires knowing the session duration up front, so it
     is a baseline, not an implementable strategy; its rate is not capped at
     the charger's max power."""
-    if (plugin <= 0).any():
+    # stated as what must hold, so a NaN fails it
+    if not (plugin > 0).all():
         raise ValueError("plugin_hours must be positive")
     charged = e_target > 0
     t0 = np.asarray(start, dtype=np.float64)[charged]

@@ -759,7 +759,8 @@ def derive_p_max(cp_sessions: Sessions, percentile: float | None = None) -> floa
     """
     if not len(cp_sessions):
         raise ValueError("cannot derive p_max from an empty session list")
-    bad = cp_sessions.plugin_hours <= 0
+    # stated as what must hold, so a NaN fails it
+    bad = ~(cp_sessions.plugin_hours > 0)
     if bad.any():
         raise ValueError(f"session {cp_sessions.event_id[bad][0]} has non-positive plugin_hours")
     rates = cp_sessions.energy_kwh / cp_sessions.plugin_hours

@@ -22,16 +22,17 @@ report is byte-identical for any worker count.  Within a batch, policy
 searches run together through optimizer.learn_policies: offline learns all
 of the batch's chargers in one call, and online replays the batch in
 lockstep by session index, re-learning after session i every charger that
-needs it in one call.  learn_policies gives each charger the result it
-would get alone, so a charger's reports do not depend on which chargers
-share its batch.  Then, in both modes, _simulate charges all the batch's
-sessions in one call, builds each profile's pieces in one call per
-strategy, and sums every charger's summary columns in one pass; offline
-bins the batch's speeds once.  A batch returns its profiles as power
-pieces, not as day-length slot arrays, so its result stays small.  _run
-adds up the batches' speed counts by key, and folds each key's pieces, in
-batch order, into that key's daily profile: one aggregation.accumulate
-call whenever the held pieces reach _FOLD_ROWS rows, and one at the end.
+needs it in one call.  learn_policies takes starts and returns policies
+as columns, each charger's as it would be alone, so a charger's reports do
+not depend on which chargers share its batch.  Then, in both modes,
+_simulate charges all the batch's sessions in one call, builds each
+profile's pieces in one call per strategy, and sums every charger's
+summary columns in one pass; offline bins the batch's speeds once.  A
+batch returns its profiles as power pieces, not as day-length slot arrays,
+so its result stays small.  _run adds up the batches' speed counts by key,
+and folds each key's pieces, in batch order, into that key's daily
+profile: one aggregation.accumulate call whenever the held pieces reach
+_FOLD_ROWS rows, and one at the end.
 
 Each mode maps its report names to chunks of text for _write_reports, so
 the long reports (profiles and the online outcome log) stream to disk and
@@ -42,11 +43,11 @@ differs, so the reprs dominate.  A table is formatted a column at a time.
 
 run starts one worker pool for the whole run when --workers is above 1:
 min(--workers, usable CPUs) processes, shut down after the last report is
-written or when a stage raises.  Three stages use it: the parse (byte
-ranges of the input, dataset.parse_sessions_path), the batches and the
-profile CSVs' chunks, which the parent writes in order with at most two per
-worker in flight.  Clean, the folds and the other reports stay in the
-parent.  With one worker there is no pool, and each stage maps the same
+written or when a stage raises.  Three stages map their calls on it through
+_ordered_map, in order with at most two per worker in flight: the parse
+(byte ranges of the input, dataset.parse_sessions_path), the batches and
+the profile CSVs' chunks.  Clean, the folds and the other reports stay in
+the parent.  With one worker there is no pool, and each stage maps the same
 functions in this process.
 """
 
@@ -67,7 +68,6 @@ import numpy as np
 from . import aggregation
 from .aggregation import DailyProfile, StrategyMetrics, deficit_stats, total
 from .charging import (
-    ChargingPolicy,
     HistoryArrays,
     PowerProfile,
     SessionOutcome,
@@ -286,19 +286,18 @@ def _ordered_map(pool, fn, calls: Iterable[tuple], in_flight: int) -> Iterator:
         wait(pending)
 
 
-def _map_batches(fn, items: Sequence, pool):
-    """Apply fn to fixed-size batches of items, in this process or on the
-    pool, yielding results in batch order regardless of worker count (the
-    determinism contract)."""
-    batches = [items[i : i + BATCH_SIZE] for i in range(0, len(items), BATCH_SIZE)]
-    return (map if pool is None else pool.map)(fn, batches)
+def _map_batches(fn, items: Sequence, map_calls) -> Iterator:
+    """Apply fn to fixed-size batches of items through map_calls (the run's
+    _ordered_map), yielding results in batch order regardless of worker
+    count (the determinism contract)."""
+    return map_calls(fn, ((items[i : i + BATCH_SIZE],) for i in range(0, len(items), BATCH_SIZE)))
 
 
 def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool, pool):
     """Parse and clean the input, keep the chargers the run covers (the --cp
     selection, usable ones only if asked) in clean_sessions' order, and run
-    batch_fn(batch, cfg) over their batches.  Parse and the batches use the
-    pool; without one, a run of several workers starts its own.
+    batch_fn(batch, cfg) over their batches.  Both stages map their calls
+    on the pool; without one, a run of several workers starts its own.
 
     Each batch returns its rows, its SUMMARY_COLUMNS as one array (a row
     per charger), its fleet sums as {key: array} and its profiles' power
@@ -315,8 +314,8 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool, pool):
     if pool is None and workers > 1:
         with _worker_pool(cfg.workers) as pool:
             return _run(batch_fn, cfg, usable_only, pool)
-    map_ranges = partial(_ordered_map, pool, in_flight=2 * workers)
-    sessions, parse_errors = parse_sessions_path(cfg.input, map_ranges, workers)
+    map_calls = partial(_ordered_map, pool, in_flight=2 * workers)
+    sessions, parse_errors = parse_sessions_path(cfg.input, map_calls, workers)
     charge_points, cleaning = clean_sessions(
         sessions,
         min_sessions=cfg.min_sessions,
@@ -349,7 +348,7 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool, pool):
         profile = aggregation.accumulate(PowerProfile(np.concatenate(held.pop(key))))
         totals[key] = totals.get(key, 0) + profile.slots
 
-    batches = _map_batches(partial(batch_fn, cfg=cfg), charge_points, pool)
+    batches = _map_batches(partial(batch_fn, cfg=cfg), charge_points, map_calls)
     for batch_rows, batch_summaries, batch_sums, batch_pieces in batches:
         rows.extend(batch_rows)
         summaries.append(batch_summaries)
@@ -525,22 +524,22 @@ def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     trains = [cp.sessions[:n] for cp, n in zip(batch, splits)]
     windows = [rolling_window(t[t.energy_kwh > 0], cfg.history) for t in trains]
     learning = [j for j, window in enumerate(windows) if len(window)]
-    learned = learn_policies(
+    # each charger's policy columns; with nothing to learn from, a charger
+    # charges raw rather than guess
+    t_boost_max = np.array([cp.sessions.plugin_hours.max() for cp in batch])
+    p_rate, feasible = np.ones(len(batch)), np.ones(len(batch), dtype=bool)
+    t_boost_max[learning], p_rate[learning], feasible[learning] = learn_policies(
         [windows[j] for j in learning],
         [batch[j].p_max_kw for j in learning],
         [per_cp_seed(cfg.seed, batch[j].cp_id) for j in learning],
         cfg.search_config(),
         cfg.reward_params(),
     )
-    # each charger's (t_boost_max, p_rate, feasible); with nothing to learn
-    # from, a charger charges raw rather than guess
-    policies = [(float(cp.sessions.plugin_hours.max()), 1.0, True) for cp in batch]
-    for j, result in zip(learning, learned):
-        policies[j] = (result.policy.t_boost_max_hours, result.policy.p_rate, result.feasible)
     counts = [len(cp.sessions) for cp in batch]
-    t_boost_max, p_rate, _ = (np.repeat(column, counts) for column in zip(*policies))
+    per_session = (np.repeat(column, counts) for column in (t_boost_max, p_rate))
     scopes = {"test": splits, "all": 0}
-    _, summaries, speeds, pieces = _simulate(batch, t_boost_max, p_rate, scopes, True)
+    _, summaries, speeds, pieces = _simulate(batch, *per_session, scopes, True)
+    policies = zip(t_boost_max.tolist(), p_rate.tolist(), feasible.tolist())
     rows = [
         OfflineCpResult(cp.cp_id, *policy, n, len(cp.sessions) - n)
         for cp, policy, n in zip(batch, policies, splits)
@@ -612,24 +611,18 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
         relearn = [j for j, n in enumerate(counts) if i + 1 < n and n_charged[j][i]]
         if not relearn:
             continue
-        results = learn_policies(
+        k = np.array([offsets[j] + i for j in relearn])
+        # warm start from the policy learned for session i, if any
+        warm = adaptive[k] & (not cfg.cold_start)
+        t_boost_max[k + 1], p_rate[k + 1], _ = learn_policies(
             [rolling_window(charged[j][: n_charged[j][i]], cfg.history) for j in relearn],
             [batch[j].p_max_kw for j in relearn],
             [per_cp_seed(cfg.seed, f"{batch[j].cp_id}#{i}") for j in relearn],
             cfg.search_config(),
             cfg.reward_params(),
-            [
-                # warm start from the policy learned for session i, if any
-                ChargingPolicy(float(t_boost_max[k]), float(p_rate[k]))
-                if adaptive[k] and not cfg.cold_start
-                else None
-                for k in (offsets[j] + i for j in relearn)
-            ],
+            np.where(warm, [t_boost_max[k], p_rate[k]], np.nan),
         )
-        following = [offsets[j] + i + 1 for j in relearn]
-        t_boost_max[following] = [r.policy.t_boost_max_hours for r in results]
-        p_rate[following] = [r.policy.p_rate for r in results]
-        adaptive[following] = True
+        adaptive[k + 1] = True
 
     outcome, summaries, _, pieces = _simulate(batch, t_boost_max, p_rate, {"all": 0}, adaptive)
     # each charger's OnlineCpResult fields but cp: the parent has the chargers

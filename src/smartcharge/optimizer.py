@@ -148,7 +148,9 @@ def learn_policy(
     raw-equivalent policy (boost cap = longest plugin duration, rate 1.0),
     which delivers every target on a cleaned charge point.
     """
-    return learn_policies([history], [p_max_kw], [seed], cfg, params, [init])[0]
+    start = None if init is None else [[init.t_boost_max_hours], [init.p_rate]]
+    t, p, feasible = learn_policies([history], [p_max_kw], [seed], cfg, params, start)
+    return LearnedPolicy(ChargingPolicy(float(t[0]), float(p[0])), bool(feasible[0]))
 
 
 def learn_policies(
@@ -157,36 +159,36 @@ def learn_policies(
     seeds: Sequence[int],
     cfg: SearchConfig,
     params: RewardParams,
-    inits: Sequence[ChargingPolicy | None] | None = None,
-) -> list[LearnedPolicy]:
-    """learn_policy for many chargers at once, one result per history, each
-    bit-identical to searching that charger alone: histories of one length
-    are searched together, in lockstep and then in runs of tries (see the
-    module docstring)."""
+    inits: np.ndarray | Sequence[Sequence[float]] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """learn_policy for many chargers at once, in columns: inits is a
+    (2, n) array-like of starts (boost cap, rate; a NaN row starts cold).
+    Returns the boost caps, rates and feasibility (float64, float64, bool)
+    in input order, each row bit-identical to searching that charger alone:
+    histories of one length are searched together, in lockstep and then in
+    runs of tries (see the module docstring)."""
     n = len(histories)
-    inits = [None] * n if inits is None else inits
-    if not len(p_max_kw) == len(seeds) == len(inits) == n:
+    inits = np.full((2, n), math.nan) if inits is None else np.asarray(inits, dtype=np.float64)
+    p_max = np.asarray(p_max_kw, dtype=np.float64)
+    if not (p_max.shape == (len(seeds),) == (n,) and inits.shape == (2, n)):
         raise ValueError("need one p_max_kw, seed and init per history")
+    if not all(map(len, histories)):
+        raise ValueError("history must be non-empty")
+    # stated as what must hold, so a NaN fails it
+    if not (p_max > 0).all():
+        raise ValueError("p_max_kw must be positive")
     groups: dict[int, list[int]] = {}
-    for j, (history, p_max) in enumerate(zip(histories, p_max_kw)):
-        if len(history) == 0:
-            raise ValueError("history must be non-empty")
-        if p_max <= 0:
-            raise ValueError("p_max_kw must be positive")
+    for j, history in enumerate(histories):
         groups.setdefault(len(history), []).append(j)
 
-    results: list[LearnedPolicy] = [None] * n  # type: ignore[list-item]
+    t, p = np.empty((2, n))
+    feasible = np.empty(n, dtype=bool)
     for rows in groups.values():
-        learned = _search(
-            history_arrays([histories[j] for j in rows], [p_max_kw[j] for j in rows]),
-            cfg,
-            [seeds[j] for j in rows],
-            [inits[j] for j in rows],
-            params,
+        h = history_arrays([histories[j] for j in rows], p_max[rows])
+        t[rows], p[rows], feasible[rows] = _search(
+            h, cfg, [seeds[j] for j in rows], inits[:, rows], params
         )
-        for j, result in zip(rows, learned):
-            results[j] = result
-    return results
+    return t, p, feasible
 
 
 # The most sessions (rows x window) a call of the runs covers, if one try
@@ -202,11 +204,13 @@ def _search(
     h: HistoryArrays,
     cfg: SearchConfig,
     seeds: Sequence[int],
-    inits: Sequence[ChargingPolicy | None],
+    inits: np.ndarray,
     params: RewardParams,
-) -> list[LearnedPolicy]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The search over a bucket of equal-length histories, in lockstep and
-    then in runs of tries (see the module docstring)."""
+    then in runs of tries (see the module docstring), from the (2, k) start
+    columns inits (NaN: a cold start).  Returns the bucket's boost caps,
+    rates and feasibility."""
     k, n = len(seeds), cfg.n_tries
     t_mean, t_max = h.plugin.mean(axis=1), h.plugin.max(axis=1)
 
@@ -214,13 +218,12 @@ def _search(
     # rate and reward, the upper bounds of boost cap and rate, a row for a
     # call's candidate rewards, and the best point visited.
     state = np.empty((8, k))
-    for j, init in enumerate(inits):
-        if init is None:
-            state[:2, j] = t_mean[j], 0.5
-        else:
-            state[0, j] = min(max(init.t_boost_max_hours, 0.0), float(t_max[j]))
-            state[1, j] = min(max(init.p_rate, 0.0), 1.0)
-    state[3], state[4] = t_max, 1.0
+    state[0], state[1], state[3], state[4] = t_mean, 0.5, t_max, 1.0
+    # each start clamped into [0, upper] as min(max(x, 0.0), upper) clamps a
+    # Python float, which keeps a -0.0 start (np.maximum would not)
+    start = np.where(0.0 > inits, 0.0, inits)
+    start = np.where(state[3:5] < start, state[3:5], start)
+    np.copyto(state[:2], start, where=~np.isnan(start))
 
     # Each row's draws come up front, in the order a scalar loop takes them
     # from its generator (dx, sign of dx, dy, sign of dy per try);
@@ -313,10 +316,7 @@ def _search(
         p = np.where(fallback, 1.0, p)
         e_loss, _ = evaluate_policy_arrays(h, t[:, None], p[:, None])
         feasible = e_loss < params.e_max_loss_kwh
-    return [
-        LearnedPolicy(ChargingPolicy(float(t[j]), float(p[j])), bool(feasible[j]))
-        for j in range(k)
-    ]
+    return t, p, feasible
 
 
 def _clip(tp: np.ndarray, upper: np.ndarray) -> None:

@@ -1,5 +1,6 @@
 """Two-phase charging simulation, history evaluation and power profiles."""
 
+import dataclasses
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -18,6 +19,8 @@ from smartcharge.charging import (
     raw_profile,
     simulate_session,
 )
+from smartcharge.dataset import derive_p_max
+from smartcharge.optimizer import RewardParams, SearchConfig, learn_policies
 
 from conftest import BASE_EPOCH, make_session, table
 from test_acceptance import transcribed_session_rules
@@ -445,6 +448,22 @@ class TestArrayKernel:
         start, e, plugin = columns(make_session(), make_session(energy_kwh=0.0))
         with pytest.raises(ValueError, match="p_max_kw must be positive"):
             raw_profile(start, e, plugin, p_max)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: simulate_session(HistoryArrays(s.energy_kwh, s.plugin_hours, np.nan), 1, 1),
+            lambda s: raw_profile(s.start, s.energy_kwh, s.plugin_hours, np.nan),
+            lambda s: oracle_profile(s.start, s.energy_kwh, np.array([np.nan])),
+            lambda s: derive_p_max(dataclasses.replace(s, plugin_hours=[np.nan])),
+            lambda s: learn_policies([s], [np.nan], [0], SearchConfig(n_tries=1), RewardParams()),
+        ],
+        ids=["simulate_session", "raw_profile", "oracle_profile", "derive_p_max", "learn_policies"],
+    )
+    def test_nan_fails_positive_value_checks(self, call):
+        # each check is stated as what must hold, so a NaN fails it
+        with pytest.raises(ValueError, match="positive"):
+            call(table([make_session()]))
 
     def test_negative_zero_cap(self):
         o = simulate_session(charger([make_session(energy_kwh=0.0)], 7.0), -0.0, 0.5)

@@ -8,8 +8,9 @@ import pickle
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -477,15 +478,20 @@ class TestOnline:
 
     # a warmup of 0 and 1 learns after the first session; 30 outlasts
     # every charger's 24 sessions
-    @pytest.mark.parametrize("warmup", [0, 1, 6, 30])
-    def test_replay_matches_per_session_reference(self, tmp_path, warmup):
+    @pytest.mark.parametrize(
+        "warmup, cold_start",
+        [pytest.param(w, cold, id=f"{w}-cold" if cold else str(w)) for cold in (False, True)
+         for w in (0, 1, 6, 30)],
+    )
+    def test_replay_matches_per_session_reference(self, tmp_path, warmup, cold_start):
         # each session's policy, restated one session at a time: raw during
         # the warmup, then the policy learned from the last `history`
         # sessions with energy before it, warm-started from the previous one
+        # unless every re-learn starts cold
         text = synth_fleet_csv(n_cps=3, sessions_per_cp=24, seed=21, zero_energy_prob=0.3)
         cfg = small_cfg(
             write_csv(tmp_path, text), str(tmp_path / "o"), mode="online",
-            warmup=warmup, history=5, n_tries=15,
+            warmup=warmup, history=5, n_tries=15, cold_start=cold_start,
         )
         for r in run_online(cfg).cp_rows:
             s, learned, charged, want = r.cp.sessions, None, [], []
@@ -505,7 +511,7 @@ class TestOnline:
                         r.cp.p_max_kw,
                         cfg.search_config(),
                         cfg.reward_params(),
-                        None if learned is None else learned.policy,
+                        None if learned is None or cold_start else learned.policy,
                         per_cp_seed(cfg.seed, f"{r.cp.cp_id}#{i}"),
                     )
             got = zip(
@@ -801,7 +807,8 @@ def test_folded_profiles_match_the_per_second_oracle(tmp_path, monkeypatch, fold
 
 class FakePool:
     """An executor that records the pool size asked for and how it was shut
-    down, maps in this process and starts no process."""
+    down, runs each call in this process as it is submitted and starts no
+    process."""
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -809,7 +816,10 @@ class FakePool:
     def shutdown(self, wait=True, cancel_futures=False):
         self.shutdowns.append((wait, cancel_futures))
 
-    map = staticmethod(map)
+    def submit(self, fn, /, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 @pytest.fixture
@@ -827,7 +837,8 @@ def test_pool_capped_at_the_usable_cpus(monkeypatch, fake_pool, workers, cpus, p
     monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
     with harness._worker_pool(workers) as pool:
         assert (pool is None) == (pool_size is None)
-        batches = list(harness._map_batches(len, list(range(70)), pool))
+        map_calls = partial(harness._ordered_map, pool, in_flight=2 * harness._pool_size(workers))
+        batches = list(harness._map_batches(len, list(range(70)), map_calls))
     assert batches == [32, 32, 6]
     assert FakePool.sizes == ([] if pool_size is None else [pool_size])
     # shut down once, waiting for the workers, with queued calls cancelled
@@ -871,6 +882,26 @@ def test_ordered_map_leaves_no_call_running_when_its_consumer_stops(stop):
             assert next(mapped) == 0
             mapped.close()
         # every call submitted has finished, or was cancelled before it began
+        assert len(pool.futures) == 4
+        assert all(future.done() for future in pool.futures)
+
+
+def _sum_but_the_first(batch):
+    if batch[0] == 0:
+        raise ValueError("the first batch fails")
+    time.sleep(0.2)
+    return sum(batch)
+
+
+def test_map_batches_leaves_no_call_running_when_a_batch_raises():
+    # a run at 2 workers keeps at most four batches in flight
+    with _RecordingThreads(2) as pool:
+        pool.futures = []
+        map_calls = partial(harness._ordered_map, pool, in_flight=4)
+        items = list(range(8 * harness.BATCH_SIZE))
+        with pytest.raises(ValueError, match="the first batch fails"):
+            list(harness._map_batches(_sum_but_the_first, items, map_calls))
+        # every batch submitted has finished, or was cancelled before it began
         assert len(pool.futures) == 4
         assert all(future.done() for future in pool.futures)
 

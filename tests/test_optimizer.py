@@ -1,6 +1,5 @@
 """Reward function and stochastic policy search."""
 
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -307,9 +306,10 @@ def serial_reward(e_loss, p_aggr, params):
 
 
 def serial_learn_policy(history, p_max_kw, cfg, params, init=None, seed=0, trace=None):
-    """The search.  A trace dict, when given, gets "tries", each try's
-    (candidate reward, incumbent reward) in order, and "fallback", whether
-    the search fell back to raw."""
+    """The search from init, a (boost cap, rate) start or None, returning
+    the learned (boost cap, rate, feasible).  A trace dict, when given, gets
+    "tries", each try's (candidate reward, incumbent reward) in order, and
+    "fallback", whether the search fell back to raw."""
     tries = []
     e_target, plugin = serial_history_arrays(history)
     t_mean = float(plugin.mean())
@@ -322,7 +322,7 @@ def serial_learn_policy(history, p_max_kw, cfg, params, init=None, seed=0, trace
         return min(max(p, 0.0), 1.0)
 
     if init is not None:
-        inc_t, inc_p = clamp_t(init.t_boost_max_hours), clamp_p(init.p_rate)
+        inc_t, inc_p = clamp_t(init[0]), clamp_p(init[1])
     else:
         inc_t, inc_p = t_mean, 0.5
     inc_eval = serial_evaluate_policy_arrays(e_target, plugin, inc_t, inc_p, p_max_kw)
@@ -359,10 +359,7 @@ def serial_learn_policy(history, p_max_kw, cfg, params, init=None, seed=0, trace
     if trace is not None:
         trace.update(tries=tries, fallback=fallback)
 
-    return LearnedPolicy(
-        policy=ChargingPolicy(best_t, best_p),
-        feasible=best_eval[0] < params.e_max_loss_kwh,
-    )
+    return best_t, best_p, best_eval[0] < params.e_max_loss_kwh
 
 
 def run_schedule(accepted, n_tries, width, max_cells, quiet_calls):
@@ -464,9 +461,9 @@ class TestLockstepEqualsSerial:
             windows.append(sessions)
             p_max.append(p)
             seeds.append(per_cp_seed(seed, str(j)))
-            if init is not None:
-                init = SimpleNamespace(t_boost_max_hours=init[0], p_rate=init[1])
             inits.append(init)
+        # a start column of NaN starts cold
+        starts = np.transpose([(np.nan, np.nan) if init is None else init for init in inits])
         calls = []
 
         def counting(h, *args):
@@ -475,9 +472,11 @@ class TestLockstepEqualsSerial:
 
         with mock.patch.object(optimizer, "_RUN_MAX_CELLS", max_cells):
             with mock.patch.object(optimizer, "evaluate_policy_arrays", counting):
-                lockstep = learn_policies(windows, p_max, seeds, cfg, params, inits)
+                lockstep = learn_policies(windows, p_max, seeds, cfg, params, starts)
+        assert [column.dtype for column in lockstep] == [np.float64, np.float64, bool]
         traces = []
-        for got, window, p, row_seed, init in zip(lockstep, windows, p_max, seeds, inits):
+        got_rows = zip(*(column.tolist() for column in lockstep))
+        for got, window, p, row_seed, init in zip(got_rows, windows, p_max, seeds, inits):
             traces.append({})
             want = serial_learn_policy(rows(window), p, cfg, params, init, row_seed, traces[-1])
             # repr tells -0.0 from 0.0 and shows every bit of each float
@@ -569,11 +568,8 @@ class TestLockstepEqualsSerial:
         assert len(calls) == 94
         windows, p_max = zip(*(lockstep_window(*spec[:3]) for spec in specs))
         seeds = [per_cp_seed(0, str(j)) for j in range(6)]
-        cold = learn_policies(windows, p_max, seeds, SearchConfig(), RewardParams())
-        specs = [
-            (*spec[:3], (result.policy.t_boost_max_hours, result.policy.p_rate))
-            for spec, result in zip(specs, cold)
-        ]
+        t, p, _ = learn_policies(windows, p_max, seeds, SearchConfig(), RewardParams())
+        specs = [(*spec[:3], start) for spec, start in zip(specs, zip(t.tolist(), p.tolist()))]
         calls, _, _ = self.check_bit_identical(specs, 200, 1, cap)
         assert len(calls) == 28
         assert max(calls) * 60 <= cap
@@ -596,30 +592,30 @@ class TestLockstepEqualsSerial:
         tiny, p_tiny = lockstep_window("tiny", 40, 1)
         slack, p_slack = lockstep_window("slack", 30, 3)
 
-        learned = learn_policies([tiny, slack], [p_tiny, p_slack], [0, 0], cfg, params)
+        _, _, feasible = learn_policies([tiny, slack], [p_tiny, p_slack], [0, 0], cfg, params)
         assert calls == [1, 1, 1, 1]
-        assert all(result.feasible for result in learned)
+        assert feasible.all()
 
         calls.clear()
-        learned = learn_policies(
+        t, p, _ = learn_policies(
             [tight, tiny, slack], [p_tight, p_tiny, p_slack], [0, 0, 0], cfg, params
         )
         assert calls == [2, 2, 2, 1, 1]
-        raw = [ChargingPolicy(max(w.plugin_hours.tolist()), 1.0) for w in (tight, tiny)]
-        assert [result.policy == policy for result, policy in zip(learned, raw)] == [True, False]
+        raw = [(max(w.plugin_hours.tolist()), 1.0) for w in (tight, tiny)]
+        assert [policy == start for policy, start in zip(zip(t, p), raw)] == [True, False]
 
         calls.clear()
         cfg = SearchConfig(n_tries=5)
-        learned = learn_policies([tight, tiny], [p_tight, p_tiny], [0, 0], cfg, params)
+        t, p, _ = learn_policies([tight, tiny], [p_tight, p_tiny], [0, 0], cfg, params)
         assert calls == [2] * 7
-        assert learned[0].policy == raw[0]
+        assert (t[0], p[0]) == raw[0]
 
         # tiny windows accept often, so 20 rows never leave one try a call
         wide = [lockstep_window("tiny", 30, j) for j in range(20)]
         calls.clear()
-        learned = learn_policies(*zip(*wide), range(20), cfg, params)
+        _, _, feasible = learn_policies(*zip(*wide), range(20), cfg, params)
         assert calls == [20] * 6
-        assert all(result.feasible for result in learned)
+        assert feasible.all()
 
         # a warm re-learn rejects in a row, and its rows go on in runs; a
         # cap of one try per row and call keeps every call at one try a row
@@ -627,15 +623,15 @@ class TestLockstepEqualsSerial:
         other, p_other = lockstep_window("slack", 30, 4)
         pair = [slack, other], [p_slack, p_other]
         calls.clear()
-        cold = learn_policies(*pair, [0, 1], cfg, params)
+        starts = learn_policies(*pair, [0, 1], cfg, params)[:2]
         assert calls == [2] * 14 + [4, 8, 2]
-        starts = [result.policy for result in cold]
         calls.clear()
         warm = learn_policies(*pair, [2, 3], cfg, params, starts)
         assert calls == [2, 2, 2, 2, 4, 8, 9, 5, 4, 5]
         monkeypatch.setattr(optimizer, "_RUN_MAX_CELLS", 2 * 30)
         calls.clear()
-        assert learn_policies(*pair, [2, 3], cfg, params, starts) == warm
+        capped = learn_policies(*pair, [2, 3], cfg, params, starts)
+        assert [column.tolist() for column in capped] == [column.tolist() for column in warm]
         assert calls == [2] * 21
 
     def test_corners_occur(self):
@@ -656,14 +652,22 @@ class TestLockstepEqualsSerial:
         windows = [lockstep_window("slack", n, n)[0] for n in (30, 7, 30, 12)]
         p_max = [7.0] * 4
         cfg = SearchConfig(n_tries=10)
-        together = learn_policies(windows, p_max, range(4), cfg, params)
+        t, p, feasible = learn_policies(windows, p_max, range(4), cfg, params)
         alone = [learn_policy(w, 7.0, cfg, params, seed=s) for s, w in enumerate(windows)]
+        together = [
+            LearnedPolicy(ChargingPolicy(*policy), row_feasible)
+            for *policy, row_feasible in zip(t.tolist(), p.tolist(), feasible.tolist())
+        ]
         assert together == alone
-        assert learn_policies([], [], [], cfg, params) == []
+        assert [column.tolist() for column in learn_policies([], [], [], cfg, params)] == [[]] * 3
         with pytest.raises(ValueError):
             learn_policies(windows, p_max[:3], range(4), cfg, params)
 
     def test_one_seed_per_history(self):
         windows = [lockstep_window("slack", n, n)[0] for n in (30, 7)]
+        cfg, params = SearchConfig(n_tries=10), RewardParams()
         with pytest.raises(ValueError, match="seed"):
-            learn_policies(windows, [7.0, 7.0], [0], SearchConfig(n_tries=10), RewardParams())
+            learn_policies(windows, [7.0, 7.0], [0], cfg, params)
+        # and one start (boost cap, rate) per history
+        with pytest.raises(ValueError, match="init"):
+            learn_policies(windows, [7.0, 7.0], [0, 1], cfg, params, [[1.0], [0.5]])
