@@ -44,11 +44,11 @@ differs, so the reprs dominate.  A table is formatted a column at a time.
 run starts one worker pool for the whole run when --workers is above 1:
 min(--workers, usable CPUs) processes, shut down after the last report is
 written or when a stage raises.  Three stages map their calls on it through
-_ordered_map, in order with at most two per worker in flight: the parse
-(byte ranges of the input, dataset.parse_sessions_path), the batches and
-the profile CSVs' chunks.  Clean, the folds and the other reports stay in
-the parent.  With one worker there is no pool, and each stage maps the same
-functions in this process.
+_ordered_map, in order: the parse (byte ranges of the input,
+dataset.parse_sessions_path) and the profile CSVs' chunks with at most two
+per worker in flight, the batches all submitted at once.  Clean, the folds
+and the other reports stay in the parent.  With one worker there is no
+pool, and each stage maps the same functions in this process.
 """
 
 from __future__ import annotations
@@ -288,9 +288,11 @@ def _ordered_map(pool, fn, calls: Iterable[tuple], in_flight: int) -> Iterator:
 
 def _map_batches(fn, items: Sequence, map_calls) -> Iterator:
     """Apply fn to fixed-size batches of items through map_calls (the run's
-    _ordered_map), yielding results in batch order regardless of worker
-    count (the determinism contract)."""
-    return map_calls(fn, ((items[i : i + BATCH_SIZE],) for i in range(0, len(items), BATCH_SIZE)))
+    _ordered_map), all in flight at once, yielding results in batch order
+    regardless of worker count (the determinism contract)."""
+    # as Executor.map submits them, so no worker waits behind a slow batch
+    starts = range(0, len(items), BATCH_SIZE)
+    return map_calls(fn, ((items[i : i + BATCH_SIZE],) for i in starts), in_flight=len(starts))
 
 
 def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool, pool):

@@ -162,18 +162,16 @@ def learn_policies(
     inits: np.ndarray | Sequence[Sequence[float]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """learn_policy for many chargers at once, in columns: inits is a
-    (2, n) array-like of starts (boost cap, rate; a NaN row starts cold).
-    Returns the boost caps, rates and feasibility (float64, float64, bool)
-    in input order, each row bit-identical to searching that charger alone:
-    histories of one length are searched together, in lockstep and then in
-    runs of tries (see the module docstring)."""
+    (2, n) array-like of starts (boost cap, rate; a start holding a NaN
+    starts cold).  Returns the boost caps, rates and feasibility (float64,
+    float64, bool) in input order, each row bit-identical to searching that
+    charger alone: histories of one length are searched together, in
+    lockstep and then in runs of tries (see the module docstring)."""
     n = len(histories)
     inits = np.full((2, n), math.nan) if inits is None else np.asarray(inits, dtype=np.float64)
     p_max = np.asarray(p_max_kw, dtype=np.float64)
     if not (p_max.shape == (len(seeds),) == (n,) and inits.shape == (2, n)):
         raise ValueError("need one p_max_kw, seed and init per history")
-    if not all(map(len, histories)):
-        raise ValueError("history must be non-empty")
     # stated as what must hold, so a NaN fails it
     if not (p_max > 0).all():
         raise ValueError("p_max_kw must be positive")
@@ -209,8 +207,8 @@ def _search(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The search over a bucket of equal-length histories, in lockstep and
     then in runs of tries (see the module docstring), from the (2, k) start
-    columns inits (NaN: a cold start).  Returns the bucket's boost caps,
-    rates and feasibility."""
+    columns inits (a start holding a NaN starts cold).  Returns the bucket's
+    boost caps, rates and feasibility."""
     k, n = len(seeds), cfg.n_tries
     t_mean, t_max = h.plugin.mean(axis=1), h.plugin.max(axis=1)
 
@@ -223,7 +221,7 @@ def _search(
     # Python float, which keeps a -0.0 start (np.maximum would not)
     start = np.where(0.0 > inits, 0.0, inits)
     start = np.where(state[3:5] < start, state[3:5], start)
-    np.copyto(state[:2], start, where=~np.isnan(start))
+    np.copyto(state[:2], start, where=~np.isnan(inits).any(axis=0))
 
     # Each row's draws come up front, in the order a scalar loop takes them
     # from its generator (dx, sign of dx, dy, sign of dy per try);

@@ -869,40 +869,28 @@ def _slow_after_first(k, fail):
     return k
 
 
-@pytest.mark.parametrize("stop", ["a call raises", "closed early"])
-def test_ordered_map_leaves_no_call_running_when_its_consumer_stops(stop):
+@pytest.mark.parametrize("stop", ["a call raises", "closed early", "a batch raises"])
+def test_ordered_map_leaves_no_call_running_when_its_consumer_stops(monkeypatch, stop):
     with _RecordingThreads(2) as pool:
         pool.futures = []
-        calls = [(k, stop == "a call raises") for k in range(8)]
-        mapped = harness._ordered_map(pool, _slow_after_first, calls, 4)
-        if stop == "a call raises":
-            with pytest.raises(ValueError, match="the first call fails"):
-                list(mapped)
+        calls = [(k, stop != "closed early") for k in range(8)]
+        if stop == "a batch raises":
+            # batches of one call each, all submitted at once
+            monkeypatch.setattr(harness, "BATCH_SIZE", 1)
+            map_calls = partial(harness._ordered_map, pool, in_flight=4)
+            mapped = harness._map_batches(
+                lambda batch: _slow_after_first(*batch[0]), calls, map_calls
+            )
         else:
+            mapped = harness._ordered_map(pool, _slow_after_first, calls, 4)
+        if stop == "closed early":
             assert next(mapped) == 0
             mapped.close()
+        else:
+            with pytest.raises(ValueError, match="the first call fails"):
+                list(mapped)
         # every call submitted has finished, or was cancelled before it began
-        assert len(pool.futures) == 4
-        assert all(future.done() for future in pool.futures)
-
-
-def _sum_but_the_first(batch):
-    if batch[0] == 0:
-        raise ValueError("the first batch fails")
-    time.sleep(0.2)
-    return sum(batch)
-
-
-def test_map_batches_leaves_no_call_running_when_a_batch_raises():
-    # a run at 2 workers keeps at most four batches in flight
-    with _RecordingThreads(2) as pool:
-        pool.futures = []
-        map_calls = partial(harness._ordered_map, pool, in_flight=4)
-        items = list(range(8 * harness.BATCH_SIZE))
-        with pytest.raises(ValueError, match="the first batch fails"):
-            list(harness._map_batches(_sum_but_the_first, items, map_calls))
-        # every batch submitted has finished, or was cancelled before it began
-        assert len(pool.futures) == 4
+        assert len(pool.futures) == (8 if stop == "a batch raises" else 4)
         assert all(future.done() for future in pool.futures)
 
 

@@ -671,3 +671,15 @@ class TestLockstepEqualsSerial:
         # and one start (boost cap, rate) per history
         with pytest.raises(ValueError, match="init"):
             learn_policies(windows, [7.0, 7.0], [0, 1], cfg, params, [[1.0], [0.5]])
+
+    def test_a_start_holding_a_nan_starts_cold(self):
+        windows = [lockstep_window("slack", 30, 30)[0]] * 3
+        cfg, params = SearchConfig(n_tries=10), RewardParams()
+        starts = [[np.nan, 2.0, np.nan], [0.3, np.nan, np.nan]]
+        got = learn_policies(windows, [7.0] * 3, [0] * 3, cfg, params, starts)
+        cold = learn_policy(windows[0], 7.0, cfg, params, seed=0)
+        assert [column.tolist() for column in got] == [
+            [cold.policy.t_boost_max_hours] * 3,
+            [cold.policy.p_rate] * 3,
+            [cold.feasible] * 3,
+        ]
