@@ -56,7 +56,7 @@ cfg = ExperimentConfig(
 results = run_offline(cfg)
 paths = emit_offline_reports(results, cfg.out_dir)
 
-print(f"fleet of {len(results.cp_rows)} chargers, reports in {cfg.out_dir}\n")
+print(f"fleet of {len(results.columns['cp_id'])} chargers, reports in {cfg.out_dir}\n")
 rl = results.metrics("rl")
 
 

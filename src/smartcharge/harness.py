@@ -9,12 +9,14 @@ online  -- replay each charge point session by session, charging raw during
            a warmup and re-learning the policy after every session.
 predict -- per-charge-point cross-validated duration regression.
 
-Offline and online reduce each charger to one row of SUMMARY_COLUMNS
-(_simulate) and report the same fleet summary from these columns
-(SimulatedResults, _summary_lines): aggregate daily profiles, deficits,
-phase hours and relative speed, over the test split offline and over every
-session online.  Per-charger figures are in policies.csv offline and
-outcomes.csv online.
+Every mode's batches return per-charger columns by name, and _run joins
+them into one table per run, a row per charger (the results' columns,
+cp_id first).  Offline and online both return SUMMARY_COLUMNS (_simulate)
+and report the same fleet summary from them (SimulatedResults,
+_summary_lines): aggregate daily profiles, deficits, phase hours and
+relative speed, over the test split offline and over every session
+online.  Per-charger figures are in policies.csv offline and outcomes.csv
+online.
 
 Charge points are the unit of parallel work.  Work is cut into fixed-size
 batches processed in sorted order and folded back in batch order, so every
@@ -27,12 +29,15 @@ as columns, each charger's as it would be alone, so a charger's reports do
 not depend on which chargers share its batch.  Then, in both modes,
 _simulate charges all the batch's sessions in one call, builds each
 profile's pieces in one call per strategy, and sums every charger's
-summary columns in one pass; offline bins the batch's speeds once.  A
-batch returns its profiles as power pieces, not as day-length slot arrays,
-so its result stays small.  _run adds up the batches' speed counts by key,
-and folds each key's pieces, in batch order, into that key's daily
-profile: one aggregation.accumulate call whenever the held pieces reach
-_FOLD_ROWS rows, and one at the end.
+summary columns in one pass; offline bins the batch's speeds once.
+
+A batch returns (columns, pieces, kept).  Its profiles are power pieces,
+not day-length slot arrays, so its result stays small, and _run folds
+each key's pieces, in batch order, into that key's daily profile: one
+aggregation.accumulate call whenever the held pieces reach _FOLD_ROWS
+rows, and one at the end.  kept is what else the mode reduces, one value
+per batch in batch order: offline sums the speed counts, online keeps
+each batch's session log as it came, and predict keeps nothing.
 
 Each mode maps its report names to chunks of text for _write_reports, so
 the long reports (profiles and the online outcome log) stream to disk and
@@ -70,7 +75,6 @@ from .aggregation import DailyProfile, StrategyMetrics, deficit_stats, total
 from .charging import (
     HistoryArrays,
     PowerProfile,
-    SessionOutcome,
     adaptive_profile,
     oracle_profile,
     raw_profile,
@@ -301,16 +305,15 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool, pool):
     batch_fn(batch, cfg) over their batches.  Both stages map their calls
     on the pool; without one, a run of several workers starts its own.
 
-    Each batch returns its rows, its SUMMARY_COLUMNS as one array (a row
-    per charger), its fleet sums as {key: array} and its profiles' power
-    pieces as {key: (n, 3) array}; rows and summaries are concatenated and
-    each key's sums added, all in batch order.
-    A key's pieces are held in batch order and folded into its running
-    daily profile by one aggregation.accumulate call whenever they reach
-    _FOLD_ROWS rows, and once at the end, so the folds, like the batches,
-    do not depend on the worker count.  Returns the RunResults fields, the
-    chargers run, the rows, the summary columns by name and the summed
-    arrays (the profiles' slots among them).
+    Each batch returns (columns, pieces, kept): its per-charger columns as
+    {name: array}, its profiles' power pieces as {key: (n, 3) array} and
+    one value for the mode to reduce.  Each column name is joined in batch
+    order after cp_id, the chargers run.  A key's pieces are held in batch
+    order and folded into its running daily profile by one
+    aggregation.accumulate call whenever they reach _FOLD_ROWS rows, and
+    once at the end, so the folds, like the batches, do not depend on the
+    worker count.  Returns the RunResults fields, the chargers run, each
+    profile's slots by key and the kept values in batch order.
     """
     workers = _pool_size(cfg.workers)
     if pool is None and workers > 1:
@@ -343,7 +346,7 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool, pool):
     if not charge_points:
         raise HarnessError(f"no {'usable ' if usable_only else ''}charge points after cleaning")
 
-    rows, summaries, totals = [], [], {}
+    parts, totals, kept = {}, {}, []
     held = {}  # each key's pieces not yet folded, in batch order
 
     def fold(key):
@@ -351,20 +354,21 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool, pool):
         totals[key] = totals.get(key, 0) + profile.slots
 
     batches = _map_batches(partial(batch_fn, cfg=cfg), charge_points, map_calls)
-    for batch_rows, batch_summaries, batch_sums, batch_pieces in batches:
-        rows.extend(batch_rows)
-        summaries.append(batch_summaries)
-        for key, array in batch_sums.items():
-            totals[key] = totals.get(key, 0) + array
+    for batch_columns, batch_pieces, batch_kept in batches:
+        for name, array in batch_columns.items():
+            parts.setdefault(name, []).append(array)
+        kept.append(batch_kept)
         for key, pieces in batch_pieces.items():
             held.setdefault(key, []).append(pieces)
             if sum(map(len, held[key])) >= _FOLD_ROWS:
                 fold(key)
     for key in list(held):
         fold(key)
-    common = dict(cfg=cfg, cleaning=cleaning, parse_errors=parse_errors)
-    columns = dict(zip(SUMMARY_COLUMNS, np.concatenate(summaries).T))
-    return common, charge_points, rows, columns, totals
+    columns = {"cp_id": np.array([cp.cp_id for cp in charge_points], dtype=object)}
+    for name in list(parts):
+        columns[name] = np.concatenate(parts.pop(name))
+    common = dict(cfg=cfg, cleaning=cleaning, parse_errors=parse_errors, columns=columns)
+    return common, charge_points, totals, kept
 
 
 def _profiles(totals: dict, scope: str) -> dict[str, DailyProfile]:
@@ -378,8 +382,8 @@ def _simulate(batch: Sequence[ChargePoint], t_boost_max_hours, p_rate, firsts: d
     each scope of firsts (each charger's first session in it), build each
     strategy's pieces of the scope's sessions.
 
-    Returns the outcomes, each charger's SUMMARY_COLUMNS row over its
-    sessions in the first scope, the relative speeds it sums (of the
+    Returns the outcomes, each charger's SUMMARY_COLUMNS over its sessions
+    in the first scope (a dict), the relative speeds it sums (of the
     sessions with energy that learned, a mask or True, marks), and the
     pieces by (scope, strategy).  n_sessions and the raw effective hours
     cover every session."""
@@ -417,7 +421,8 @@ def _simulate(batch: Sequence[ChargePoint], t_boost_max_hours, p_rate, firsts: d
         [counted] + [scopes[0]] * 3 + [counted] * 3 + [np.ones(len(e), dtype=bool)],
         counts,
     )
-    return outcome, np.column_stack((counts, sums)), rel_speeds[counted], pieces
+    summary = dict(zip(SUMMARY_COLUMNS, np.column_stack((counts, sums)).T))
+    return outcome, summary, rel_speeds[counted], pieces
 
 
 def _segment_sums(values, masks, counts: Sequence[int]) -> np.ndarray:
@@ -436,25 +441,26 @@ def _segment_sums(values, masks, counts: Sequence[int]) -> np.ndarray:
 
 @dataclass
 class RunResults:
-    """What every mode reports besides its own results."""
+    """What every mode reports: its input's parse and clean, and its
+    per-charger table, a row per charger run."""
 
     cfg: ExperimentConfig
     cleaning: CleaningReport
     parse_errors: list[ParseError]
+    columns: dict[str, np.ndarray]  # by name: cp_id, then the mode's batch columns
 
 
 @dataclass
 class SimulatedResults(RunResults):
-    """An offline or online run's fleet figures: its chargers' summary
-    columns, and the daily profiles of the sessions they cover."""
+    """An offline or online run's fleet figures: its chargers'
+    SUMMARY_COLUMNS, and the daily profiles of the sessions they cover."""
 
-    summaries: dict[str, np.ndarray]  # by SUMMARY_COLUMNS name, a row per charger
     profiles: dict[str, DailyProfile]
 
     def metrics(self, strategy: str) -> StrategyMetrics:
         # the oracle is uncapped, so it always delivers its whole target
         delivered = {"raw": "raw_delivered_kwh", "oracle": "target_kwh", "rl": "delivered_kwh"}
-        s = self.summaries
+        s = self.columns
         _, deficit, pct, frac = deficit_stats(s["target_kwh"], s[delivered[strategy]])
         profile = self.profiles[strategy]
         return StrategyMetrics(
@@ -471,8 +477,8 @@ class SimulatedResults(RunResults):
         return aggregation.peak_reduction(self.profiles[strategy], self.profiles["raw"])
 
     def _mean(self, column: str, count: str = "n_outcomes") -> float:
-        n = total(self.summaries[count])
-        return total(self.summaries[column]) / n if n else 0.0
+        n = total(self.columns[count])
+        return total(self.columns[column]) / n if n else 0.0
 
     def mean_boost_hours(self) -> float:
         return self._mean("boost_hours_sum")
@@ -492,22 +498,10 @@ class SimulatedResults(RunResults):
 
 
 @dataclass
-class OfflineCpResult:
-    """Per-charge-point policy and split of the offline experiment."""
-
-    cp_id: str
-    t_boost_max_hours: float
-    p_rate: float
-    feasible: bool
-    n_train: int
-    n_test: int
-
-
-@dataclass
 class OfflineResults(SimulatedResults):
-    """Its summaries, profiles and speed counts cover the test split."""
+    """Its summary columns, profiles and speed counts cover the test split;
+    its columns add each charger's policy and split."""
 
-    cp_rows: list[OfflineCpResult]
     profiles_all: dict[str, DailyProfile]
     speed_counts: np.ndarray  # binned relative speeds of the sessions with energy
 
@@ -521,7 +515,8 @@ def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     energy among its first ceil(train_fraction * n), then simulate the
     batch's sessions, each under its charger's policy.  The sessions after
     the first n are the test split: the summary and the "test" profiles
-    cover them, and the "all" profiles every session."""
+    cover them, and the "all" profiles every session.  kept is the test
+    split's speed counts."""
     splits = [math.ceil(cfg.train_fraction * len(cp.sessions)) for cp in batch]
     trains = [cp.sessions[:n] for cp, n in zip(batch, splits)]
     windows = [rolling_window(t[t.energy_kwh > 0], cfg.history) for t in trains]
@@ -540,24 +535,19 @@ def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     counts = [len(cp.sessions) for cp in batch]
     per_session = (np.repeat(column, counts) for column in (t_boost_max, p_rate))
     scopes = {"test": splits, "all": 0}
-    _, summaries, speeds, pieces = _simulate(batch, *per_session, scopes, True)
-    policies = zip(t_boost_max.tolist(), p_rate.tolist(), feasible.tolist())
-    rows = [
-        OfflineCpResult(cp.cp_id, *policy, n, len(cp.sessions) - n)
-        for cp, policy, n in zip(batch, policies, splits)
-    ]
-    return rows, summaries, {("test", "speed"): aggregation.speed_histogram_counts(speeds)}, pieces
+    _, columns, speeds, pieces = _simulate(batch, *per_session, scopes, True)
+    columns.update(t_boost_max_hours=t_boost_max, p_rate=p_rate, feasible=feasible)
+    columns.update(n_train=np.array(splits), n_test=np.subtract(counts, splits))
+    return columns, pieces, aggregation.speed_histogram_counts(speeds)
 
 
 def run_offline(cfg: ExperimentConfig, pool=None) -> OfflineResults:
-    common, _, rows, summaries, totals = _run(_offline_batch, cfg, True, pool)
+    common, _, totals, speed_counts = _run(_offline_batch, cfg, True, pool)
     return OfflineResults(
         **common,
-        summaries=summaries,
         profiles=_profiles(totals, "test"),
-        cp_rows=rows,
         profiles_all=_profiles(totals, "all"),
-        speed_counts=totals["test", "speed"],
+        speed_counts=np.sum(speed_counts, axis=0),
     )
 
 
@@ -566,22 +556,15 @@ def run_offline(cfg: ExperimentConfig, pool=None) -> OfflineResults:
 
 
 @dataclass
-class OnlineCpResult:
-    """One charger's replay: each array holds one entry per session of cp,
-    in session order."""
-
-    cp: ChargePoint
-    adaptive: np.ndarray  # charged under a learned policy (else raw)
-    outcome: SessionOutcome
-    policy_t_boost_max: np.ndarray
-    policy_p_rate: np.ndarray
-
-
-@dataclass
 class OnlineResults(SimulatedResults):
-    """Its summaries and profiles cover every session (phase hours and speeds: adaptive ones)."""
+    """Its summary columns and profiles cover every session (phase hours
+    and speeds: adaptive ones).  log[b] is batch b's session log, for
+    charge_points[b * BATCH_SIZE : (b + 1) * BATCH_SIZE]: a row per
+    session of theirs, in turn, by outcomes.csv's names (adaptive: charged
+    under a learned policy, else raw)."""
 
-    cp_rows: list[OnlineCpResult]
+    charge_points: list[ChargePoint]
+    log: list[dict[str, np.ndarray]]
 
 
 def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
@@ -594,6 +577,7 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     still gets exactly the policies it would get replayed alone.  Learning
     reads the sessions, never their outcomes, so the replay only records
     each session's policy, and the batch is simulated once after it.
+    kept is the batch's session log.
     """
     sessions = [cp.sessions for cp in batch]
     counts = [len(s) for s in sessions]
@@ -626,20 +610,16 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
         )
         adaptive[k + 1] = True
 
-    outcome, summaries, _, pieces = _simulate(batch, t_boost_max, p_rate, {"all": 0}, adaptive)
-    # each charger's OnlineCpResult fields but cp: the parent has the chargers
-    rows = [
-        (adaptive[s], outcome[s], t_boost_max[s], p_rate[s])
-        for s in map(slice, offsets, np.cumsum(counts).tolist())
-    ]
-    return rows, summaries, {}, pieces
+    outcome, columns, _, pieces = _simulate(batch, t_boost_max, p_rate, {"all": 0}, adaptive)
+    log = {"adaptive": adaptive, **vars(outcome)}
+    log.update(policy_t_boost_max_hours=t_boost_max, policy_p_rate=p_rate)
+    return columns, pieces, log
 
 
 def run_online(cfg: ExperimentConfig, pool=None) -> OnlineResults:
-    common, charge_points, rows, summaries, totals = _run(_online_batch, cfg, True, pool)
-    cp_rows = [OnlineCpResult(cp, *row) for cp, row in zip(charge_points, rows)]
+    common, charge_points, totals, log = _run(_online_batch, cfg, True, pool)
     profiles = _profiles(totals, "all")
-    return OnlineResults(**common, summaries=summaries, profiles=profiles, cp_rows=cp_rows)
+    return OnlineResults(**common, profiles=profiles, charge_points=charge_points, log=log)
 
 
 # ---------------------------------------------------------------------------
@@ -647,48 +627,39 @@ def run_online(cfg: ExperimentConfig, pool=None) -> OnlineResults:
 
 
 @dataclass
-class PredictCpRow:
-    cp_id: str
-    n_rows: int
-    with_energy: PredictionMetrics | None
-    without_energy: PredictionMetrics | None
-
-
-@dataclass
 class PredictResults(RunResults):
-    cp_rows: list[PredictCpRow]
+    """Its columns: each charger's row count, whether it had enough rows
+    to cross-validate, and its PredictionMetrics fields with and without
+    energy (mae_with_energy ... mape_excluded_without_energy)."""
 
     @property
     def skipped(self) -> int:
-        return sum(1 for r in self.cp_rows if r.with_energy is None)
+        return int(np.count_nonzero(~self.columns["evaluated"]))
 
     def pooled(self, include_energy: bool) -> PredictionMetrics:
-        key = "with_energy" if include_energy else "without_energy"
-        metrics = [getattr(r, key) for r in self.cp_rows if getattr(r, key)]
-        return pool_metrics(metrics)
+        suffix = "_with_energy" if include_energy else "_without_energy"
+        c = self.columns
+        values = (c[f.name + suffix][c["evaluated"]].tolist() for f in fields(PredictionMetrics))
+        return pool_metrics(list(starmap(PredictionMetrics, zip(*values))))
 
 
 def _predict_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
+    """PredictResults' columns for the batch; a charger with too few rows
+    to cross-validate holds NaN and 0 metrics."""
     histories = [cp.sessions for cp in batch]
-    rows = [
-        PredictCpRow(
-            cp_id=cp.cp_id,
-            n_rows=max(len(cp.sessions) - 1, 0),
-            with_energy=with_energy,
-            without_energy=without_energy,
-        )
-        for cp, with_energy, without_energy in zip(
-            batch,
-            cross_validate(histories, include_energy=True),
-            cross_validate(histories, include_energy=False),
-        )
-    ]
-    return rows, np.empty((0, len(SUMMARY_COLUMNS))), {}, {}
+    columns = {"n_rows": np.array([max(len(s) - 1, 0) for s in histories])}
+    blank = PredictionMetrics(mae=np.nan, mape=np.nan, mse=np.nan, n=0)
+    for suffix, include_energy in (("with_energy", True), ("without_energy", False)):
+        metrics = cross_validate(histories, include_energy=include_energy)
+        if include_energy:
+            columns["evaluated"] = np.array([m is not None for m in metrics])
+        for f in fields(PredictionMetrics):
+            columns[f"{f.name}_{suffix}"] = np.array([getattr(m or blank, f.name) for m in metrics])
+    return columns, {}, None
 
 
 def run_predict(cfg: ExperimentConfig, pool=None) -> PredictResults:
-    common, _, rows, _, _ = _run(_predict_batch, cfg, False, pool)
-    return PredictResults(**common, cp_rows=rows)
+    return PredictResults(**_run(_predict_batch, cfg, False, pool)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -829,17 +800,14 @@ def _summary_lines(results: SimulatedResults, scope: str, learned_label: str) ->
 
 
 def emit_offline_reports(results: OfflineResults, output_dir: str, pool=None) -> dict[str, str]:
-    cfg, s = results.cfg, results.summaries
+    cfg, c = results.cfg, results.columns
     workers = _pool_size(cfg.workers)
-    deficits = (s["target_kwh"] - s["delivered_kwh"]).tolist()
-    policies = [
-        (r.cp_id, r.t_boost_max_hours, r.p_rate, deficit, r.n_train, r.n_test)
-        for r, deficit in zip(results.cp_rows, deficits)
-    ]
+    policies = [c["cp_id"], c["t_boost_max_hours"], c["p_rate"]]
+    policies += [c["target_kwh"] - c["delivered_kwh"], c["n_train"], c["n_test"]]
     hist = results.speed_histogram()
     text = [
-        f"charge points simulated : {len(results.cp_rows)}",
-        f"test sessions           : {sum(r.n_test for r in results.cp_rows)}",
+        f"charge points simulated : {len(c['cp_id'])}",
+        f"test sessions           : {c['n_test'].sum()}",
         "",
         *_summary_lines(results, "test split", "rl test sessions"),
     ]
@@ -850,7 +818,7 @@ def emit_offline_reports(results: OfflineResults, output_dir: str, pool=None) ->
         ),
         "policies.csv": [
             "cp_id,t_boost_max_hours,p_rate,deficit_kwh,n_train,n_test\n",
-            _csv_rows(zip(*policies)),
+            _csv_rows(policies),
         ],
         "speed_histogram.csv": [
             "rel_speed_bin_start,fraction\n",
@@ -860,37 +828,32 @@ def emit_offline_reports(results: OfflineResults, output_dir: str, pool=None) ->
     })
 
 
-def _outcome_chunks(cp_rows: list[OnlineCpResult]) -> Iterator[str]:
+def _outcome_chunks(results: OnlineResults) -> Iterator[str]:
     """outcomes.csv, one chunk per charger: a row per session."""
     yield (
         "cp_id,session_index,event_id,start,plugin_hours,energy_kwh,mode,"
         "t_boost_hours,t_slow_hours,e_boost_kwh,e_slow_kwh,e_total_kwh,"
         "e_loss_kwh,p_eff_kw,policy_t_boost_max_hours,policy_p_rate\n"
     )
-    for r in cp_rows:
-        s = r.cp.sessions
-        yield _csv_rows(
-            [
-                [r.cp.cp_id] * len(s),
-                range(len(s)),
-                s.event_id,
-                s.start,
-                s.plugin_hours,
-                s.energy_kwh,
-                np.where(r.adaptive, "adaptive", "raw"),
-                *(getattr(r.outcome, f.name) for f in fields(r.outcome)),
-                r.policy_t_boost_max,
-                r.policy_p_rate,
-            ]
-        )
+    for b, log in enumerate(results.log):
+        batch = results.charge_points[b * BATCH_SIZE : (b + 1) * BATCH_SIZE]
+        counts = [len(cp.sessions) for cp in batch]
+        adaptive, *outcomes = log.values()
+        for cp, n, end in zip(batch, counts, np.cumsum(counts).tolist()):
+            s, rows = cp.sessions, slice(end - n, end)
+            yield _csv_rows(
+                [[cp.cp_id] * n, range(n), s.event_id, s.start, s.plugin_hours, s.energy_kwh]
+                + [np.where(adaptive[rows], "adaptive", "raw")]
+                + [column[rows] for column in outcomes]
+            )
 
 
 def emit_online_reports(results: OnlineResults, output_dir: str, pool=None) -> dict[str, str]:
-    rows, cfg = results.cp_rows, results.cfg
-    n_adaptive = sum(int(r.adaptive.sum()) for r in rows)
+    cfg, adaptive = results.cfg, [log["adaptive"] for log in results.log]
+    n_adaptive = sum(map(np.count_nonzero, adaptive))
     text = [
-        f"charge points simulated : {len(rows)}",
-        f"sessions (adaptive)     : {sum(len(r.adaptive) for r in rows)} ({n_adaptive})",
+        f"charge points simulated : {len(results.charge_points)}",
+        f"sessions (adaptive)     : {sum(map(len, adaptive))} ({n_adaptive})",
         "",
         *_summary_lines(results, "all sessions", "adaptive sessions"),
     ]
@@ -898,26 +861,25 @@ def emit_online_reports(results: OnlineResults, output_dir: str, pool=None) -> d
         "profiles.csv": _profile_csv(
             results.profiles, cfg.emit_resolution, pool, _pool_size(cfg.workers)
         ),
-        "outcomes.csv": _outcome_chunks(rows),
+        "outcomes.csv": _outcome_chunks(results),
         "metrics.txt": _text_report("online learning report", cfg, text),
     })
 
 
 def emit_predict_reports(results: PredictResults, output_dir: str) -> dict[str, str]:
-    rows = []
-    for r in results.cp_rows:
-        w, wo = r.with_energy, r.without_energy
-        metrics = ("",) * 6 if w is None else (w.mae, w.mape, w.mse, wo.mae, wo.mape, wo.mse)
-        rows.append((r.cp_id, r.n_rows, *metrics))
-    usable = [r for r in results.cp_rows if r.with_energy is not None]
+    c, evaluated = results.columns, results.columns["evaluated"]
+    names = [f"{m}_{e}_energy" for e in ("with", "without") for m in ("mae", "mape", "mse")]
+    # a charger that was not evaluated gets blank cells
+    table = [c["cp_id"], c["n_rows"]]
+    table += [np.where(evaluated, c[name].astype(object), "") for name in names]
     text = [
-        f"charge points evaluated : {len(usable)}",
+        f"charge points evaluated : {np.count_nonzero(evaluated)}",
         f"charge points skipped (too few rows) : {results.skipped}",
         "",
         "pooled metrics (unweighted mean over charge points)",
         "features              MAE_hours        MAPE_pct         MSE",
     ]
-    if usable:
+    if evaluated.any():
         for label, include in (("with energy", True), ("without energy", False)):
             m = results.pooled(include)
             text.append(f"{label:<21} {m.mae!r}  {m.mape!r}  {m.mse!r}")
@@ -926,11 +888,7 @@ def emit_predict_reports(results: PredictResults, output_dir: str) -> dict[str, 
                     f"  (rows excluded from MAPE for near-zero duration: {m.mape_excluded})"
                 )
     return _write_reports(results, output_dir, {
-        "prediction_per_cp.csv": [
-            "cp_id,n_rows,mae_with_energy,mape_with_energy,mse_with_energy,"
-            "mae_without_energy,mape_without_energy,mse_without_energy\n",
-            _csv_rows(zip(*rows)),
-        ],
+        "prediction_per_cp.csv": [",".join(["cp_id", "n_rows", *names]) + "\n", _csv_rows(table)],
         "prediction_report.txt": _text_report(
             "session duration prediction report", results.cfg, text
         ),

@@ -11,6 +11,7 @@ captured output of a failing run).
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,8 +235,8 @@ def test_criterion_4_energy_conservation(tmp_path):
     worst = 0.0
     for seed in (4, 5, 6):
         results = _offline_on_synthetic(tmp_path, seed)
-        target = results.summaries["target_kwh"].sum()
-        delivered = results.summaries["delivered_kwh"].sum()
+        target = results.columns["target_kwh"].sum()
+        delivered = results.columns["delivered_kwh"].sum()
         worst = max(worst, rel_err(results.profiles["raw"].total_energy_kwh(), target))
         worst = max(worst, rel_err(results.profiles["oracle"].total_energy_kwh(), target))
         worst = max(worst, rel_err(results.profiles["rl"].total_energy_kwh(), delivered))
@@ -265,7 +266,7 @@ def test_criterion_5_worker_determinism(tmp_path):
         )
         emit_offline_reports(run_offline(cfg), out)
         bundles[workers] = {
-            name: open(os.path.join(out, name), "rb").read()
+            name: Path(out, name).read_bytes()
             for name in sorted(os.listdir(out))
         }
     ok = bundles[1] == bundles[4] == bundles[8]
@@ -398,16 +399,16 @@ def test_criterion_10_online_case_study(tmp_path):
         out_dir=str(tmp_path / "online"),
     )
     results = run_online(cfg)
-    (cp,) = results.cp_rows
+    (cp,), (log,) = results.charge_points, results.log
     deficit_pct = results.metrics("rl").deficit_percent
     # the mean effective speed (kW) of the adaptive sessions with energy
-    speeds = cp.outcome.p_eff_kw[cp.adaptive & (cp.cp.sessions.energy_kwh > 0)]
+    speeds = log["p_eff_kw"][log["adaptive"] & (cp.sessions.energy_kwh > 0)]
     mean_speed = float(np.mean(speeds)) if len(speeds) else 0.0
     ok = abs(deficit_pct - 1.3) <= 1.0 and abs(mean_speed - 18.29) <= 0.20 * 18.29
     report(
         10,
         ok,
-        f"AN15123 (p_max {cp.cp.p_max_kw:.1f} kW, {len(cp.cp.sessions)} sessions): deficit "
+        f"AN15123 (p_max {cp.p_max_kw:.1f} kW, {len(cp.sessions)} sessions): deficit "
         f"{deficit_pct:.2f}% (1.3 +/- 1), mean effective speed {mean_speed:.2f} kW "
         f"(18.29 +/- 20%)",
     )

@@ -5,6 +5,7 @@ import glob
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +30,7 @@ def test_demo_runs(tmp_path, demo):
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):
-    readme = open(os.path.join(ROOT, "README.md"), encoding="utf-8").read()
+    readme = Path(ROOT, "README.md").read_text(encoding="utf-8")
     (code,) = [block.split("```")[0] for block in readme.split("```python\n")[1:]]
     # the example reads sessions.csv from the working directory; its first
     # charger has sessions to learn from and sessions to charge after them

@@ -9,8 +9,9 @@ import subprocess
 import sys
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +90,17 @@ def count_kernel_calls(monkeypatch):
     return simulated, profiles
 
 
+def charger_logs(results):
+    """Each charger of an online run, with its rows of its batch's session
+    log: log b covers charge points b * BATCH_SIZE to (b + 1) * BATCH_SIZE."""
+    for b, log in enumerate(results.log):
+        batch = results.charge_points[b * harness.BATCH_SIZE : (b + 1) * harness.BATCH_SIZE]
+        ends = np.cumsum([len(cp.sessions) for cp in batch]).tolist()
+        for cp, end in zip(batch, ends, strict=True):
+            rows = slice(end - len(cp.sessions), end)
+            yield cp, {name: column[rows] for name, column in log.items()}
+
+
 def count_folds(monkeypatch):
     """Record the piece count of each aggregation.accumulate call made in
     this process."""
@@ -117,19 +129,24 @@ class TestOffline:
             "speed_histogram.csv",
         ):
             assert os.path.exists(paths[name])
-        profile_lines = open(paths["profiles.csv"]).read().strip().split("\n")
+        profile_lines = Path(paths["profiles.csv"]).read_text().strip().split("\n")
         assert len(profile_lines) == 86_400 + 1
         assert profile_lines[0] == "second_of_day,raw_kw,oracle_kw,rl_kw"
-        policy_lines = open(paths["policies.csv"]).read().strip().split("\n")
-        assert len(policy_lines) == len(results.cp_rows) + 1
+        policy_lines = Path(paths["policies.csv"]).read_text().strip().split("\n")
+        # one table, a row per charger
+        c = results.columns
+        policy = ["t_boost_max_hours", "p_rate", "feasible", "n_train", "n_test"]
+        assert list(c) == ["cp_id", *harness.SUMMARY_COLUMNS, *policy]
+        assert {len(column) for column in c.values()} == {len(c["cp_id"])}
+        assert len(policy_lines) == len(c["cp_id"]) + 1
+        assert (c["n_train"] + c["n_test"] == c["n_sessions"]).all()
 
     def test_split_80_20(self, tmp_path):
         text = synth_fleet_csv(n_cps=1, sessions_per_cp=10, seed=5)
         cfg = small_cfg(write_csv(tmp_path, text), str(tmp_path / "out"))
         results = run_offline(cfg)
-        (row,) = results.cp_rows
-        assert row.n_train == 8
-        assert row.n_test == 2
+        assert results.columns["n_train"].tolist() == [8]
+        assert results.columns["n_test"].tolist() == [2]
 
     def test_zero_deficit_baselines(self, tmp_path, fleet_csv):
         cfg = small_cfg(fleet_csv, str(tmp_path / "out"))
@@ -143,8 +160,8 @@ class TestOffline:
     def test_energy_conservation(self, tmp_path, fleet_csv):
         cfg = small_cfg(fleet_csv, str(tmp_path / "out"))
         results = run_offline(cfg)
-        target = results.summaries["target_kwh"].sum()
-        delivered = results.summaries["delivered_kwh"].sum()
+        target = results.columns["target_kwh"].sum()
+        delivered = results.columns["delivered_kwh"].sum()
         assert results.profiles["raw"].total_energy_kwh() == pytest.approx(target, rel=1e-6)
         assert results.profiles["oracle"].total_energy_kwh() == pytest.approx(target, rel=1e-6)
         assert results.profiles["rl"].total_energy_kwh() == pytest.approx(delivered, rel=1e-6)
@@ -153,23 +170,21 @@ class TestOffline:
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         r1 = run_offline(small_cfg(fleet_csv, out1, history=None))
         r2 = run_offline(small_cfg(fleet_csv, out2, history=10_000))
-        for a, b in zip(r1.cp_rows, r2.cp_rows):
-            assert a.t_boost_max_hours == b.t_boost_max_hours
-            assert a.p_rate == b.p_rate
+        for name in ("cp_id", "t_boost_max_hours", "p_rate"):
+            assert r1.columns[name].tolist() == r2.columns[name].tolist()
 
     def test_empty_test_split_row_present(self, tmp_path):
         # 4 sessions: ceil(0.8 * 4) = 4 -> nothing left to test
         text = synth_fleet_csv(n_cps=1, sessions_per_cp=4, seed=2)
         cfg = small_cfg(write_csv(tmp_path, text), str(tmp_path / "out"), min_sessions=4)
         results = run_offline(cfg)
-        (row,) = results.cp_rows
-        assert row.n_test == 0
-        summary = results.summaries
+        summary = results.columns
+        assert summary["n_test"].tolist() == [0]
         assert (summary["target_kwh"] - summary["delivered_kwh"]).tolist() == [0.0]
         # the raw test profile is flat, so there is no peak to reduce
         assert main(["--input", cfg.input, "--min-sessions", "4", "--n-tries", "10"]
                     + ["--out-dir", cfg.out_dir]) == 0
-        metrics = open(os.path.join(cfg.out_dir, "metrics.txt")).read()
+        metrics = Path(cfg.out_dir, "metrics.txt").read_text()
         assert "test sessions           : 0" in metrics
         assert "peak reduction" not in metrics
 
@@ -190,7 +205,7 @@ class TestOffline:
         assert results.peak_reduction("rl") is None
         assert results.peak_reduction("oracle") is None
         paths = emit_offline_reports(results, cfg.out_dir)
-        assert "peak reduction" not in open(paths["metrics.txt"]).read()
+        assert "peak reduction" not in Path(paths["metrics.txt"]).read_text()
 
     @pytest.mark.parametrize("mode", ["offline", "online", "predict"])
     def test_negative_zero_energy_same_bundle(self, tmp_path, mode):
@@ -228,7 +243,7 @@ class TestOffline:
             cfg = small_cfg(path, out, workers=workers, seed=7, n_tries=30)
             emit_offline_reports(run_offline(cfg), out)
             outputs[workers] = {
-                name: open(os.path.join(out, name), "rb").read()
+                name: Path(out, name).read_bytes()
                 for name in os.listdir(out)
             }
         return outputs
@@ -254,11 +269,11 @@ class TestOffline:
         results = run_offline(cfg)
         sessions, _ = parse_sessions_path(fleet_csv)
         cps, _ = clean_sessions(sessions, min_sessions=cfg.min_sessions)
-        assert [r.cp_id for r in results.cp_rows] == [cp.cp_id for cp in cps]
+        assert results.columns["cp_id"].tolist() == [cp.cp_id for cp in cps]
         # with p_max uncapped, raw_effective_hours_sum is sum(energy)/p_max per
         # charge point
         p_max = np.array([cp.p_max_kw for cp in cps])
-        total_from_rows = (results.summaries["raw_effective_hours_sum"] * p_max).sum()
+        total_from_rows = (results.columns["raw_effective_hours_sum"] * p_max).sum()
         total_energy = sum(e for cp in cps for e in cp.sessions.energy_kwh.tolist())
         assert total_from_rows == pytest.approx(total_energy, rel=1e-9)
 
@@ -267,9 +282,9 @@ class TestOffline:
         cfg = small_cfg(fleet_csv, out)
         results = run_offline(cfg)
         emit_offline_reports(results, out)
-        first = open(os.path.join(out, "metrics.txt")).read()
+        first = Path(out, "metrics.txt").read_text()
         emit_offline_reports(results, out)
-        assert open(os.path.join(out, "metrics.txt")).read() == first
+        assert Path(out, "metrics.txt").read_text() == first
 
     def test_each_session_simulated_once(self, tmp_path, monkeypatch):
         # zero-energy sessions are simulated and profiled like any other
@@ -277,10 +292,10 @@ class TestOffline:
         cfg = small_cfg(write_csv(tmp_path, text), str(tmp_path / "out"), n_tries=20)
         simulated, profiles = count_kernel_calls(monkeypatch)
         results = run_offline(cfg)
-        retained = sum(r.n_train + r.n_test for r in results.cp_rows)
+        retained = int((results.columns["n_train"] + results.columns["n_test"]).sum())
         assert retained == results.cleaning.retained_sessions
         # one call per batch, and one profile per strategy and scope per batch
-        assert len(results.cp_rows) == 40 and len(simulated) == 2
+        assert len(results.columns["cp_id"]) == 40 and len(simulated) == 2
         assert sum(simulated) == retained
         assert profiles == dict.fromkeys(profiles, 2 * 2)
 
@@ -294,7 +309,7 @@ class TestOffline:
             rows.append(csv_row(i, "CP0", BASE_EPOCH + i * 86400, f"{4.0 + i / 2:.2f}", energy))
         cfg = small_cfg(write_csv(tmp_path, "\n".join(rows) + "\n"), str(tmp_path / "out"))
         paths = emit_offline_reports(run_offline(cfg), cfg.out_dir)
-        assert open(paths["policies.csv"]).read().split("\n")[1] == "CP0,8.5,1.0,0.0,8,2"
+        assert Path(paths["policies.csv"]).read_text().split("\n")[1] == "CP0,8.5,1.0,0.0,8,2"
 
     def test_raw_deficit_when_p_max_capped(self, tmp_path):
         # at the 50th percentile of session rates, half the sessions need
@@ -307,7 +322,7 @@ class TestOffline:
         )
         results = run_offline(cfg)
         m = results.metrics("raw")
-        target = results.summaries["target_kwh"].sum()
+        target = results.columns["target_kwh"].sum()
         assert m.total_deficit_kwh > 0.05 * target
         assert m.total_deficit_kwh == pytest.approx(
             target - results.profiles["raw"].total_energy_kwh(), rel=1e-9
@@ -335,7 +350,7 @@ class TestOffline:
         out = str(tmp_path / "out")
         cfg = small_cfg(fleet_csv, out, emit_resolution=60)
         paths = emit_offline_reports(run_offline(cfg), out)
-        lines = open(paths["profiles.csv"]).read().strip().split("\n")
+        lines = Path(paths["profiles.csv"]).read_text().strip().split("\n")
         assert len(lines) == 86_400 // 60 + 1
 
 
@@ -361,43 +376,53 @@ class TestOnline:
         simulated, profiles = count_kernel_calls(monkeypatch)
         results = run_online(cfg)
         # one call per batch, and one profile per strategy per batch
-        assert len(results.cp_rows) == 40 and len(simulated) == 2
+        assert len(results.columns["cp_id"]) == 40 and len(simulated) == 2
         assert sum(simulated) == results.cleaning.retained_sessions
         assert profiles == dict.fromkeys(profiles, 2)
 
     def test_warmup_charges_raw(self, tmp_path):
         results, _ = self.make_results(tmp_path)
-        for r in results.cp_rows:
-            o = r.outcome
+        for cp, log in charger_logs(results):
             for k in range(10):
-                assert not r.adaptive[k]
-                if r.cp.sessions.energy_kwh[k] > 0:
-                    assert o.p_eff_kw[k] == pytest.approx(r.cp.p_max_kw, rel=1e-12)
-                assert o.e_loss_kwh[k] == 0.0
-            assert r.adaptive[10:].any()
+                assert not log["adaptive"][k]
+                if cp.sessions.energy_kwh[k] > 0:
+                    assert log["p_eff_kw"][k] == pytest.approx(cp.p_max_kw, rel=1e-12)
+                assert log["e_loss_kwh"][k] == 0.0
+            assert log["adaptive"][10:].any()
 
     def test_outcome_log_and_profiles(self, tmp_path):
         results, cfg = self.make_results(tmp_path)
         paths = emit_online_reports(results, cfg.out_dir)
-        lines = open(paths["outcomes.csv"]).read().strip().split("\n")
-        assert len(lines) == 1 + sum(len(r.cp.sessions) for r in results.cp_rows)
+        lines = Path(paths["outcomes.csv"]).read_text().strip().split("\n")
         assert os.path.exists(paths["profiles.csv"])
-        assert os.path.exists(paths["metrics.txt"])
+        # one table, a row per charger, and a session log per batch named
+        # as outcomes.csv's columns
+        c = results.columns
+        assert list(c) == ["cp_id", *harness.SUMMARY_COLUMNS]
+        assert {len(column) for column in c.values()} == {len(c["cp_id"])}
+        n_sessions = int(c["n_sessions"].sum())
+        assert len(lines) == 1 + n_sessions
+        assert sum(len(log["adaptive"]) for log in results.log) == n_sessions
+        for log in results.log:
+            assert list(log) == ["adaptive", *lines[0].split(",")[7:]]
+            assert len({len(column) for column in log.values()}) == 1
+        n_adaptive = sum(int(log["adaptive"].sum()) for log in results.log)
+        metrics = Path(paths["metrics.txt"]).read_text()
+        assert f"\nsessions (adaptive)     : {n_sessions} ({n_adaptive})\n" in metrics
 
     def test_energy_accounting(self, tmp_path):
         results, _ = self.make_results(tmp_path)
-        summary = results.summaries
+        summary = results.columns
         deficits = summary["target_kwh"] - summary["delivered_kwh"]
-        assert len(deficits) == len(results.cp_rows)
-        for deficit, cp in zip(deficits.tolist(), results.cp_rows):
-            target = sum(cp.cp.sessions.energy_kwh.tolist())
-            delivered = sum(cp.outcome.e_total_kwh.tolist())
+        logs = list(charger_logs(results))
+        assert len(deficits) == len(logs)
+        for deficit, (cp, log) in zip(deficits.tolist(), logs):
+            target = sum(cp.sessions.energy_kwh.tolist())
+            delivered = sum(log["e_total_kwh"].tolist())
             assert deficit == pytest.approx(target - delivered, abs=1e-9)
             assert deficit >= -1e-9
         total_rl = results.profiles["rl"].total_energy_kwh()
-        delivered_all = sum(
-            e for cp in results.cp_rows for e in cp.outcome.e_total_kwh.tolist()
-        )
+        delivered_all = sum(e for log in results.log for e in log["e_total_kwh"].tolist())
         assert total_rl == pytest.approx(delivered_all, rel=1e-6)
 
     def test_cp_filter_and_missing(self, tmp_path):
@@ -407,7 +432,7 @@ class TestOnline:
             path, str(tmp_path / "o"), mode="online", cp=("CP001",), n_tries=20
         )
         results = run_online(cfg)
-        assert [r.cp.cp_id for r in results.cp_rows] == ["CP001"]
+        assert results.columns["cp_id"].tolist() == ["CP001"]
         bad = small_cfg(
             path, str(tmp_path / "o2"), mode="online", cp=("NOPE",), n_tries=20
         )
@@ -420,8 +445,8 @@ class TestOnline:
 
         def policies(results):
             return [
-                (cp.policy_t_boost_max.tolist(), cp.policy_p_rate.tolist())
-                for cp in results.cp_rows
+                (log["policy_t_boost_max_hours"].tolist(), log["policy_p_rate"].tolist())
+                for log in results.log
             ]
 
         assert policies(warm) != policies(cold)
@@ -440,7 +465,7 @@ class TestOnline:
         )
         emit_online_reports(run_online(cfg), out)
         return {
-            name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)
+            name: Path(out, name).read_bytes() for name in os.listdir(out)
         }
 
     def test_deterministic_across_workers(self, tmp_path):
@@ -493,8 +518,8 @@ class TestOnline:
             write_csv(tmp_path, text), str(tmp_path / "o"), mode="online",
             warmup=warmup, history=5, n_tries=15, cold_start=cold_start,
         )
-        for r in run_online(cfg).cp_rows:
-            s, learned, charged, want = r.cp.sessions, None, [], []
+        for cp, log in charger_logs(run_online(cfg)):
+            s, learned, charged, want = cp.sessions, None, [], []
             for i, (energy, plugin) in enumerate(
                 zip(s.energy_kwh.tolist(), s.plugin_hours.tolist())
             ):
@@ -508,17 +533,16 @@ class TestOnline:
                 if charged and cfg.warmup <= i + 1 < len(s):
                     learned = learn_policy(
                         s[np.array(charged[-cfg.history:])],
-                        r.cp.p_max_kw,
+                        cp.p_max_kw,
                         cfg.search_config(),
                         cfg.reward_params(),
                         None if learned is None or cold_start else learned.policy,
-                        per_cp_seed(cfg.seed, f"{r.cp.cp_id}#{i}"),
+                        per_cp_seed(cfg.seed, f"{cp.cp_id}#{i}"),
                     )
-            got = zip(
-                r.policy_t_boost_max.tolist(), r.policy_p_rate.tolist(), r.adaptive.tolist()
-            )
+            names = ("policy_t_boost_max_hours", "policy_p_rate", "adaptive")
+            got = zip(*(log[name].tolist() for name in names))
             assert list(map(repr, got)) == list(map(repr, want))
-            assert r.adaptive.any() == (warmup < len(s))
+            assert log["adaptive"].any() == (warmup < len(s))
 
     def test_one_charger_summary_pins_the_per_charger_figures(self, tmp_path):
         # an online --cp run's fleet summary is that charger's own: its rl
@@ -530,10 +554,10 @@ class TestOnline:
             write_csv(tmp_path, text), out, mode="online", warmup=8, n_tries=20, cp=("CP001",)
         )
         results = run_online(cfg)
-        (r,) = results.cp_rows
-        energy, outcome = r.cp.sessions.energy_kwh, r.outcome
-        deficit_percent = deficit_stats([total(energy)], [total(outcome.e_total_kwh)])[2]
-        counted = r.adaptive & (energy > 0)
+        ((cp, log),) = charger_logs(results)
+        energy = cp.sessions.energy_kwh
+        deficit_percent = deficit_stats([total(energy)], [total(log["e_total_kwh"])])[2]
+        counted = log["adaptive"] & (energy > 0)
         assert counted.sum() >= 10
 
         def adaptive_mean(values):
@@ -541,14 +565,14 @@ class TestOnline:
             return float(np.mean(values)) if len(values) else 0.0
 
         reference = {
-            "mean_boost_hours": adaptive_mean(outcome.t_boost_hours),
-            "mean_slow_hours": adaptive_mean(outcome.t_slow_hours),
-            "mean_relative_speed": adaptive_mean(outcome.p_eff_kw / r.cp.p_max_kw),
+            "mean_boost_hours": adaptive_mean(log["t_boost_hours"]),
+            "mean_slow_hours": adaptive_mean(log["t_slow_hours"]),
+            "mean_relative_speed": adaptive_mean(log["p_eff_kw"] / cp.p_max_kw),
         }
         assert repr(results.metrics("rl").deficit_percent) == repr(deficit_percent)
         for name, want in reference.items():
             assert getattr(results, name)() == pytest.approx(want, rel=1e-12, abs=0.0), name
-        metrics = open(emit_online_reports(results, out)["metrics.txt"]).read()
+        metrics = Path(emit_online_reports(results, out)["metrics.txt"]).read_text()
         assert f"  {deficit_percent!r}  " in metrics
 
     def test_metrics_length_independent_of_fleet_size(self, tmp_path):
@@ -558,22 +582,19 @@ class TestOnline:
             out = str(tmp_path / f"cp{len(cp)}")
             cfg = small_cfg(path, out, mode="online", warmup=8, n_tries=10, cp=cp)
             results = run_online(cfg)
-            assert len(results.cp_rows) == (len(cp) or 6)
-            lengths.append(len(open(emit_online_reports(results, out)["metrics.txt"]).readlines()))
+            assert len(results.columns["cp_id"]) == (len(cp) or 6)
+            metrics = Path(emit_online_reports(results, out)["metrics.txt"]).read_text()
+            lengths.append(len(metrics.splitlines()))
         assert lengths[0] == lengths[1]
 
     def test_same_seed_reproducible(self, tmp_path):
         a, _ = self.make_results(tmp_path, seed=5)
         b, _ = self.make_results(tmp_path, seed=5)
 
-        def columns(results):
-            return [
-                [cp.policy_t_boost_max.tolist(), cp.policy_p_rate.tolist()]
-                + [getattr(cp.outcome, f.name).tolist() for f in fields(cp.outcome)]
-                for cp in results.cp_rows
-            ]
+        def logs(results):
+            return [[column.tolist() for column in log.values()] for log in results.log]
 
-        assert columns(a) == columns(b)
+        assert logs(a) == logs(b)
 
 
 class TestPredict:
@@ -593,9 +614,8 @@ class TestPredict:
             str(tmp_path / "out"),
             mode="predict",
         )
-        results = run_predict(cfg)
-        (row,) = results.cp_rows
-        assert row.with_energy.mae < 0.02
+        (mae,) = run_predict(cfg).columns["mae_with_energy"].tolist()
+        assert mae < 0.02
 
     def test_skip_counted(self, tmp_path):
         # 4 sessions -> 3 usable rows < 4 folds
@@ -607,7 +627,7 @@ class TestPredict:
         results = run_predict(cfg)
         assert results.skipped == 1
         paths = emit_predict_reports(results, cfg.out_dir)
-        assert "skipped" in open(paths["prediction_report.txt"]).read()
+        assert "skipped" in Path(paths["prediction_report.txt"]).read_text()
 
     def test_near_zero_duration_excluded_from_mape(self, tmp_path):
         # a 1 s session whose Duration column reads 1e-07 h
@@ -620,7 +640,7 @@ class TestPredict:
             write_csv(tmp_path, "\n".join(rows) + "\n"), str(tmp_path / "out"), mode="predict"
         )
         paths = emit_predict_reports(run_predict(cfg), cfg.out_dir)
-        report = open(paths["prediction_report.txt"]).read()
+        report = Path(paths["prediction_report.txt"]).read_text()
         # once per feature set
         assert report.count("  (rows excluded from MAPE for near-zero duration: 1)\n") == 2
 
@@ -628,9 +648,9 @@ class TestPredict:
         cfg = small_cfg(fleet_csv, str(tmp_path / "out"), mode="predict")
         results = run_predict(cfg)
         paths = emit_predict_reports(results, cfg.out_dir)
-        per_cp = open(paths["prediction_per_cp.csv"]).read().strip().split("\n")
-        assert len(per_cp) == len(results.cp_rows) + 1
-        report = open(paths["prediction_report.txt"]).read()
+        per_cp = Path(paths["prediction_per_cp.csv"]).read_text().strip().split("\n")
+        assert len(per_cp) == len(results.columns["cp_id"]) + 1
+        report = Path(paths["prediction_report.txt"]).read_text()
         assert "with energy" in report and "without energy" in report
 
     def test_run_loads_no_openssl(self, tmp_path, fleet_csv):
@@ -666,7 +686,7 @@ def test_phase_hours_name_the_sessions_they_cover(tmp_path, fleet_csv, run_mode,
     # boost and slow hours cover the learned sessions with energy (offline,
     # the test split's); raw effective hours cover every session
     results = run_mode(small_cfg(fleet_csv, str(tmp_path / "out"), n_tries=10, warmup=5))
-    lines = open(emit(results, str(tmp_path / "out"))["metrics.txt"]).read().split("\n")
+    lines = Path(emit(results, str(tmp_path / "out"))["metrics.txt"]).read_text().split("\n")
     heading = lines.index("charge phase durations (mean hours)")
     assert lines[heading + 1 : heading + 3] == [
         f"boost {results.mean_boost_hours()!r} | slow {results.mean_slow_hours()!r} ({learned})",
@@ -738,9 +758,9 @@ def test_one_speed_histogram_per_offline_batch(tmp_path, monkeypatch, mode, per_
 
     monkeypatch.setattr(harness.aggregation, "speed_histogram_counts", counting)
     results = {"offline": run_offline, "online": run_online}[mode](cfg)
-    assert len(results.cp_rows) == 40 and len(binned) == 2 * per_batch
+    assert len(results.columns["cp_id"]) == 40 and len(binned) == 2 * per_batch
     if per_batch:
-        assert results.speed_counts.sum() == results.summaries["n_outcomes"].sum()
+        assert results.speed_counts.sum() == results.columns["n_outcomes"].sum()
 
 
 @pytest.mark.parametrize(
@@ -755,29 +775,36 @@ def test_a_batch_ships_pieces_not_slots(tmp_path, batch_fn, scopes):
     sessions, _ = harness.parse_sessions_path(cfg.input)
     batch, _ = harness.clean_sessions(sessions, min_sessions=cfg.min_sessions)
     assert len(batch) == harness.BATCH_SIZE
-    _, _, sums, pieces = batch_fn(batch, cfg)
-    assert all(np.size(a) < SECONDS_PER_DAY for a in [*sums.values(), *pieces.values()])
+    columns, pieces, kept = batch_fn(batch, cfg)
+    logged = kept.values() if isinstance(kept, dict) else [kept]
+    assert all(np.size(a) < SECONDS_PER_DAY for a in [*columns.values(), *pieces.values(), *logged])
     assert set(pieces) == {(scope, s) for scope in scopes for s in harness.STRATEGIES}
     for array in pieces.values():
         assert array.ndim == 2 and array.shape[1] == 3 and len(array)
 
 
-def test_an_online_batch_sends_no_charger_back(tmp_path):
-    # the parent pairs each row with its own charger, so a batch's result
-    # pickles no ChargePoint and no Sessions
+@pytest.mark.parametrize(
+    "batch_fn",
+    [harness._offline_batch, harness._online_batch, harness._predict_batch],
+    ids=("offline", "online", "predict"),
+)
+def test_a_batch_sends_no_record_back(tmp_path, batch_fn):
+    # a batch returns columns of plain values: its result pickles no
+    # dataclass instance, and no ChargePoint or Sessions (the parent has
+    # the chargers)
     text = synth_fleet_csv(n_cps=harness.BATCH_SIZE, sessions_per_cp=8, seed=9)
     cfg = small_cfg(write_csv(tmp_path, text), str(tmp_path / "out"), n_tries=20, warmup=4)
     sessions, _ = harness.parse_sessions_path(cfg.input)
     batch, _ = harness.clean_sessions(sessions, min_sessions=cfg.min_sessions)
-    pickled = []
+    pickled = set()
 
     class Recording(pickle.Pickler):
         def persistent_id(self, obj):
-            pickled.append(type(obj))
+            pickled.add(type(obj))
 
-    Recording(io.BytesIO()).dump(harness._online_batch(batch, cfg))
-    assert harness.OnlineCpResult not in pickled
-    assert not {ChargePoint, Sessions} & set(pickled)
+    Recording(io.BytesIO()).dump(batch_fn(batch, cfg))
+    assert not [kind for kind in pickled if is_dataclass(kind)]
+    assert not {ChargePoint, Sessions} & pickled
 
 
 @pytest.mark.parametrize("fold_rows", [1, 2**62])
@@ -791,7 +818,7 @@ def test_folded_profiles_match_the_per_second_oracle(tmp_path, monkeypatch, fold
 
     def recording(batch, cfg):
         result = offline_batch(batch, cfg)
-        for key, pieces in result[3].items():
+        for key, pieces in result[1].items():
             shipped.setdefault(key, []).append(pieces)
         return result
 
@@ -1231,7 +1258,7 @@ class TestCli:
 
     def test_rerun_removes_stale_parse_errors(self, tmp_path, fleet_csv):
         out = tmp_path / "out"
-        bad = write_csv(tmp_path, open(fleet_csv).read() + "1,CP9,bad,row\n", "bad.csv")
+        bad = write_csv(tmp_path, Path(fleet_csv).read_text() + "1,CP9,bad,row\n", "bad.csv")
         args = ["--mode", "predict", "--min-sessions", "5", "--out-dir", str(out)]
         assert main(["--input", bad] + args) == 0
         assert (out / "parse_errors.csv").read_text() == (
@@ -1244,7 +1271,7 @@ class TestCli:
     def test_reports_lists_every_file_a_mode_writes(self, tmp_path, fleet_csv, mode):
         # a rerun removes the reports REPORTS names, so a report missing
         # there would outlive the run that wrote it
-        bad = write_csv(tmp_path, open(fleet_csv).read() + "1,CP9,bad,row\n", "bad.csv")
+        bad = write_csv(tmp_path, Path(fleet_csv).read_text() + "1,CP9,bad,row\n", "bad.csv")
         cfg = small_cfg(bad, str(tmp_path / "out"), mode=mode, warmup=5, n_tries=10)
         paths = harness.run(cfg)
         assert "parse_errors.csv" in paths
@@ -1306,7 +1333,7 @@ class TestCli:
     def test_bundle_independent_of_locale(self, tmp_path, fleet_csv):
         # a non-ASCII charger id, read and written under an ASCII locale
         path = tmp_path / "data.csv"
-        path.write_bytes(open(fleet_csv).read().replace("CP001", "CPé01").encode("utf-8"))
+        path.write_bytes(Path(fleet_csv).read_text().replace("CP001", "CPé01").encode("utf-8"))
         args = ["--input", str(path), "--min-sessions", "5", "--n-tries", "10"]
         bundles = []
         for locale_env in ({"PYTHONUTF8": "1"}, {"PYTHONUTF8": "0", "LC_ALL": "C"}):

@@ -4,8 +4,8 @@ and the atomic, umask-honouring file writes."""
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
 from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from smartcharge.harness import (
     run_online,
     run_predict,
 )
+from smartcharge.predictor import cross_validate
 
 from conftest import BASE_EPOCH, csv_row, synth_fleet_csv
 
@@ -61,37 +62,31 @@ def profile_csv_reference(profiles, resolution):
 
 
 def outcomes_csv_reference(results):
+    """A row per session of each charger in turn, from the batches' session
+    logs joined end to end."""
     lines = [
         "cp_id,session_index,event_id,start,plugin_hours,energy_kwh,mode,"
         "t_boost_hours,t_slow_hours,e_boost_kwh,e_slow_kwh,e_total_kwh,"
         "e_loss_kwh,p_eff_kw,policy_t_boost_max_hours,policy_p_rate"
     ]
-    for r in results.cp_rows:
-        s = r.cp.sessions
-        columns = [
-            s.event_id,
-            s.start,
-            s.plugin_hours,
-            s.energy_kwh,
-            np.where(r.adaptive, "adaptive", "raw"),
-            *(getattr(r.outcome, f.name) for f in fields(r.outcome)),
-            r.policy_t_boost_max,
-            r.policy_p_rate,
-        ]
-        lines.extend(
-            _csv_line([r.cp.cp_id, i, *row])
-            for i, row in enumerate(zip(*(c.tolist() for c in columns)))
-        )
+    assert list(results.log[0]) == ["adaptive", *lines[0].split(",")[7:]]
+    logged = zip(*(np.concatenate(c).tolist() for c in zip(*(t.values() for t in results.log))))
+    for cp in results.charge_points:
+        s = cp.sessions
+        sessions = zip(*(c.tolist() for c in (s.event_id, s.start, s.plugin_hours, s.energy_kwh)))
+        for i, (session, (adaptive, *outcome)) in enumerate(zip(sessions, logged)):
+            mode = "adaptive" if adaptive else "raw"
+            lines.append(_csv_line([cp.cp_id, i, *session, mode, *outcome]))
+    assert next(logged, None) is None
     return "\n".join(lines) + "\n"
 
 
 def policies_csv_reference(results):
-    s = results.summaries
+    names = ("cp_id", "t_boost_max_hours", "p_rate", "target_kwh", "delivered_kwh")
+    rows = zip(*(results.columns[name].tolist() for name in names + ("n_train", "n_test")))
     lines = ["cp_id,t_boost_max_hours,p_rate,deficit_kwh,n_train,n_test"] + [
-        _csv_line([r.cp_id, r.t_boost_max_hours, r.p_rate, target - delivered, r.n_train, r.n_test])
-        for r, target, delivered in zip(
-            results.cp_rows, s["target_kwh"].tolist(), s["delivered_kwh"].tolist(), strict=True
-        )
+        _csv_line([cp_id, t_boost_max, p_rate, target - delivered, n_train, n_test])
+        for cp_id, t_boost_max, p_rate, target, delivered, n_train, n_test in rows
     ]
     return "\n".join(lines) + "\n"
 
@@ -120,19 +115,21 @@ def speed_histogram_csv_reference(cfg, policies_csv):
     return "\n".join(lines) + "\n"
 
 
-def prediction_csv_reference(results):
+def prediction_csv_reference(cfg):
+    """Each charger of a fresh parse and clean cross-validated on its own,
+    with and without energy; blank cells where it is not evaluated."""
+    sessions, _ = parse_sessions_path(cfg.input)
+    charge_points, _ = clean_sessions(sessions, cfg.min_sessions, cfg.max_hours)
     lines = [
         "cp_id,n_rows,mae_with_energy,mape_with_energy,mse_with_energy,"
         "mae_without_energy,mape_without_energy,mse_without_energy"
     ]
-    for r in results.cp_rows:
-        if r.with_energy is None:
-            lines.append(_csv_line([r.cp_id, r.n_rows, "", "", "", "", "", ""]))
-        else:
-            w, wo = r.with_energy, r.without_energy
-            lines.append(
-                _csv_line([r.cp_id, r.n_rows, w.mae, w.mape, w.mse, wo.mae, wo.mape, wo.mse])
-            )
+    for cp in charge_points:
+        cells = [cp.cp_id, len(cp.sessions) - 1]
+        for include_energy in (True, False):
+            (m,) = cross_validate([cp.sessions], include_energy=include_energy)
+            cells += ["", "", ""] if m is None else [m.mae, m.mape, m.mse]
+        lines.append(_csv_line(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -341,21 +338,21 @@ def test_tables_match_row_by_row_reference(tmp_path):
         )
 
     def read(paths, name):
-        return open(paths[name]).read()
+        return Path(paths[name]).read_text()
 
     offline = run_offline(cfg("offline"))
     paths = emit_offline_reports(offline, str(tmp_path / "offline"))
     assert read(paths, "policies.csv") == policies_csv_reference(offline)
 
     online = run_online(cfg("online", warmup=6))
-    assert any(r.adaptive.any() for r in online.cp_rows)
+    assert any(log["adaptive"].any() for log in online.log)
     paths = emit_online_reports(online, str(tmp_path / "online"))
     assert read(paths, "outcomes.csv") == outcomes_csv_reference(online)
 
     predict = run_predict(cfg("predict"))
     assert predict.skipped == 1
     paths = emit_predict_reports(predict, str(tmp_path / "predict"))
-    assert read(paths, "prediction_per_cp.csv") == prediction_csv_reference(predict)
+    assert read(paths, "prediction_per_cp.csv") == prediction_csv_reference(cfg("predict"))
 
 
 def test_speed_histogram_matches_per_charger_reference(tmp_path):
@@ -367,8 +364,8 @@ def test_speed_histogram_matches_per_charger_reference(tmp_path):
         input=str(path), out_dir=str(tmp_path / "out"), min_sessions=5, n_tries=20, history=10
     )
     paths = emit_offline_reports(run_offline(cfg), cfg.out_dir)
-    want = speed_histogram_csv_reference(cfg, open(paths["policies.csv"]).read())
-    assert open(paths["speed_histogram.csv"]).read() == want
+    want = speed_histogram_csv_reference(cfg, Path(paths["policies.csv"]).read_text())
+    assert Path(paths["speed_histogram.csv"]).read_text() == want
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +382,7 @@ def test_failed_write_keeps_previous_report(tmp_path):
 
     with pytest.raises(RuntimeError, match="formatting failed"):
         harness._atomic_write(path, chunks())
-    assert open(path).read() == "old\n"
+    assert Path(path).read_text() == "old\n"
     assert os.listdir(tmp_path) == ["profiles.csv"]
 
 
