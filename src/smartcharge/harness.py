@@ -20,16 +20,19 @@ online.
 
 Charge points are the unit of parallel work.  Work is cut into fixed-size
 batches processed in sorted order and folded back in batch order, so every
-report is byte-identical for any worker count.  Within a batch, policy
-searches run together through optimizer.learn_policies: offline learns all
-of the batch's chargers in one call, and online replays the batch in
-lockstep by session index, re-learning after session i every charger that
-needs it in one call.  learn_policies takes starts and returns policies
-as columns, each charger's as it would be alone, so a charger's reports do
-not depend on which chargers share its batch.  Then, in both modes,
-_simulate charges all the batch's sessions in one call, builds each
-profile's pieces in one call per strategy, and sums every charger's
-summary columns in one pass; offline bins the batch's speeds once.
+report is byte-identical for any worker count.  Predict cuts its batches
+from the chargers ordered by session count, so that chargers of equal
+length share a batch and cross_validate stacks them, and puts its table
+back in charger order.  Within a batch, policy searches run together
+through optimizer.learn_policies: offline learns all of the batch's
+chargers in one call, and online replays the batch in lockstep by session
+index, re-learning after session i every charger that needs it in one call.
+learn_policies takes starts and returns policies as columns, each charger's
+as it would be alone, so a charger's reports do not depend on which
+chargers share its batch.  Then, in both modes, _simulate charges all the
+batch's sessions in one call, builds each profile's pieces in one call per
+strategy, and sums every charger's summary columns in one pass; offline
+bins the batch's speeds once.
 
 A batch returns (columns, pieces, kept).  Its profiles are power pieces,
 not day-length slot arrays, so its result stays small, and _run folds
@@ -115,7 +118,8 @@ REPORTS = (
     + ("prediction_per_cp.csv", "prediction_report.txt")  # predict
 )
 # a simulated run's summary columns: each charger's session count and its
-# count of counted sessions (see _simulate), then its sums over them
+# count of counted sessions (see _simulate), both integers, then its sums
+# over them
 SUMMARY_COLUMNS = (
     "n_sessions", "n_outcomes", "target_kwh", "delivered_kwh", "raw_delivered_kwh",
     "boost_hours_sum", "slow_hours_sum", "rel_speed_sum", "raw_effective_hours_sum",
@@ -299,11 +303,13 @@ def _map_batches(fn, items: Sequence, map_calls) -> Iterator:
     return map_calls(fn, ((items[i : i + BATCH_SIZE],) for i in starts), in_flight=len(starts))
 
 
-def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool, pool):
+def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool, pool, by_length: bool = False):
     """Parse and clean the input, keep the chargers the run covers (the --cp
     selection, usable ones only if asked) in clean_sessions' order, and run
-    batch_fn(batch, cfg) over their batches.  Both stages map their calls
-    on the pool; without one, a run of several workers starts its own.
+    batch_fn(batch, cfg) over their batches: in that order, or if by_length
+    by session count, most first and ties in that order, so that chargers
+    of equal length share a batch.  Both stages map their calls on the
+    pool; without one, a run of several workers starts its own.
 
     Each batch returns (columns, pieces, kept): its per-charger columns as
     {name: array}, its profiles' power pieces as {key: (n, 3) array} and
@@ -312,8 +318,9 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool, pool):
     order and folded into its running daily profile by one
     aggregation.accumulate call whenever they reach _FOLD_ROWS rows, and
     once at the end, so the folds, like the batches, do not depend on the
-    worker count.  Returns the RunResults fields, the chargers run, each
-    profile's slots by key and the kept values in batch order.
+    worker count.  Returns the RunResults fields (the columns' rows in
+    clean_sessions' order), the chargers run in that order, each profile's
+    slots by key and the kept values in batch order.
     """
     workers = _pool_size(cfg.workers)
     if pool is None and workers > 1:
@@ -353,7 +360,11 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool, pool):
         profile = aggregation.accumulate(PowerProfile(np.concatenate(held.pop(key))))
         totals[key] = totals.get(key, 0) + profile.slots
 
-    batches = _map_batches(partial(batch_fn, cfg=cfg), charge_points, map_calls)
+    order = list(range(len(charge_points)))
+    if by_length:
+        order.sort(key=lambda j: -len(charge_points[j].sessions))
+    batched = [charge_points[j] for j in order]
+    batches = _map_batches(partial(batch_fn, cfg=cfg), batched, map_calls)
     for batch_columns, batch_pieces, batch_kept in batches:
         for name, array in batch_columns.items():
             parts.setdefault(name, []).append(array)
@@ -365,8 +376,10 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool, pool):
     for key in list(held):
         fold(key)
     columns = {"cp_id": np.array([cp.cp_id for cp in charge_points], dtype=object)}
+    back = np.empty(len(order), dtype=np.intp)  # each charger's row in batch order
+    back[order] = np.arange(len(order))
     for name in list(parts):
-        columns[name] = np.concatenate(parts.pop(name))
+        columns[name] = np.concatenate(parts.pop(name))[back]
     common = dict(cfg=cfg, cleaning=cleaning, parse_errors=parse_errors, columns=columns)
     return common, charge_points, totals, kept
 
@@ -421,7 +434,8 @@ def _simulate(batch: Sequence[ChargePoint], t_boost_max_hours, p_rate, firsts: d
         [counted] + [scopes[0]] * 3 + [counted] * 3 + [np.ones(len(e), dtype=bool)],
         counts,
     )
-    summary = dict(zip(SUMMARY_COLUMNS, np.column_stack((counts, sums)).T))
+    columns = [np.array(counts, dtype=np.int64), sums[:, 0].astype(np.int64), *sums[:, 1:].T]
+    summary = dict(zip(SUMMARY_COLUMNS, columns))
     return outcome, summary, rel_speeds[counted], pieces
 
 
@@ -659,7 +673,7 @@ def _predict_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
 
 
 def run_predict(cfg: ExperimentConfig, pool=None) -> PredictResults:
-    return PredictResults(**_run(_predict_batch, cfg, False, pool)[0])
+    return PredictResults(**_run(_predict_batch, cfg, False, pool, by_length=True)[0])
 
 
 # ---------------------------------------------------------------------------

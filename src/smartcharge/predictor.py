@@ -7,15 +7,14 @@ charge point is cross-validated on its own history with chronologically
 contiguous folds; dataset-level accuracy is the unweighted mean over
 charge points.
 
-Cross-validation takes a batch of chargers.  Their training designs, over
-every charger and every fold, are grouped by shape, never padded, and each
-group is solved by one stacked SVD; each charger still gets exactly the
-metrics it would get alone.
+Cross-validation takes a batch of chargers, and no step of it runs once
+per fold (see cross_validate); each charger still gets exactly the metrics
+it would get alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -50,16 +49,17 @@ def extract_features(
     """The design matrix and targets: one row per session after the first
     (it has no predecessor), with columns start hour, ISO day of week, hours
     since the previous session ended and, if include_energy, the dispensed
-    energy; the target is the plugin duration."""
-    start = cp_sessions.start[1:]
-    gap_h = (start - cp_sessions.end[:-1]) / 3600.0
+    energy; the target is the plugin duration.  (k, n) columns, k chargers'
+    histories, give a (k, n - 1, f) stack and (k, n - 1) targets."""
+    start = cp_sessions.start[..., 1:]
+    gap_h = (start - cp_sessions.end[..., :-1]) / 3600.0
     if (gap_h < 0).any():
         raise ValueError("sessions overlap; run cleaning first")
     # 1970-01-01 was a Thursday, ISO weekday 4
     columns = [start // 3600 % 24, (start // 86400 + 3) % 7 + 1, gap_h]
     if include_energy:
-        columns.append(cp_sessions.energy_kwh[1:])
-    return np.column_stack(columns), cp_sessions.plugin_hours[1:]
+        columns.append(cp_sessions.energy_kwh[..., 1:])
+    return np.stack(columns, axis=-1), cp_sessions.plugin_hours[..., 1:]
 
 
 def _ranks(sv: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -89,78 +89,74 @@ def _greedy_beta(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _fit_stack(x: np.ndarray, y: np.ndarray) -> list[RegressionModel]:
-    """fit_ols over a (k, m, f) stack of designs with (k, m) targets.
-
-    One SVD call factors the whole stack, and LAPACK factors each design
-    in it exactly as it would alone.  The products stay per design (2-D @
-    1-D), because a stacked matmul may round differently.
-    """
+def _fit_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """fit_ols's (k, 1 + f) intercepts and coefficients of a (k, m, f) stack:
+    one SVD call factors each design as LAPACK factors it alone, and a matmul
+    over a stack runs each item's own 2-D @ 1-D gemv only when every item is
+    C-contiguous (or its transpose); else numpy may skip BLAS and round apart."""
     a = np.concatenate([np.ones((*x.shape[:2], 1)), x], axis=2)
     u, sv, vt = np.linalg.svd(a, full_matrices=False)
     # full rank is a rank equal to the column count: a design with fewer
     # rows than columns has fewer singular values than that
-    full_rank = _ranks(sv, a.shape) == a.shape[2]
-    models = []
-    for i in range(len(a)):
-        # every column subset of a full-rank design is full rank, so the
-        # greedy search would keep them all
-        if full_rank[i]:
-            beta = vt[i].T @ (u[i].T @ y[i] / sv[i])
-        else:
-            beta = _greedy_beta(a[i], y[i])
-        models.append(
-            RegressionModel(intercept=float(beta[0]), coefficients=tuple(beta[1:]))
-        )
-    return models
+    full = _ranks(sv, a.shape) == a.shape[2]
+    beta = np.empty((len(a), a.shape[2]))
+    # every column subset of a full-rank design is full rank, so the
+    # greedy search would keep them all; a slice takes them all uncopied
+    rows = slice(None) if full.all() else full
+    w = np.matmul(u[rows].swapaxes(1, 2), y[rows, :, None]) / sv[rows, :, None]
+    beta[rows] = np.matmul(vt[rows].swapaxes(1, 2), w)[..., 0]
+    for i in np.flatnonzero(~full):
+        beta[i] = _greedy_beta(a[i], y[i])
+    return beta
 
 
-def fit_ols(x: np.ndarray, y: np.ndarray) -> RegressionModel | list[RegressionModel]:
+def fit_ols(x: np.ndarray, y: np.ndarray) -> RegressionModel | tuple[np.ndarray, np.ndarray]:
     """Least-squares fit with an intercept: of one (m, f) design with m
-    targets, or of each design in a (k, m, f) stack with (k, m) targets,
-    which returns one model per design, each the model it gets alone.
+    targets, or of each design in a (k, m, f) stack with (k, m) targets as
+    columns, (k,) intercepts and (k, f) coefficients, each as it fits alone.
 
     Collinear columns are dropped (their coefficient is 0), chosen greedily
     in column order with the intercept always kept, so a rank-deficient
     design degrades cleanly down to a constant model at the target mean.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
     if x.ndim not in (2, 3) or y.shape != x.shape[:-1] or y.shape[-1] == 0:
-        raise ValueError(
-            "need a non-empty 2-D design, or a stack of them, and matching targets"
-        )
-    if x.ndim == 2:
-        return _fit_stack(x[None], y[None])[0]
-    return _fit_stack(x, y)
+        raise ValueError("need a non-empty 2-D design, or a stack of them, and matching targets")
+    beta = _fit_stack(x[None], y[None]) if x.ndim == 2 else _fit_stack(x, y)
+    if x.ndim == 3:
+        return beta[:, 0], beta[:, 1:]
+    return RegressionModel(intercept=float(beta[0, 0]), coefficients=tuple(beta[0, 1:]))
 
 
 def prediction_metrics(
     predicted: np.ndarray, actual: np.ndarray
-) -> PredictionMetrics:
-    """MAE / MAPE / MSE of pooled predictions.  Rows with near-zero actual
-    duration are excluded from MAPE only (the ratio is unbounded there) and
-    counted separately."""
+) -> PredictionMetrics | list[PredictionMetrics]:
+    """MAE / MAPE / MSE of pooled (n,) predictions, or of each row of (k, n)
+    blocks, as a list.  Rows with near-zero actual duration are excluded
+    from MAPE only (the ratio is unbounded there) and counted separately."""
     predicted = np.asarray(predicted, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
-    # sum() / count is np.mean's own arithmetic, without its call overhead
-    n = len(actual)
+    if actual.ndim == 1:
+        return prediction_metrics(predicted[None], actual[None])[0]
+    # sum() / count is np.mean's own arithmetic, without its call overhead,
+    # and a sum along the last axis adds each row as that row adds alone
+    n = actual.shape[1]
     err = predicted - actual
-    mae = float(np.abs(err).sum() / n)
-    mse = float((err**2).sum() / n)
     ok = actual >= MAPE_MIN_ACTUAL_HOURS
-    kept = int(np.count_nonzero(ok))
-    if kept:
-        mape = float((np.abs(err[ok]) / actual[ok]).sum() / kept * 100.0)
-    else:
-        mape = 0.0
-    return PredictionMetrics(mae=mae, mape=mape, mse=mse, n=n, mape_excluded=n - kept)
+    kept = np.count_nonzero(ok, axis=1)
+    ratio = np.divide(np.abs(err), actual, out=np.zeros(err.shape), where=ok)
+    mape = ratio.sum(axis=1) / n * 100.0
+    # a row that keeps only some of its rows (none: a MAPE of 0) sums those
+    for i in np.flatnonzero((kept > 0) & (kept < n)):
+        mape[i] = ratio[i, ok[i]].sum() / kept[i] * 100.0
+    mae, mse = np.abs(err).sum(axis=1) / n, (err**2).sum(axis=1) / n
+    columns = (mae.tolist(), mape.tolist(), mse.tolist(), [n] * len(err), (n - kept).tolist())
+    return list(map(PredictionMetrics, *columns))
 
 
 def cross_validate(
-    histories: Sequence[Sessions],
-    folds: int = 4,
-    include_energy: bool = True,
+    histories: Sequence[Sessions], folds: int = 4, include_energy: bool = True
 ) -> list[PredictionMetrics | None]:
     """Chronologically contiguous k-fold cross-validation of each charger in
     a batch, each exactly as if validated alone.
@@ -169,21 +165,28 @@ def cross_validate(
     metrics are pooled over all the charger's rows.  A charger with fewer
     usable rows than folds gets None (callers count those as skipped).
 
-    Every training design with the same row count, from any charger and any
-    fold, is fit in one fit_ols call.
-    """
+    Chargers of equal length are a block, with one extract_features and one
+    prediction_metrics call.  Training designs of equal row count, from any
+    block and fold, are one fit_ols call, whose models predict each block's
+    held-out folds of one size in one matmul."""
     if folds < 2:
         raise ValueError(f"folds must be at least 2, got {folds}")
-    features = [extract_features(h, include_energy) for h in histories]
-    predicted: list[np.ndarray | None] = [None] * len(features)
-    # training rows -> (charger, fold starts, fold size) of the designs with
-    # that many, and the designs and targets, stacked in that order
+    by_length: dict[int, list[int]] = {}
+    for c, h in enumerate(histories):
+        by_length.setdefault(len(h), []).append(c)
+    blocks = []  # (chargers, predictions, targets) of each block
+    # training rows -> the designs and targets with that many, charger by
+    # charger and fold by fold, and per block its held-out rows, which their
+    # models predict
     by_rows: dict[int, tuple[list, list, list]] = {}
-    for c, (x, y) in enumerate(features):
-        n = len(y)
+    for group in by_length.values():
+        # every column but cp_ids, stacked: a Sessions of (k, length) columns
+        columns = ([getattr(histories[c], f.name) for c in group] for f in fields(Sessions)[:-1])
+        x, y = extract_features(Sessions(*map(np.array, columns)), include_energy)
+        n = y.shape[1]
         if n < folds:
             continue
-        predicted[c] = np.empty(n)
+        blocks.append((group, np.empty(y.shape), y))
         # np.array_split's folds: the first n % folds hold one row more
         q, r = divmod(n, folds)
         starts = np.arange(folds) * q + np.minimum(np.arange(folds), r)
@@ -191,24 +194,27 @@ def cross_validate(
             los = starts[:r] if size > q else starts[r:]
             # training row j of the fold at lo is row j, or j + size past lo
             m = n - size
-            train = np.arange(m)
-            idx = train + size * (train >= los[:, None])
-            owners, xs, ys = by_rows.setdefault(m, ([], [], []))
-            owners.append((c, los, size))
-            xs.append(x[idx])
-            ys.append(y[idx])
+            train = np.arange(m) + size * (np.arange(m) >= los[:, None])
+            held = los[:, None] + np.arange(size)
+            # take, unlike x[:, rows], returns C-contiguous stacks
+            xs, ys, tests = by_rows.setdefault(m, ([], [], []))
+            xs.append(np.take(x, train, axis=1).reshape(-1, m, x.shape[2]))
+            ys.append(np.take(y, train, axis=1).reshape(-1, m))
+            tests.append((blocks[-1][1], held, x))
 
-    for owners, xs, ys in by_rows.values():
-        models = iter(fit_ols(np.concatenate(xs), np.concatenate(ys)))
-        for c, los, size in owners:
-            x = features[c][0]
-            for lo in los:
-                predicted[c][lo:lo + size] = next(models).predict(x[lo:lo + size])
+    for m in list(by_rows):
+        xs, ys, tests = by_rows.pop(m)
+        intercepts, coefficients = fit_ols(np.concatenate(xs), np.concatenate(ys))
+        start = 0
+        for predicted, held, x in tests:
+            x_held = np.take(x, held, axis=1).reshape(-1, held.shape[1], x.shape[2])
+            end = start + len(x_held)
+            fitted = np.matmul(x_held, coefficients[start:end, :, None])[..., 0]
+            predicted[:, held] = (fitted + intercepts[start:end, None]).reshape(-1, *held.shape)
+            start = end
 
-    return [
-        None if p is None else prediction_metrics(p, y)
-        for p, (_, y) in zip(predicted, features)
-    ]
+    done = {c: m for g, p, y in blocks for c, m in zip(g, prediction_metrics(p, y))}
+    return [done.get(c) for c in range(len(histories))]
 
 
 def pool_metrics(per_cp: Sequence[PredictionMetrics]) -> PredictionMetrics:
@@ -216,9 +222,7 @@ def pool_metrics(per_cp: Sequence[PredictionMetrics]) -> PredictionMetrics:
     if not per_cp:
         raise ValueError("no per-charge-point metrics to pool")
     return PredictionMetrics(
-        mae=float(np.mean([m.mae for m in per_cp])),
-        mape=float(np.mean([m.mape for m in per_cp])),
-        mse=float(np.mean([m.mse for m in per_cp])),
+        *(float(np.mean([getattr(m, name) for m in per_cp])) for name in ("mae", "mape", "mse")),
         n=int(sum(m.n for m in per_cp)),
         mape_excluded=int(sum(m.mape_excluded for m in per_cp)),
     )

@@ -1,6 +1,7 @@
 """End-to-end experiment runs, report emission and the CLI."""
 
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -35,6 +36,7 @@ from smartcharge.harness import (
 from smartcharge.optimizer import learn_policy, per_cp_seed
 
 from conftest import CSV_HEADER, csv_row, synth_fleet_csv, BASE_EPOCH, brute_force_profile
+from test_reports import prediction_csv_reference
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -653,6 +655,41 @@ class TestPredict:
         report = Path(paths["prediction_report.txt"]).read_text()
         assert "with energy" in report and "without energy" in report
 
+    def test_mixed_lengths_batch_by_length_and_report_in_charger_order(
+        self, tmp_path, monkeypatch
+    ):
+        # 70 chargers cut to 5-30 sessions each make three batches, cut from
+        # the chargers by session count, most first; prediction_per_cp.csv
+        # is the same bytes at 1 and 2 workers, a row per charger in id
+        # order, each as that charger cross-validated alone
+        header, *body = synth_fleet_csv(n_cps=70, sessions_per_cp=30, seed=21).splitlines()
+        counts = iter(np.random.default_rng(21).integers(5, 31, 70).tolist())
+        rows = [header]
+        for _, lines in itertools.groupby(body, key=lambda line: line.split(",")[1]):
+            rows += list(lines)[: next(counts)]
+        path = write_csv(tmp_path, "\n".join(rows) + "\n")
+        batches = []
+        validate = harness.cross_validate
+
+        def recording(histories, **kwargs):
+            if kwargs["include_energy"]:
+                batches.append([len(h) for h in histories])
+            return validate(histories, **kwargs)
+
+        monkeypatch.setattr(harness, "cross_validate", recording)
+        bundles = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            args = ["--input", path, "--mode", "predict", "--min-sessions", "5"]
+            assert main(args + ["--workers", str(workers), "--out-dir", str(out)]) == 0
+            bundles.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert bundles[0] == bundles[1]
+        lengths = [n for batch in batches for n in batch]
+        assert len(batches) == 3 and lengths == sorted(lengths, reverse=True)
+        assert len(set(lengths)) > 1
+        want = prediction_csv_reference(ExperimentConfig(input=path, min_sessions=5))
+        assert bundles[0]["prediction_per_cp.csv"].decode() == want
+
     def test_run_loads_no_openssl(self, tmp_path, fleet_csv):
         # per_cp_seed imports hashlib, which maps OpenSSL (about 3.6 MB
         # resident), on first use; a predict run draws no seed
@@ -761,6 +798,27 @@ def test_one_speed_histogram_per_offline_batch(tmp_path, monkeypatch, mode, per_
     assert len(results.columns["cp_id"]) == 40 and len(binned) == 2 * per_batch
     if per_batch:
         assert results.speed_counts.sum() == results.columns["n_outcomes"].sum()
+
+
+@pytest.mark.parametrize("mode", ["offline", "online"])
+def test_count_columns_are_integers(tmp_path, mode):
+    # n_sessions and n_outcomes are int64 columns: n_sessions adds up to
+    # the retained sessions, and n_outcomes to the sessions with energy that
+    # a learned policy charged (offline, in the test split: the binned ones)
+    text = synth_fleet_csv(n_cps=40, sessions_per_cp=8, seed=8, zero_energy_prob=0.3)
+    cfg = small_cfg(write_csv(tmp_path, text), str(tmp_path / "out"), mode=mode, warmup=5)
+    results = {"offline": run_offline, "online": run_online}[mode](cfg)
+    c = results.columns
+    assert c["n_sessions"].dtype == c["n_outcomes"].dtype == np.int64
+    assert c["n_sessions"].sum() == results.cleaning.retained_sessions
+    if mode == "offline":
+        counted = results.speed_counts.sum()
+    else:
+        counted = sum(
+            np.count_nonzero(log["adaptive"] & (cp.sessions.energy_kwh > 0))
+            for cp, log in charger_logs(results)
+        )
+    assert 0 < c["n_outcomes"].sum() == counted
 
 
 @pytest.mark.parametrize(
@@ -967,7 +1025,7 @@ def test_spawned_workers_give_the_one_worker_bundles(tmp_path):
     """Workers that inherit nothing through fork (spawn; forkserver is the
     default on Linux from Python 3.14) give the bundles of one worker."""
     path = write_csv(tmp_path, synth_fleet_csv(n_cps=40, sessions_per_cp=8, seed=9))
-    modes = {"offline": [], "online": ["--warmup", "4"]}
+    modes = {"offline": [], "online": ["--warmup", "4"], "predict": []}
 
     def args(mode, workers):
         return ["--input", path, "--mode", mode, "--workers", str(workers), "--n-tries", "10",
@@ -991,7 +1049,8 @@ def test_spawned_workers_give_the_one_worker_bundles(tmp_path):
         bundles = [
             {f.name: f.read_bytes() for f in (tmp_path / f"{mode}-w{w}").iterdir()} for w in (1, 2)
         ]
-        assert len(bundles[0]) >= 4 and bundles[0] == bundles[1], mode
+        # predict writes three reports, the other modes at least four
+        assert len(bundles[0]) >= 4 - (mode == "predict") and bundles[0] == bundles[1], mode
 
 
 def test_report_totals_add_left_to_right():

@@ -228,7 +228,12 @@ class TestFitOlsStack:
     @given(design_stacks())
     def test_each_design_fits_as_alone(self, stack):
         x, y = stack
-        assert fit_ols(x, y) == [fit_ols(design, target) for design, target in zip(x, y)]
+        intercepts, coefficients = fit_ols(x, y)
+        alone = [fit_ols(design, target) for design, target in zip(x, y)]
+        # repr tells -0.0 from 0.0 and shows every bit of each float
+        assert repr(intercepts.tolist()) == repr([m.intercept for m in alone])
+        coefficients_alone = [[float(c) for c in m.coefficients] for m in alone]
+        assert repr(coefficients.tolist()) == repr(coefficients_alone)
 
     def test_mismatched_targets_rejected(self):
         with pytest.raises(ValueError, match="matching targets"):
@@ -264,6 +269,16 @@ class TestMetrics:
         assert m.mape_excluded == 1
         assert m.mae == pytest.approx((1.0 + (1.0 - 1e-9)) / 2)
         assert m.n == 2
+
+    def test_rows_of_a_block_as_alone(self):
+        # rows keeping all, some and none of their rows for MAPE
+        rng = np.random.default_rng(3)
+        predicted, actual = rng.uniform(0.5, 20.0, (2, 4, 37))
+        actual[1, [3, 30]] = 1e-9
+        actual[2] = 0.0
+        block = prediction_metrics(predicted, actual)
+        assert block == [prediction_metrics(p, a) for p, a in zip(predicted, actual)]
+        assert [m.mape_excluded for m in block] == [0, 2, 37, 0] and block[2].mape == 0.0
 
     def test_pooled_unweighted_mean(self):
         a = prediction_metrics(np.array([2.0]), np.array([1.0]))
@@ -387,6 +402,33 @@ class TestCrossValidateBatch:
         batch = cross_validate(histories, folds, include_energy)
         assert batch == [cross_validate([h], folds, include_energy)[0] for h in histories]
         assert batch == [reference_cross_validate(h, folds, include_energy) for h in histories]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_long_histories_validate_as_alone(self, seed):
+        # 8-40 chargers of 20-150 sessions, lengths drawn from a few so that
+        # blocks of equal length hold several chargers: the stacks reach the
+        # row counts at which a stack of items that are not C-contiguous
+        # rounded apart from the 2-D products.  Charger 0 has a 1e-9 h
+        # session (excluded from MAPE) and charger 1 constant gaps (a
+        # rank-deficient design).
+        rng = np.random.default_rng(seed)
+        lengths = rng.choice(rng.integers(20, 151, size=6), size=int(rng.integers(8, 41)))
+        histories = []
+        for k, n in enumerate(lengths.tolist()):
+            gaps = np.full(n, 7200) if k == 1 else rng.integers(0, 5 * 86400, n)
+            seconds = rng.integers(1, 30 * 3600, n)
+            plugin = seconds / 3600.0
+            plugin[n // 2] = 1e-9 if k == 0 else plugin[n // 2]
+            energy = rng.uniform(0.0, 60.0, n)
+            ends = BASE_EPOCH + np.cumsum(gaps + seconds)
+            columns = zip(ends - seconds, ends, energy.tolist(), plugin.tolist())
+            histories.append(table([Row(i, f"CP{k}", *c) for i, c in enumerate(columns)]))
+        for folds, include_energy in ((4, True), (4, False), (5, True)):
+            batch = cross_validate(histories, folds, include_energy)
+            assert batch == [cross_validate([h], folds, include_energy)[0] for h in histories]
+            assert batch == [reference_cross_validate(h, folds, include_energy) for h in histories]
+            assert batch[0].mape_excluded == 1
+        assert len(set(lengths.tolist())) < len(lengths)
 
 
 # ---------------------------------------------------------------------------
