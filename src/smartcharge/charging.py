@@ -78,8 +78,7 @@ class HistoryArrays:
     and plugin durations of any shape -- a (k, L) block of k chargers'
     equal-length histories, or one charger's n sessions -- the max power of
     each session's charger (broadcast to that shape), the per-session terms
-    no policy changes, and scratch space the evaluations reuse.  charged
-    marks the sessions with energy: a mask, or True when every one has."""
+    no policy changes, and scratch space the evaluations reuse."""
 
     def __init__(self, e_target: np.ndarray, plugin: np.ndarray, p_max_kw):
         arrays = np.empty((10,) + e_target.shape)
@@ -92,18 +91,15 @@ class HistoryArrays:
         # changes; min returns one of its operands, so applying the policy's
         # cap last gives the same value
         np.minimum(e_target / arrays[2], plugin, out=arrays[3])
-        charged = e_target > 0
-        self._hold(arrays, True if charged.all() else charged)
+        self._hold(arrays, e_target > 0)
 
-    def _hold(self, arrays: np.ndarray, charged: np.ndarray | bool) -> None:
+    def _hold(self, arrays: np.ndarray, charged: np.ndarray) -> None:
         """Use arrays' rows: the four per-session columns, then scratch."""
         self._columns = arrays[:4]
         self.e_target, self.plugin, self.p_max_kw, self.boost_cap = self._columns
         self.charged = charged
         self._t_boost, self._e_boost, self._p_eff = arrays[4:7]
-        # the kernel writes p_eff only where charged, so the rest stays 0
-        if charged is not True:
-            self._p_eff.fill(0.0)
+        self._p_eff.fill(0.0)
         # rows reduced together: shortfall, delivered energy, p_eff * delivered
         # (the kernel uses the last row as scratch before it holds its term)
         self._terms = arrays[7:]
@@ -114,8 +110,7 @@ class HistoryArrays:
         arrays = np.empty((10, len(rows)) + self.e_target.shape[1:])
         self._columns.take(rows, axis=1, out=arrays[:4], mode="clip")
         taken = HistoryArrays.__new__(HistoryArrays)
-        charged = self.charged
-        taken._hold(arrays, True if charged is True else charged.take(rows, axis=0))
+        taken._hold(arrays, self.charged.take(rows, axis=0))
         return taken
 
 
@@ -150,8 +145,7 @@ def _charge(h: HistoryArrays, t_boost_max_hours, p_rate) -> None:
     np.multiply(h.p_max_kw, e_total, out=e_total)
     np.minimum(h.e_target, e_total, out=e_total)
     # p_eff = (e_boost + p_rate * (e_total - e_boost)) * p_max / e_target,
-    # 0 for sessions without energy (never written, so still 0); where=True
-    # divides unmasked
+    # 0 for sessions without energy (never written, so still 0)
     np.subtract(e_total, e_boost, out=scratch)
     np.multiply(p_rate, scratch, out=scratch)
     np.add(e_boost, scratch, out=scratch)

@@ -14,7 +14,9 @@ it would get alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from itertools import accumulate
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -49,8 +51,9 @@ def extract_features(
     """The design matrix and targets: one row per session after the first
     (it has no predecessor), with columns start hour, ISO day of week, hours
     since the previous session ended and, if include_energy, the dispensed
-    energy; the target is the plugin duration.  (k, n) columns, k chargers'
-    histories, give a (k, n - 1, f) stack and (k, n - 1) targets."""
+    energy; the target is the plugin duration.  Any object with those
+    Sessions columns will do: (k, n) columns, k chargers' histories, give a
+    (k, n - 1, f) stack and (k, n - 1) targets."""
     start = cp_sessions.start[..., 1:]
     gap_h = (start - cp_sessions.end[..., :-1]) / 3600.0
     if (gap_h < 0).any():
@@ -66,7 +69,7 @@ def _ranks(sv: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The rank of each design of the given shape from its singular values
     (the last axis of sv), by matrix_rank's tolerance."""
     tol = sv.max(axis=-1, keepdims=True) * max(shape[-2:]) * np.finfo(sv.dtype).eps
-    return np.count_nonzero(sv > tol, axis=-1)
+    return (sv > tol).sum(axis=-1)
 
 
 def _lstsq(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -105,7 +108,7 @@ def _fit_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     rows = slice(None) if full.all() else full
     w = np.matmul(u[rows].swapaxes(1, 2), y[rows, :, None]) / sv[rows, :, None]
     beta[rows] = np.matmul(vt[rows].swapaxes(1, 2), w)[..., 0]
-    for i in np.flatnonzero(~full):
+    for i in (~full).nonzero()[0]:
         beta[i] = _greedy_beta(a[i], y[i])
     return beta
 
@@ -122,7 +125,9 @@ def fit_ols(x: np.ndarray, y: np.ndarray) -> RegressionModel | tuple[np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     if x.ndim not in (2, 3) or y.shape != x.shape[:-1] or y.shape[-1] == 0:
-        raise ValueError("need a non-empty 2-D design, or a stack of them, and matching targets")
+        raise ValueError(
+            "need a non-empty 2-D design, or a stack of them, and matching targets"
+        )
     beta = _fit_stack(x[None], y[None]) if x.ndim == 2 else _fit_stack(x, y)
     if x.ndim == 3:
         return beta[:, 0], beta[:, 1:]
@@ -143,20 +148,23 @@ def prediction_metrics(
     # and a sum along the last axis adds each row as that row adds alone
     n = actual.shape[1]
     err = predicted - actual
+    abs_err = np.abs(err)
     ok = actual >= MAPE_MIN_ACTUAL_HOURS
-    kept = np.count_nonzero(ok, axis=1)
-    ratio = np.divide(np.abs(err), actual, out=np.zeros(err.shape), where=ok)
+    kept = ok.sum(axis=1)
+    ratio = np.divide(abs_err, actual, out=np.zeros(err.shape), where=ok)
     mape = ratio.sum(axis=1) / n * 100.0
     # a row that keeps only some of its rows (none: a MAPE of 0) sums those
-    for i in np.flatnonzero((kept > 0) & (kept < n)):
+    for i in ((kept > 0) & (kept < n)).nonzero()[0]:
         mape[i] = ratio[i, ok[i]].sum() / kept[i] * 100.0
-    mae, mse = np.abs(err).sum(axis=1) / n, (err**2).sum(axis=1) / n
+    mae, mse = abs_err.sum(axis=1) / n, (err**2).sum(axis=1) / n
     columns = (mae.tolist(), mape.tolist(), mse.tolist(), [n] * len(err), (n - kept).tolist())
     return list(map(PredictionMetrics, *columns))
 
 
 def cross_validate(
-    histories: Sequence[Sessions], folds: int = 4, include_energy: bool = True
+    histories: Sequence[Sessions],
+    folds: int = 4,
+    include_energy: bool = True,
 ) -> list[PredictionMetrics | None]:
     """Chronologically contiguous k-fold cross-validation of each charger in
     a batch, each exactly as if validated alone.
@@ -167,22 +175,26 @@ def cross_validate(
 
     Chargers of equal length are a block, with one extract_features and one
     prediction_metrics call.  Training designs of equal row count, from any
-    block and fold, are one fit_ols call, whose models predict each block's
-    held-out folds of one size in one matmul."""
+    block and fold, are stacked and fit in one fit_ols call, whose models
+    predict each block's held-out folds of one size in one matmul; the stack
+    is built only when its turn comes, and dropped after it.
+    """
     if folds < 2:
         raise ValueError(f"folds must be at least 2, got {folds}")
     by_length: dict[int, list[int]] = {}
     for c, h in enumerate(histories):
         by_length.setdefault(len(h), []).append(c)
     blocks = []  # (chargers, predictions, targets) of each block
-    # training rows -> the designs and targets with that many, charger by
-    # charger and fold by fold, and per block its held-out rows, which their
-    # models predict
-    by_rows: dict[int, tuple[list, list, list]] = {}
+    # training rows -> (features, targets, predictions, training rows, first
+    # held-out row) of each block's folds of one size that train on that many
+    by_rows: dict[int, list[tuple]] = {}
     for group in by_length.values():
-        # every column but cp_ids, stacked: a Sessions of (k, length) columns
-        columns = ([getattr(histories[c], f.name) for c in group] for f in fields(Sessions)[:-1])
-        x, y = extract_features(Sessions(*map(np.array, columns)), include_energy)
+        # the block's (k, length) stack of each column extract_features reads
+        block = {
+            name: np.array([getattr(histories[c], name) for c in group])
+            for name in ("start", "end", "energy_kwh", "plugin_hours")
+        }
+        x, y = extract_features(SimpleNamespace(**block), include_energy)
         n = y.shape[1]
         if n < folds:
             continue
@@ -195,23 +207,30 @@ def cross_validate(
             # training row j of the fold at lo is row j, or j + size past lo
             m = n - size
             train = np.arange(m) + size * (np.arange(m) >= los[:, None])
-            held = los[:, None] + np.arange(size)
-            # take, unlike x[:, rows], returns C-contiguous stacks
-            xs, ys, tests = by_rows.setdefault(m, ([], [], []))
-            xs.append(np.take(x, train, axis=1).reshape(-1, m, x.shape[2]))
-            ys.append(np.take(y, train, axis=1).reshape(-1, m))
-            tests.append((blocks[-1][1], held, x))
+            by_rows.setdefault(m, []).append((x, y, blocks[-1][1], train, los[0]))
 
     for m in list(by_rows):
-        xs, ys, tests = by_rows.pop(m)
-        intercepts, coefficients = fit_ols(np.concatenate(xs), np.concatenate(ys))
-        start = 0
-        for predicted, held, x in tests:
-            x_held = np.take(x, held, axis=1).reshape(-1, held.shape[1], x.shape[2])
-            end = start + len(x_held)
+        entries = by_rows.pop(m)
+        # the stacks, built only now and C-contiguous: take fills each
+        # entry's (charger, fold) designs in turn (clip, unlike the default
+        # raise, writes out unbuffered; every index is in range)
+        ends = list(accumulate(len(x) * len(train) for x, _, _, train, _ in entries))
+        xs = np.empty((ends[-1], m, entries[0][0].shape[2]))
+        ys = np.empty((ends[-1], m))
+        for (x, y, _, train, _), start, end in zip(entries, [0] + ends, ends):
+            into = xs[start:end].reshape(len(x), len(train), m, -1)
+            x.take(train, axis=1, out=into, mode="clip")
+            y.take(train, axis=1, out=ys[start:end].reshape(into.shape[:3]), mode="clip")
+        intercepts, coefficients = fit_ols(xs, ys)
+        del xs, ys
+        for (x, _, predicted, train, lo), start, end in zip(entries, [0] + ends, ends):
+            # the held-out folds are adjacent rows from lo, which reshape
+            # stacks C-contiguous in (charger, fold) order
+            size = x.shape[1] - m
+            hi = lo + size * len(train)
+            x_held = x[:, lo:hi].reshape(-1, size, x.shape[2])
             fitted = np.matmul(x_held, coefficients[start:end, :, None])[..., 0]
-            predicted[:, held] = (fitted + intercepts[start:end, None]).reshape(-1, *held.shape)
-            start = end
+            predicted[:, lo:hi] = (fitted + intercepts[start:end, None]).reshape(len(x), -1)
 
     done = {c: m for g, p, y in blocks for c, m in zip(g, prediction_metrics(p, y))}
     return [done.get(c) for c in range(len(histories))]
@@ -222,7 +241,9 @@ def pool_metrics(per_cp: Sequence[PredictionMetrics]) -> PredictionMetrics:
     if not per_cp:
         raise ValueError("no per-charge-point metrics to pool")
     return PredictionMetrics(
-        *(float(np.mean([getattr(m, name) for m in per_cp])) for name in ("mae", "mape", "mse")),
+        mae=float(np.mean([m.mae for m in per_cp])),
+        mape=float(np.mean([m.mape for m in per_cp])),
+        mse=float(np.mean([m.mse for m in per_cp])),
         n=int(sum(m.n for m in per_cp)),
         mape_excluded=int(sum(m.mape_excluded for m in per_cp)),
     )

@@ -470,18 +470,3 @@ class TestArrayKernel:
         expected = transcribed_session_rules(0.0, 10.0, 7.0, -0.0, 0.5)
         assert o.t_boost_hours.tolist() == [expected[0]] == [0.0]
         assert o.e_total_kwh.tolist() == [expected[2]] == [0.0]
-
-    def test_charged_is_a_mask_only_with_zero_energy_sessions(self):
-        # every target above 0: charged is True, so the kernel divides
-        # unmasked, and take_rows carries it; a zero target keeps the mask,
-        # and that session's p_eff stays 0
-        e = np.array([[5.0, 2.0, 7.0], [1.0, 3.0, 4.0]])
-        plugin, p_max = np.full((2, 3), 6.0), np.array([[7.0], [3.0]])
-        full = HistoryArrays(e, plugin, p_max)
-        assert full.charged is True and full.take_rows(np.array([1, 1, 0])).charged is True
-        gaps = HistoryArrays(np.array([[5.0, 0.0, 7.0]]), plugin[:1], p_max[:1])
-        assert gaps.charged.tolist() == [[True, False, True]]
-        assert gaps.take_rows(np.array([0, 0])).charged.tolist() == [[True, False, True]] * 2
-        e_gaps = e.ravel() * [1, 0, 1, 1, 0, 1]
-        o = simulate_session(HistoryArrays(e_gaps, plugin.ravel(), 7.0), 0.5, 0.3)
-        assert o.p_eff_kw[[1, 4]].tolist() == [0.0, 0.0] and (o.p_eff_kw[[0, 2, 3, 5]] > 0).all()

@@ -557,18 +557,6 @@ class TestLockstepEqualsSerial:
                 seen.add("+inf")
         assert cases <= seen
 
-    def test_windows_with_zero_energy_sessions(self):
-        # a block whose targets are all above 0 divides unmasked, and one
-        # holding zero-energy sessions keeps its mask: the "gaps" windows
-        # share a bucket with "slack" ones, and the width-25 bucket has none
-        specs = [("gaps", 30, s, None) for s in (1, 2)] + [("slack", 30, 3, None)]
-        specs += [("slack", 25, 4, None), ("slack", 25, 5, (3.0, 0.4))]
-        windows = [lockstep_window(*spec[:3])[0] for spec in specs]
-        assert not all(w.energy_kwh.all() for w in windows[:3])
-        assert all(w.energy_kwh.all() for w in windows[3:])
-        for max_cells in (1, 200, 2**62):
-            self.check_bit_identical(specs, 30, 17, max_cells)
-
     def test_calls_at_default_cap(self):
         # the shape of an online re-learn, six windows of 60 sessions: a
         # cold search, whose rows accept in bursts, then a re-learn
