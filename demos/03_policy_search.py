@@ -16,12 +16,12 @@ makes; the demo counts both.
 import numpy as np
 
 from smartcharge import (
+    HistoryArrays,
     RewardParams,
     SearchConfig,
     Sessions,
     derive_p_max,
     evaluate_policy_arrays,
-    history_arrays,
     learn_policy,
     optimizer,
     reward,
@@ -49,7 +49,8 @@ p_max = derive_p_max(sessions)
 params = RewardParams(k1=0.1, k2=10.0, e_max_loss_kwh=10.0)
 
 learned = learn_policy(sessions, p_max, SearchConfig(n_tries=200), params, seed=1)
-history = history_arrays([sessions], [p_max])
+# the history as one row of columns, the form the search evaluates
+history = HistoryArrays(sessions.energy_kwh[None], sessions.plugin_hours[None], p_max)
 e_loss, p_aggr = evaluate_policy_arrays(
     history, learned.policy.t_boost_max_hours, learned.policy.p_rate
 )
@@ -69,7 +70,12 @@ print(
 # whole grid's rewards come from one reward call
 boosts = np.linspace(0, 24, 481)
 rates = np.linspace(0, 1, 101)
-rows = history_arrays([sessions] * len(rates), [p_max] * len(rates))
+grid_shape = (len(rates), len(sessions))
+rows = HistoryArrays(
+    np.broadcast_to(sessions.energy_kwh, grid_shape),
+    np.broadcast_to(sessions.plugin_hours, grid_shape),
+    p_max,
+)
 grid = np.array([evaluate_policy_arrays(rows, t_boost, rates[:, None]) for t_boost in boosts])
 rewards = reward(grid[:, 0], grid[:, 1], params)
 i, j = np.unravel_index(np.argmax(rewards), rewards.shape)

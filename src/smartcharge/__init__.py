@@ -16,7 +16,6 @@ from .charging import (
     SessionOutcome,
     adaptive_profile,
     evaluate_policy_arrays,
-    history_arrays,
     oracle_profile,
     raw_profile,
     simulate_session,
@@ -47,7 +46,6 @@ from .optimizer import (
     learn_policy,
     per_cp_seed,
     reward,
-    rolling_window,
 )
 from .predictor import (
     PredictionMetrics,

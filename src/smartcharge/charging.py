@@ -12,11 +12,8 @@ builders turn any sessions, a batch's too, into one array of power pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
-
-from .dataset import Sessions
 
 
 @dataclass(frozen=True)
@@ -112,19 +109,6 @@ class HistoryArrays:
         taken = HistoryArrays.__new__(HistoryArrays)
         taken._hold(arrays, self.charged.take(rows, axis=0))
         return taken
-
-
-def history_arrays(
-    histories: Sequence[Sessions], p_max_kw: Sequence[float]
-) -> HistoryArrays:
-    """Equal-length, non-empty histories, one per charger, as (k, L) arrays."""
-    if any(len(h) == 0 for h in histories):
-        raise ValueError("history must be non-empty")
-    return HistoryArrays(
-        np.stack([h.energy_kwh for h in histories]),
-        np.stack([h.plugin_hours for h in histories]),
-        np.array(p_max_kw, dtype=np.float64)[:, None],
-    )
 
 
 def _charge(h: HistoryArrays, t_boost_max_hours, p_rate) -> None:

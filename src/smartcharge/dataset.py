@@ -82,12 +82,14 @@ _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 # characters a CPID must not hold
 _CSV_SPECIALS = frozenset(',"\r\n')
 
-# Records per parse chunk.  A chunk's rows, as lists of strings, are the
-# parse's working memory, and the process keeps the memory once it has it.
-# On the benchmark's predict fleet (41k rows; 43.9 MB before chunking) a
-# run's peak RSS is 41.2 MB at 128 records, 42.0 at 256, 42.8 at 1,024 and
-# 74.5 at 65,536; parse throughput is flat from 128 records up and falls
-# by a third at 64.
+# Records per chunk of the csv-module parse (every line of a file holding
+# a quote or a lone CR); the block parse passes it the lines it leaves
+# once this many are gathered (_parse_lines).  A chunk's rows, as lists of
+# strings, are its working memory, which the process keeps.  On the
+# predict fleet (seed 1, 41k rows) with one field quoted, a one-worker run
+# peaks at 36.8 MB at 64 records, 36.9 at 128, 37.1 at 256, 38.4 at 1,024
+# and 75.6 at 65,536, its parse taking 0.12, 0.09, 0.085, 0.10 and 0.15 s
+# (2-core Xeon, Python 3.11; the quote-free file, in blocks: 37.2 MB).
 _CHUNK_RECORDS = 128
 # the most bytes of a range, about; the worker parsing it holds its
 # columns, about 44 bytes of each 70 of input, until it writes them out

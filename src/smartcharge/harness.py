@@ -23,16 +23,17 @@ batches processed in sorted order and folded back in batch order, so every
 report is byte-identical for any worker count.  Predict cuts its batches
 from the chargers ordered by session count, so that chargers of equal
 length share a batch and cross_validate stacks them, and puts its table
-back in charger order.  Within a batch, policy searches run together
-through optimizer.learn_policies: offline learns all of the batch's
-chargers in one call, and online replays the batch in lockstep by session
-index, re-learning after session i every charger that needs it in one call.
-learn_policies takes starts and returns policies as columns, each charger's
-as it would be alone, so a charger's reports do not depend on which
-chargers share its batch.  Then, in both modes, _simulate charges all the
-batch's sessions in one call, builds each profile's pieces in one call per
-strategy, and sums every charger's summary columns in one pass; offline
-bins the batch's speeds once.
+back in charger order.  Offline and online build a batch's columns once
+(_BatchColumns), and cut every search window as a slice of them.  Policy
+searches run together through optimizer.learn_policies: offline learns all
+of the batch's chargers in one call, and online replays the batch in
+lockstep by session index, re-learning after session i every charger that
+needs it in one call.  learn_policies takes windows and starts and returns
+policies as columns, each charger's as it would be alone, so a charger's
+reports do not depend on which chargers share its batch.  Then, in both
+modes, _simulate charges all the batch's sessions in one call, builds each
+profile's pieces in one call per strategy, and sums every charger's
+summary columns in one pass; offline bins the batch's speeds once.
 
 A batch returns (columns, pieces, kept).  Its profiles are power pieces,
 not day-length slot arrays, so its result stays small, and _run folds
@@ -98,7 +99,6 @@ from .optimizer import (
     learn_policies,
     learn_policy,  # not called here; the benchmark's tracer wraps this name
     per_cp_seed,
-    rolling_window,
 )
 from .predictor import PredictionMetrics, cross_validate, pool_metrics
 
@@ -325,7 +325,7 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool, pool, by_length: bo
     workers = _pool_size(cfg.workers)
     if pool is None and workers > 1:
         with _worker_pool(cfg.workers) as pool:
-            return _run(batch_fn, cfg, usable_only, pool)
+            return _run(batch_fn, cfg, usable_only, pool, by_length)
     map_calls = partial(_ordered_map, pool, in_flight=2 * workers)
     sessions, parse_errors = parse_sessions_path(cfg.input, map_calls, workers)
     charge_points, cleaning = clean_sessions(
@@ -361,8 +361,10 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool, pool, by_length: bo
         totals[key] = totals.get(key, 0) + profile.slots
 
     order = list(range(len(charge_points)))
+    back = slice(None)  # each charger's row in batch order
     if by_length:
         order.sort(key=lambda j: -len(charge_points[j].sessions))
+        back = np.argsort(order)
     batched = [charge_points[j] for j in order]
     batches = _map_batches(partial(batch_fn, cfg=cfg), batched, map_calls)
     for batch_columns, batch_pieces, batch_kept in batches:
@@ -376,8 +378,6 @@ def _run(batch_fn, cfg: ExperimentConfig, usable_only: bool, pool, by_length: bo
     for key in list(held):
         fold(key)
     columns = {"cp_id": np.array([cp.cp_id for cp in charge_points], dtype=object)}
-    back = np.empty(len(order), dtype=np.intp)  # each charger's row in batch order
-    back[order] = np.arange(len(order))
     for name in list(parts):
         columns[name] = np.concatenate(parts.pop(name))[back]
     common = dict(cfg=cfg, cleaning=cleaning, parse_errors=parse_errors, columns=columns)
@@ -389,7 +389,40 @@ def _profiles(totals: dict, scope: str) -> dict[str, DailyProfile]:
     return {s: DailyProfile(totals[scope, s]) for s in STRATEGIES}
 
 
-def _simulate(batch: Sequence[ChargePoint], t_boost_max_hours, p_rate, firsts: dict, learned):
+class _BatchColumns:
+    """A batch's sessions as columns, each charger's in turn: its chargers'
+    session counts and first rows, and each session's start, energy, plugin
+    duration and charger's max power."""
+
+    def __init__(self, batch: Sequence[ChargePoint]):
+        self.counts = np.array([len(cp.sessions) for cp in batch])
+        self.firsts = np.cumsum(self.counts) - self.counts
+        self.start, self.energy, self.plugin = (
+            np.concatenate([getattr(cp.sessions, name) for cp in batch])
+            for name in ("start", "energy_kwh", "plugin_hours")
+        )
+        self.p_max = np.repeat([cp.p_max_kw for cp in batch], self.counts)
+        # the sessions with energy, and how many of them precede each row
+        charged = self.energy > 0
+        self._charged = self.energy[charged], self.plugin[charged]
+        self._before = np.concatenate(([0], np.cumsum(charged)))
+
+    def windows(self, chargers: np.ndarray, ends, history: int | None):
+        """The search windows of the given chargers (positions in the batch):
+        of the sessions with energy among each one's first `ends` (a count
+        per charger, or one for all), the last `history` (all if None).
+        Returns the chargers whose window holds a session, and their windows'
+        energy and plugin columns, slices of those of the sessions with energy."""
+        firsts = self.firsts[chargers]
+        lo, hi = self._before[firsts], self._before[firsts + ends]
+        if history is not None:
+            lo = np.maximum(lo, hi - history)
+        some = lo < hi
+        spans = list(map(slice, lo[some].tolist(), hi[some].tolist()))
+        return chargers[some], *([column[span] for span in spans] for column in self._charged)
+
+
+def _simulate(cols: _BatchColumns, t_boost_max_hours, p_rate, firsts: dict, learned):
     """Simulate the batch's sessions (each charger's in turn) in one call,
     each under its policy: the parameters hold one value per session.  For
     each scope of firsts (each charger's first session in it), build each
@@ -400,17 +433,12 @@ def _simulate(batch: Sequence[ChargePoint], t_boost_max_hours, p_rate, firsts: d
     sessions with energy that learned, a mask or True, marks), and the
     pieces by (scope, strategy).  n_sessions and the raw effective hours
     cover every session."""
-    counts = [len(cp.sessions) for cp in batch]
-    offsets = np.cumsum(counts) - counts  # each charger's first session
-    start, e, plugin = (
-        np.concatenate([getattr(cp.sessions, name) for cp in batch])
-        for name in ("start", "energy_kwh", "plugin_hours")
-    )
-    p_max = np.repeat([cp.p_max_kw for cp in batch], counts)
-    outcome = simulate_session(HistoryArrays(e, plugin, p_max), t_boost_max_hours, p_rate)
+    counts, start, e, plugin, p_max = cols.counts, cols.start, cols.energy, cols.plugin, cols.p_max
+    sessions = HistoryArrays(e, plugin, p_max)
+    outcome = simulate_session(sessions, t_boost_max_hours, p_rate)
     pieces, scopes = {}, []
     for scope, first in firsts.items():
-        kept = np.arange(len(e)) >= np.repeat(offsets + first, counts)
+        kept = np.arange(len(e)) >= np.repeat(cols.firsts + first, counts)
         scopes.append(kept)
         built = (
             raw_profile(start[kept], e[kept], plugin[kept], p_max[kept]),
@@ -427,14 +455,14 @@ def _simulate(batch: Sequence[ChargePoint], t_boost_max_hours, p_rate, firsts: d
     raw_delivered = np.where(e / plugin <= p_max, e, p_max * plugin)
     phases = [outcome.t_boost_hours, outcome.t_slow_hours, rel_speeds]
     # raw charging runs at p_max until the target is met or the session ends
-    raw_hours = np.minimum(e / p_max, plugin)
+    raw_hours = sessions.boost_cap
     # the count of counted sessions leads: an exact integer-valued sum
     sums = _segment_sums(
         [counted, e, outcome.e_total_kwh, raw_delivered, *phases, raw_hours],
         [counted] + [scopes[0]] * 3 + [counted] * 3 + [np.ones(len(e), dtype=bool)],
         counts,
     )
-    columns = [np.array(counts, dtype=np.int64), sums[:, 0].astype(np.int64), *sums[:, 1:].T]
+    columns = [counts.astype(np.int64), sums[:, 0].astype(np.int64), *sums[:, 1:].T]
     summary = dict(zip(SUMMARY_COLUMNS, columns))
     return outcome, summary, rel_speeds[counted], pieces
 
@@ -531,27 +559,25 @@ def _offline_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     the first n are the test split: the summary and the "test" profiles
     cover them, and the "all" profiles every session.  kept is the test
     split's speed counts."""
-    splits = [math.ceil(cfg.train_fraction * len(cp.sessions)) for cp in batch]
-    trains = [cp.sessions[:n] for cp, n in zip(batch, splits)]
-    windows = [rolling_window(t[t.energy_kwh > 0], cfg.history) for t in trains]
-    learning = [j for j, window in enumerate(windows) if len(window)]
+    cols = _BatchColumns(batch)
+    splits = [math.ceil(cfg.train_fraction * n) for n in cols.counts.tolist()]
+    learning, *windows = cols.windows(np.arange(len(batch)), splits, cfg.history)
     # each charger's policy columns; with nothing to learn from, a charger
     # charges raw rather than guess
-    t_boost_max = np.array([cp.sessions.plugin_hours.max() for cp in batch])
+    t_boost_max = np.maximum.reduceat(cols.plugin, cols.firsts)
     p_rate, feasible = np.ones(len(batch)), np.ones(len(batch), dtype=bool)
     t_boost_max[learning], p_rate[learning], feasible[learning] = learn_policies(
-        [windows[j] for j in learning],
-        [batch[j].p_max_kw for j in learning],
-        [per_cp_seed(cfg.seed, batch[j].cp_id) for j in learning],
+        *windows,
+        cols.p_max[cols.firsts[learning]],
+        [per_cp_seed(cfg.seed, batch[j].cp_id) for j in learning.tolist()],
         cfg.search_config(),
         cfg.reward_params(),
     )
-    counts = [len(cp.sessions) for cp in batch]
-    per_session = (np.repeat(column, counts) for column in (t_boost_max, p_rate))
+    per_session = (np.repeat(column, cols.counts) for column in (t_boost_max, p_rate))
     scopes = {"test": splits, "all": 0}
-    _, columns, speeds, pieces = _simulate(batch, *per_session, scopes, True)
+    _, columns, speeds, pieces = _simulate(cols, *per_session, scopes, True)
     columns.update(t_boost_max_hours=t_boost_max, p_rate=p_rate, feasible=feasible)
-    columns.update(n_train=np.array(splits), n_test=np.subtract(counts, splits))
+    columns.update(n_train=np.array(splits), n_test=cols.counts - splits)
     return columns, pieces, aggregation.speed_histogram_counts(speeds)
 
 
@@ -593,38 +619,30 @@ def _online_batch(batch: Sequence[ChargePoint], cfg: ExperimentConfig):
     each session's policy, and the batch is simulated once after it.
     kept is the batch's session log.
     """
-    sessions = [cp.sessions for cp in batch]
-    counts = [len(s) for s in sessions]
-    # each charger's first session in the batch's arrays
-    offsets = (np.cumsum(counts) - counts).tolist()
+    cols = _BatchColumns(batch)
     # each session's policy, in batch order: raw (boost for the whole
     # session) unless adaptive
-    t_boost_max = np.concatenate([s.plugin_hours for s in sessions])
+    t_boost_max = cols.plugin.copy()
     p_rate = np.ones(len(t_boost_max))
     adaptive = np.zeros(len(t_boost_max), dtype=bool)
-    # the sessions with energy, and how many of them sessions 0..i include
-    charged = [s[s.energy_kwh > 0] for s in sessions]
-    n_charged = [np.cumsum(s.energy_kwh > 0).tolist() for s in sessions]
-    # after session i, learn the policy session i + 1 charges with; the
-    # warmup's sessions charge raw
-    for i in range(max(cfg.warmup - 1, 0), max(counts) - 1):
-        relearn = [j for j, n in enumerate(counts) if i + 1 < n and n_charged[j][i]]
-        if not relearn:
-            continue
-        k = np.array([offsets[j] + i for j in relearn])
+    # after session i, learn the policy session i + 1 charges with, where
+    # there is one and a window to learn from; the warmup's sessions charge raw
+    for i in range(max(cfg.warmup - 1, 0), cols.counts.max() - 1):
+        relearn, *windows = cols.windows(np.flatnonzero(cols.counts > i + 1), i + 1, cfg.history)
+        k = cols.firsts[relearn] + i
         # warm start from the policy learned for session i, if any
         warm = adaptive[k] & (not cfg.cold_start)
         t_boost_max[k + 1], p_rate[k + 1], _ = learn_policies(
-            [rolling_window(charged[j][: n_charged[j][i]], cfg.history) for j in relearn],
-            [batch[j].p_max_kw for j in relearn],
-            [per_cp_seed(cfg.seed, f"{batch[j].cp_id}#{i}") for j in relearn],
+            *windows,
+            cols.p_max[k],
+            [per_cp_seed(cfg.seed, f"{batch[j].cp_id}#{i}") for j in relearn.tolist()],
             cfg.search_config(),
             cfg.reward_params(),
             np.where(warm, [t_boost_max[k], p_rate[k]], np.nan),
         )
         adaptive[k + 1] = True
 
-    outcome, columns, _, pieces = _simulate(batch, t_boost_max, p_rate, {"all": 0}, adaptive)
+    outcome, columns, _, pieces = _simulate(cols, t_boost_max, p_rate, {"all": 0}, adaptive)
     log = {"adaptive": adaptive, **vars(outcome)}
     log.update(policy_t_boost_max_hours=t_boost_max, policy_p_rate=p_rate)
     return columns, pieces, log

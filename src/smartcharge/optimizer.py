@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charging import ChargingPolicy, HistoryArrays, evaluate_policy_arrays, history_arrays
+from .charging import ChargingPolicy, HistoryArrays, evaluate_policy_arrays
 from .dataset import Sessions
 
 
@@ -110,15 +110,6 @@ def reward(
     return out
 
 
-def rolling_window(history: Sessions, h: int | None) -> Sessions:
-    """Last h sessions of a chronologically sorted history (all if h is None)."""
-    if h is None:
-        return history
-    if h < 0:
-        raise ValueError("history size must be >= 0 or None")
-    return history[-h:] if h else history[:0]
-
-
 def per_cp_seed(seed: int, key: str) -> int:
     """Stable 64-bit sub-seed for one charge point (or any string key), so
     per-charger results do not depend on scheduling order."""
@@ -149,40 +140,46 @@ def learn_policy(
     which delivers every target on a cleaned charge point.
     """
     start = None if init is None else [[init.t_boost_max_hours], [init.p_rate]]
-    t, p, feasible = learn_policies([history], [p_max_kw], [seed], cfg, params, start)
+    columns = [history.energy_kwh], [history.plugin_hours]
+    t, p, feasible = learn_policies(*columns, [p_max_kw], [seed], cfg, params, start)
     return LearnedPolicy(ChargingPolicy(float(t[0]), float(p[0])), bool(feasible[0]))
 
 
 def learn_policies(
-    histories: Sequence[Sessions],
+    energy: Sequence[np.ndarray],
+    plugin: Sequence[np.ndarray],
     p_max_kw: Sequence[float],
     seeds: Sequence[int],
     cfg: SearchConfig,
     params: RewardParams,
     inits: np.ndarray | Sequence[Sequence[float]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """learn_policy for many chargers at once, in columns: inits is a
-    (2, n) array-like of starts (boost cap, rate; a start holding a NaN
-    starts cold).  Returns the boost caps, rates and feasibility (float64,
-    float64, bool) in input order, each row bit-identical to searching that
-    charger alone: histories of one length are searched together, in
+    """learn_policy for many chargers at once, in columns: history j is
+    energy[j] and plugin[j], 1-D arrays of one length, and inits a (2, n)
+    array-like of starts (boost cap, rate; a start holding a NaN starts
+    cold).  Returns the boost caps, rates and feasibility (float64, float64,
+    bool) in input order, each row bit-identical to searching that charger
+    alone: histories of one length are stacked and searched together, in
     lockstep and then in runs of tries (see the module docstring)."""
-    n = len(histories)
+    n = len(energy)
     inits = np.full((2, n), math.nan) if inits is None else np.asarray(inits, dtype=np.float64)
     p_max = np.asarray(p_max_kw, dtype=np.float64)
-    if not (p_max.shape == (len(seeds),) == (n,) and inits.shape == (2, n)):
-        raise ValueError("need one p_max_kw, seed and init per history")
+    if not (p_max.shape == (len(seeds),) == (len(plugin),) == (n,) and inits.shape == (2, n)):
+        raise ValueError("need one plugin column, p_max_kw, seed and init per history")
     # stated as what must hold, so a NaN fails it
     if not (p_max > 0).all():
         raise ValueError("p_max_kw must be positive")
     groups: dict[int, list[int]] = {}
-    for j, history in enumerate(histories):
-        groups.setdefault(len(history), []).append(j)
+    for j, e in enumerate(energy):
+        groups.setdefault(len(e), []).append(j)
 
     t, p = np.empty((2, n))
     feasible = np.empty(n, dtype=bool)
-    for rows in groups.values():
-        h = history_arrays([histories[j] for j in rows], p_max[rows])
+    for length, rows in groups.items():
+        e, plugin_rows = (np.stack([column[j] for j in rows]) for column in (energy, plugin))
+        if not (length and plugin_rows.shape == e.shape):
+            raise ValueError("a history's columns must be non-empty and of one length")
+        h = HistoryArrays(e, plugin_rows, p_max[rows, None])
         t[rows], p[rows], feasible[rows] = _search(
             h, cfg, [seeds[j] for j in rows], inits[:, rows], params
         )

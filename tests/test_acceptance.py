@@ -19,7 +19,6 @@ import pytest
 from smartcharge.charging import (
     HistoryArrays,
     evaluate_policy_arrays,
-    history_arrays,
     simulate_session,
 )
 from smartcharge.dataset import derive_p_max
@@ -180,7 +179,9 @@ def test_criterion_2_oracle_equivalence():
         best_rewards.append(grid_oracle_best(history, p_max, params))
         policy = learn_policy(history, p_max, SearchConfig(), params, seed=h).policy
         e_loss, p_aggr = evaluate_policy_arrays(
-            history_arrays([history], [p_max]), policy.t_boost_max_hours, policy.p_rate
+            HistoryArrays(history.energy_kwh[None], history.plugin_hours[None], p_max),
+            policy.t_boost_max_hours,
+            policy.p_rate,
         )
         learned_rewards.append(reward(e_loss, p_aggr, params).item())
     elapsed = time.time() - t0

@@ -14,7 +14,6 @@ from smartcharge.charging import (
     HistoryArrays,
     adaptive_profile,
     evaluate_policy_arrays,
-    history_arrays,
     oracle_profile,
     raw_profile,
     simulate_session,
@@ -58,8 +57,11 @@ def simulate_one(session, policy, p_max):
 
 def evaluate(history, policy, p_max):
     """(e_loss, p_aggr) of one history as floats."""
+    t = table(history)
     e_loss, p_aggr = evaluate_policy_arrays(
-        history_arrays([table(history)], [p_max]), policy.t_boost_max_hours, policy.p_rate
+        HistoryArrays(t.energy_kwh[None], t.plugin_hours[None], p_max),
+        policy.t_boost_max_hours,
+        policy.p_rate,
     )
     return SimpleNamespace(e_loss_kwh=e_loss.item(), p_aggr_kw=p_aggr.item())
 
@@ -239,8 +241,8 @@ class TestEvaluatePolicy:
         assert ev.p_aggr_kw == 0.0
 
     def test_empty_history_errors(self):
-        with pytest.raises(ValueError):
-            history_arrays([[]], [7.0])
+        with pytest.raises(ValueError, match="non-empty"):
+            learn_policies([[]], [[]], [7.0], [0], SearchConfig(), RewardParams())
 
 
 class TestProfiles:
@@ -456,7 +458,9 @@ class TestArrayKernel:
             lambda s: raw_profile(s.start, s.energy_kwh, s.plugin_hours, np.nan),
             lambda s: oracle_profile(s.start, s.energy_kwh, np.array([np.nan])),
             lambda s: derive_p_max(dataclasses.replace(s, plugin_hours=[np.nan])),
-            lambda s: learn_policies([s], [np.nan], [0], SearchConfig(n_tries=1), RewardParams()),
+            lambda s: learn_policies(
+                [s.energy_kwh], [s.plugin_hours], [np.nan], [0], SearchConfig(1), RewardParams()
+            ),
         ],
         ids=["simulate_session", "raw_profile", "oracle_profile", "derive_p_max", "learn_policies"],
     )

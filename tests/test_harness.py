@@ -35,7 +35,9 @@ from smartcharge.harness import (
 )
 from smartcharge.optimizer import learn_policy, per_cp_seed
 
-from conftest import CSV_HEADER, csv_row, synth_fleet_csv, BASE_EPOCH, brute_force_profile
+from conftest import (
+    BASE_EPOCH, CSV_HEADER, brute_force_profile, csv_row, make_session, synth_fleet_csv, table,
+)
 from test_reports import prediction_csv_reference
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -655,6 +657,16 @@ class TestPredict:
         report = Path(paths["prediction_report.txt"]).read_text()
         assert "with energy" in report and "without energy" in report
 
+    @staticmethod
+    def mixed_lengths_csv(tmp_path):
+        """70 chargers cut to 5-30 sessions each."""
+        header, *body = synth_fleet_csv(n_cps=70, sessions_per_cp=30, seed=21).splitlines()
+        counts = iter(np.random.default_rng(21).integers(5, 31, 70).tolist())
+        rows = [header]
+        for _, lines in itertools.groupby(body, key=lambda line: line.split(",")[1]):
+            rows += list(lines)[: next(counts)]
+        return write_csv(tmp_path, "\n".join(rows) + "\n")
+
     def test_mixed_lengths_batch_by_length_and_report_in_charger_order(
         self, tmp_path, monkeypatch
     ):
@@ -662,12 +674,7 @@ class TestPredict:
         # the chargers by session count, most first; prediction_per_cp.csv
         # is the same bytes at 1 and 2 workers, a row per charger in id
         # order, each as that charger cross-validated alone
-        header, *body = synth_fleet_csv(n_cps=70, sessions_per_cp=30, seed=21).splitlines()
-        counts = iter(np.random.default_rng(21).integers(5, 31, 70).tolist())
-        rows = [header]
-        for _, lines in itertools.groupby(body, key=lambda line: line.split(",")[1]):
-            rows += list(lines)[: next(counts)]
-        path = write_csv(tmp_path, "\n".join(rows) + "\n")
+        path = self.mixed_lengths_csv(tmp_path)
         batches = []
         validate = harness.cross_validate
 
@@ -689,6 +696,33 @@ class TestPredict:
         assert len(set(lengths)) > 1
         want = prediction_csv_reference(ExperimentConfig(input=path, min_sessions=5))
         assert bundles[0]["prediction_per_cp.csv"].decode() == want
+
+    def test_library_run_batches_by_length_at_any_worker_count(
+        self, tmp_path, monkeypatch, fake_pool
+    ):
+        # run_predict called without a pool starts its own at 2 workers;
+        # the chargers must reach _map_batches sorted by session count
+        # there too, as at 1 worker
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        path = self.mixed_lengths_csv(tmp_path)
+        mapped = []
+        map_batches = harness._map_batches
+
+        def spy(fn, items, map_calls):
+            mapped.append([len(cp.sessions) for cp in items])
+            return map_batches(fn, items, map_calls)
+
+        monkeypatch.setattr(harness, "_map_batches", spy)
+        tables = []
+        for workers in (1, 2):
+            cfg = ExperimentConfig(input=path, mode="predict", min_sessions=5, workers=workers)
+            tables.append(run_predict(cfg).columns)
+        assert FakePool.sizes == [2]
+        assert mapped[0] == mapped[1] == sorted(mapped[0], reverse=True)
+        assert len(set(mapped[0])) > 1
+        assert tables[0].keys() == tables[1].keys()
+        for name, column in tables[0].items():
+            assert column.tolist() == tables[1][name].tolist(), name
 
     def test_run_loads_no_openssl(self, tmp_path, fleet_csv):
         # per_cp_seed imports hashlib, which maps OpenSSL (about 3.6 MB
@@ -863,6 +897,74 @@ def test_a_batch_sends_no_record_back(tmp_path, batch_fn):
     Recording(io.BytesIO()).dump(batch_fn(batch, cfg))
     assert not [kind for kind in pickled if is_dataclass(kind)]
     assert not {ChargePoint, Sessions} & pickled
+
+
+@pytest.mark.parametrize("batch_fn", [harness._offline_batch, harness._online_batch])
+def test_a_batch_builds_no_sessions(tmp_path, monkeypatch, batch_fn):
+    # a batch reads its chargers' sessions as columns, built once; no
+    # search window is a Sessions table of its own
+    text = synth_fleet_csv(n_cps=6, sessions_per_cp=12, seed=9, zero_energy_prob=0.3)
+    cfg = small_cfg(write_csv(tmp_path, text), str(tmp_path / "out"), n_tries=10, warmup=4)
+    sessions, _ = harness.parse_sessions_path(cfg.input)
+    batch, _ = harness.clean_sessions(sessions, min_sessions=cfg.min_sessions)
+    built = []
+    init = Sessions.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Sessions, "__init__", counting)
+    table([make_session()])  # the counter counts
+    assert len(built) == 1
+    batch_fn(batch, cfg)
+    assert len(built) == 1
+
+
+@st.composite
+def window_batches(draw):
+    """A batch of chargers, as (energy, plugin) rows each with some without
+    energy, and for each charger whether it asks for a window and how many
+    of its first sessions the window is cut from."""
+    energy = st.one_of(st.just(0.0), st.floats(0.01, 60.0))
+    rows = st.lists(st.tuples(energy, st.floats(0.1, 40.0)), min_size=1, max_size=12)
+    chargers = draw(st.lists(rows, min_size=1, max_size=5))
+    asked = [draw(st.booleans()) for _ in chargers]
+    ends = [draw(st.integers(0, len(r))) for r in chargers]
+    return chargers, asked, ends
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_batches(), st.one_of(st.none(), st.integers(1, 6)))
+@example(
+    # a charger with no session with energy before its end, one whose
+    # window ends at 0, and one whose window is cut to its last session
+    ([[(0.0, 2.0), (3.0, 4.0)], [(5.0, 1.0)], [(1.0, 2.0), (0.0, 3.0), (2.0, 5.0)]],
+     [True, True, True], [1, 0, 3]),
+    1,
+)
+def test_batch_windows_match_the_sessions_rule(drawn, history):
+    # each window is s[:end][s.energy_kwh[:end] > 0][-history:] (all of
+    # them if history is None) of its charger's sessions s, and a charger
+    # whose window holds no session is not returned
+    chargers, asked, ends = drawn
+    batch = []
+    for j, rows in enumerate(chargers):
+        sessions = table([
+            make_session(f"CP{j}", BASE_EPOCH + i * 86400, plugin, energy, event_id=i)
+            for i, (energy, plugin) in enumerate(rows)
+        ])
+        batch.append(ChargePoint(f"CP{j}", 7.0, sessions))
+    cols = harness._BatchColumns(batch)
+    wanted = np.flatnonzero(asked)
+    got, energy, plugin = cols.windows(wanted, np.take(ends, wanted), history)
+    want = []
+    for j in wanted.tolist():
+        s, end = batch[j].sessions, ends[j]
+        window = s[:end][s.energy_kwh[:end] > 0][-history if history else None :]
+        if len(window):
+            want.append((j, window.energy_kwh.tolist(), window.plugin_hours.tolist()))
+    assert [(j, e.tolist(), p.tolist()) for j, e, p in zip(got.tolist(), energy, plugin)] == want
 
 
 @pytest.mark.parametrize("fold_rows", [1, 2**62])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smartcharge import optimizer
-from smartcharge.charging import ChargingPolicy, evaluate_policy_arrays, history_arrays
+from smartcharge.charging import ChargingPolicy, HistoryArrays, evaluate_policy_arrays
 from smartcharge.dataset import derive_p_max
 from smartcharge.optimizer import (
     LearnedPolicy,
@@ -18,7 +18,6 @@ from smartcharge.optimizer import (
     learn_policy,
     per_cp_seed,
     reward,
-    rolling_window,
 )
 
 from conftest import BASE_EPOCH, make_session, rows, table
@@ -61,7 +60,9 @@ def evaluated(history, p_max, policy, params):
     """(shortfall, aggregate rate, reward) of one policy over one history,
     as floats."""
     e_loss, p_aggr = evaluate_policy_arrays(
-        history_arrays([history], [p_max]), policy.t_boost_max_hours, policy.p_rate
+        HistoryArrays(history.energy_kwh[None], history.plugin_hours[None], p_max),
+        policy.t_boost_max_hours,
+        policy.p_rate,
     )
     return e_loss.item(), p_aggr.item(), reward(e_loss, p_aggr, params).item()
 
@@ -132,18 +133,6 @@ class TestReward:
     def test_uncapped_loss_allowed(self):
         params = RewardParams(e_max_loss_kwh=float("inf"))
         assert reward_of(1e6, 3.0, params) == pytest.approx(10.0 / 3.0 - 0.1e6)
-
-
-class TestRollingWindow:
-    def test_last_h(self):
-        history = list(range(100))
-        assert rolling_window(history, 30) == list(range(70, 100))
-
-    def test_fewer_than_h(self):
-        assert rolling_window(list(range(10)), 30) == list(range(10))
-
-    def test_unlimited(self):
-        assert rolling_window(list(range(10)), None) == list(range(10))
 
 
 class TestLearnPolicy:
@@ -251,7 +240,7 @@ class TestLearnPolicy:
 
     def test_empty_history_errors(self):
         with pytest.raises(ValueError):
-            learn_policy([], 7.0, SearchConfig(), RewardParams())
+            learn_policy(table([]), 7.0, SearchConfig(), RewardParams())
 
 
 class TestSeeds:
@@ -393,6 +382,13 @@ def run_schedule(accepted, n_tries, width, max_cells, quiet_calls):
             start[r], run[r] = (start[r] + size, 2 * size) if hit is None else (hit + 1, 1)
 
 
+def learn_windows(windows, *args):
+    """learn_policies on the energy and plugin columns of Sessions windows."""
+    return learn_policies(
+        [w.energy_kwh for w in windows], [w.plugin_hours for w in windows], *args
+    )
+
+
 def lockstep_window(kind, n, seed):
     """A window of n sessions and its charger's max power.  "slack" leaves
     room to slow down; "tight" sessions need nearly their whole plugin time
@@ -472,7 +468,7 @@ class TestLockstepEqualsSerial:
 
         with mock.patch.object(optimizer, "_RUN_MAX_CELLS", max_cells):
             with mock.patch.object(optimizer, "evaluate_policy_arrays", counting):
-                lockstep = learn_policies(windows, p_max, seeds, cfg, params, starts)
+                lockstep = learn_windows(windows, p_max, seeds, cfg, params, starts)
         assert [column.dtype for column in lockstep] == [np.float64, np.float64, bool]
         traces = []
         got_rows = zip(*(column.tolist() for column in lockstep))
@@ -568,7 +564,7 @@ class TestLockstepEqualsSerial:
         assert len(calls) == 94
         windows, p_max = zip(*(lockstep_window(*spec[:3]) for spec in specs))
         seeds = [per_cp_seed(0, str(j)) for j in range(6)]
-        t, p, _ = learn_policies(windows, p_max, seeds, SearchConfig(), RewardParams())
+        t, p, _ = learn_windows(windows, p_max, seeds, SearchConfig(), RewardParams())
         specs = [(*spec[:3], start) for spec, start in zip(specs, zip(t.tolist(), p.tolist()))]
         calls, _, _ = self.check_bit_identical(specs, 200, 1, cap)
         assert len(calls) == 28
@@ -592,12 +588,12 @@ class TestLockstepEqualsSerial:
         tiny, p_tiny = lockstep_window("tiny", 40, 1)
         slack, p_slack = lockstep_window("slack", 30, 3)
 
-        _, _, feasible = learn_policies([tiny, slack], [p_tiny, p_slack], [0, 0], cfg, params)
+        _, _, feasible = learn_windows([tiny, slack], [p_tiny, p_slack], [0, 0], cfg, params)
         assert calls == [1, 1, 1, 1]
         assert feasible.all()
 
         calls.clear()
-        t, p, _ = learn_policies(
+        t, p, _ = learn_windows(
             [tight, tiny, slack], [p_tight, p_tiny, p_slack], [0, 0, 0], cfg, params
         )
         assert calls == [2, 2, 2, 1, 1]
@@ -606,14 +602,14 @@ class TestLockstepEqualsSerial:
 
         calls.clear()
         cfg = SearchConfig(n_tries=5)
-        t, p, _ = learn_policies([tight, tiny], [p_tight, p_tiny], [0, 0], cfg, params)
+        t, p, _ = learn_windows([tight, tiny], [p_tight, p_tiny], [0, 0], cfg, params)
         assert calls == [2] * 7
         assert (t[0], p[0]) == raw[0]
 
         # tiny windows accept often, so 20 rows never leave one try a call
         wide = [lockstep_window("tiny", 30, j) for j in range(20)]
         calls.clear()
-        _, _, feasible = learn_policies(*zip(*wide), range(20), cfg, params)
+        _, _, feasible = learn_windows(*zip(*wide), range(20), cfg, params)
         assert calls == [20] * 6
         assert feasible.all()
 
@@ -623,14 +619,14 @@ class TestLockstepEqualsSerial:
         other, p_other = lockstep_window("slack", 30, 4)
         pair = [slack, other], [p_slack, p_other]
         calls.clear()
-        starts = learn_policies(*pair, [0, 1], cfg, params)[:2]
+        starts = learn_windows(*pair, [0, 1], cfg, params)[:2]
         assert calls == [2] * 14 + [4, 8, 2]
         calls.clear()
-        warm = learn_policies(*pair, [2, 3], cfg, params, starts)
+        warm = learn_windows(*pair, [2, 3], cfg, params, starts)
         assert calls == [2, 2, 2, 2, 4, 8, 9, 5, 4, 5]
         monkeypatch.setattr(optimizer, "_RUN_MAX_CELLS", 2 * 30)
         calls.clear()
-        capped = learn_policies(*pair, [2, 3], cfg, params, starts)
+        capped = learn_windows(*pair, [2, 3], cfg, params, starts)
         assert [column.tolist() for column in capped] == [column.tolist() for column in warm]
         assert calls == [2] * 21
 
@@ -652,31 +648,37 @@ class TestLockstepEqualsSerial:
         windows = [lockstep_window("slack", n, n)[0] for n in (30, 7, 30, 12)]
         p_max = [7.0] * 4
         cfg = SearchConfig(n_tries=10)
-        t, p, feasible = learn_policies(windows, p_max, range(4), cfg, params)
+        t, p, feasible = learn_windows(windows, p_max, range(4), cfg, params)
         alone = [learn_policy(w, 7.0, cfg, params, seed=s) for s, w in enumerate(windows)]
         together = [
             LearnedPolicy(ChargingPolicy(*policy), row_feasible)
             for *policy, row_feasible in zip(t.tolist(), p.tolist(), feasible.tolist())
         ]
         assert together == alone
-        assert [column.tolist() for column in learn_policies([], [], [], cfg, params)] == [[]] * 3
+        assert [column.tolist() for column in learn_windows([], [], [], cfg, params)] == [[]] * 3
         with pytest.raises(ValueError):
-            learn_policies(windows, p_max[:3], range(4), cfg, params)
+            learn_windows(windows, p_max[:3], range(4), cfg, params)
 
     def test_one_seed_per_history(self):
         windows = [lockstep_window("slack", n, n)[0] for n in (30, 7)]
         cfg, params = SearchConfig(n_tries=10), RewardParams()
         with pytest.raises(ValueError, match="seed"):
-            learn_policies(windows, [7.0, 7.0], [0], cfg, params)
+            learn_windows(windows, [7.0, 7.0], [0], cfg, params)
         # and one start (boost cap, rate) per history
         with pytest.raises(ValueError, match="init"):
-            learn_policies(windows, [7.0, 7.0], [0, 1], cfg, params, [[1.0], [0.5]])
+            learn_windows(windows, [7.0, 7.0], [0, 1], cfg, params, [[1.0], [0.5]])
+        # and one plugin column, as long as its energy column, per history
+        energy, plugin = [w.energy_kwh for w in windows], [w.plugin_hours for w in windows]
+        with pytest.raises(ValueError, match="plugin"):
+            learn_policies(energy, plugin[:1], [7.0, 7.0], [0, 1], cfg, params)
+        with pytest.raises(ValueError, match="one length"):
+            learn_policies(energy, [plugin[0][:-1], plugin[1]], [7.0, 7.0], [0, 1], cfg, params)
 
     def test_a_start_holding_a_nan_starts_cold(self):
         windows = [lockstep_window("slack", 30, 30)[0]] * 3
         cfg, params = SearchConfig(n_tries=10), RewardParams()
         starts = [[np.nan, 2.0, np.nan], [0.3, np.nan, np.nan]]
-        got = learn_policies(windows, [7.0] * 3, [0] * 3, cfg, params, starts)
+        got = learn_windows(windows, [7.0] * 3, [0] * 3, cfg, params, starts)
         cold = learn_policy(windows[0], 7.0, cfg, params, seed=0)
         assert [column.tolist() for column in got] == [
             [cold.policy.t_boost_max_hours] * 3,
